@@ -66,7 +66,6 @@ from .spectral import (
     chi_max,
     eig_sym,
     sss,
-    sss_primal_oracle,
     write_spectrum_csv,
 )
 

@@ -15,18 +15,18 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import simulate
-from .detectors import Detector, calibrate_threshold, graph_spectrum
+from .detectors import DETECTOR_KINDS, RHO_KINDS, Detector, calibrate_threshold, graph_spectrum
 from .graphs import gen_bbt, gen_kron_multiscale, gen_lattice, read_edge_list, two_triangles, write_edge_list
 from .spectral import write_spectrum_csv
 
-_CONFIG_HELP = """\
+_CONFIG_HELP = f"""\
 experiment config files are flat `key = value` lines with keys:
   family      bbt | lattice | kron (kron uses the two-triangle base)
   depth       bbt depth            p         lattice side length
   periodic    lattice wrap flag    levels    kron product depth
   mu delta sigma rho               signal and detector parameters
   reps_null reps_alt seed          Monte Carlo controls
-  detectors   comma list from: sss, energy, edge, glr_exact, glr_unconstrained
+  detectors   comma list from: {", ".join(DETECTOR_KINDS)}
   cluster     `canonical` (default) or a comma list of vertex ids
 """
 
@@ -47,7 +47,10 @@ def _read_signal(path, n: int) -> np.ndarray:
         raise ValueError(f"--signal {path}: non-numeric entry") from exc
     if len(values) != n:
         raise ValueError(f"--signal {path}: has {len(values)} values, graph has {n} vertices")
-    return np.array(values)
+    y = np.array(values)
+    if not np.isfinite(y).all():
+        raise ValueError(f"--signal {path}: NaN or infinite entry")
+    return y
 
 
 def _load_graph(path):
@@ -86,7 +89,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _make_detector(stat: str, rho, require_connected: bool = False) -> Detector:
-    if stat in ("sss", "glr_exact") and rho is None:
+    if stat in RHO_KINDS and rho is None:
         raise ValueError(f"--stat {stat} requires --rho")
     return Detector(stat, rho=rho, require_connected=require_connected)
 
@@ -229,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--signal", required=True, help="one decimal per line, length n")
     p.add_argument("--stat", required=True,
-                   choices=("sss", "energy", "edge", "glr_exact", "glr_unconstrained"))
+                   choices=DETECTOR_KINDS)
     p.add_argument("--rho", type=float)
     p.add_argument("--require-connected", action="store_true",
                    help="glr_exact: restrict to connected clusters")
@@ -238,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="Monte Carlo null threshold for a statistic")
     p.add_argument("--graph", required=True)
     p.add_argument("--stat", required=True,
-                   choices=("sss", "energy", "edge", "glr_exact", "glr_unconstrained"))
+                   choices=DETECTOR_KINDS)
     p.add_argument("--rho", type=float)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)

@@ -18,6 +18,7 @@ from .spectral import Spectrum, center, eig_sym, sss
 
 __all__ = [
     "DETECTOR_KINDS",
+    "RHO_KINDS",
     "Detector",
     "EmptyClassError",
     "energy_stat",
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 DETECTOR_KINDS = ("sss", "energy", "edge", "glr_exact", "glr_unconstrained")
+# the constrained kinds, which take the cut-sparsity level rho
+RHO_KINDS = ("sss", "glr_exact")
 
 _GLR_EXACT_MAX_N = 22
 _ENUM_CHUNK = 1 << 16
@@ -50,6 +53,8 @@ def edge_stat(g: Graph, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
         raise ValueError(f"observation has length {y.size}, expected {g.n}")
+    if not np.isfinite(y).all():
+        raise ValueError("observation contains NaN or infinite values")
     if not is_connected(g):
         raise ValueError("graph must be connected")
     return max(abs(y[u] - y[v]) for u, v, _ in g.edges)
@@ -79,8 +84,8 @@ def glr_exact(g: Graph, y: np.ndarray, rho: float, require_connected: bool = Fal
     if g.n > _GLR_EXACT_MAX_N:
         raise ValueError(f"exact enumeration limited to n <= {_GLR_EXACT_MAX_N}, got n={g.n}")
     rho = float(rho)
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
         raise ValueError(f"observation has length {y.size}, expected {g.n}")
@@ -172,7 +177,7 @@ def sss_stat(g: Graph, y: np.ndarray, rho: float) -> float:
 class Detector:
     """A named statistic with its parameters.
 
-    ``rho`` is required for the constrained kinds (sss, glr_exact);
+    ``rho`` (positive and finite) is required for the kinds in :data:`RHO_KINDS`;
     ``require_connected`` only applies to glr_exact.
     """
 
@@ -183,9 +188,9 @@ class Detector:
     def __post_init__(self) -> None:
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        if self.kind in ("sss", "glr_exact"):
-            if self.rho is None or self.rho <= 0.0:
-                raise ValueError(f"detector {self.kind!r} requires rho > 0")
+        if self.kind in RHO_KINDS:
+            if self.rho is None or not (math.isfinite(self.rho) and self.rho > 0.0):
+                raise ValueError(f"detector {self.kind!r} requires a finite rho > 0")
 
     def statistic(self, g: Graph, y: np.ndarray) -> float:
         if self.kind == "sss":
@@ -242,8 +247,8 @@ def calibrate_threshold(
         raise ValueError(f"reps must be >= 100, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     stats = np.sort(_null_statistics(detector, g, float(sigma), reps, seed, threads))
     index = math.ceil((1.0 - alpha) * reps)
     return float(stats[index - 1])

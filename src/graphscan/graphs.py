@@ -58,6 +58,22 @@ class Graph:
         deg.flags.writeable = False
         return deg
 
+    @cached_property
+    def _connected(self) -> bool:
+        # breadth-first reachability of every vertex from vertex 0
+        seen = bytearray(self.n)
+        seen[0] = 1
+        stack = [0]
+        count = 1
+        while stack:
+            u = stack.pop()
+            for v, _ in self._adjacency[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    count += 1
+                    stack.append(v)
+        return count == self.n
+
     def neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
         """Adjacent (vertex, weight) pairs of ``v``."""
         return self._adjacency[v]
@@ -158,21 +174,8 @@ def cut_sparsity(g: Graph, c: Cluster) -> float:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0."""
-    if g.n == 1:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v, _ in g.neighbors(u):
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == g.n
+    """Breadth-first reachability of every vertex from vertex 0, computed once per graph."""
+    return g._connected
 
 
 # ----------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detectors import Detector
+from .detectors import RHO_KINDS, Detector
 from .graphs import Cluster, Graph, gen_bbt, gen_lattice, gen_kron_multiscale, two_triangles
 from .rng import replicate_rng
 
@@ -76,8 +76,8 @@ class SignalSpec:
 def sample_observation(spec: SignalSpec, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """One draw y = beta + sigma * eps with iid standard normal eps."""
     sigma = float(sigma)
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     return spec.beta() + sigma * rng.standard_normal(spec.n)
 
 
@@ -170,22 +170,28 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.reps_null < 1 or self.reps_alt < 1:
             raise ValueError("replicate counts must be >= 1")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError("sigma must be positive and finite")
         for kind in self.detectors:
-            Detector(kind, rho=self.rho if kind in ("sss", "glr_exact") else None)
+            Detector(kind, rho=self.rho if kind in RHO_KINDS else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class RocCurve:
-    """Ordered (threshold, size, power) triples; rates fall as the threshold rises."""
+    """Ordered (threshold, size, power) triples; rates fall as the threshold rises.
 
-    points: tuple[tuple[float, float, float], ...]
+    ``points`` is stored as a read-only float array of shape (k, 3), one row
+    per triple, which holds a curve in a fraction of the memory of Python
+    float tuples.
+    """
+
+    points: np.ndarray
 
     def __post_init__(self) -> None:
+        points = np.array(self.points, dtype=float).reshape(-1, 3).copy()
         prev_threshold = -math.inf
         prev_size, prev_power = 1.0 + 1e-12, 1.0 + 1e-12
-        for threshold, size, power in self.points:
+        for threshold, size, power in points:
             if threshold < prev_threshold:
                 raise ValueError("points must be ordered by ascending threshold")
             if not (0.0 <= size <= 1.0 and 0.0 <= power <= 1.0):
@@ -193,12 +199,17 @@ class RocCurve:
             if size > prev_size or power > prev_power:
                 raise ValueError("size and power must be non-increasing in the threshold")
             prev_threshold, prev_size, prev_power = threshold, size, power
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RocCurve) and np.array_equal(self.points, other.points)
 
     def sizes(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
+        return self.points[:, 1].copy()
 
     def powers(self) -> np.ndarray:
-        return np.array([p[2] for p in self.points])
+        return self.points[:, 2].copy()
 
 
 def build_experiment_graph(config: ExperimentConfig) -> Graph:
@@ -229,7 +240,7 @@ def run_roc(config: ExperimentConfig, threads: int | None = None) -> dict[str, R
     """
     g = build_experiment_graph(config)
     detectors = {
-        kind: Detector(kind, rho=config.rho if kind in ("sss", "glr_exact") else None)
+        kind: Detector(kind, rho=config.rho if kind in RHO_KINDS else None)
         for kind in config.detectors
     }
     null_spec = SignalSpec(n=g.n, mu=config.mu, delta=0.0, cluster=None)
@@ -261,11 +272,7 @@ def run_roc(config: ExperimentConfig, threads: int | None = None) -> dict[str, R
         thresholds = np.unique(null_sorted)
         sizes = 1.0 - np.searchsorted(null_sorted, thresholds, side="right") / config.reps_null
         powers = 1.0 - np.searchsorted(alt_sorted, thresholds, side="right") / config.reps_alt
-        curves[kind] = RocCurve(
-            points=tuple(
-                (float(t), float(s), float(p)) for t, s, p in zip(thresholds, sizes, powers)
-            )
-        )
+        curves[kind] = RocCurve(points=np.column_stack((thresholds, sizes, powers)))
     return curves
 
 

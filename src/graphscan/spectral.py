@@ -4,12 +4,15 @@ The scan statistic over a connected graph with Laplacian L is
 
     sup (x' y~)**2   subject to   ||x|| <= 1,  x' L x <= rho,  x' 1 = 0,
 
-for the centered observation y~. It is computed here through its dual: after
-rotating into the eigenbasis of L restricted to the complement of the constant
-vector, the objective for a multiplier nu >= 0 is the largest eigenvalue of the
-rank-one-plus-diagonal matrix c c' - nu * diag(lambda_2..lambda_n) plus
-nu * rho, and the statistic is the minimum of that convex function over nu.
-An independent primal solver (KKT case analysis) cross-checks the dual value.
+for the centered observation y~. In the eigenbasis of L restricted to the
+complement of the constant vector, with coefficients c and eigenvalues
+lambda_2..lambda_n, it is solved once through its KKT conditions: exactly one
+of three cases (ball active, ellipsoid active, both active) holds, the last
+needing a one-dimensional monotone root-find. The same case gives the dual
+multiplier nu*, and the dual objective, the largest eigenvalue of the
+rank-one-plus-diagonal matrix c c' - nu* diag(lambda_2..lambda_n) (clamped at
+zero) plus nu* * rho, certifies the value from above: the reported gap is the
+difference between the two.
 """
 from __future__ import annotations
 
@@ -26,12 +29,8 @@ __all__ = [
     "center",
     "chi_max",
     "sss",
-    "sss_primal_oracle",
     "write_spectrum_csv",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -52,16 +51,22 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SssResult:
-    """Scan-statistic value with its dual multiplier and a feasible witness.
+    """Scan-statistic value with its dual multiplier, a feasible witness and a certificate.
 
     ``witness`` lies in the feasible set (unit ball, Laplacian ellipsoid, mean
-    zero) and attains the statistic up to solver tolerance; its first nonzero
-    coordinate is positive.
+    zero) and attains ``value``; its first nonzero coordinate is positive.
+    ``case`` names the active KKT case ("a": ball, "b": ellipsoid, "c": both),
+    ``iterations`` counts the root-finding steps (nonzero only in case "c"),
+    and ``gap`` is the dual objective at ``nu_star`` minus ``value``, which
+    weak duality makes nonnegative up to rounding.
     """
 
     value: float
     nu_star: float
     witness: np.ndarray
+    case: str
+    iterations: int
+    gap: float
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -94,10 +99,12 @@ def eig_sym(m: np.ndarray) -> Spectrum:
 
 
 def center(y: np.ndarray) -> np.ndarray:
-    """Subtract the mean: y~ = (I - 11'/n) y."""
+    """Subtract the mean: y~ = (I - 11'/n) y. Rejects NaN and infinite entries."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("expected a nonempty vector")
+    if not np.isfinite(y).all():
+        raise ValueError("observation contains NaN or infinite values")
     return y - y.mean()
 
 
@@ -188,72 +195,48 @@ def _dual_objective(c: np.ndarray, lambdas: np.ndarray, nu: float, rho: float) -
     return max(0.0, chi_max(c, lambdas, nu)) + nu * rho
 
 
-def _golden_min(f, lo: float, hi: float, rel_width: float):
-    """Golden-section minimum of a convex f on [lo, hi]; returns (x, f(x)).
+def _kkt_solve(c: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.ndarray, str, float, int]:
+    """Maximize (c'z)^2 over the unit ball intersected with z' diag(lambdas) z <= rho.
 
-    Tracks the best of every evaluation including both endpoints, so the
-    result never exceeds f at any probed point.
-    """
-    best_x, best_f = lo, f(lo)
-    f_hi = f(hi)
-    if f_hi < best_f:
-        best_x, best_f = hi, f_hi
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    tol = rel_width * max(hi - lo, 1e-300)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        for x, fx in ((x1, f1), (x2, f2)):
-            if fx < best_f:
-                best_x, best_f = x, fx
-    return best_x, best_f
-
-
-def _primal_maximizer(c: np.ndarray, lambdas: np.ndarray, rho: float) -> np.ndarray:
-    """Argmax of (c'z)^2 over the unit ball intersected with z' diag(lambdas) z <= rho.
-
-    KKT case analysis:
-      (a) z = c/||c|| when it already satisfies the ellipsoid;
+    Returns the maximizer z, the KKT case, the dual multiplier nu* and the
+    number of root-finding steps. The cases:
+      (a) z = c/||c|| when it already satisfies the ellipsoid; nu* = 0;
       (b) z proportional to lambdas^-1 * c scaled onto the ellipsoid, when that
-          point stays inside the unit ball;
+          point stays inside the unit ball; nu* = c' diag(lambdas)^-1 c;
       (c) otherwise both constraints are active: z(t)_i ~ c_i / (1 + t*lambda_i)
           normalized to the unit sphere, with t > 0 the root of
-          z(t)' diag(lambdas) z(t) = rho (monotone in t, solved by bisection).
+          z(t)' diag(lambdas) z(t) = rho (monotone in t, solved by bisection);
+          nu* = t * theta with theta = sum_i c_i**2 / (1 + t*lambda_i), the
+          largest eigenvalue of c c' - nu* diag(lambdas).
     """
     norm_c = float(np.linalg.norm(c))
     if norm_c == 0.0:
-        return np.zeros_like(c)
+        return np.zeros_like(c), "a", 0.0, 0
     z = c / norm_c
     if float(z @ (lambdas * z)) <= rho:
-        return z
+        return z, "a", 0.0, 0
 
     w = c / lambdas
     quad = float(w @ (lambdas * w))  # = c' diag(lambdas)^-1 c
     z = w * math.sqrt(rho / quad)
     if float(z @ z) <= 1.0:
-        return z
+        return z, "b", quad, 0
 
     def ellipsoid_gap(t: float) -> float:
         zt = c / (1.0 + t * lambdas)
         zt /= np.linalg.norm(zt)
         return float(zt @ (lambdas * zt)) - rho
 
+    iterations = 0
     t_hi = 1.0
     for _ in range(200):
+        iterations += 1
         if ellipsoid_gap(t_hi) < 0.0:
             break
         t_hi *= 2.0
     t_lo = 0.0
     for _ in range(200):
+        iterations += 1
         mid = 0.5 * (t_lo + t_hi)
         if ellipsoid_gap(mid) > 0.0:
             t_lo = mid
@@ -261,54 +244,36 @@ def _primal_maximizer(c: np.ndarray, lambdas: np.ndarray, rho: float) -> np.ndar
             t_hi = mid
         if t_hi - t_lo <= 1e-14 * max(t_hi, 1.0):
             break
-    z = c / (1.0 + t_hi * lambdas)
-    return z / np.linalg.norm(z)
+    w = c / (1.0 + t_hi * lambdas)
+    theta = float(c @ w)
+    return w / np.linalg.norm(w), "c", t_hi * theta, iterations
 
 
 def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
-    """Spectral scan statistic via the one-dimensional convex dual.
+    """Spectral scan statistic by one KKT solve, certified by the dual.
 
-    Minimizes max(0, chi_max(c, lambdas, nu)) + nu*rho over the bracket
-    [0, ||y~||^2 / rho], which must contain the minimum since the objective is
-    ||y~||^2 at nu = 0 and at least nu*rho everywhere. The bracket is expanded
-    if the minimum lands on its right edge. A constant observation yields 0.
+    The primal maximizer z in the nonconstant eigenbasis comes from the case
+    analysis of :func:`_kkt_solve`, and the statistic is its value (c'z)**2.
+    The dual objective max(0, chi_max(c, lambdas, nu*)) + nu*rho is evaluated
+    once at the multiplier the same case yields; by weak duality it bounds the
+    statistic from above, and ``gap`` reports the difference. A constant
+    observation yields 0 in case "a" with a zero gap.
     """
     rho = float(rho)
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     c, lambdas = _reduced_coeffs(spectrum, y)
-    energy = float(c @ c)
-    if energy == 0.0:
-        return SssResult(value=0.0, nu_star=0.0, witness=np.zeros(spectrum.n))
+    z, case, nu_star, iterations = _kkt_solve(c, lambdas, rho)
+    value = float(c @ z) ** 2
+    gap = _dual_objective(c, lambdas, nu_star, rho) - value
 
-    def objective(nu: float) -> float:
-        return _dual_objective(c, lambdas, nu, rho)
-
-    hi = energy / rho
-    for _ in range(60):
-        nu_star, value = _golden_min(objective, 0.0, hi, rel_width=1e-10)
-        if nu_star < hi * (1.0 - 1e-6):
-            break
-        hi *= 4.0
-
-    z = _primal_maximizer(c, lambdas, rho)
     witness = spectrum.eigenvectors[:, 1:] @ z
     nz = np.nonzero(np.abs(witness) > 1e-14 * max(1.0, float(np.abs(witness).max())))[0]
     if nz.size and witness[nz[0]] < 0:
         witness = -witness
-    return SssResult(value=value, nu_star=nu_star, witness=witness)
-
-
-def sss_primal_oracle(spectrum: Spectrum, y: np.ndarray, rho: float) -> float:
-    """Scan statistic by direct primal KKT analysis; verification path for :func:`sss`."""
-    rho = float(rho)
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    c, lambdas = _reduced_coeffs(spectrum, y)
-    if float(c @ c) == 0.0:
-        return 0.0
-    z = _primal_maximizer(c, lambdas, rho)
-    return float(c @ z) ** 2
+    return SssResult(
+        value=value, nu_star=nu_star, witness=witness, case=case, iterations=iterations, gap=gap
+    )
 
 
 def write_spectrum_csv(spectrum: Spectrum, path, vectors_path=None) -> None:

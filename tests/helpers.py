@@ -1,11 +1,11 @@
-"""Shared test utilities: random instances and brute-force oracles."""
+"""Shared test utilities: random instances, brute-force oracles and a dense SSS certificate."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from graphscan import Graph, build_graph, center
+from graphscan import Graph, SssResult, build_graph, center, laplacian
 
 
 def random_connected_graph(rng: np.random.Generator, max_n: int = 12, min_n: int = 2) -> Graph:
@@ -62,3 +62,25 @@ def glr_brute_force(g: Graph, y: np.ndarray, rho: float = math.inf) -> float:
     if best is None:
         raise ValueError("empty feasible class")
     return best
+
+
+def sss_certificate(g: Graph, y: np.ndarray, rho: float, result: SssResult) -> tuple[bool, float, float]:
+    """Dense two-sided check of a scan-statistic result against ``laplacian(g)``.
+
+    Returns (feasible, primal, dual). ``feasible`` says the witness x satisfies
+    ||x|| <= 1, sum(x) = 0 and x'Lx <= rho, each to 1e-9 relative; ``primal``
+    is its value (x'y~)**2, and ``dual`` is the weak-duality bound
+    max(0, lambda_max(y~y~' - nu* L)) + nu* rho from a dense ``eigvalsh`` at
+    the reported multiplier. A correct result has primal <= value <= dual.
+    """
+    lap = laplacian(g)
+    yt = y - y.mean()
+    x, nu = result.witness, result.nu_star
+    feasible = (
+        float(x @ x) <= 1.0 + 1e-9
+        and abs(float(x.sum())) <= 1e-9 * math.sqrt(g.n)
+        and float(x @ lap @ x) <= rho * (1.0 + 1e-9)
+    )
+    primal = float(x @ yt) ** 2
+    dual = max(0.0, float(np.linalg.eigvalsh(np.outer(yt, yt) - nu * lap)[-1])) + nu * rho
+    return feasible, primal, dual

@@ -37,13 +37,12 @@ from graphscan import (
     replicate_rng,
     spectral_snr_bound,
     sss,
-    sss_primal_oracle,
     two_triangles,
     write_roc_csv,
 )
 from graphscan.simulate import auc, preset_config, run_roc
 from graphscan.spectral import chi_max
-from helpers import draw_rho, glr_brute_force, random_connected_graph
+from helpers import draw_rho, glr_brute_force, random_connected_graph, sss_certificate
 
 
 def report(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -122,9 +121,12 @@ class TestCriterion3Duality:
             rho = draw_rho(rng, spectrum.eigenvalues)
             result = sss(spectrum, y, rho)
             if duality_checked < 200:
-                primal = sss_primal_oracle(spectrum, y, rho)
+                feasible, primal, dual = sss_certificate(g, y, rho, result)
+                ok &= feasible
                 ok &= result.value >= primal - 1e-8
-                ok &= abs(result.value - primal) <= 1e-6 * (1 + result.value)
+                ok &= dual >= result.value - 1e-8
+                ok &= dual - primal <= 1e-6 * (1 + result.value)
+                ok &= abs(result.gap) <= 1e-12 * result.value
                 duality_checked += 1
             try:
                 exact = glr_exact(g, y, rho)

@@ -85,9 +85,16 @@ class TestScan:
     def test_sss_requires_rho(self, tmp_path, p2_file, capsys):
         sig = tmp_path / "y.csv"
         write_signal(sig, [1.0, -1.0])
-        code = run_cli("scan", "--graph", str(p2_file), "--signal", str(sig), "--stat", "sss")
-        assert code == 1
-        assert "--rho" in capsys.readouterr().err
+        for stat in ("sss", "glr_exact"):
+            code = run_cli("scan", "--graph", str(p2_file), "--signal", str(sig), "--stat", stat)
+            assert code == 1
+            assert "--rho" in capsys.readouterr().err
+
+    def test_non_finite_signal_is_domain_error(self, tmp_path, p2_file, capsys):
+        sig = tmp_path / "y.csv"
+        sig.write_text("1.0\nnan\n")
+        assert run_cli("scan", "--graph", str(p2_file), "--signal", str(sig), "--stat", "energy") == 1
+        assert "y.csv" in capsys.readouterr().err
 
     def test_infeasible_class_is_domain_error(self, tmp_path, p2_file, capsys):
         sig = tmp_path / "y.csv"

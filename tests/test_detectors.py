@@ -60,6 +60,34 @@ class TestEdgeStat:
             edge_stat(g, np.zeros(4))
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_statistics_reject_non_finite_observation(self, bad):
+        y = np.array([1.0, bad, -1.0])
+        for stat in (
+            energy_stat,
+            glr_unconstrained,
+            lambda v: edge_stat(k3(), v),
+            lambda v: sss_stat(k3(), v, 1.0),
+            lambda v: glr_exact(k3(), v, 3.0),
+        ):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                stat(y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rho_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="rho"):
+            glr_exact(k3(), np.array([1.0, 0.0, -1.0]), bad)
+        for kind in ("sss", "glr_exact"):
+            with pytest.raises(ValueError, match="rho"):
+                Detector(kind, rho=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_calibration_sigma_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            calibrate_threshold(Detector("energy"), p2(), bad, 0.1, 100, 0)
+
+
 class TestGlrExact:
     def test_p2_both_singletons(self):
         assert glr_exact(p2(), np.array([1.0, -1.0]), 2.0) == pytest.approx(2.0)

@@ -63,7 +63,14 @@ class TestBuildGraph:
 
     def test_connectivity_predicate(self):
         assert is_connected(path2())
+        assert is_connected(build_graph(1, []))
         assert not is_connected(build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]))
+
+    def test_connectivity_computed_once(self):
+        g = path2()
+        assert "_connected" not in vars(g)
+        assert is_connected(g)
+        assert vars(g)["_connected"] is True
 
 
 class TestLaplacian:

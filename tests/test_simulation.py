@@ -66,6 +66,13 @@ class TestSampleObservation:
         b = sample_observation(spec, 1.0, replicate_rng(5, 3))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            sample_observation(SignalSpec(n=3, mu=0.0, delta=0.0), bad, replicate_rng(0, 0))
+        with pytest.raises(ValueError, match="sigma"):
+            ExperimentConfig(family="bbt", params={"depth": 2}, sigma=bad)
+
 
 class TestCanonicalCluster:
     def test_bbt_depth_seven_subtree(self):
@@ -136,6 +143,15 @@ class TestRocCurve:
     def test_rejects_unordered_thresholds(self):
         with pytest.raises(ValueError, match="ascending"):
             RocCurve(points=((1.0, 0.5, 0.5), (0.0, 0.9, 0.9)))
+
+    def test_points_are_a_read_only_array(self):
+        triples = ((0.0, 1.0, 1.0), (0.5, 0.0, 1.0))
+        curve = RocCurve(points=triples)
+        assert curve.points.shape == (2, 3)
+        assert not curve.points.flags.writeable
+        np.testing.assert_array_equal(curve.sizes(), [1.0, 0.0])
+        assert curve == RocCurve(points=np.array(triples))
+        assert curve != RocCurve(points=((0.0, 1.0, 1.0), (0.5, 0.0, 0.5)))
 
 
 class TestRunRoc:

@@ -1,4 +1,4 @@
-"""Eigendecomposition contract, the secular solver, and the scan-statistic dual."""
+"""Eigendecomposition contract, the secular solver, and the scan-statistic KKT solve."""
 import numpy as np
 import pytest
 
@@ -7,14 +7,14 @@ from graphscan import (
     center,
     chi_max,
     eig_sym,
+    gen_lattice,
     graph_spectrum,
     laplacian,
     sss,
-    sss_primal_oracle,
     write_spectrum_csv,
 )
 from graphscan.spectral import _dual_objective, _reduced_coeffs
-from helpers import draw_rho, random_connected_graph
+from helpers import draw_rho, random_connected_graph, sss_certificate
 
 
 def p2_spectrum():
@@ -84,6 +84,11 @@ class TestCenter:
         y = np.random.default_rng(1).uniform(-5, 5, 100)
         assert abs(center(y).sum()) <= 1e-10 * y.size
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            center(np.array([1.0, bad, 0.0]))
+
 
 class TestChiMax:
     def test_nu_zero_is_rank_one(self):
@@ -119,22 +124,50 @@ class TestChiMax:
 
 class TestSss:
     def test_p2_ball_active(self):
-        # 1-D reduced space: max t^2 * 2 over t^2 <= 1, 2 t^2 <= rho, rho = 2
+        # 1-D reduced space: max t^2 * 2 over t^2 <= 1, 2 t^2 <= rho, rho = 2 = lambda_n
         result = sss(p2_spectrum(), np.array([1.0, -1.0]), 2.0)
         assert result.value == pytest.approx(2.0, abs=1e-8)
+        assert (result.case, result.nu_star, result.iterations) == ("a", 0.0, 0)
 
     def test_p2_ellipsoid_active(self):
         result = sss(p2_spectrum(), np.array([1.0, -1.0]), 1.0)
         assert result.value == pytest.approx(1.0, abs=1e-8)
+        # c = +-sqrt(2), lambda_2 = 2: nu* = c' diag(lambdas)^-1 c = 1
+        assert result.case == "b"
+        assert result.nu_star == pytest.approx(1.0, rel=1e-12)
+        assert result.iterations == 0
+
+    def test_both_constraints_active(self):
+        # path 0-1-2: lambdas (1, 3); with c = (1, 1) the ball point has
+        # z'Lz = 2 and the ellipsoid point has ||z||^2 = 5 rho / 6, so
+        # rho = 1.5 activates both constraints
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        spec = graph_spectrum(g)
+        y = spec.eigenvectors[:, 1:] @ np.array([1.0, 1.0])
+        result = sss(spec, y, 1.5)
+        assert result.case == "c"
+        assert result.iterations > 0
+        assert abs(result.gap) <= 1e-12 * result.value
+        feasible, primal, dual = sss_certificate(g, y, 1.5, result)
+        assert feasible
+        assert primal - 1e-12 <= result.value <= dual + 1e-12
 
     def test_constant_observation_is_zero(self):
         result = sss(p2_spectrum(), np.array([4.0, 4.0]), 1.0)
         assert result.value == 0.0
         assert result.nu_star == 0.0
+        assert (result.case, result.iterations, result.gap) == ("a", 0, 0.0)
 
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError, match="rho"):
             sss(p2_spectrum(), np.array([1.0, -1.0]), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="rho"):
+            sss(p2_spectrum(), np.array([1.0, -1.0]), bad)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sss(p2_spectrum(), np.array([1.0, bad]), 1.0)
 
     def test_rejects_disconnected_spectrum(self):
         g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -144,6 +177,7 @@ class TestSss:
 
     def test_witness_feasible_and_attaining(self):
         rng = np.random.default_rng(17)
+        cases = set()
         for _ in range(50):
             g = random_connected_graph(rng)
             spec = graph_spectrum(g)
@@ -159,6 +193,35 @@ class TestSss:
             nz = np.nonzero(np.abs(x) > 1e-12)[0]
             if nz.size:
                 assert x[nz[0]] > 0  # sign convention
+            assert abs(result.gap) <= 1e-12 * result.value
+            cases.add(result.case)
+        assert cases == {"a", "b", "c"}
+
+    @pytest.mark.parametrize("which", ["random", "eigenvector"])
+    def test_degenerate_torus_spectrum(self, which):
+        # the 6x6 torus has repeated eigenvalues; an eigenvector observation
+        # leaves all but one coefficient deflated
+        g = gen_lattice(6, periodic=True)
+        spec = graph_spectrum(g)
+        lam2, lam_n = spec.eigenvalues[1], spec.eigenvalues[-1]
+        if which == "random":
+            y = np.random.default_rng(37).standard_normal(g.n)
+        else:
+            y = spec.eigenvectors[:, 7]
+        energy = float(center(y) @ center(y))
+        for rho, case in ((0.5 * lam2, "b"), (2.0, None), (lam_n, "a"), (2.0 * lam_n, "a")):
+            result = sss(spec, y, rho)
+            if case is not None:
+                assert result.case == case
+            if result.case == "a":
+                assert result.nu_star == 0.0
+                assert result.value == pytest.approx(energy, rel=1e-12)
+            assert abs(result.gap) <= 1e-12 * result.value
+            feasible, primal, dual = sss_certificate(g, y, rho, result)
+            assert feasible
+            assert result.value >= primal - 1e-8
+            assert dual >= result.value - 1e-8
+            assert dual - primal <= 1e-6 * (1 + result.value)
 
     @pytest.mark.parametrize("scale", [2.0, 10.0])
     def test_scale_equivariance(self, scale):
@@ -188,14 +251,21 @@ class TestSss:
 
 
 class TestPrimalOracle:
+    """The solve against the dense two-sided certificate of tests/helpers.py."""
+
     def test_p2_cases(self):
-        spec = p2_spectrum()
+        g = build_graph(2, [(0, 1, 1.0)])
         y = np.array([1.0, -1.0])
-        assert sss_primal_oracle(spec, y, 2.0) == pytest.approx(2.0, abs=1e-10)
-        assert sss_primal_oracle(spec, y, 1.0) == pytest.approx(1.0, abs=1e-10)
+        for rho, expected in ((2.0, 2.0), (1.0, 1.0)):
+            feasible, primal, dual = sss_certificate(g, y, rho, sss(p2_spectrum(), y, rho))
+            assert feasible
+            assert primal == pytest.approx(expected, abs=1e-10)
+            assert dual == pytest.approx(expected, abs=1e-10)
 
     def test_centered_zero(self):
-        assert sss_primal_oracle(p2_spectrum(), np.array([5.0, 5.0]), 1.0) == 0.0
+        g = build_graph(2, [(0, 1, 1.0)])
+        y = np.array([5.0, 5.0])
+        assert sss_certificate(g, y, 1.0, sss(p2_spectrum(), y, 1.0)) == (True, 0.0, 0.0)
 
     def test_dual_primal_agreement(self):
         rng = np.random.default_rng(31)
@@ -204,10 +274,12 @@ class TestPrimalOracle:
             spec = graph_spectrum(g)
             y = rng.standard_normal(g.n)
             rho = draw_rho(rng, spec.eigenvalues)
-            dual = sss(spec, y, rho).value
-            primal = sss_primal_oracle(spec, y, rho)
-            assert dual >= primal - 1e-8
-            assert abs(dual - primal) <= 1e-6 * (1 + dual)
+            result = sss(spec, y, rho)
+            feasible, primal, dual = sss_certificate(g, y, rho, result)
+            assert feasible
+            assert result.value >= primal - 1e-8
+            assert dual >= result.value - 1e-8
+            assert dual - primal <= 1e-6 * (1 + result.value)
 
 
 class TestSpectrumCsv:
