@@ -247,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("experiment", help="run a seeded ROC experiment")
@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config", help="key = value experiment file (see below)")
     p.add_argument("--seed", type=int, help="override the config/preset seed")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, help="cap worker threads (output-identical)")
+    p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("bounds", help="print the detectability bound report")

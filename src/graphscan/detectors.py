@@ -6,7 +6,6 @@ unknown background level never needs to be estimated.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from .graphs import Graph, is_connected, laplacian
 from .rng import replicate_rng
-from .spectral import Spectrum, center, eig_sym, sss
+from .spectral import Spectrum, _sss_values, center, eig_sym
 
 __all__ = [
     "DETECTOR_KINDS",
@@ -57,7 +56,8 @@ def edge_stat(g: Graph, y: np.ndarray) -> float:
         raise ValueError("observation contains NaN or infinite values")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    return max(abs(y[u] - y[v]) for u, v, _ in g.edges)
+    eu, ev, _ = g.edge_arrays
+    return float(np.abs(y[eu] - y[ev]).max())
 
 
 def _induced_connected(g: Graph, members: frozenset[int]) -> bool:
@@ -100,9 +100,7 @@ def glr_exact(g: Graph, y: np.ndarray, rho: float, require_connected: bool = Fal
 
 def _glr_enumerate_vectorized(g: Graph, ytilde: np.ndarray, rho: float) -> float:
     n = g.n
-    eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=len(g.edges))
-    ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=len(g.edges))
-    ew = np.array([e[2] for e in g.edges])
+    eu, ev, ew = g.edge_arrays
     best = -math.inf
     feasible = False
     for start in range(1, 2**n - 1, _ENUM_CHUNK):
@@ -167,10 +165,11 @@ def graph_spectrum(g: Graph) -> Spectrum:
 
 
 def sss_stat(g: Graph, y: np.ndarray, rho: float) -> float:
-    """Spectral scan statistic on a graph; the spectrum is cached per graph."""
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    return sss(graph_spectrum(g), y, rho).value
+    """Spectral scan statistic on a graph; the spectrum is cached per graph.
+
+    Equal bit for bit to ``sss(graph_spectrum(g), y, rho).value``.
+    """
+    return Detector("sss", rho=rho).statistic(g, y)
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ class Detector:
 
     def statistic(self, g: Graph, y: np.ndarray) -> float:
         if self.kind == "sss":
-            return sss_stat(g, y, self.rho)
+            return float(self.statistics(g, np.asarray(y, dtype=float)[None])[0])
         if self.kind == "energy":
             return energy_stat(y)
         if self.kind == "edge":
@@ -203,27 +202,36 @@ class Detector:
             return glr_exact(g, y, self.rho, self.require_connected)
         return glr_unconstrained(y)
 
+    def statistics(self, g: Graph, y: np.ndarray) -> np.ndarray:
+        """The statistic of each row of an (R, n) block of observations.
 
-def _null_statistics(
-    detector: Detector,
-    g: Graph,
-    sigma: float,
-    reps: int,
-    seed: int,
-    threads: int | None,
-) -> np.ndarray:
-    def one(r: int) -> float:
-        y = sigma * replicate_rng(seed, r).standard_normal(g.n)
-        return detector.statistic(g, y)
+        The SSS projects the block with one matrix product, so its values agree
+        with :meth:`statistic` to rounding; other kinds go row by row.
+        """
+        if self.kind != "sss":
+            return np.array([self.statistic(g, row) for row in y], dtype=float)
+        if not is_connected(g):
+            raise ValueError("graph must be connected")
+        return _sss_values(graph_spectrum(g), y, self.rho)
 
-    stats = np.empty(reps)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for r, value in enumerate(pool.map(one, range(reps))):
-                stats[r] = value
-    else:
-        for r in range(reps):
-            stats[r] = one(r)
+
+def _replicate_statistics(detectors, g: Graph, means, sigma: float, seed: int) -> np.ndarray:
+    """Statistics of replicates 0..len(means)-1, one column per detector.
+
+    Replicate r observes ``means[r] + sigma * eps`` with eps drawn from the
+    stream keyed by (seed, r), whatever the grouping of replicates into blocks.
+    """
+    rows = max(1, 2**16 // g.n)  # a block holds about 2**16 observation entries
+    block = np.empty((min(rows, len(means)), g.n))
+    stats = np.empty((len(means), len(detectors)))
+    for start in range(0, len(means), rows):
+        y = block[: len(means) - start]
+        for r, row in enumerate(y, start):
+            replicate_rng(seed, r).standard_normal(out=row)
+            row *= sigma
+            row += means[r]
+        for j, detector in enumerate(detectors):
+            stats[start : start + len(y), j] = detector.statistics(g, y)
     return stats
 
 
@@ -241,7 +249,7 @@ def calibrate_threshold(
     Simulates ``reps`` draws of pure noise (the statistics are invariant to the
     background level, so it is fixed at zero), and returns the order statistic
     with 1-based index ceil((1 - alpha) * reps). Replicate r draws from the
-    stream keyed by (seed, r), so the result is identical for any thread count.
+    stream keyed by (seed, r). ``threads`` has no effect; it is kept for callers.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
@@ -249,6 +257,6 @@ def calibrate_threshold(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    stats = np.sort(_null_statistics(detector, g, float(sigma), reps, seed, threads))
+    stats = _replicate_statistics((detector,), g, [0.0] * reps, float(sigma), seed)
     index = math.ceil((1.0 - alpha) * reps)
-    return float(stats[index - 1])
+    return float(np.sort(stats[:, 0])[index - 1])

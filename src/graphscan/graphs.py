@@ -1,7 +1,6 @@
 """Weighted undirected graphs, combinatorial Laplacians, cut sparsity, and generators.
 
-Graphs are immutable after construction; every function here is pure and safe
-to call from multiple threads.
+Graphs are immutable after construction, and every function here is pure.
 """
 from __future__ import annotations
 
@@ -49,30 +48,24 @@ class Graph:
         return tuple(tuple(nbrs) for nbrs in adj)
 
     @cached_property
-    def weighted_degrees(self) -> np.ndarray:
-        # summed in edge input order so the result is bit-reproducible
-        deg = np.zeros(self.n)
-        for u, v, w in self.edges:
-            deg[u] += w
-            deg[v] += w
-        deg.flags.writeable = False
-        return deg
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only endpoint (int64) and weight arrays of the edges, in input order."""
+        table = np.array(self.edges, dtype=float).reshape(-1, 3).T.copy()
+        ends = table[:2].astype(np.int64)
+        table.flags.writeable = ends.flags.writeable = False
+        return ends[0], ends[1], table[2]
 
     @cached_property
     def _connected(self) -> bool:
-        # breadth-first reachability of every vertex from vertex 0
-        seen = bytearray(self.n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v, _ in self._adjacency[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == self.n
+        # hook each edge's larger root onto its smaller one, then flatten to roots
+        eu, ev, _ = self.edge_arrays
+        label = np.arange(self.n)
+        while not np.array_equal(lu := label[eu], lv := label[ev]):
+            np.minimum.at(label, lu, np.minimum(lu, lv))
+            np.minimum.at(label, lv, np.minimum(lu, lv))
+            while not np.array_equal(label[label], label):
+                label = label[label]
+        return not label.any()
 
     def neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
         """Adjacent (vertex, weight) pairs of ``v``."""
@@ -174,7 +167,7 @@ def cut_sparsity(g: Graph, c: Cluster) -> float:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0, computed once per graph."""
+    """Whether every vertex is reachable from every other, computed once per graph."""
     return g._connected
 
 

@@ -1,23 +1,21 @@
 """Signal generation, canonical clusters, and Monte Carlo ROC experiments.
 
-Replicates are embarrassingly parallel: replicate r of an experiment with seed
-s draws from the stream keyed by (s, r) (null replicates use r in
-[0, reps_null), alternative replicates continue at reps_null + r), so output
-is byte-identical for any worker count. See :mod:`graphscan.rng` for the
-stream derivation.
+Replicate r of an experiment with seed s draws from the stream keyed by
+(s, r) (null replicates use r in [0, reps_null), alternative replicates
+continue at reps_null + r), so output depends only on the config. Replicates
+are evaluated in blocks in the calling thread. See :mod:`graphscan.rng` for
+the stream derivation.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .detectors import RHO_KINDS, Detector
+from .detectors import RHO_KINDS, Detector, _replicate_statistics
 from .graphs import Cluster, Graph, gen_bbt, gen_lattice, gen_kron_multiscale, two_triangles
-from .rng import replicate_rng
 
 __all__ = [
     "SignalSpec",
@@ -56,6 +54,9 @@ class SignalSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
+        for name, value in (("mu", self.mu), ("delta", self.delta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.cluster is not None:
             if self.delta == 0.0:
                 raise ValueError("alternative signal requires delta != 0")
@@ -86,8 +87,8 @@ def snr(spec: SignalSpec, sigma: float) -> float:
     if spec.is_null:
         raise ValueError("SNR is undefined for a null signal")
     sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     k = spec.cluster.size
     return math.sqrt(k * (spec.n - k) / spec.n) * abs(spec.delta) / sigma
 
@@ -172,6 +173,7 @@ class ExperimentConfig:
             raise ValueError("replicate counts must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be positive and finite")
+        SignalSpec(n=1, mu=self.mu, delta=self.delta)  # mu and delta must be finite
         for kind in self.detectors:
             Detector(kind, rho=self.rho if kind in RHO_KINDS else None)
 
@@ -189,16 +191,14 @@ class RocCurve:
 
     def __post_init__(self) -> None:
         points = np.array(self.points, dtype=float).reshape(-1, 3).copy()
-        prev_threshold = -math.inf
-        prev_size, prev_power = 1.0 + 1e-12, 1.0 + 1e-12
-        for threshold, size, power in points:
-            if threshold < prev_threshold:
-                raise ValueError("points must be ordered by ascending threshold")
-            if not (0.0 <= size <= 1.0 and 0.0 <= power <= 1.0):
-                raise ValueError(f"rates outside [0,1] at threshold {threshold}")
-            if size > prev_size or power > prev_power:
-                raise ValueError("size and power must be non-increasing in the threshold")
-            prev_threshold, prev_size, prev_power = threshold, size, power
+        thresholds, rates = points[:, 0], points[:, 1:]
+        if not np.isfinite(thresholds).all() or np.any(np.diff(thresholds) < 0.0):
+            raise ValueError("thresholds must be finite and ascending")
+        outside = ~((rates >= 0.0) & (rates <= 1.0)).all(axis=1)
+        if outside.any():
+            raise ValueError(f"rates outside [0,1] at threshold {thresholds[outside.argmax()]}")
+        if np.any(np.diff(rates, axis=0) > 0.0):
+            raise ValueError("size and power must be non-increasing in the threshold")
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
 
@@ -237,12 +237,12 @@ def run_roc(config: ExperimentConfig, threads: int | None = None) -> dict[str, R
     Sweeps the thresholds over all distinct null-statistic values; at each
     threshold tau the empirical size (power) is the fraction of null
     (alternative) statistics strictly above tau. Deterministic given the seed.
+    ``threads`` has no effect; it is kept for callers.
     """
     g = build_experiment_graph(config)
-    detectors = {
-        kind: Detector(kind, rho=config.rho if kind in RHO_KINDS else None)
-        for kind in config.detectors
-    }
+    detectors = [
+        Detector(kind, rho=config.rho if kind in RHO_KINDS else None) for kind in config.detectors
+    ]
     null_spec = SignalSpec(n=g.n, mu=config.mu, delta=0.0, cluster=None)
     if config.delta == 0.0:
         alt_spec = null_spec
@@ -251,22 +251,11 @@ def run_roc(config: ExperimentConfig, threads: int | None = None) -> dict[str, R
             n=g.n, mu=config.mu, delta=config.delta, cluster=_resolve_cluster(config, g)
         )
 
-    def one(args: tuple[SignalSpec, int]) -> list[float]:
-        spec, index = args
-        y = sample_observation(spec, config.sigma, replicate_rng(config.seed, index))
-        return [det.statistic(g, y) for det in detectors.values()]
-
-    jobs = [(null_spec, r) for r in range(config.reps_null)]
-    jobs += [(alt_spec, config.reps_null + r) for r in range(config.reps_alt)]
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, jobs))
-    else:
-        rows = [one(job) for job in jobs]
-    stats = np.array(rows)
+    means = [null_spec.beta()] * config.reps_null + [alt_spec.beta()] * config.reps_alt
+    stats = _replicate_statistics(detectors, g, means, config.sigma, config.seed)
 
     curves: dict[str, RocCurve] = {}
-    for j, kind in enumerate(detectors):
+    for j, kind in enumerate(config.detectors):
         null_sorted = np.sort(stats[: config.reps_null, j])
         alt_sorted = np.sort(stats[config.reps_null :, j])
         thresholds = np.unique(null_sorted)

@@ -37,8 +37,7 @@ class Spectrum:
     """Eigenvalues in ascending order with a matching orthonormal basis.
 
     ``eigenvectors[:, i]`` is the unit eigenvector paired with
-    ``eigenvalues[i]``. Arrays are frozen so a Spectrum can be shared across
-    threads.
+    ``eigenvalues[i]``. Arrays are frozen so a cached Spectrum can be shared.
     """
 
     eigenvalues: np.ndarray
@@ -176,15 +175,19 @@ def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
 
 
 def _reduced_coeffs(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of centered y in the nonconstant eigenbasis, and lambda_2..n."""
+    """Coefficients of centered y in the nonconstant eigenbasis, and lambda_2..n.
+
+    ``y`` is one observation or an (R, n) block of them, centered row by row.
+    """
     y = np.asarray(y, dtype=float)
-    if y.shape != (spectrum.n,):
-        raise ValueError(f"observation has length {y.size}, expected {spectrum.n}")
+    if y.ndim not in (1, 2) or y.shape[-1] != spectrum.n:
+        raise ValueError(f"observations have shape {y.shape}, expected rows of length {spectrum.n}")
     lambdas = spectrum.eigenvalues[1:]
     if lambdas.size == 0 or lambdas[0] <= 1e-10:
         raise ValueError("spectrum does not come from a connected graph (lambda_2 <= 0)")
-    ytilde = center(y)
-    return spectrum.eigenvectors[:, 1:].T @ ytilde, lambdas
+    if not np.isfinite(y).all():
+        raise ValueError("observation contains NaN or infinite values")
+    return (y - y.mean(axis=-1, keepdims=True)) @ spectrum.eigenvectors[:, 1:], lambdas
 
 
 def _dual_objective(c: np.ndarray, lambdas: np.ndarray, nu: float, rho: float) -> float:
@@ -249,6 +252,12 @@ def _kkt_solve(c: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.ndarr
     return w / np.linalg.norm(w), "c", t_hi * theta, iterations
 
 
+def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
+    """Values of the statistic for the rows of an (R, n) block; ``rho`` is taken as checked."""
+    coeffs, lambdas = _reduced_coeffs(spectrum, y)
+    return np.array([float(c @ _kkt_solve(c, lambdas, rho)[0]) ** 2 for c in coeffs])
+
+
 def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     """Spectral scan statistic by one KKT solve, certified by the dual.
 
@@ -262,7 +271,8 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     rho = float(rho)
     if not (math.isfinite(rho) and rho > 0.0):
         raise ValueError(f"rho must be positive and finite, got {rho}")
-    c, lambdas = _reduced_coeffs(spectrum, y)
+    # a one-row block, so that _sss_values on the same row gives the same bits
+    (c,), lambdas = _reduced_coeffs(spectrum, np.asarray(y, dtype=float)[None])
     z, case, nu_star, iterations = _kkt_solve(c, lambdas, rho)
     value = float(c @ z) ** 2
     gap = _dual_objective(c, lambdas, nu_star, rho) - value

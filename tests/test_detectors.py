@@ -14,10 +14,12 @@ from graphscan import (
     gen_lattice,
     glr_exact,
     glr_unconstrained,
+    graph_spectrum,
     replicate_rng,
+    sss,
     sss_stat,
 )
-from helpers import glr_brute_force, random_connected_graph
+from helpers import draw_rho, glr_brute_force, random_connected_graph
 
 
 def p2():
@@ -219,6 +221,33 @@ class TestDetector:
         y = np.array([2.0, -1.0, -1.0])
         assert Detector("energy").statistic(k3(), y) == energy_stat(y)
         assert Detector("sss", rho=1.0).statistic(k3(), y) == sss_stat(k3(), y, 1.0)
+
+
+class TestBlockStatistics:
+    @staticmethod
+    def blocks():
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            g = random_connected_graph(rng)
+            yield g, rng.standard_normal((7, g.n)), draw_rho(rng, graph_spectrum(g).eigenvalues)
+        torus = gen_lattice(8, periodic=True)
+        for rho in (0.1, 1.0, 10.0):
+            yield torus, rng.standard_normal((30, torus.n)), rho
+
+    def test_block_matches_row_by_row(self):
+        for g, y, rho in self.blocks():
+            for kind in ("energy", "edge", "glr_unconstrained"):
+                det = Detector(kind)
+                assert det.statistics(g, y).tolist() == [det.statistic(g, row) for row in y]
+            det = Detector("sss", rho=rho)
+            rows = [det.statistic(g, row) for row in y]
+            np.testing.assert_allclose(det.statistics(g, y), rows, rtol=1e-12, atol=0.0)
+
+    def test_sss_statistic_is_sss_value_bit_for_bit(self):
+        for g, y, rho in self.blocks():
+            det = Detector("sss", rho=rho)
+            for row in y:
+                assert det.statistic(g, row) == sss(graph_spectrum(g), row, rho).value
 
 
 class TestCalibrateThreshold:

@@ -42,6 +42,15 @@ class TestSignalSpec:
         with pytest.raises(ValueError, match="proper"):
             SignalSpec(n=2, mu=0.0, delta=1.0, cluster=Cluster(frozenset({0, 1})))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["mu", "delta"])
+    def test_rejects_non_finite_mean(self, name, bad):
+        values = {"mu": 0.0, "delta": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SignalSpec(n=3, cluster=Cluster(frozenset({0})), **values)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ExperimentConfig(family="bbt", params={"depth": 2}, **values)
+
 
 class TestSampleObservation:
     def test_noiseless_null_is_constant(self):
@@ -72,6 +81,8 @@ class TestSampleObservation:
             sample_observation(SignalSpec(n=3, mu=0.0, delta=0.0), bad, replicate_rng(0, 0))
         with pytest.raises(ValueError, match="sigma"):
             ExperimentConfig(family="bbt", params={"depth": 2}, sigma=bad)
+        with pytest.raises(ValueError, match="sigma"):
+            snr(SignalSpec(n=3, mu=0.0, delta=1.0, cluster=Cluster(frozenset({0}))), bad)
 
 
 class TestCanonicalCluster:
@@ -143,6 +154,14 @@ class TestRocCurve:
     def test_rejects_unordered_thresholds(self):
         with pytest.raises(ValueError, match="ascending"):
             RocCurve(points=((1.0, 0.5, 0.5), (0.0, 0.9, 0.9)))
+
+    @pytest.mark.parametrize(
+        "points",
+        [((1.0, 0.5, 0.5), (math.nan, 0.4, 0.4), (0.5, 0.3, 0.3)), ((0.0, 0.5, 0.5), (math.inf, 0.0, 0.0))],
+    )
+    def test_rejects_non_finite_threshold(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            RocCurve(points=points)
 
     def test_points_are_a_read_only_array(self):
         triples = ((0.0, 1.0, 1.0), (0.5, 0.0, 1.0))
@@ -296,6 +315,12 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text("family = bbt\ndepth = 2\nwidth = 4\n")
         with pytest.raises(ValueError, match="unknown keys"):
+            parse_config_file(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("family = bbt\ndepth = 2\ndelta = nan\n")
+        with pytest.raises(ValueError, match="delta must be finite"):
             parse_config_file(path)
 
     def test_missing_family_rejected(self, tmp_path):
