@@ -106,12 +106,10 @@ def _cmd_scan(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     _echo_config(subcommand="calibrate", graph=args.graph, stat=args.stat, rho=args.rho,
-                 sigma=args.sigma, alpha=args.alpha, reps=args.reps, seed=args.seed,
-                 threads=args.threads)
+                 sigma=args.sigma, alpha=args.alpha, reps=args.reps, seed=args.seed)
     g = _load_graph(args.graph)
     detector = _make_detector(args.stat, args.rho)
-    threshold = calibrate_threshold(detector, g, args.sigma, args.alpha, args.reps,
-                                    args.seed, threads=args.threads)
+    threshold = calibrate_threshold(detector, g, args.sigma, args.alpha, args.reps, args.seed)
     print(f"{threshold:.17g}")
     return 0
 
@@ -179,10 +177,10 @@ def _cmd_experiment(args) -> int:
                  family=config.family, params=config.params, mu=config.mu, delta=config.delta,
                  sigma=config.sigma, rho=config.rho, reps_null=config.reps_null,
                  reps_alt=config.reps_alt, seed=config.seed,
-                 detectors=",".join(config.detectors), threads=args.threads)
+                 detectors=",".join(config.detectors))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = simulate.run_roc(config, threads=args.threads)
+    curves = simulate.run_roc(config)
     for kind, curve in curves.items():
         simulate.write_roc_csv(curve, out_dir / f"roc_{kind}.csv")
     _write_roc_svg(curves, out_dir / "roc.svg")
@@ -247,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("experiment", help="run a seeded ROC experiment")
@@ -256,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config", help="key = value experiment file (see below)")
     p.add_argument("--seed", type=int, help="override the config/preset seed")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("bounds", help="print the detectability bound report")

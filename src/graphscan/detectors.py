@@ -1,7 +1,9 @@
 """Test statistics for the constant-versus-cluster alternative, plus calibration.
 
 All statistics are invariant to adding a constant to the observation, so the
-unknown background level never needs to be estimated.
+unknown background level never needs to be estimated. Each kind is defined
+once, as a kernel that scores an (R, n) block of observations; the public
+functions score one observation as a one-row block.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from .graphs import Graph, is_connected, laplacian
 from .rng import replicate_rng
-from .spectral import Spectrum, _sss_values, center, eig_sym
+from .spectral import Spectrum, _sss_values, eig_sym
 
 __all__ = [
     "DETECTOR_KINDS",
@@ -29,133 +31,13 @@ __all__ = [
     "calibrate_threshold",
 ]
 
-DETECTOR_KINDS = ("sss", "energy", "edge", "glr_exact", "glr_unconstrained")
-# the constrained kinds, which take the cut-sparsity level rho
-RHO_KINDS = ("sss", "glr_exact")
-
 _GLR_EXACT_MAX_N = 22
-_ENUM_CHUNK = 1 << 16
+_ENUM_CHUNK = 1 << 16  # cluster sums (masks x rows) held at once
+_BLOCK_ENTRIES = 1 << 16  # observation entries in one replicate block
 
 
 class EmptyClassError(ValueError):
     """No cluster satisfies the sparsity (and connectivity) constraints."""
-
-
-def energy_stat(y: np.ndarray) -> float:
-    """Squared norm of the centered observation."""
-    ytilde = center(y)
-    return float(ytilde @ ytilde)
-
-
-def edge_stat(g: Graph, y: np.ndarray) -> float:
-    """Largest absolute difference across an edge, ignoring edge weights."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (g.n,):
-        raise ValueError(f"observation has length {y.size}, expected {g.n}")
-    if not np.isfinite(y).all():
-        raise ValueError("observation contains NaN or infinite values")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    eu, ev, _ = g.edge_arrays
-    return float(np.abs(y[eu] - y[ev]).max())
-
-
-def _induced_connected(g: Graph, members: frozenset[int]) -> bool:
-    start = next(iter(members))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v, _ in g.neighbors(u):
-            if v in members and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(members)
-
-
-def glr_exact(g: Graph, y: np.ndarray, rho: float, require_connected: bool = False) -> float:
-    """Exact generalized likelihood ratio by enumerating every feasible cluster.
-
-    Maximizes (n / (|C| |C~|)) * (sum of centered y over C)^2 over nonempty
-    proper subsets with cut sparsity at most rho; with ``require_connected``
-    only subsets inducing a connected subgraph count. Exponential in n, so
-    guarded at n <= 22.
-    """
-    if g.n > _GLR_EXACT_MAX_N:
-        raise ValueError(f"exact enumeration limited to n <= {_GLR_EXACT_MAX_N}, got n={g.n}")
-    rho = float(rho)
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (g.n,):
-        raise ValueError(f"observation has length {y.size}, expected {g.n}")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    ytilde = center(y)
-
-    if require_connected:
-        return _glr_enumerate_connected(g, ytilde, rho)
-    return _glr_enumerate_vectorized(g, ytilde, rho)
-
-
-def _glr_enumerate_vectorized(g: Graph, ytilde: np.ndarray, rho: float) -> float:
-    n = g.n
-    eu, ev, ew = g.edge_arrays
-    best = -math.inf
-    feasible = False
-    for start in range(1, 2**n - 1, _ENUM_CHUNK):
-        masks = np.arange(start, min(start + _ENUM_CHUNK, 2**n - 1), dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n)) & 1  # (chunk, n)
-        sizes = bits.sum(axis=1)
-        cut = (bits[:, eu] != bits[:, ev]).astype(float) @ ew
-        sparsity = n * cut / (sizes * (n - sizes))
-        ok = sparsity <= rho
-        if not ok.any():
-            continue
-        feasible = True
-        sums = bits[ok].astype(float) @ ytilde
-        stats = n * sums**2 / (sizes[ok] * (n - sizes[ok]))
-        best = max(best, float(stats.max()))
-    if not feasible:
-        raise EmptyClassError(f"no cluster has cut sparsity <= {rho}")
-    return best
-
-
-def _glr_enumerate_connected(g: Graph, ytilde: np.ndarray, rho: float) -> float:
-    n = g.n
-    best = -math.inf
-    feasible = False
-    for mask in range(1, 2**n - 1):
-        members = frozenset(v for v in range(n) if mask >> v & 1)
-        size = len(members)
-        cut = sum(w for u, v, w in g.edges if (u in members) != (v in members))
-        if n * cut / (size * (n - size)) > rho:
-            continue
-        if not _induced_connected(g, members):
-            continue
-        feasible = True
-        total = float(sum(ytilde[v] for v in members))
-        best = max(best, n * total**2 / (size * (n - size)))
-    if not feasible:
-        raise EmptyClassError(f"no connected cluster has cut sparsity <= {rho}")
-    return best
-
-
-def glr_unconstrained(y: np.ndarray) -> float:
-    """GLR over all nonempty proper subsets, in O(n log n).
-
-    For a fixed size k the optimal subset takes the k largest centered values
-    (the complement case is covered because the objective is symmetric under
-    complementation), so a single sorted prefix-sum sweep is exact.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size < 2:
-        raise ValueError("need at least two observations")
-    n = y.size
-    ytilde = np.sort(center(y))[::-1]
-    prefix = np.cumsum(ytilde)[:-1]
-    k = np.arange(1, n)
-    return float(np.max(n * prefix**2 / (k * (n - k))))
 
 
 @lru_cache(maxsize=64)
@@ -164,12 +46,99 @@ def graph_spectrum(g: Graph) -> Spectrum:
     return eig_sym(laplacian(g))
 
 
-def sss_stat(g: Graph, y: np.ndarray, rho: float) -> float:
-    """Spectral scan statistic on a graph; the spectrum is cached per graph.
+# Kernels: (detector, graph, checked (R, n) float block) -> (R,) values.
 
-    Equal bit for bit to ``sss(graph_spectrum(g), y, rho).value``.
+
+def _sss_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
+    return _sss_values(graph_spectrum(g), y, det.rho)
+
+
+def _energy_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
+    # one dot product per row keeps the rounding of a single observation, and
+    # centring row by row makes no copy of the block
+    centred = (row - mean for row, mean in zip(y, y.mean(axis=1)))
+    return np.array([row @ row for row in centred])
+
+
+def _edge_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
+    # a gather per row: an (R, m) gather is slower once rows are long
+    eu, ev, _ = g.edge_arrays
+    return np.array([np.abs(row[eu] - row[ev]).max() for row in y])
+
+
+def _glr_unconstrained_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
+    # For a fixed size k the best cluster takes the k largest centred values
+    # (complements score the same), so one sorted prefix-sum sweep is exact.
+    # The negated values sort ascending into that order, and the sign cancels
+    # in the square; sorting and summing them in place makes one copy of the
+    # block rather than one per step.
+    n = y.shape[1]
+    swept = y.mean(axis=1, keepdims=True) - y
+    swept.sort(axis=1)
+    prefix = np.cumsum(swept, axis=1, out=swept)[:, :-1]
+    np.square(prefix, out=prefix)
+    prefix *= n
+    k = np.arange(1, n)
+    prefix /= k * (n - k)
+    return prefix.max(axis=1)
+
+
+def _connected_masks(bits: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    """Whether each 0/1 row of ``bits`` induces a connected subgraph.
+
+    A frontier grows from each row's lowest vertex along the boolean
+    ``adjacency`` matrix and is kept inside the row; n - 1 rounds reach every
+    vertex of a connected row.
     """
-    return Detector("sss", rho=rho).statistic(g, y)
+    reached = np.zeros_like(bits)
+    reached[np.arange(len(bits)), bits.argmax(axis=1)] = 1.0
+    for _ in range(bits.shape[1] - 1):
+        grown = bits * (reached + reached @ adjacency > 0.0)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    return (reached == bits).all(axis=1)
+
+
+def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
+    # every cluster is a bit mask, enumerated once per block and scored for
+    # all rows with one product
+    n = g.n
+    if n > _GLR_EXACT_MAX_N:
+        raise ValueError(f"exact enumeration limited to n <= {_GLR_EXACT_MAX_N}, got n={n}")
+    eu, ev, ew = g.edge_arrays
+    ytilde = y - y.mean(axis=1, keepdims=True)
+    best = np.full(len(y), -math.inf)  # stays -inf while no cluster is feasible
+    chunk = max(1, _ENUM_CHUNK // len(y))
+    for start in range(1, 2**n - 1, chunk):
+        masks = np.arange(start, min(start + chunk, 2**n - 1), dtype=np.int64)
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)  # (chunk, n)
+        sizes = bits.sum(axis=1)
+        cut = (bits[:, eu] != bits[:, ev]) @ ew
+        ok = n * cut / (sizes * (n - sizes)) <= det.rho
+        if det.require_connected:
+            ok[ok] = _connected_masks(bits[ok], laplacian(g) < 0.0)
+        if ok.any():
+            sums = bits[ok] @ ytilde.T  # (clusters, rows)
+            scores = n * sums**2 / (sizes[ok] * (n - sizes[ok]))[:, None]
+            best = np.maximum(best, scores.max(axis=0))
+    if best[0] == -math.inf:
+        qualifier = "connected " if det.require_connected else ""
+        raise EmptyClassError(f"no {qualifier}cluster has cut sparsity <= {det.rho}")
+    return best
+
+
+# kind -> (kernel, takes rho, needs a connected graph)
+_KINDS = {
+    "sss": (_sss_kernel, True, True),
+    "energy": (_energy_kernel, False, False),
+    "edge": (_edge_kernel, False, True),
+    "glr_exact": (_glr_exact_kernel, True, True),
+    "glr_unconstrained": (_glr_unconstrained_kernel, False, False),
+}
+DETECTOR_KINDS = tuple(_KINDS)
+# the constrained kinds, which take the cut-sparsity level rho
+RHO_KINDS = tuple(kind for kind, (_, takes_rho, _) in _KINDS.items() if takes_rho)
 
 
 @dataclass(frozen=True)
@@ -192,27 +161,65 @@ class Detector:
                 raise ValueError(f"detector {self.kind!r} requires a finite rho > 0")
 
     def statistic(self, g: Graph, y: np.ndarray) -> float:
-        if self.kind == "sss":
-            return float(self.statistics(g, np.asarray(y, dtype=float)[None])[0])
-        if self.kind == "energy":
-            return energy_stat(y)
-        if self.kind == "edge":
-            return edge_stat(g, y)
-        if self.kind == "glr_exact":
-            return glr_exact(g, y, self.rho, self.require_connected)
-        return glr_unconstrained(y)
+        """The statistic of one observation, scored as a one-row block."""
+        return float(self.statistics(g, np.asarray(y, dtype=float)[None])[0])
 
     def statistics(self, g: Graph, y: np.ndarray) -> np.ndarray:
         """The statistic of each row of an (R, n) block of observations.
 
-        The SSS projects the block with one matrix product, so its values agree
-        with :meth:`statistic` to rounding; other kinds go row by row.
+        Rows must have length ``g.n`` >= 2 and finite entries; the kinds that
+        use the edges also need a connected graph. The SSS and glr_exact score
+        the whole block with one matrix product, so their values can differ
+        from one-row blocks in the last digits; energy, edge and
+        glr_unconstrained give every row the same bits in any block.
         """
-        if self.kind != "sss":
-            return np.array([self.statistic(g, row) for row in y], dtype=float)
-        if not is_connected(g):
+        kernel, _, needs_connected = _KINDS[self.kind]
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 2:
+            raise ValueError(f"expected a block of observation rows, got shape {y.shape}")
+        if y.shape[1] != g.n:
+            raise ValueError(f"observation has length {y.shape[1]}, expected {g.n}")
+        if g.n < 2:
+            raise ValueError("need at least two vertices")
+        if not np.isfinite(y).all():
+            raise ValueError("observation contains NaN or infinite values")
+        if needs_connected and not is_connected(g):
             raise ValueError("graph must be connected")
-        return _sss_values(graph_spectrum(g), y, self.rho)
+        return kernel(self, g, y)
+
+
+def energy_stat(y: np.ndarray) -> float:
+    """Squared norm of the centered observation."""
+    return Detector("energy").statistic(Graph(n=np.size(y), edges=()), y)
+
+
+def edge_stat(g: Graph, y: np.ndarray) -> float:
+    """Largest absolute difference across an edge, ignoring edge weights."""
+    return Detector("edge").statistic(g, y)
+
+
+def glr_exact(g: Graph, y: np.ndarray, rho: float, require_connected: bool = False) -> float:
+    """Exact generalized likelihood ratio by enumerating every feasible cluster.
+
+    Maximizes (n / (|C| |C~|)) * (sum of centered y over C)^2 over nonempty
+    proper subsets with cut sparsity at most rho; with ``require_connected``
+    only subsets inducing a connected subgraph count. Exponential in n, so
+    guarded at n <= 22.
+    """
+    return Detector("glr_exact", rho=rho, require_connected=require_connected).statistic(g, y)
+
+
+def glr_unconstrained(y: np.ndarray) -> float:
+    """GLR over all nonempty proper subsets, in O(n log n) by a sorted prefix-sum sweep."""
+    return Detector("glr_unconstrained").statistic(Graph(n=np.size(y), edges=()), y)
+
+
+def sss_stat(g: Graph, y: np.ndarray, rho: float) -> float:
+    """Spectral scan statistic on a graph; the spectrum is cached per graph.
+
+    Equal bit for bit to ``sss(graph_spectrum(g), y, rho).value``.
+    """
+    return Detector("sss", rho=rho).statistic(g, y)
 
 
 def _replicate_statistics(detectors, g: Graph, means, sigma: float, seed: int) -> np.ndarray:
@@ -221,7 +228,7 @@ def _replicate_statistics(detectors, g: Graph, means, sigma: float, seed: int) -
     Replicate r observes ``means[r] + sigma * eps`` with eps drawn from the
     stream keyed by (seed, r), whatever the grouping of replicates into blocks.
     """
-    rows = max(1, 2**16 // g.n)  # a block holds about 2**16 observation entries
+    rows = max(1, _BLOCK_ENTRIES // g.n)
     block = np.empty((min(rows, len(means)), g.n))
     stats = np.empty((len(means), len(detectors)))
     for start in range(0, len(means), rows):
@@ -236,20 +243,14 @@ def _replicate_statistics(detectors, g: Graph, means, sigma: float, seed: int) -
 
 
 def calibrate_threshold(
-    detector: Detector,
-    g: Graph,
-    sigma: float,
-    alpha: float,
-    reps: int,
-    seed: int,
-    threads: int | None = None,
+    detector: Detector, g: Graph, sigma: float, alpha: float, reps: int, seed: int
 ) -> float:
     """Empirical (1 - alpha)-quantile of the statistic under the null.
 
     Simulates ``reps`` draws of pure noise (the statistics are invariant to the
     background level, so it is fixed at zero), and returns the order statistic
     with 1-based index ceil((1 - alpha) * reps). Replicate r draws from the
-    stream keyed by (seed, r). ``threads`` has no effect; it is kept for callers.
+    stream keyed by (seed, r).
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")

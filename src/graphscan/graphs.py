@@ -128,12 +128,12 @@ def build_graph(n: int, edges) -> Graph:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - W as a dense symmetric array."""
+    eu, ev, ew = g.edge_arrays
     lap = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        lap[u, v] -= w
-        lap[v, u] -= w
-        lap[u, u] += w
-        lap[v, v] += w
+    lap[eu, ev] = lap[ev, eu] = -ew
+    # degrees summed in edge order, as a loop over the edges would
+    ends = np.column_stack((eu, ev)).ravel()
+    np.fill_diagonal(lap, np.bincount(ends, weights=np.repeat(ew, 2), minlength=g.n))
     return lap
 
 

@@ -3,8 +3,8 @@
 Replicate r of an experiment with seed s draws from the stream keyed by
 (s, r) (null replicates use r in [0, reps_null), alternative replicates
 continue at reps_null + r), so output depends only on the config. Replicates
-are evaluated in blocks in the calling thread. See :mod:`graphscan.rng` for
-the stream derivation.
+are scored in blocks of fixed size; see :mod:`graphscan.rng` for the stream
+derivation.
 """
 from __future__ import annotations
 
@@ -231,13 +231,12 @@ def _resolve_cluster(config: ExperimentConfig, g: Graph) -> Cluster:
     return canonical_cluster(g, config.family, **params)
 
 
-def run_roc(config: ExperimentConfig, threads: int | None = None) -> dict[str, RocCurve]:
+def run_roc(config: ExperimentConfig) -> dict[str, RocCurve]:
     """Monte Carlo ROC estimate for every detector in the config.
 
     Sweeps the thresholds over all distinct null-statistic values; at each
     threshold tau the empirical size (power) is the fraction of null
     (alternative) statistics strictly above tau. Deterministic given the seed.
-    ``threads`` has no effect; it is kept for callers.
     """
     g = build_experiment_graph(config)
     detectors = [

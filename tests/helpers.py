@@ -32,14 +32,31 @@ def draw_rho(rng: np.random.Generator, eigenvalues: np.ndarray) -> float:
     return float(np.exp(rng.uniform(lo, hi)))
 
 
-def glr_brute_force(g: Graph, y: np.ndarray, rho: float = math.inf) -> float:
+def induced_connected(g: Graph, members) -> bool:
+    """Whether ``members`` (nonempty) induce a connected subgraph, by depth-first search."""
+    members = set(members)
+    start = next(iter(members))
+    seen, stack = {start}, [start]
+    while stack:
+        for v, _ in g.neighbors(stack.pop()):
+            if v in members and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen == members
+
+
+def glr_brute_force(
+    g: Graph, y: np.ndarray, rho: float = math.inf, require_connected: bool = False
+) -> float:
     """GLR by explicit subset enumeration; raises on an empty feasible class.
 
-    The statistic of a bipartition is the same number for either side, so each
-    bipartition is evaluated once through its positive-sum side (centered sums
-    over complements agree only up to rounding). Sums accumulate in descending
-    value order, the matched-rounding convention for comparing against
-    prefix-sum scans.
+    With ``require_connected`` only subsets that induce a connected subgraph
+    count; a bipartition is then evaluated through each side that qualifies.
+    Otherwise the statistic of a bipartition is the same number for either
+    side, so each bipartition is evaluated once through its positive-sum side
+    (centered sums over complements agree only up to rounding). Sums accumulate
+    in descending value order, the matched-rounding convention for comparing
+    against prefix-sum scans.
     """
     n = g.n
     ytilde = center(y)
@@ -51,10 +68,12 @@ def glr_brute_force(g: Graph, y: np.ndarray, rho: float = math.inf) -> float:
             cut = sum(w for u, v, w in g.edges if (mask >> u & 1) != (mask >> v & 1))
             if n * cut / (k * (n - k)) > rho:
                 continue
+        if require_connected and not induced_connected(g, members):
+            continue
         total = 0.0
         for value in sorted((ytilde[v] for v in members), reverse=True):
             total += value
-        if total < 0.0:
+        if total < 0.0 and not require_connected:
             continue  # the complement carries this bipartition
         stat = n * total**2 / (k * (n - k))
         if best is None or stat > best:

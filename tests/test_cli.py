@@ -162,15 +162,6 @@ class TestExperiment:
             blobs.append((out / "roc_energy.csv").read_bytes() + (out / "roc_edge.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_threads_flag_is_output_invariant(self, tmp_path):
-        cfg = self.config_file(tmp_path)
-        blobs = []
-        for name, extra in (("s", []), ("t", ["--threads", "2"])):
-            out = tmp_path / name
-            run_cli("experiment", "--config", str(cfg), "--out-dir", str(out), *extra)
-            blobs.append((out / "roc_energy.csv").read_bytes())
-        assert blobs[0] == blobs[1]
-
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self.config_file(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -11,6 +11,7 @@ from graphscan import (
     calibrate_threshold,
     edge_stat,
     energy_stat,
+    gen_bbt,
     gen_lattice,
     glr_exact,
     glr_unconstrained,
@@ -19,6 +20,8 @@ from graphscan import (
     sss,
     sss_stat,
 )
+from graphscan import detectors
+from graphscan.detectors import DETECTOR_KINDS
 from helpers import draw_rho, glr_brute_force, random_connected_graph
 
 
@@ -136,6 +139,23 @@ class TestGlrExact:
             assert restricted <= free + 1e-12
             checked += 1
 
+    def test_connected_matches_brute_force(self):
+        rng = np.random.default_rng(29)
+        empty = 0
+        for _ in range(60):
+            g = random_connected_graph(rng, max_n=9)
+            y = rng.standard_normal(g.n)
+            rho = float(rng.uniform(0.5, 6.0))
+            try:
+                expected = glr_brute_force(g, y, rho, require_connected=True)
+            except ValueError:
+                with pytest.raises(EmptyClassError, match="connected"):
+                    glr_exact(g, y, rho, require_connected=True)
+                empty += 1
+                continue
+            assert glr_exact(g, y, rho, require_connected=True) == pytest.approx(expected, rel=1e-12)
+        assert 0 < empty < 30
+
 
 class TestGlrUnconstrained:
     def test_k3_equals_exact(self):
@@ -223,6 +243,21 @@ class TestDetector:
         assert Detector("sss", rho=1.0).statistic(k3(), y) == sss_stat(k3(), y, 1.0)
 
 
+class TestObservationLength:
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_every_kind_rejects_wrong_length(self, kind):
+        det = Detector(kind, rho=1.0)
+        with pytest.raises(ValueError, match="length 4, expected 15"):
+            det.statistic(gen_bbt(3), np.arange(4.0))
+        with pytest.raises(ValueError, match="length 4, expected 15"):
+            det.statistics(gen_bbt(3), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_every_kind_rejects_a_one_vertex_graph(self, kind):
+        with pytest.raises(ValueError, match="two vertices"):
+            Detector(kind, rho=1.0).statistic(build_graph(1, []), np.zeros(1))
+
+
 class TestBlockStatistics:
     @staticmethod
     def blocks():
@@ -242,6 +277,24 @@ class TestBlockStatistics:
             det = Detector("sss", rho=rho)
             rows = [det.statistic(g, row) for row in y]
             np.testing.assert_allclose(det.statistics(g, y), rows, rtol=1e-12, atol=0.0)
+
+    def test_glr_exact_block_matches_row_by_row(self):
+        checked = 0
+        for g, y, rho in self.blocks():
+            if g.n > 12:
+                continue
+            for connected in (False, True):
+                det = Detector("glr_exact", rho=rho, require_connected=connected)
+                try:
+                    block = det.statistics(g, y)
+                except EmptyClassError:
+                    with pytest.raises(EmptyClassError):
+                        det.statistic(g, y[0])
+                    continue
+                rows = [det.statistic(g, row) for row in y]
+                np.testing.assert_allclose(block, rows, rtol=1e-12, atol=0.0)
+                checked += 1
+        assert checked >= 10
 
     def test_sss_statistic_is_sss_value_bit_for_bit(self):
         for g, y, rho in self.blocks():
@@ -267,12 +320,17 @@ class TestCalibrateThreshold:
         args = dict(sigma=2.0, alpha=0.1, reps=300, seed=99)
         assert calibrate_threshold(det, g, **args) == calibrate_threshold(det, g, **args)
 
-    def test_thread_count_does_not_change_result(self):
-        g = gen_lattice(3)
-        det = Detector("sss", rho=1.0)
-        base = calibrate_threshold(det, g, sigma=1.0, alpha=0.2, reps=120, seed=3)
-        threaded = calibrate_threshold(det, g, sigma=1.0, alpha=0.2, reps=120, seed=3, threads=2)
-        assert base == threaded
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_size_changes_only_sss_rounding(self, monkeypatch, rows):
+        g = gen_lattice(6)
+        args = dict(sigma=1.0, alpha=0.2, reps=120, seed=3)
+        baselines = [Detector(kind) for kind in ("energy", "edge", "glr_unconstrained")]
+        sss_det = Detector("sss", rho=1.0)
+        default = [calibrate_threshold(det, g, **args) for det in baselines + [sss_det]]
+        monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * g.n)
+        blocked = [calibrate_threshold(det, g, **args) for det in baselines + [sss_det]]
+        assert blocked[:3] == default[:3]
+        assert blocked[3] == pytest.approx(default[3], rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5])
     def test_rejects_bad_alpha(self, alpha):

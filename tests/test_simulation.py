@@ -25,8 +25,9 @@ from graphscan import (
     two_triangles,
     write_roc_csv,
 )
-from graphscan.detectors import _induced_connected
+from graphscan import detectors
 from graphscan.simulate import PRESET_NAMES, build_experiment_graph
+from helpers import induced_connected
 
 
 class TestSignalSpec:
@@ -90,7 +91,7 @@ class TestCanonicalCluster:
         g = gen_bbt(7)
         c = canonical_cluster(g, "bbt", depth=7)
         assert c.size == 63  # 2**(7-1) - 1, about n/4
-        assert _induced_connected(g, c.members)
+        assert induced_connected(g, c.members)
         assert 3 in c.members and 0 not in c.members
 
     def test_lattice_corner_square(self):
@@ -213,11 +214,21 @@ class TestRunRoc:
             write_roc_csv(curves["sss"], tmp_path / f"{run}.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        config = self.small_config(reps_null=40, reps_alt=40)
-        serial = run_roc(config)
-        threaded = run_roc(config, threads=2)
-        assert serial == threaded
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_size_changes_only_sss_rounding(self, tmp_path, monkeypatch, rows):
+        # the baselines score each row alone; the SSS projects the whole block
+        # with one matrix product, whose rounding depends on the block shape
+        config = self.small_config(params={"p": 6}, reps_null=100, reps_alt=100)
+        default = run_roc(config)
+        monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * build_experiment_graph(config).n)
+        blocked = run_roc(config)
+        for kind in ("energy", "edge", "glr_unconstrained"):
+            write_roc_csv(default[kind], tmp_path / "a.csv")
+            write_roc_csv(blocked[kind], tmp_path / "b.csv")
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        a, b = default["sss"].points, blocked["sss"].points
+        assert np.array_equal(a[:, 1:], b[:, 1:])
+        np.testing.assert_allclose(b[:, 0], a[:, 0], rtol=1e-12, atol=0.0)
 
     def test_csv_format(self, tmp_path):
         curves = run_roc(self.small_config(reps_null=40, reps_alt=40))
