@@ -62,8 +62,7 @@ def _energy_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
 
 def _edge_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
     # a gather per row: an (R, m) gather is slower once rows are long
-    eu, ev, _ = g.edge_arrays
-    return np.array([np.abs(row[eu] - row[ev]).max() for row in y])
+    return np.array([np.abs(row[g.eu] - row[g.ev]).max() for row in y])
 
 
 def _glr_unconstrained_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
@@ -106,7 +105,6 @@ def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
     n = g.n
     if n > _GLR_EXACT_MAX_N:
         raise ValueError(f"exact enumeration limited to n <= {_GLR_EXACT_MAX_N}, got n={n}")
-    eu, ev, ew = g.edge_arrays
     ytilde = y - y.mean(axis=1, keepdims=True)
     best = np.full(len(y), -math.inf)  # stays -inf while no cluster is feasible
     chunk = max(1, _ENUM_CHUNK // len(y))
@@ -114,7 +112,7 @@ def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
         masks = np.arange(start, min(start + chunk, 2**n - 1), dtype=np.int64)
         bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)  # (chunk, n)
         sizes = bits.sum(axis=1)
-        cut = (bits[:, eu] != bits[:, ev]) @ ew
+        cut = (bits[:, g.eu] != bits[:, g.ev]) @ g.w
         ok = n * cut / (sizes * (n - sizes)) <= det.rho
         if det.require_connected:
             ok[ok] = _connected_masks(bits[ok], laplacian(g) < 0.0)
@@ -190,7 +188,7 @@ class Detector:
 
 def energy_stat(y: np.ndarray) -> float:
     """Squared norm of the centered observation."""
-    return Detector("energy").statistic(Graph(n=np.size(y), edges=()), y)
+    return Detector("energy").statistic(Graph(np.size(y), (), (), ()), y)
 
 
 def edge_stat(g: Graph, y: np.ndarray) -> float:
@@ -211,7 +209,7 @@ def glr_exact(g: Graph, y: np.ndarray, rho: float, require_connected: bool = Fal
 
 def glr_unconstrained(y: np.ndarray) -> float:
     """GLR over all nonempty proper subsets, in O(n log n) by a sorted prefix-sum sweep."""
-    return Detector("glr_unconstrained").statistic(Graph(n=np.size(y), edges=()), y)
+    return Detector("glr_unconstrained").statistic(Graph(np.size(y), (), (), ()), y)
 
 
 def sss_stat(g: Graph, y: np.ndarray, rho: float) -> float:

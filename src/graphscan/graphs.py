@@ -1,11 +1,15 @@
 """Weighted undirected graphs, combinatorial Laplacians, cut sparsity, and generators.
 
-Graphs are immutable after construction, and every function here is pure.
+A :class:`Graph` stores read-only arrays, int64 endpoints ``eu``, ``ev`` and
+float weights ``w`` in the given edge order, and derives its ``edges`` triples
+from them. Graphs are validated on construction, immutable, and equal (with
+equal hashes) when their contents are. Every function here is pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -28,51 +32,94 @@ __all__ = [
     "read_edge_list",
 ]
 
+# the checks on each edge, in the order an offending edge reports them
+_EDGE_PROBLEMS = (
+    "edge ({u},{v}) has a non-integer vertex id",
+    "edge ({u},{v}) out of range for n={n}",
+    "self-loop at vertex {u}",
+    "duplicate edge ({u},{v})",
+    "edge ({u},{v}) has non-positive weight {w}",
+)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph on vertices 0..n-1 with no self-loops or multi-edges.
 
-    Construct through :func:`build_graph`, which validates the invariants.
+    Edge i joins ``eu[i]`` and ``ev[i]`` with weight ``w[i]``. Construction
+    refuses non-integer or out-of-range ids, self-loops, a pair given twice in
+    either orientation and weights that are not finite and positive, naming
+    the first offending edge, and stores read-only copies of the arrays.
+    Graphs with equal n and arrays, edge order included, are equal; the hash
+    of that content is computed once.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    eu: np.ndarray
+    ev: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = int(self.n)
+        if n != self.n:
+            raise ValueError(f"vertex count must be an integer, got {self.n}")
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        ends, w = np.array((self.eu, self.ev)), np.array(self.w, dtype=float)
+        if ends.ndim != 2 or w.shape != ends.shape[1:]:
+            raise ValueError("eu, ev and w must be vectors of equal length")
+        if w.size:  # an edgeless graph, as the graph-free statistics use, has nothing to check
+            lo, hi = np.minimum(*ends), np.maximum(*ends)
+            order = np.lexsort((hi, lo))  # stable, so a repeated pair marks its later edges
+            duplicate = np.zeros(w.size, dtype=bool)
+            duplicate[order[1:][(np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)]] = True
+            failed = np.array((
+                ~(np.isfinite(ends) & (ends == np.round(ends))).all(axis=0),
+                (lo < 0) | (hi >= n),
+                lo == hi,
+                duplicate,
+                ~(np.isfinite(w) & (w > 0.0)),
+            ))
+            if failed.any():
+                i = failed.any(axis=0).argmax()
+                u, v = (int(x) if float(x).is_integer() else float(x) for x in ends[:, i])
+                message = _EDGE_PROBLEMS[failed[:, i].argmax()]
+                raise ValueError(message.format(u=u, v=v, n=n, w=float(w[i])))
+        ids = ends.astype(np.int64, copy=False)
+        ids.flags.writeable = w.flags.writeable = False
+        for name, value in (("n", n), ("eu", ids[0]), ("ev", ids[1]), ("w", w)):
+            object.__setattr__(self, name, value)
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return tuple(tuple(nbrs) for nbrs in adj)
+    def _digest(self) -> int:
+        return hash((self.n, self.eu.tobytes(), self.ev.tobytes(), self.w.tobytes()))
 
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only endpoint (int64) and weight arrays of the edges, in input order."""
-        table = np.array(self.edges, dtype=float).reshape(-1, 3).T.copy()
-        ends = table[:2].astype(np.int64)
-        table.flags.writeable = ends.flags.writeable = False
-        return ends[0], ends[1], table[2]
+    def __hash__(self) -> int:
+        return self._digest
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and self.n == other.n and all(
+            map(np.array_equal, (self.eu, self.ev, self.w), (other.eu, other.ev, other.w))
+        )
 
     @cached_property
     def _connected(self) -> bool:
         # hook each edge's larger root onto its smaller one, then flatten to roots
-        eu, ev, _ = self.edge_arrays
         label = np.arange(self.n)
-        while not np.array_equal(lu := label[eu], lv := label[ev]):
+        while not np.array_equal(lu := label[self.eu], lv := label[self.ev]):
             np.minimum.at(label, lu, np.minimum(lu, lv))
             np.minimum.at(label, lv, np.minimum(lu, lv))
             while not np.array_equal(label[label], label):
                 label = label[label]
         return not label.any()
 
-    def neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
-        """Adjacent (vertex, weight) pairs of ``v``."""
-        return self._adjacency[v]
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as (u, v, w) triples of Python numbers, derived from the arrays."""
+        return tuple(zip(self.eu.tolist(), self.ev.tolist(), self.w.tolist()))
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.w.size
 
 
 @dataclass(frozen=True)
@@ -99,41 +146,20 @@ class Cluster:
 
 
 def build_graph(n: int, edges) -> Graph:
-    """Validate an edge list and return an immutable :class:`Graph`.
-
-    Rejects self-loops, duplicate vertex pairs, non-positive or non-finite
-    weights, and out-of-range vertex ids.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
-    seen: set[tuple[int, int]] = set()
-    clean: list[tuple[int, int, float]] = []
-    for edge in edges:
-        u, v, w = edge
-        u, v, w = int(u), int(v), float(w)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        seen.add(key)
-        if not np.isfinite(w) or w <= 0.0:
-            raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
-        clean.append((u, v, w))
-    return Graph(n=n, edges=tuple(clean))
+    """The validated :class:`Graph` of (u, v, w) triples, keeping their order."""
+    table = np.array(list(edges), dtype=float)
+    if table.size and (table.ndim != 2 or table.shape[1] != 3):
+        raise ValueError("edges must be (u, v, w) triples")
+    return Graph(n, *table.reshape(-1, 3).T)
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - W as a dense symmetric array."""
-    eu, ev, ew = g.edge_arrays
     lap = np.zeros((g.n, g.n))
-    lap[eu, ev] = lap[ev, eu] = -ew
+    lap[g.eu, g.ev] = lap[g.ev, g.eu] = -g.w
     # degrees summed in edge order, as a loop over the edges would
-    ends = np.column_stack((eu, ev)).ravel()
-    np.fill_diagonal(lap, np.bincount(ends, weights=np.repeat(ew, 2), minlength=g.n))
+    ends = np.column_stack((g.eu, g.ev)).ravel()
+    np.fill_diagonal(lap, np.bincount(ends, weights=np.repeat(g.w, 2), minlength=g.n))
     return lap
 
 
@@ -147,12 +173,9 @@ def _check_cluster(g: Graph, c: Cluster) -> None:
 def boundary_weight(g: Graph, c: Cluster) -> float:
     """Total weight of edges with exactly one endpoint in the cluster."""
     _check_cluster(g, c)
-    members = c.members
-    total = 0.0
-    for u, v, w in g.edges:
-        if (u in members) != (v in members):
-            total += w
-    return total
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(c.members)] = True
+    return float(g.w[inside[g.eu] != inside[g.ev]].sum())
 
 
 def cut_sparsity(g: Graph, c: Cluster) -> float:
@@ -186,8 +209,8 @@ def gen_bbt(depth: int) -> Graph:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     n = 2 ** (depth + 1) - 1
-    edges = [((v - 1) // 2, v, 1.0) for v in range(1, n)]
-    return build_graph(n, edges)
+    child = np.arange(1, n)
+    return Graph(n, (child - 1) // 2, child, np.ones(n - 1))
 
 
 def gen_lattice(p: int, periodic: bool = False) -> Graph:
@@ -202,19 +225,12 @@ def gen_lattice(p: int, periodic: bool = False) -> Graph:
     if p < minimum:
         kind = "periodic" if periodic else "non-periodic"
         raise ValueError(f"{kind} lattice requires p >= {minimum}, got {p}")
-    edges = []
-    for r in range(p):
-        for col in range(p):
-            u = r * p + col
-            if col + 1 < p:
-                edges.append((u, u + 1, 1.0))
-            elif periodic:
-                edges.append((u, r * p, 1.0))
-            if r + 1 < p:
-                edges.append((u, u + p, 1.0))
-            elif periodic:
-                edges.append((u, col, 1.0))
-    return build_graph(p * p, edges)
+    # vertex by vertex: the edge to the right, then the one below (wrapping on a torus)
+    u = np.arange(p * p)
+    r, col = np.divmod(u, p)
+    ahead = np.column_stack((np.where(col + 1 < p, u + 1, r * p), np.where(r + 1 < p, u + p, col)))
+    keep = np.column_stack((col + 1 < p, r + 1 < p)) | periodic
+    return Graph(p * p, np.broadcast_to(u[:, None], keep.shape)[keep], ahead[keep], np.ones(keep.sum()))
 
 
 def kronecker_product(g1: Graph, g2: Graph) -> Graph:
@@ -225,24 +241,23 @@ def kronecker_product(g1: Graph, g2: Graph) -> Graph:
     (i1,j1) is an edge of g1; the weight is inherited from the moving factor.
     The Laplacian of the result is L1 (x) I + I (x) L2.
     """
+    # the edges of each copy of g2 in turn, then each edge of g1 across all copies
     n2 = g2.n
-    edges: list[tuple[int, int, float]] = []
-    for i1 in range(g1.n):
-        base = i1 * n2
-        for u2, v2, w in g2.edges:
-            edges.append((base + u2, base + v2, w))
-    for u1, v1, w in g1.edges:
-        for i2 in range(n2):
-            edges.append((u1 * n2 + i2, v1 * n2 + i2, w))
-    return build_graph(g1.n * n2, edges)
+    copies, steps = np.arange(g1.n)[:, None] * n2, np.arange(n2)
+    return Graph(
+        g1.n * n2,
+        np.concatenate(((copies + g2.eu).ravel(), (g1.eu[:, None] * n2 + steps).ravel())),
+        np.concatenate(((copies + g2.ev).ravel(), (g1.ev[:, None] * n2 + steps).ravel())),
+        np.concatenate((np.tile(g2.w, g1.n), np.repeat(g1.w, n2))),
+    )
 
 
 def scale_weights(g: Graph, factor: float) -> Graph:
     """Multiply every edge weight by a positive scalar."""
     factor = float(factor)
-    if factor <= 0.0:
-        raise ValueError(f"scale factor must be positive, got {factor}")
-    return Graph(n=g.n, edges=tuple((u, v, w * factor) for u, v, w in g.edges))
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise ValueError(f"scale factor must be positive and finite, got {factor}")
+    return Graph(g.n, g.eu, g.ev, g.w * factor)
 
 
 def gen_kron_multiscale(base: Graph, levels: int) -> Graph:
@@ -259,25 +274,13 @@ def gen_kron_multiscale(base: Graph, levels: int) -> Graph:
     if not is_connected(base):
         raise ValueError("base graph must be connected")
     p = base.n
-    result = scale_weights(base, 1.0 / p ** (levels - 1)) if levels > 1 else base
-    for j in range(levels - 2, -1, -1):
-        factor = scale_weights(base, 1.0 / p**j) if j > 0 else base
-        result = kronecker_product(result, factor)
-    return result
+    factors = [scale_weights(base, 1.0 / p**j) if j > 0 else base for j in range(levels - 1, -1, -1)]
+    return reduce(kronecker_product, factors)
 
 
 def two_triangles() -> Graph:
     """Two triangles {0,1,2} and {3,4,5} joined by the single edge (2,3)."""
-    edges = [
-        (0, 1, 1.0),
-        (0, 2, 1.0),
-        (1, 2, 1.0),
-        (3, 4, 1.0),
-        (3, 5, 1.0),
-        (4, 5, 1.0),
-        (2, 3, 1.0),
-    ]
-    return build_graph(6, edges)
+    return Graph(6, [0, 0, 1, 3, 3, 4, 2], [1, 2, 2, 4, 5, 5, 3], np.ones(7))
 
 
 # ----------------------------------------------------------------------------
@@ -299,17 +302,20 @@ def write_edge_list(g: Graph, path) -> None:
 def read_edge_list(path) -> Graph:
     """Parse a file produced by :func:`write_edge_list` and validate it."""
     text = Path(path).read_text()
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("n="):
+    lines = [(k, line) for k, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines or not lines[0][1].startswith("n="):
         raise ValueError(f"{path}: first line must be 'n=<count>'")
     try:
-        n = int(lines[0][2:])
+        n = int(lines[0][1][2:])
     except ValueError as exc:
-        raise ValueError(f"{path}: bad vertex count {lines[0][2:]!r}") from exc
+        raise ValueError(f"{path}: bad vertex count {lines[0][1][2:]!r}") from exc
     edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'u<TAB>v<TAB>w'")
-        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        try:
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return build_graph(n, edges)

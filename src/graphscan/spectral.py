@@ -70,13 +70,10 @@ class SssResult:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its first non-negligible entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
+    big = np.abs(vectors) > 1e-12 * np.abs(vectors).max(axis=0)
+    lead = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
+    # multiplying by -1.0 negates exactly, signed zeros included
+    return vectors * np.where(big.any(axis=0) & (lead < 0.0), -1.0, 1.0)
 
 
 def eig_sym(m: np.ndarray) -> Spectrum:
@@ -295,7 +292,4 @@ def write_spectrum_csv(spectrum: Spectrum, path, vectors_path=None) -> None:
         "".join(f"{v:.17g}\n" for v in spectrum.eigenvalues)
     )
     if vectors_path is not None:
-        cols = (spectrum.eigenvectors[:, j] for j in range(spectrum.n))
-        Path(vectors_path).write_text(
-            "".join(f"{x:.17g}\n" for col in cols for x in col)
-        )
+        Path(vectors_path).write_text("".join(f"{x:.17g}\n" for x in spectrum.eigenvectors.T.flat))

@@ -1,4 +1,4 @@
-"""Shared test utilities: random instances, brute-force oracles and a dense SSS certificate."""
+"""Shared test utilities: random instances, reference loops, brute-force oracles and a dense SSS certificate."""
 from __future__ import annotations
 
 import math
@@ -32,13 +32,18 @@ def draw_rho(rng: np.random.Generator, eigenvalues: np.ndarray) -> float:
     return float(np.exp(rng.uniform(lo, hi)))
 
 
+def neighbors(g: Graph, v: int) -> tuple[tuple[int, float], ...]:
+    """Adjacent (vertex, weight) pairs of ``v``, in edge order."""
+    return tuple((b if a == v else a, w) for a, b, w in g.edges if v in (a, b))
+
+
 def induced_connected(g: Graph, members) -> bool:
     """Whether ``members`` (nonempty) induce a connected subgraph, by depth-first search."""
     members = set(members)
     start = next(iter(members))
     seen, stack = {start}, [start]
     while stack:
-        for v, _ in g.neighbors(stack.pop()):
+        for v, _ in neighbors(g, stack.pop()):
             if v in members and v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -103,3 +108,65 @@ def sss_certificate(g: Graph, y: np.ndarray, rho: float, result: SssResult) -> t
     primal = float(x @ yt) ** 2
     dual = max(0.0, float(np.linalg.eigvalsh(np.outer(yt, yt) - nu * lap)[-1])) + nu * rho
     return feasible, primal, dual
+
+
+# Reference loops: the generators and the eigenvector sign rule written edge by
+# edge and column by column. The array forms must match them bit for bit.
+
+
+def gen_bbt_loop(depth: int) -> Graph:
+    n = 2 ** (depth + 1) - 1
+    return build_graph(n, [((v - 1) // 2, v, 1.0) for v in range(1, n)])
+
+
+def gen_lattice_loop(p: int, periodic: bool = False) -> Graph:
+    edges = []
+    for r in range(p):
+        for col in range(p):
+            u = r * p + col
+            if col + 1 < p:
+                edges.append((u, u + 1, 1.0))
+            elif periodic:
+                edges.append((u, r * p, 1.0))
+            if r + 1 < p:
+                edges.append((u, u + p, 1.0))
+            elif periodic:
+                edges.append((u, col, 1.0))
+    return build_graph(p * p, edges)
+
+
+def kronecker_product_loop(g1: Graph, g2: Graph) -> Graph:
+    n2 = g2.n
+    edges = []
+    for i1 in range(g1.n):
+        base = i1 * n2
+        for u2, v2, w in g2.edges:
+            edges.append((base + u2, base + v2, w))
+    for u1, v1, w in g1.edges:
+        for i2 in range(n2):
+            edges.append((u1 * n2 + i2, v1 * n2 + i2, w))
+    return build_graph(g1.n * n2, edges)
+
+
+def scale_weights_loop(g: Graph, factor: float) -> Graph:
+    return build_graph(g.n, [(u, v, w * factor) for u, v, w in g.edges])
+
+
+def gen_kron_multiscale_loop(base: Graph, levels: int) -> Graph:
+    p = base.n
+    result = scale_weights_loop(base, 1.0 / p ** (levels - 1)) if levels > 1 else base
+    for j in range(levels - 2, -1, -1):
+        factor = scale_weights_loop(base, 1.0 / p**j) if j > 0 else base
+        result = kronecker_product_loop(result, factor)
+    return result
+
+
+def fix_signs_loop(vectors: np.ndarray) -> np.ndarray:
+    """Flip each column so its first entry above 1e-12 of its largest magnitude is positive."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+        if nz.size and col[nz[0]] < 0:
+            out[:, j] = -col
+    return out

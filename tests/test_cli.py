@@ -73,6 +73,13 @@ class TestSpectrum:
         assert code == 1
         assert "nope.tsv" in capsys.readouterr().err
 
+    def test_bad_number_names_file_and_line(self, tmp_path, capsys):
+        graph = tmp_path / "bad.tsv"
+        graph.write_text("n=3\n0\t1\t1.0\n1\tx\t1.0\n")
+        code = run_cli("spectrum", "--graph", str(graph), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert f"error: {graph}:3: " in capsys.readouterr().err
+
 
 class TestScan:
     def test_energy_on_p2(self, tmp_path, p2_file, capsys):

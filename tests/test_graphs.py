@@ -1,15 +1,20 @@
 """Graph construction, Laplacians, cut sparsity, generators, and edge-list files."""
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 from graphscan import (
     Cluster,
+    Graph,
     boundary_weight,
     build_graph,
     cut_sparsity,
     gen_bbt,
     gen_kron_multiscale,
     gen_lattice,
+    graph_spectrum,
     is_connected,
     kronecker_product,
     laplacian,
@@ -18,7 +23,15 @@ from graphscan import (
     two_triangles,
     write_edge_list,
 )
-from helpers import random_connected_graph
+from helpers import (
+    gen_bbt_loop,
+    gen_kron_multiscale_loop,
+    gen_lattice_loop,
+    kronecker_product_loop,
+    neighbors,
+    random_connected_graph,
+    scale_weights_loop,
+)
 
 
 def path2():
@@ -37,12 +50,12 @@ class TestBuildGraph:
     def test_single_edge(self):
         g = path2()
         assert g.n == 2
-        assert g.neighbors(0) == ((1, 1.0),)
+        assert neighbors(g, 0) == ((1, 1.0),)
 
     def test_triangle(self):
         g = triangle()
         assert g.num_edges() == 3
-        assert all(len(g.neighbors(v)) == 2 for v in range(3))
+        assert all(len(neighbors(g, v)) == 2 for v in range(3))
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -61,6 +74,36 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="out of range"):
             build_graph(2, [(0, 2, 1.0)])
 
+    def test_rejects_non_integer_vertex_id(self):
+        with pytest.raises(ValueError, match=r"^edge \(0,1\.5\) has a non-integer vertex id$"):
+            build_graph(3, [(0, 1.5, 1.0), (1, 2, 1.0)])
+
+    def test_rejects_non_integer_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be an integer, got 2.5"):
+            build_graph(2.5, [(0, 1, 1.0)])
+        assert build_graph(np.int64(2), [(0, 1, 1.0)]).n == 2
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1, 1.0), (2, 1, 1.0), (1, 2, 0.0), (0, 3, 1.0)], "duplicate edge (1,2)"),
+            ([(0, 1, 1.0), (1, 2, -1.0), (0, 5, 1.0)], "edge (1,2) has non-positive weight -1.0"),
+            ([(0, 1, 1.0), (2, 2, 1.0), (0, 1, 1.0)], "self-loop at vertex 2"),
+            ([(0, 1, float("nan")), (0, 7, 1.0)], "edge (0,1) has non-positive weight nan"),
+            ([(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0)], "edge (-1,0) out of range for n=3"),
+            ([(0, 1, 1.0), (1, 2, float("inf"))], "edge (1,2) has non-positive weight inf"),
+        ],
+    )
+    def test_names_the_first_offending_edge(self, edges, message):
+        # the edge-by-edge checks stopped at the first edge failing any check,
+        # and reported the first check it failed
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_graph(3, edges)
+
+    def test_rejects_edges_that_are_not_triples(self):
+        with pytest.raises(ValueError, match="triples"):
+            build_graph(3, [(0, 1), (1, 2)])
+
     def test_connectivity_predicate(self):
         assert is_connected(path2())
         assert is_connected(build_graph(1, []))
@@ -71,6 +114,68 @@ class TestBuildGraph:
         assert "_connected" not in vars(g)
         assert is_connected(g)
         assert vars(g)["_connected"] is True
+
+
+class TestEdgeArrays:
+    @staticmethod
+    def assert_same_arrays(g, ref):
+        assert g.n == ref.n
+        for got, want in ((g.eu, ref.eu), (g.ev, ref.ev), (g.w, ref.w)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_bbt_matches_edge_loop(self, depth):
+        self.assert_same_arrays(gen_bbt(depth), gen_bbt_loop(depth))
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_lattice_matches_edge_loop(self, periodic):
+        for p in range(3 if periodic else 2, 13):
+            self.assert_same_arrays(gen_lattice(p, periodic), gen_lattice_loop(p, periodic))
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_kron_multiscale_matches_edge_loop(self, levels):
+        base = two_triangles()
+        self.assert_same_arrays(gen_kron_multiscale(base, levels), gen_kron_multiscale_loop(base, levels))
+
+    def test_product_and_scaling_match_edge_loops(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            g1 = random_connected_graph(rng, max_n=7, min_n=1)
+            g2 = random_connected_graph(rng, max_n=7, min_n=1)
+            self.assert_same_arrays(kronecker_product(g1, g2), kronecker_product_loop(g1, g2))
+            factor = float(rng.uniform(0.1, 10.0))
+            self.assert_same_arrays(scale_weights(g2, factor), scale_weights_loop(g2, factor))
+
+    def test_arrays_are_read_only_copies(self):
+        eu, ev, w = np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])
+        g = Graph(3, eu, ev, w)
+        eu[0], w[0] = 2, 5.0
+        assert g.eu.tolist() == [0, 1] and g.w.tolist() == [1.0, 2.0]
+        assert (g.eu.dtype, g.ev.dtype, g.w.dtype) == (np.int64, np.int64, np.float64)
+        for array in (g.eu, g.ev, g.w):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_edges_view_gives_python_triples_in_order(self):
+        g = build_graph(3, [(0, 1, 0.5), (2, 1, 2.0)])
+        assert g.edges == ((0, 1, 0.5), (2, 1, 2.0))
+        assert all(type(x) is t for edge in g.edges for x, t in zip(edge, (int, int, float)))
+
+    def test_equal_content_is_equal_and_shares_the_spectrum(self):
+        a, b = gen_bbt(7), gen_bbt(7)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert graph_spectrum(a) is graph_spectrum(b)
+
+    def test_weight_edge_order_or_size_change_makes_unequal(self):
+        g = gen_bbt(3)
+        heavier = Graph(g.n, g.eu, g.ev, np.where(np.arange(g.num_edges()) == 4, 2.0, g.w))
+        reordered = Graph(g.n, g.eu[::-1], g.ev[::-1], g.w)
+        larger = Graph(g.n + 1, g.eu, g.ev, g.w)
+        for other in (heavier, reordered, larger):
+            assert other != g and g != other
+        assert g != g.edges
 
 
 class TestLaplacian:
@@ -152,7 +257,7 @@ class TestGenBbt:
     def test_depth_two_degree_multiset(self):
         g = gen_bbt(2)
         assert g.n == 7 and g.num_edges() == 6
-        degrees = sorted(len(g.neighbors(v)) for v in range(7))
+        degrees = sorted(len(neighbors(g, v)) for v in range(7))
         assert degrees == [1, 1, 1, 1, 2, 3, 3]
 
     def test_depth_seven_size(self):
@@ -164,8 +269,8 @@ class TestGenBbt:
 
     def test_level_order_numbering(self):
         g = gen_bbt(3)
-        assert (1, 1.0) in g.neighbors(0) and (2, 1.0) in g.neighbors(0)
-        assert (7, 1.0) in g.neighbors(3)  # child of 3 is 2*3+1
+        assert (1, 1.0) in neighbors(g, 0) and (2, 1.0) in neighbors(g, 0)
+        assert (7, 1.0) in neighbors(g, 3)  # child of 3 is 2*3+1
 
 
 class TestGenLattice:
@@ -179,7 +284,7 @@ class TestGenLattice:
     def test_three_by_three_torus(self):
         g = gen_lattice(3, periodic=True)
         assert (g.n, g.num_edges()) == (9, 18)
-        assert all(len(g.neighbors(v)) == 4 for v in range(9))
+        assert all(len(neighbors(g, v)) == 4 for v in range(9))
 
     def test_periodic_two_rejected(self):
         with pytest.raises(ValueError, match="p >= 3"):
@@ -187,7 +292,7 @@ class TestGenLattice:
 
     def test_row_major_numbering(self):
         g = gen_lattice(3)
-        assert (1, 1.0) in g.neighbors(0) and (3, 1.0) in g.neighbors(0)
+        assert (1, 1.0) in neighbors(g, 0) and (3, 1.0) in neighbors(g, 0)
 
 
 class TestKroneckerProduct:
@@ -285,8 +390,40 @@ class TestEdgeListFile:
         with pytest.raises(ValueError, match="n="):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("line", ["1\tx\t1.0", "0\t1\theavy", "0\t1.5\t1.0"])
+    def test_rejects_bad_number_naming_the_line(self, tmp_path, line):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"n=3\n0\t2\t1.0\n\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: "):
+            read_edge_list(path)
+
     def test_rejects_malformed_edge_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("n=2\n0 1 1.0\n")
         with pytest.raises(ValueError, match="TAB"):
             read_edge_list(path)
+
+
+class TestEdgeListGolden:
+    # SHA-256 of the edge-list files: a change means the edges were reordered,
+    # reweighted or formatted differently
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (lambda: gen_bbt(7), "5d31a7c07d4893d113f173357df865ba9cc5686792cee8bf2c5cb835b9a01e7c"),
+            (lambda: gen_lattice(16), "7cda0161ace391176faf1eae13675785fb2c008d3a0271843d1f1b42e1cb73ee"),
+            (
+                lambda: gen_lattice(64, periodic=True),
+                "51cca168ef62e64b62b047dbf27c03422321edb60a2e78613cea494a985bbae2",
+            ),
+            (
+                lambda: gen_kron_multiscale(two_triangles(), 3),
+                "b30950332c145c46ed930f9ad76e7beca0ee839674cf11f2579c37546cc0d575",
+            ),
+        ],
+        ids=["bbt7", "grid16", "torus64", "kron3"],
+    )
+    def test_edge_list_digest(self, tmp_path, make, digest):
+        path = tmp_path / "g.tsv"
+        write_edge_list(make(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

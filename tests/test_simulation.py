@@ -1,5 +1,6 @@
 """Signal sampling, canonical clusters, ROC curves, and experiment plumbing."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,6 +230,14 @@ class TestRunRoc:
         a, b = default["sss"].points, blocked["sss"].points
         assert np.array_equal(a[:, 1:], b[:, 1:])
         np.testing.assert_allclose(b[:, 0], a[:, 0], rtol=1e-12, atol=0.0)
+
+    def test_rebuilt_graph_hits_the_cached_spectrum(self):
+        config = replace(preset_config("bbt-fig1"), reps_null=20, reps_alt=20)
+        run_roc(config)
+        misses = detectors.graph_spectrum.cache_info().misses
+        for _ in range(3):
+            run_roc(config)
+        assert detectors.graph_spectrum.cache_info().misses == misses
 
     def test_csv_format(self, tmp_path):
         curves = run_roc(self.small_config(reps_null=40, reps_alt=40))

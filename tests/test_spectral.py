@@ -13,12 +13,28 @@ from graphscan import (
     sss,
     write_spectrum_csv,
 )
-from graphscan.spectral import _dual_objective, _reduced_coeffs
-from helpers import draw_rho, random_connected_graph, sss_certificate
+from graphscan.spectral import _dual_objective, _fix_signs, _reduced_coeffs
+from helpers import draw_rho, fix_signs_loop, random_connected_graph, sss_certificate
 
 
 def p2_spectrum():
     return graph_spectrum(build_graph(2, [(0, 1, 1.0)]))
+
+
+class TestFixSigns:
+    def test_matches_column_loop_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        graphs = [gen_lattice(48, periodic=True)] + [random_connected_graph(rng, max_n=40) for _ in range(20)]
+        for g in graphs:
+            vectors = np.linalg.eigh(laplacian(g))[1]
+            assert _fix_signs(vectors).tobytes() == fix_signs_loop(vectors).tobytes()
+
+    def test_signed_zeros_and_negligible_entries(self):
+        # columns: all zeros, a negligible negative lead, a negative lead
+        vectors = np.array([[-0.0, -1e-20, -0.0], [0.0, 2.0, -3.0], [-0.0, -1.0, 0.0]])
+        fixed = _fix_signs(vectors)
+        assert fixed.tobytes() == fix_signs_loop(vectors).tobytes()
+        assert np.signbit(fixed).tolist() == [[True, True, False], [False, False, False], [True, True, True]]
 
 
 class TestEigSym:
