@@ -42,8 +42,21 @@ class EmptyClassError(ValueError):
 
 @lru_cache(maxsize=64)
 def graph_spectrum(g: Graph) -> Spectrum:
-    """Eigendecomposition of the graph Laplacian, cached per (immutable) graph."""
+    """Spectrum of the graph Laplacian, cached per (immutable) graph.
+
+    A graph that records Cartesian factors (lattices, tori, Kronecker
+    products) gets the product of its factors' spectra, with no n x n matrix;
+    any other graph gets a dense eigendecomposition of its Laplacian.
+    """
+    if g._factors:
+        return Spectrum.product(graph_spectrum(f) for f in g._factors)
     return eig_sym(laplacian(g))
+
+
+@lru_cache(maxsize=16)
+def _edgeless(n: int) -> Graph:
+    """The graph on n vertices with no edges, which the graph-free statistics score on."""
+    return Graph(n, (), (), ())
 
 
 # Kernels: (detector, graph, checked (R, n) float block) -> (R,) values.
@@ -188,7 +201,7 @@ class Detector:
 
 def energy_stat(y: np.ndarray) -> float:
     """Squared norm of the centered observation."""
-    return Detector("energy").statistic(Graph(np.size(y), (), (), ()), y)
+    return Detector("energy").statistic(_edgeless(np.size(y)), y)
 
 
 def edge_stat(g: Graph, y: np.ndarray) -> float:
@@ -209,7 +222,7 @@ def glr_exact(g: Graph, y: np.ndarray, rho: float, require_connected: bool = Fal
 
 def glr_unconstrained(y: np.ndarray) -> float:
     """GLR over all nonempty proper subsets, in O(n log n) by a sorted prefix-sum sweep."""
-    return Detector("glr_unconstrained").statistic(Graph(np.size(y), (), (), ()), y)
+    return Detector("glr_unconstrained").statistic(_edgeless(np.size(y)), y)
 
 
 def sss_stat(g: Graph, y: np.ndarray, rho: float) -> float:

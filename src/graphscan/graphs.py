@@ -4,12 +4,18 @@ A :class:`Graph` stores read-only arrays, int64 endpoints ``eu``, ``ev`` and
 float weights ``w`` in the given edge order, and derives its ``edges`` triples
 from them. Graphs are validated on construction, immutable, and equal (with
 equal hashes) when their contents are. Every function here is pure.
+
+:func:`gen_lattice` and :func:`kronecker_product` (hence
+:func:`gen_kron_multiscale`) also record the factors of the Cartesian product
+they build, whose Laplacian is L1 (x) I + I (x) L2, so that its spectrum can be
+computed factor by factor. The record is part of a graph's content: a graph
+read from an edge-list file has none and is never equal to a generated one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,15 @@ __all__ = [
     "read_edge_list",
 ]
 
+
+class _EdgeError(ValueError):
+    """A validation error that names edge ``index`` of the input arrays."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 # the checks on each edge, in the order an offending edge reports them
 _EDGE_PROBLEMS = (
     "edge ({u},{v}) has a non-integer vertex id",
@@ -50,14 +65,17 @@ class Graph:
     refuses non-integer or out-of-range ids, self-loops, a pair given twice in
     either orientation and weights that are not finite and positive, naming
     the first offending edge, and stores read-only copies of the arrays.
-    Graphs with equal n and arrays, edge order included, are equal; the hash
-    of that content is computed once.
+    Graphs with equal n and arrays, edge order included, and equal factor
+    records are equal; the hash of that content is computed once.
     """
 
     n: int
     eu: np.ndarray
     ev: np.ndarray
     w: np.ndarray
+    # the Cartesian factors a generator recorded, in vertex-numbering order;
+    # set only through _with_factors, and empty for a graph built from edges
+    _factors = ()
 
     def __post_init__(self) -> None:
         n = int(self.n)
@@ -84,7 +102,7 @@ class Graph:
                 i = failed.any(axis=0).argmax()
                 u, v = (int(x) if float(x).is_integer() else float(x) for x in ends[:, i])
                 message = _EDGE_PROBLEMS[failed[:, i].argmax()]
-                raise ValueError(message.format(u=u, v=v, n=n, w=float(w[i])))
+                raise _EdgeError(message.format(u=u, v=v, n=n, w=float(w[i])), int(i))
         ids = ends.astype(np.int64, copy=False)
         ids.flags.writeable = w.flags.writeable = False
         for name, value in (("n", n), ("eu", ids[0]), ("ev", ids[1]), ("w", w)):
@@ -92,15 +110,23 @@ class Graph:
 
     @cached_property
     def _digest(self) -> int:
-        return hash((self.n, self.eu.tobytes(), self.ev.tobytes(), self.w.tobytes()))
+        return hash((self.n, self.eu.tobytes(), self.ev.tobytes(), self.w.tobytes(), self._factors))
 
     def __hash__(self) -> int:
         return self._digest
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and all(
-            map(np.array_equal, (self.eu, self.ev, self.w), (other.eu, other.ev, other.w))
+        return (
+            isinstance(other, Graph)
+            and self.n == other.n
+            and all(map(np.array_equal, (self.eu, self.ev, self.w), (other.eu, other.ev, other.w)))
+            and self._factors == other._factors
         )
+
+    def __reduce__(self):
+        # unpickling rebuilds through __post_init__, so the arrays come back as
+        # validated read-only copies and the digest is recomputed
+        return _rebuild, (self.n, self.eu, self.ev, self.w, self._factors)
 
     @cached_property
     def _connected(self) -> bool:
@@ -120,6 +146,22 @@ class Graph:
 
     def num_edges(self) -> int:
         return self.w.size
+
+
+def _with_factors(g: Graph, factors) -> Graph:
+    """``g``, recorded as the Cartesian product of ``factors``; g must not be hashed yet."""
+    factors = tuple(factors)
+    n = math.prod(f.n for f in factors)
+    m = sum(f.num_edges() * (n // f.n) for f in factors)
+    if (n, m) != (g.n, g.num_edges()):
+        raise ValueError(f"factors give {n} vertices and {m} edges, graph has {g.n} and {g.num_edges()}")
+    object.__setattr__(g, "_factors", factors)
+    return g
+
+
+def _rebuild(n, eu, ev, w, factors) -> Graph:
+    g = Graph(n, eu, ev, w)
+    return _with_factors(g, factors) if factors else g
 
 
 @dataclass(frozen=True)
@@ -217,8 +259,8 @@ def gen_lattice(p: int, periodic: bool = False) -> Graph:
     """Square lattice on p*p vertices with unit weights, row-major numbering.
 
     Non-periodic gives the grid (product of two paths); periodic gives the
-    torus (product of two cycles). Periodic requires p >= 3 so that wrap-around
-    does not duplicate an edge.
+    torus (product of two cycles), and the result records those factors.
+    Periodic requires p >= 3 so that wrap-around does not duplicate an edge.
     """
     p = int(p)
     minimum = 3 if periodic else 2
@@ -230,7 +272,16 @@ def gen_lattice(p: int, periodic: bool = False) -> Graph:
     r, col = np.divmod(u, p)
     ahead = np.column_stack((np.where(col + 1 < p, u + 1, r * p), np.where(r + 1 < p, u + p, col)))
     keep = np.column_stack((col + 1 < p, r + 1 < p)) | periodic
-    return Graph(p * p, np.broadcast_to(u[:, None], keep.shape)[keep], ahead[keep], np.ones(keep.sum()))
+    g = Graph(p * p, np.broadcast_to(u[:, None], keep.shape)[keep], ahead[keep], np.ones(keep.sum()))
+    side = _lattice_side(p, periodic)
+    return _with_factors(g, (side, side))
+
+
+@lru_cache(maxsize=16)
+def _lattice_side(p: int, periodic: bool) -> Graph:
+    """The path (cycle, if periodic) on p vertices along which each lattice coordinate moves."""
+    steps = np.arange(p if periodic else p - 1)
+    return Graph(p, steps, (steps + 1) % p, np.ones(steps.size))
 
 
 def kronecker_product(g1: Graph, g2: Graph) -> Graph:
@@ -239,17 +290,19 @@ def kronecker_product(g1: Graph, g2: Graph) -> Graph:
     Vertex (i1, i2) is numbered i1 * g2.n + i2. The pair ((i1,i2), (j1,j2)) is
     an edge exactly when i1 == j1 and (i2,j2) is an edge of g2, or i2 == j2 and
     (i1,j1) is an edge of g1; the weight is inherited from the moving factor.
-    The Laplacian of the result is L1 (x) I + I (x) L2.
+    The Laplacian of the result is L1 (x) I + I (x) L2, and the result
+    records g1 and g2 as its factors.
     """
     # the edges of each copy of g2 in turn, then each edge of g1 across all copies
     n2 = g2.n
     copies, steps = np.arange(g1.n)[:, None] * n2, np.arange(n2)
-    return Graph(
+    g = Graph(
         g1.n * n2,
         np.concatenate(((copies + g2.eu).ravel(), (g1.eu[:, None] * n2 + steps).ravel())),
         np.concatenate(((copies + g2.ev).ravel(), (g1.ev[:, None] * n2 + steps).ravel())),
         np.concatenate((np.tile(g2.w, g1.n), np.repeat(g1.w, n2))),
     )
+    return _with_factors(g, (g1, g2))
 
 
 def scale_weights(g: Graph, factor: float) -> Graph:
@@ -318,4 +371,9 @@ def read_edge_list(path) -> Graph:
             edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return build_graph(n, edges)
+    try:
+        return build_graph(n, edges)
+    except _EdgeError as exc:
+        raise ValueError(f"{path}:{lines[1 + exc.index][0]}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lines[0][0]}: {exc}") from exc

@@ -257,7 +257,9 @@ def run_roc(config: ExperimentConfig) -> dict[str, RocCurve]:
     for j, kind in enumerate(config.detectors):
         null_sorted = np.sort(stats[: config.reps_null, j])
         alt_sorted = np.sort(stats[config.reps_null :, j])
-        thresholds = np.unique(null_sorted)
+        # the distinct values of a sorted array, without np.unique (which
+        # imports numpy.ma on first use)
+        thresholds = null_sorted[np.r_[True, null_sorted[1:] != null_sorted[:-1]]]
         sizes = 1.0 - np.searchsorted(null_sorted, thresholds, side="right") / config.reps_null
         powers = 1.0 - np.searchsorted(alt_sorted, thresholds, side="right") / config.reps_alt
         curves[kind] = RocCurve(points=np.column_stack((thresholds, sizes, powers)))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +35,82 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in ascending order with a matching orthonormal basis.
+    """Laplacian eigenvalues in ascending order, with a basis kept in factored form.
 
-    ``eigenvectors[:, i]`` is the unit eigenvector paired with
-    ``eigenvalues[i]``. Arrays are frozen so a cached Spectrum can be shared.
+    A graph that is the Cartesian product of leaf factors with Laplacians
+    L1, ..., Lk (vertices numbered row-major over the factors) has the
+    eigenvalues lambda1[i1] + ... + lambdak[ik], each with the eigenvector
+    v1[:, i1] (x) ... (x) vk[:, ik]. ``factors`` holds each leaf's
+    (eigenvalues, eigenvectors) pair; ``eigenvalues`` lists the sums in
+    ascending order (a stable sort of the row-major outer sum), and
+    ``order[i]`` is the row-major index (i1, ..., ik) of ``eigenvalues[i]``.
+    A dense spectrum is the one-factor case, with ``order`` the identity.
+    Arrays are frozen so a cached Spectrum can be shared.
     """
 
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    order: np.ndarray
+
+    @classmethod
+    def product(cls, spectra) -> Spectrum:
+        """The spectrum of the Cartesian product of graphs with these spectra, in order."""
+        factors = tuple(pair for spectrum in spectra for pair in spectrum.factors)
+        sums = reduce(lambda acc, values: (acc[:, None] + values).ravel(), (v for v, _ in factors))
+        order = np.argsort(sums, kind="stable")
+        values = sums[order]
+        values.flags.writeable = order.flags.writeable = False
+        return cls(factors=factors, eigenvalues=values, order=order)
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The dense basis: column i is the unit eigenvector of ``eigenvalues[i]``.
+
+        Built on first use for a factored spectrum, at n*n floats.
+        """
+        if len(self.factors) == 1:
+            return self.factors[0][1]
+        vectors = reduce(np.kron, (v for _, v in self.factors))[:, self.order]
+        vectors.flags.writeable = False
+        return vectors
+
+    def _contract(self, rows: np.ndarray, transpose: bool) -> np.ndarray:
+        # entry (j1, ..., jk) of each row becomes sum over (i1, ..., ik) of
+        # entry (i1, ..., ik) times the product of M_a[i_a, j_a], one factor
+        # basis (or its transpose) M_a per axis, applied one axis at a time
+        before, after = len(rows), self.n
+        for _, vectors in self.factors:
+            m = vectors.T if transpose else vectors
+            size = m.shape[0]
+            after //= size
+            block = rows.reshape(before, size, after)
+            rows = block.reshape(-1, size) @ m if after == 1 else np.matmul(m.T, block)
+            before *= size
+        return rows.reshape(-1, self.n)
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """Coefficients of each row of ``y`` on eigenvectors 2..n, in eigenvalue order.
+
+        Drops the coefficient on the first (constant, for a connected graph)
+        eigenvector. A factored spectrum applies each factor basis along its
+        axis, V1' Y V2 for two factors, rather than an n x n matrix.
+        """
+        if len(self.factors) == 1:
+            return y @ self.factors[0][1][:, 1:]
+        coeffs = self._contract(np.asarray(y, dtype=float).reshape(-1, self.n), transpose=False)
+        return coeffs[:, self.order[1:]].reshape(*np.shape(y)[:-1], self.n - 1)
+
+    def expand(self, z: np.ndarray) -> np.ndarray:
+        """The vector with coefficients ``z`` on eigenvectors 2..n; inverts :meth:`project`."""
+        if len(self.factors) == 1:
+            return self.factors[0][1][:, 1:] @ z
+        coeffs = np.zeros(self.n)
+        coeffs[self.order[1:]] = z
+        return self._contract(coeffs[None], transpose=True)[0]
 
 
 @dataclass(frozen=True)
@@ -89,9 +154,9 @@ def eig_sym(m: np.ndarray) -> Spectrum:
         raise ValueError("matrix is not symmetric")
     values, vectors = np.linalg.eigh(m)
     vectors = _fix_signs(vectors)
-    values.flags.writeable = False
-    vectors.flags.writeable = False
-    return Spectrum(eigenvalues=values, eigenvectors=vectors)
+    order = np.arange(values.size)
+    values.flags.writeable = vectors.flags.writeable = order.flags.writeable = False
+    return Spectrum(factors=((values, vectors),), eigenvalues=values, order=order)
 
 
 def center(y: np.ndarray) -> np.ndarray:
@@ -184,7 +249,7 @@ def _reduced_coeffs(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValueError("spectrum does not come from a connected graph (lambda_2 <= 0)")
     if not np.isfinite(y).all():
         raise ValueError("observation contains NaN or infinite values")
-    return (y - y.mean(axis=-1, keepdims=True)) @ spectrum.eigenvectors[:, 1:], lambdas
+    return spectrum.project(y - y.mean(axis=-1, keepdims=True)), lambdas
 
 
 def _dual_objective(c: np.ndarray, lambdas: np.ndarray, nu: float, rho: float) -> float:
@@ -274,7 +339,7 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     value = float(c @ z) ** 2
     gap = _dual_objective(c, lambdas, nu_star, rho) - value
 
-    witness = spectrum.eigenvectors[:, 1:] @ z
+    witness = spectrum.expand(z)
     nz = np.nonzero(np.abs(witness) > 1e-14 * max(1.0, float(np.abs(witness).max())))[0]
     if nz.size and witness[nz[0]] < 0:
         witness = -witness

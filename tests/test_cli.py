@@ -80,6 +80,13 @@ class TestSpectrum:
         assert code == 1
         assert f"error: {graph}:3: " in capsys.readouterr().err
 
+    def test_invalid_edge_names_file_and_line(self, tmp_path, capsys):
+        graph = tmp_path / "dup.tsv"
+        graph.write_text("n=3\n0\t1\t1.0\n1\t0\t1.0\n")
+        code = run_cli("spectrum", "--graph", str(graph), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert f"error: {graph}:3: duplicate edge (1,0)" in capsys.readouterr().err
+
 
 class TestScan:
     def test_energy_on_p2(self, tmp_path, p2_file, capsys):

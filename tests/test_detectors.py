@@ -43,6 +43,14 @@ class TestEnergyStat:
     def test_already_centered_triple(self):
         assert energy_stat(np.array([2.0, 0.0, -2.0])) == pytest.approx(8.0)
 
+    def test_one_off_calls_share_one_edgeless_graph(self):
+        y = np.random.default_rng(2).standard_normal(9)
+        assert detectors._edgeless(9) is detectors._edgeless(9)
+        g = build_graph(9, [])
+        assert detectors._edgeless(9) == g
+        assert energy_stat(y) == Detector("energy").statistic(g, y)
+        assert glr_unconstrained(y) == Detector("glr_unconstrained").statistic(g, y)
+
 
 class TestEdgeStat:
     def test_path_two(self):

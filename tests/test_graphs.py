@@ -1,5 +1,6 @@
 """Graph construction, Laplacians, cut sparsity, generators, and edge-list files."""
 import hashlib
+import pickle
 import re
 
 import numpy as np
@@ -397,11 +398,81 @@ class TestEdgeListFile:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: "):
             read_edge_list(path)
 
+    def test_rejects_invalid_edge_naming_the_line(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("n=3\n0\t1\t1.0\n\n1\t0\t1.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: duplicate edge \\(1,0\\)$"):
+            read_edge_list(path)
+
+    def test_rejects_bad_vertex_count_naming_the_header(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("\nn=0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: vertex count must be positive"):
+            read_edge_list(path)
+
     def test_rejects_malformed_edge_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("n=2\n0 1 1.0\n")
         with pytest.raises(ValueError, match="TAB"):
             read_edge_list(path)
+
+
+class TestFactorRecord:
+    @staticmethod
+    def side(p, periodic):
+        return build_graph(p, [(i, (i + 1) % p, 1.0) for i in range(p if periodic else p - 1)])
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_lattice_records_its_sides(self, periodic):
+        side = self.side(5, periodic)
+        assert gen_lattice(5, periodic)._factors == (side, side)
+
+    def test_product_records_its_operands(self):
+        a, b = two_triangles(), gen_lattice(3)
+        assert kronecker_product(a, b)._factors == (a, b)
+        g = gen_kron_multiscale(a, 3)
+        assert len(g._factors) == 2 and len(g._factors[0]._factors) == 2 and g._factors[1] == a
+
+    def test_other_graphs_record_nothing(self):
+        for g in (gen_bbt(3), two_triangles(), gen_kron_multiscale(two_triangles(), 1), path2()):
+            assert g._factors == ()
+
+    def test_same_edges_without_the_record_are_unequal(self, tmp_path):
+        g = gen_lattice(4, periodic=True)
+        write_edge_list(g, tmp_path / "g.tsv")
+        back = read_edge_list(tmp_path / "g.tsv")
+        assert back.edges == g.edges
+        assert back != g and g != back
+        assert back == build_graph(g.n, g.edges)
+
+
+class TestPickle:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen_bbt(3), lambda: gen_lattice(4, periodic=True), lambda: gen_kron_multiscale(two_triangles(), 3)],
+        ids=["bbt3", "torus4", "kron3"],
+    )
+    def test_round_trip_rebuilds_and_revalidates(self, make):
+        g = make()
+        hash(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert "_digest" not in vars(back)  # recomputed, not carried across processes
+        assert back == g and hash(back) == hash(g)
+        assert back._factors == g._factors
+        for array in (back.eu, back.ev, back.w):
+            assert not array.flags.writeable
+
+    def test_invalid_arrays_are_refused(self):
+        g = gen_bbt(2)
+        object.__setattr__(g, "ev", g.eu.copy())
+        with pytest.raises(ValueError, match="self-loop"):
+            pickle.loads(pickle.dumps(g))
+
+    def test_inconsistent_factors_are_refused(self):
+        g = gen_lattice(3)
+        object.__setattr__(g, "_factors", (path2(), path2()))
+        with pytest.raises(ValueError, match="factors give 4 vertices"):
+            pickle.loads(pickle.dumps(g))
 
 
 class TestEdgeListGolden:

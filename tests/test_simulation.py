@@ -1,6 +1,10 @@
 """Signal sampling, canonical clusters, ROC curves, and experiment plumbing."""
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +234,18 @@ class TestRunRoc:
         a, b = default["sss"].points, blocked["sss"].points
         assert np.array_equal(a[:, 1:], b[:, 1:])
         np.testing.assert_allclose(b[:, 0], a[:, 0], rtol=1e-12, atol=0.0)
+
+    def test_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on first use, about 1 MB of resident memory
+        code = (
+            "import sys; from dataclasses import replace; import graphscan as gs; "
+            "gs.run_roc(replace(gs.preset_config('kron-fig1'), reps_null=5, reps_alt=5)); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        src = str(Path(detectors.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_rebuilt_graph_hits_the_cached_spectrum(self):
         config = replace(preset_config("bbt-fig1"), reps_null=20, reps_alt=20)
