@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum
+from .spectral import Spectrum, _connected_lambdas
 
 __all__ = [
     "BoundsReport",
@@ -42,13 +42,6 @@ class BoundsReport:
     eta: float | None = None
 
 
-def _positive_lambdas(spectrum: Spectrum) -> np.ndarray:
-    lambdas = spectrum.eigenvalues[1:]
-    if lambdas.size == 0 or lambdas[0] <= 0.0:
-        raise ValueError("spectrum does not come from a connected graph (lambda_2 <= 0)")
-    return lambdas
-
-
 def spectral_snr_bound(spectrum: Spectrum, rho: float) -> float:
     """sqrt(sum over i >= 2 of min(1, rho / lambda_i)).
 
@@ -58,7 +51,7 @@ def spectral_snr_bound(spectrum: Spectrum, rho: float) -> float:
     rho = float(rho)
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    lambdas = _positive_lambdas(spectrum)
+    lambdas = _connected_lambdas(spectrum)
     return math.sqrt(float(np.minimum(1.0, rho / lambdas).sum()))
 
 
@@ -72,7 +65,7 @@ def truncated_bound(spectrum: Spectrum, rho: float) -> tuple[float, int]:
     rho = float(rho)
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    lambdas = _positive_lambdas(spectrum)
+    lambdas = _connected_lambdas(spectrum)
     n = spectrum.n
     best: tuple[float, int] | None = None
     for k in range(1, n):

@@ -306,11 +306,16 @@ def kronecker_product(g1: Graph, g2: Graph) -> Graph:
 
 
 def scale_weights(g: Graph, factor: float) -> Graph:
-    """Multiply every edge weight by a positive scalar."""
+    """Multiply every edge weight by a positive scalar.
+
+    A recorded product stays one: the Laplacian a*(L1 (x) I + I (x) L2) is
+    (a*L1) (x) I + I (x) (a*L2), so the result records each factor scaled.
+    """
     factor = float(factor)
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"scale factor must be positive and finite, got {factor}")
-    return Graph(g.n, g.eu, g.ev, g.w * factor)
+    scaled = Graph(g.n, g.eu, g.ev, g.w * factor)
+    return _with_factors(scaled, (scale_weights(f, factor) for f in g._factors)) if g._factors else scaled
 
 
 def gen_kron_multiscale(base: Graph, levels: int) -> Graph:

@@ -8,11 +8,15 @@ for the centered observation y~. In the eigenbasis of L restricted to the
 complement of the constant vector, with coefficients c and eigenvalues
 lambda_2..lambda_n, it is solved once through its KKT conditions: exactly one
 of three cases (ball active, ellipsoid active, both active) holds, the last
-needing a one-dimensional monotone root-find. The same case gives the dual
-multiplier nu*, and the dual objective, the largest eigenvalue of the
-rank-one-plus-diagonal matrix c c' - nu* diag(lambda_2..lambda_n) (clamped at
-zero) plus nu* * rho, certifies the value from above: the reported gap is the
-difference between the two.
+needing a one-dimensional monotone root-find. The conditions depend on c only
+through the c_i**2, so the solve runs on one term per distinct eigenvalue, the
+sum of the c_i**2 over its eigenvectors; trees, lattices and their products
+repeat eigenvalues heavily (33 distinct values among the 254 of the depth-7
+tree). The same case gives the dual multiplier nu*, and the dual objective,
+the largest eigenvalue of the rank-one-plus-diagonal matrix
+c c' - nu* diag(lambda_2..lambda_n) (clamped at zero) plus nu* * rho, evaluated
+on the ungrouped terms, certifies the value from above: the reported gap is
+the difference between the two.
 """
 from __future__ import annotations
 
@@ -32,6 +36,13 @@ __all__ = [
     "sss",
     "write_spectrum_csv",
 ]
+
+# Eigenvalues within this fraction of lambda_max of their neighbour count as
+# equal. eigh returns a repeated eigenvalue within about 1e-15 * lambda_max,
+# while distinct ones on trees, lattices and their products lie at least
+# 1e-4 * lambda_max apart. A lambda_2 equal in this sense to lambda_1 = 0
+# marks a disconnected graph.
+_TIE_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -77,6 +88,19 @@ class Spectrum:
         vectors = reduce(np.kron, (v for _, v in self.factors))[:, self.order]
         vectors.flags.writeable = False
         return vectors
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Runs of equal eigenvalues among lambda_2..lambda_n: where each starts, and its mean.
+
+        A run continues while the next eigenvalue is within 1e-10 * lambda_max
+        of the previous one; ``groups[0]`` indexes ``eigenvalues[1:]``.
+        """
+        lambdas = self.eigenvalues[1:]
+        starts = np.flatnonzero(np.diff(lambdas, prepend=-np.inf) > _TIE_RTOL * self.eigenvalues[-1])
+        means = np.add.reduceat(lambdas, starts) / np.diff(starts, append=lambdas.size)
+        starts.flags.writeable = means.flags.writeable = False
+        return starts, means
 
     def _contract(self, rows: np.ndarray, transpose: bool) -> np.ndarray:
         # entry (j1, ..., jk) of each row becomes sum over (i1, ..., ik) of
@@ -236,6 +260,19 @@ def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
     return max(theta, deflated_top)
 
 
+def _connected_lambdas(spectrum: Spectrum) -> np.ndarray:
+    """lambda_2..lambda_n; raises unless lambda_2 is clear of zero, as for a connected graph.
+
+    lambda_2 must exceed 1e-10 * lambda_max, the tolerance within which two
+    eigenvalues count as equal, so the test does not depend on the scale of
+    the weights.
+    """
+    lambdas = spectrum.eigenvalues[1:]
+    if lambdas.size == 0 or lambdas[0] <= _TIE_RTOL * spectrum.eigenvalues[-1]:
+        raise ValueError("spectrum does not come from a connected graph (lambda_2 <= 0)")
+    return lambdas
+
+
 def _reduced_coeffs(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of centered y in the nonconstant eigenbasis, and lambda_2..n.
 
@@ -244,9 +281,7 @@ def _reduced_coeffs(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.n
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != spectrum.n:
         raise ValueError(f"observations have shape {y.shape}, expected rows of length {spectrum.n}")
-    lambdas = spectrum.eigenvalues[1:]
-    if lambdas.size == 0 or lambdas[0] <= 1e-10:
-        raise ValueError("spectrum does not come from a connected graph (lambda_2 <= 0)")
+    lambdas = _connected_lambdas(spectrum)
     if not np.isfinite(y).all():
         raise ValueError("observation contains NaN or infinite values")
     return spectrum.project(y - y.mean(axis=-1, keepdims=True)), lambdas
@@ -260,37 +295,40 @@ def _dual_objective(c: np.ndarray, lambdas: np.ndarray, nu: float, rho: float) -
     return max(0.0, chi_max(c, lambdas, nu)) + nu * rho
 
 
-def _kkt_solve(c: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.ndarray, str, float, int]:
+def _grouped_kkt(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[float, str, float, float, int]:
     """Maximize (c'z)^2 over the unit ball intersected with z' diag(lambdas) z <= rho.
 
-    Returns the maximizer z, the KKT case, the dual multiplier nu* and the
-    number of root-finding steps. The cases:
-      (a) z = c/||c|| when it already satisfies the ellipsoid; nu* = 0;
+    The problem depends on c only through ``s``, the sums of c_i**2 over the
+    eigenvectors of each distinct eigenvalue in ``lambdas``. Returns the value,
+    the KKT case, the dual multiplier nu*, the root t (0 outside case "c")
+    and the number of root-finding steps. With weights p = s / sum(s), which
+    keep every intermediate near 1 whatever the scale of c:
+      (a) z = c/||c|| when it already satisfies the ellipsoid, p'lambdas <= rho;
+          the value is sum(s) and nu* = 0;
       (b) z proportional to lambdas^-1 * c scaled onto the ellipsoid, when that
-          point stays inside the unit ball; nu* = c' diag(lambdas)^-1 c;
+          point stays inside the unit ball; nu* = c' diag(lambdas)^-1 c and
+          the value is rho * nu*;
       (c) otherwise both constraints are active: z(t)_i ~ c_i / (1 + t*lambda_i)
           normalized to the unit sphere, with t > 0 the root of
           z(t)' diag(lambdas) z(t) = rho (monotone in t, solved by bisection);
           nu* = t * theta with theta = sum_i c_i**2 / (1 + t*lambda_i), the
           largest eigenvalue of c c' - nu* diag(lambdas).
     """
-    norm_c = float(np.linalg.norm(c))
-    if norm_c == 0.0:
-        return np.zeros_like(c), "a", 0.0, 0
-    z = c / norm_c
-    if float(z @ (lambdas * z)) <= rho:
-        return z, "a", 0.0, 0
+    total = float(s.sum())
+    if total == 0.0:
+        return 0.0, "a", 0.0, 0.0, 0
+    p = s / total
+    if float(p @ lambdas) <= rho:
+        return total, "a", 0.0, 0.0, 0
 
-    w = c / lambdas
-    quad = float(w @ (lambdas * w))  # = c' diag(lambdas)^-1 c
-    z = w * math.sqrt(rho / quad)
-    if float(z @ z) <= 1.0:
-        return z, "b", quad, 0
+    inv = p / lambdas
+    quad = float(inv.sum())  # c' diag(lambdas)^-1 c / total
+    if rho * float((inv / lambdas).sum()) <= quad:  # ||z||**2 <= 1
+        return rho * quad * total, "b", quad * total, 0.0, 0
 
     def ellipsoid_gap(t: float) -> float:
-        zt = c / (1.0 + t * lambdas)
-        zt /= np.linalg.norm(zt)
-        return float(zt @ (lambdas * zt)) - rho
+        q = p / (1.0 + t * lambdas) ** 2  # z(t)_i**2 before normalizing
+        return float(lambdas @ q) / float(q.sum()) - rho
 
     iterations = 0
     t_hi = 1.0
@@ -309,34 +347,62 @@ def _kkt_solve(c: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.ndarr
             t_hi = mid
         if t_hi - t_lo <= 1e-14 * max(t_hi, 1.0):
             break
-    w = c / (1.0 + t_hi * lambdas)
-    theta = float(c @ w)
-    return w / np.linalg.norm(w), "c", t_hi * theta, iterations
+    w = p / (1.0 + t_hi * lambdas)
+    theta = float(w.sum())
+    value = theta**2 / float((w / (1.0 + t_hi * lambdas)).sum())
+    return value * total, "c", t_hi * theta * total, t_hi, iterations
+
+
+def _solve_block(spectrum: Spectrum, y: np.ndarray, rho: float) -> tuple[np.ndarray, list]:
+    """Coefficients of each row of ``y`` and its :func:`_grouped_kkt` result; ``rho`` is taken as checked."""
+    coeffs, lambdas = _reduced_coeffs(spectrum, y)
+    starts, means = spectrum.groups
+    sums = coeffs * coeffs
+    if starts.size < lambdas.size:
+        sums = np.add.reduceat(sums, starts, axis=1)
+    return coeffs, [_grouped_kkt(row, means, rho) for row in sums]
 
 
 def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
     """Values of the statistic for the rows of an (R, n) block; ``rho`` is taken as checked."""
-    coeffs, lambdas = _reduced_coeffs(spectrum, y)
-    return np.array([float(c @ _kkt_solve(c, lambdas, rho)[0]) ** 2 for c in coeffs])
+    return np.array([solved[0] for solved in _solve_block(spectrum, y, rho)[1]])
 
 
 def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     """Spectral scan statistic by one KKT solve, certified by the dual.
 
-    The primal maximizer z in the nonconstant eigenbasis comes from the case
-    analysis of :func:`_kkt_solve`, and the statistic is its value (c'z)**2.
-    The dual objective max(0, chi_max(c, lambdas, nu*)) + nu*rho is evaluated
-    once at the multiplier the same case yields; by weak duality it bounds the
-    statistic from above, and ``gap`` reports the difference. A constant
-    observation yields 0 in case "a" with a zero gap.
+    The KKT case analysis of :func:`_grouped_kkt` runs on one term per distinct
+    eigenvalue, the sum of the squared coefficients of its eigenvectors, and
+    gives the value, the case, the dual multiplier nu* and, in case "c", the
+    root t. The primal maximizer z in the nonconstant eigenbasis is rebuilt
+    from the ungrouped coefficients c: c/||c|| (case "a"), c/lambda scaled
+    onto the ellipsoid ("b") or c/(1 + t*lambda) normalized ("c"). The dual
+    objective max(0, chi_max(c, lambdas, nu*)) + nu*rho is evaluated once, on
+    the ungrouped terms; by weak duality it bounds the statistic from above,
+    and ``gap`` reports the difference, so it also checks the grouping. A
+    constant observation yields 0 in case "a" with a zero gap.
     """
     rho = float(rho)
     if not (math.isfinite(rho) and rho > 0.0):
         raise ValueError(f"rho must be positive and finite, got {rho}")
     # a one-row block, so that _sss_values on the same row gives the same bits
-    (c,), lambdas = _reduced_coeffs(spectrum, np.asarray(y, dtype=float)[None])
-    z, case, nu_star, iterations = _kkt_solve(c, lambdas, rho)
-    value = float(c @ z) ** 2
+    y = np.asarray(y, dtype=float)[None]
+    (c,), ((value, case, nu_star, t, iterations),) = _solve_block(spectrum, y, rho)
+    lambdas = spectrum.eigenvalues[1:]
+    # z does not depend on the scale of c; rescaling c to a largest entry of 1
+    # keeps its squares finite
+    largest = float(np.abs(c).max())
+    if largest == 0.0:
+        z = c
+    elif case == "a":
+        z = c / largest
+        z /= np.linalg.norm(z)
+    elif case == "b":
+        z = c / (largest * lambdas)
+        z *= math.sqrt(rho / float(z @ (lambdas * z)))
+    else:
+        z = c / (largest * (1.0 + t * lambdas))
+        z /= np.linalg.norm(z)
     gap = _dual_objective(c, lambdas, nu_star, rho) - value
 
     witness = spectrum.expand(z)

@@ -170,3 +170,50 @@ def fix_signs_loop(vectors: np.ndarray) -> np.ndarray:
         if nz.size and col[nz[0]] < 0:
             out[:, j] = -col
     return out
+
+
+def kkt_solve_loop(c: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.ndarray, str, float, int]:
+    """The KKT solve on ungrouped coefficients, one term per eigenvector.
+
+    Returns the maximizer z, the case, the dual multiplier nu* and the number
+    of root-finding steps; the value is (c'z)**2. The grouped kernel must agree
+    with it to rounding.
+    """
+    norm_c = float(np.linalg.norm(c))
+    if norm_c == 0.0:
+        return np.zeros_like(c), "a", 0.0, 0
+    z = c / norm_c
+    if float(z @ (lambdas * z)) <= rho:
+        return z, "a", 0.0, 0
+
+    w = c / lambdas
+    quad = float(w @ (lambdas * w))  # = c' diag(lambdas)^-1 c
+    z = w * math.sqrt(rho / quad)
+    if float(z @ z) <= 1.0:
+        return z, "b", quad, 0
+
+    def ellipsoid_gap(t: float) -> float:
+        zt = c / (1.0 + t * lambdas)
+        zt /= np.linalg.norm(zt)
+        return float(zt @ (lambdas * zt)) - rho
+
+    iterations = 0
+    t_hi = 1.0
+    for _ in range(200):
+        iterations += 1
+        if ellipsoid_gap(t_hi) < 0.0:
+            break
+        t_hi *= 2.0
+    t_lo = 0.0
+    for _ in range(200):
+        iterations += 1
+        mid = 0.5 * (t_lo + t_hi)
+        if ellipsoid_gap(mid) > 0.0:
+            t_lo = mid
+        else:
+            t_hi = mid
+        if t_hi - t_lo <= 1e-14 * max(t_hi, 1.0):
+            break
+    w = c / (1.0 + t_hi * lambdas)
+    theta = float(c @ w)
+    return w / np.linalg.norm(w), "c", t_hi * theta, iterations

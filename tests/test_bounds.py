@@ -60,6 +60,19 @@ class TestSpectralSnrBound:
         with pytest.raises(ValueError, match="connected"):
             spectral_snr_bound(eig_sym(laplacian(g)), 1.0)
 
+    def test_rejects_two_paths_whatever_the_rounding_of_lambda_2(self):
+        # eig_sym gives a disconnected graph a lambda_2 of about +-1e-16, on
+        # either side of zero; the test is relative to lambda_max
+        from graphscan import eig_sym, laplacian
+
+        for k in range(3, 40):
+            g = build_graph(2 * k, [(i, i + 1, 1.0) for i in range(2 * k - 1) if i != k - 1])
+            spec = eig_sym(laplacian(g))
+            with pytest.raises(ValueError, match="connected"):
+                spectral_snr_bound(spec, 1.0)
+            with pytest.raises(ValueError, match="connected"):
+                truncated_bound(spec, 1.0)
+
 
 class TestTruncatedBound:
     def test_p2_only_admissible_k(self):

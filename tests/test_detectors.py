@@ -17,6 +17,7 @@ from graphscan import (
     glr_unconstrained,
     graph_spectrum,
     replicate_rng,
+    scale_weights,
     sss,
     sss_stat,
 )
@@ -186,6 +187,14 @@ class TestGlrUnconstrained:
 class TestSssStat:
     def test_p2(self):
         assert sss_stat(p2(), np.array([1.0, -1.0]), 2.0) == pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6])
+    def test_connectivity_test_is_relative(self, scale):
+        # lambda_2 of the scaled tree is about 0.1 * scale: connected at any scale
+        g = gen_bbt(3)
+        y = np.random.default_rng(43).standard_normal(g.n)
+        expected = sss_stat(g, y, 0.5)
+        assert sss_stat(scale_weights(g, scale), y, 0.5 * scale) == pytest.approx(expected, rel=1e-12)
 
     def test_constant_is_zero(self):
         assert sss_stat(k3(), np.full(3, 1.0), 1.0) == 0.0

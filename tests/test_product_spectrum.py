@@ -18,6 +18,7 @@ from graphscan import (
     graph_spectrum,
     kronecker_product,
     laplacian,
+    scale_weights,
     sss,
     two_triangles,
 )
@@ -136,6 +137,22 @@ class TestNoDenseWork:
             seen.clear()
             assert graph_spectrum(g).n == g.n
             assert seen and max(seen) < g.n
+
+    def test_scaled_product_keeps_its_factors(self, monkeypatch):
+        g = gen_lattice(32, periodic=True)
+        scaled = scale_weights(g, 2.5)
+        assert scaled.eu.tobytes() == g.eu.tobytes() and scaled.ev.tobytes() == g.ev.tobytes()
+        assert scaled.w.tobytes() == (g.w * 2.5).tobytes()
+        assert scaled._factors == tuple(scale_weights(f, 2.5) for f in g._factors)
+        seen = []
+        monkeypatch.setattr(detectors, "laplacian", lambda g: seen.append(g.n) or laplacian(g))
+        detectors.graph_spectrum.cache_clear()
+        spec = graph_spectrum(scaled)
+        assert seen == [32]  # the one scaled side, shared by both axes
+        expected = 2.5 * graph_spectrum(g).eigenvalues
+        np.testing.assert_allclose(spec.eigenvalues, expected, rtol=0.0, atol=1e-12 * expected[-1])
+        nested = scale_weights(gen_kron_multiscale(two_triangles(), 3), 0.5)
+        assert len(nested._factors[0]._factors) == 2
 
     def test_edge_list_graph_stays_dense(self):
         g = gen_lattice(4, periodic=True)

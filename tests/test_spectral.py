@@ -3,18 +3,22 @@ import numpy as np
 import pytest
 
 from graphscan import (
+    Spectrum,
     build_graph,
     center,
     chi_max,
     eig_sym,
+    gen_bbt,
+    gen_kron_multiscale,
     gen_lattice,
     graph_spectrum,
     laplacian,
     sss,
+    two_triangles,
     write_spectrum_csv,
 )
-from graphscan.spectral import _dual_objective, _fix_signs, _reduced_coeffs
-from helpers import draw_rho, fix_signs_loop, random_connected_graph, sss_certificate
+from graphscan.spectral import _dual_objective, _fix_signs, _reduced_coeffs, _sss_values
+from helpers import draw_rho, fix_signs_loop, kkt_solve_loop, random_connected_graph, sss_certificate
 
 
 def p2_spectrum():
@@ -264,6 +268,113 @@ class TestSss:
             chord_minus_mid = 0.5 * (f[:-2] + f[2:]) - f[1:-1]
             tol = 1e-9 * (1.0 + np.abs(f).max())
             assert chord_minus_mid.min() >= -tol
+
+
+def reference_values(spec, y, rho):
+    """Values, cases and step counts of the ungrouped reference loop on the rows of ``y``."""
+    coeffs, lambdas = _reduced_coeffs(spec, y)
+    solved = [kkt_solve_loop(c, lambdas, rho) for c in coeffs]
+    values = np.array([float(c @ z) ** 2 for c, (z, *_) in zip(coeffs, solved)])
+    return values, [case for _, case, _, _ in solved], [steps for *_, steps in solved]
+
+
+class TestGroupedKernel:
+    """The solve on one term per distinct eigenvalue against the ungrouped reference loop."""
+
+    def test_groups_of_repeated_spectra(self):
+        for g, count in ((gen_bbt(7), 33), (gen_lattice(48, periodic=True), 290), (gen_lattice(16), 128)):
+            spec = graph_spectrum(g)
+            starts, means = spec.groups
+            assert starts.size == means.size == count
+            lambdas = spec.eigenvalues[1:]
+            sizes = np.diff(starts, append=lambdas.size)
+            spread = np.maximum.reduceat(lambdas, starts) - np.minimum.reduceat(lambdas, starts)
+            assert spread.max() <= 1e-14 * lambdas[-1]
+            assert np.diff(means).min() >= 1e-4 * lambdas[-1]
+            np.testing.assert_allclose(means, np.add.reduceat(lambdas, starts) / sizes, rtol=0.0, atol=0.0)
+            assert not starts.flags.writeable and not means.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_connected_graph(np.random.default_rng(5), max_n=40, min_n=30),
+            lambda: gen_bbt(5),
+            lambda: gen_lattice(8),
+            lambda: gen_lattice(8, periodic=True),
+            lambda: gen_kron_multiscale(two_triangles(), 2),
+        ],
+        ids=["random", "bbt5", "grid8", "torus8", "kron2"],
+    )
+    def test_matches_reference_loop(self, make):
+        g = make()
+        spec = graph_spectrum(g)
+        rng = np.random.default_rng(g.n)
+        y = rng.standard_normal((30, g.n))
+        y[:15, : g.n // 4] += 1.5
+        cases = set()
+        lam2, lam_n = spec.eigenvalues[1], spec.eigenvalues[-1]
+        for rho in lam2 * (lam_n / lam2) ** np.array([-0.5, 0.1, 0.3, 0.5, 1.0]):
+            expected, expected_cases, expected_steps = reference_values(spec, y, rho)
+            np.testing.assert_allclose(_sss_values(spec, y, rho), expected, rtol=1e-12, atol=0.0)
+            for row, case, steps in zip(y, expected_cases, expected_steps):
+                result = sss(spec, row, rho)
+                assert (result.case, result.iterations) == (case, steps)
+                feasible, primal, dual = sss_certificate(g, row, rho, result)
+                assert feasible
+                assert primal <= result.value * (1.0 + 1e-9)
+                assert dual >= result.value * (1.0 - 1e-9)
+                cases.add(case)
+        assert cases == {"a", "b", "c"}
+
+    def test_tie_free_spectrum_is_not_grouped(self):
+        g = random_connected_graph(np.random.default_rng(5), max_n=40, min_n=30)
+        spec = graph_spectrum(g)
+        starts, means = spec.groups
+        assert np.array_equal(starts, np.arange(g.n - 1))
+        assert np.array_equal(means, spec.eigenvalues[1:])
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_cluster_at_the_tolerance(self, inside):
+        # a run of three eigenvalues whose neighbours lie just inside (0.99x) or
+        # just outside (1.01x) the 1e-10 * lambda_max grouping tolerance
+        n, lam_max = 9, 6.0
+        step = (0.99 if inside else 1.01) * 1e-10 * lam_max
+        lambdas = np.array([0.0, 1.0, 2.0, 3.0, 3.0 + step, 3.0 + 2 * step, 4.0, 5.0, lam_max])
+        rng = np.random.default_rng(3)
+        basis, _ = np.linalg.qr(np.column_stack((np.ones(n), rng.standard_normal((n, n - 1)))))
+        spec = Spectrum(factors=((lambdas, basis),), eigenvalues=lambdas, order=np.arange(n))
+        starts, _ = spec.groups
+        assert starts.size == (6 if inside else 8)
+
+        lap = basis @ np.diag(lambdas) @ basis.T
+        for _ in range(20):
+            y = rng.standard_normal(n)
+            rho = draw_rho(rng, lambdas)
+            (expected,), _, _ = reference_values(spec, y[None], rho)
+            result = sss(spec, y, rho)
+            # the group mean moves each eigenvalue of the run by at most step,
+            # which moves the value by at most step / 3 relative
+            assert result.value == pytest.approx(expected, rel=(step / 3.0) if inside else 1e-12)
+            # and the ungrouped dual at nu* by at most nu* * step (Weyl)
+            assert abs(result.gap) <= (result.nu_star * step if inside else 0.0) + 1e-12 * result.value
+            x, yt = result.witness, center(y)
+            assert x @ x <= 1.0 + 1e-9 and abs(x.sum()) <= 1e-9 and x @ lap @ x <= rho * (1.0 + 1e-9)
+            assert float(x @ yt) ** 2 <= result.value * (1.0 + 1e-9)
+
+    def test_scale_equivariance_over_300_decades(self):
+        # the kernel scales the c_i**2 to sum 1, so theta**2 in case "c" stays
+        # near 1 whatever the scale of y
+        g = gen_lattice(12, periodic=True)
+        spec = graph_spectrum(g)
+        y = np.random.default_rng(2).standard_normal(g.n)
+        base = sss(spec, y, 1.0)
+        assert base.case == "c"
+        for k in range(-150, 151, 10):
+            scale = 10.0**k
+            result = sss(spec, scale * y, 1.0)
+            assert result.case == "c"
+            assert result.value == pytest.approx(scale**2 * base.value, rel=1e-14, abs=0.0)
+            assert result.nu_star == pytest.approx(scale**2 * base.nu_star, rel=1e-12, abs=0.0)
 
 
 class TestPrimalOracle:
