@@ -7,7 +7,7 @@ detection guarantees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,15 +42,20 @@ class BoundsReport:
     eta: float | None = None
 
 
+def _positive(name: str, value: float) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def spectral_snr_bound(spectrum: Spectrum, rho: float) -> float:
     """sqrt(sum over i >= 2 of min(1, rho / lambda_i)).
 
     The SNR must grow faster than this for the scan statistic to separate the
     hypotheses; it never exceeds sqrt(n - 1), with equality once rho >= lambda_n.
     """
-    rho = float(rho)
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    rho = _positive("rho", rho)
     lambdas = _connected_lambdas(spectrum)
     return math.sqrt(float(np.minimum(1.0, rho / lambdas).sum()))
 
@@ -62,22 +67,15 @@ def truncated_bound(spectrum: Spectrum, rho: float) -> tuple[float, int]:
     :func:`spectral_snr_bound` on the same inputs. Raises when no eigenvalue
     exceeds rho.
     """
-    rho = float(rho)
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    rho = _positive("rho", rho)
     lambdas = _connected_lambdas(spectrum)
-    n = spectrum.n
-    best: tuple[float, int] | None = None
-    for k in range(1, n):
-        lam_next = float(lambdas[k - 1])  # lambda_{k+1} in 1-based spectrum order
-        if lam_next <= rho:
-            continue
-        value = math.sqrt(k + (n - k) * rho / lam_next)
-        if best is None or value < best[0]:
-            best = (value, k)
-    if best is None:
+    admissible = lambdas > rho  # lambda_{k+1} > rho, for k = 1..n-1 in 1-based spectrum order
+    if not admissible.any():
         raise ValueError(f"no admissible k: largest eigenvalue {lambdas[-1]} <= rho={rho}")
-    return best
+    k = np.arange(1, spectrum.n)[admissible]
+    values = np.sqrt(k + (spectrum.n - k) * rho / lambdas[admissible])
+    best = int(values.argmin())  # the first minimum, so the smallest k on ties
+    return float(values[best]), int(k[best])
 
 
 def null_threshold(spectrum: Spectrum, rho: float, sigma: float, conf: float) -> float:
@@ -89,9 +87,7 @@ def null_threshold(spectrum: Spectrum, rho: float, sigma: float, conf: float) ->
     conf = float(conf)
     if not 0.0 < conf < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {conf}")
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = _positive("sigma", sigma)
     expectation = math.sqrt(2.0 * sigma**2) * spectral_snr_bound(spectrum, rho)
     deviation = math.sqrt(2.0 * sigma**2 * math.log(2.0 / conf))
     return (expectation + deviation) ** 2
@@ -114,13 +110,14 @@ def naive_bounds(n: int, max_cluster: int) -> tuple[float, float]:
 
 def noncentrality(delta: float, sigma: float, cluster_size: int, n: int) -> float:
     """Noncentrality (delta/sigma)^2 |C| (n - |C|) / n of the oracle likelihood ratio."""
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = _positive("sigma", sigma)
+    delta = float(delta)
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     cluster_size = int(cluster_size)
     if not 0 < cluster_size < n:
         raise ValueError(f"cluster size must be in 1..n-1, got {cluster_size}")
-    return (float(delta) / sigma) ** 2 * cluster_size * (n - cluster_size) / n
+    return (delta / sigma) ** 2 * cluster_size * (n - cluster_size) / n
 
 
 def bbt_lambda2_bound(depth: int) -> float:
@@ -141,6 +138,8 @@ def bounds_report(
 ) -> BoundsReport:
     """Assemble every bound for one instance; truncated entries are None when
     no eigenvalue exceeds rho."""
+    if eta is not None and not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
     n = spectrum.n
     if max_cluster is None:
         max_cluster = n // 2
@@ -172,16 +171,4 @@ def format_report(report: BoundsReport) -> str:
             return f"{value:.17g}"
         return str(value)
 
-    keys = (
-        "n",
-        "rho",
-        "spectral_sum_bound",
-        "truncated_bound",
-        "truncated_k",
-        "energy_bound",
-        "edge_bound",
-        "null_threshold",
-        "confidence",
-        "eta",
-    )
-    return "\n".join(f"{key} = {fmt(getattr(report, key))}" for key in keys) + "\n"
+    return "".join(f"{f.name} = {fmt(getattr(report, f.name))}\n" for f in fields(report))

@@ -16,7 +16,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import simulate
 from .detectors import DETECTOR_KINDS, RHO_KINDS, Detector, calibrate_threshold, graph_spectrum
-from .graphs import gen_bbt, gen_kron_multiscale, gen_lattice, read_edge_list, two_triangles, write_edge_list
+from .graphs import read_edge_list, two_triangles, write_edge_list
 from .spectral import write_spectrum_csv
 
 _CONFIG_HELP = f"""\
@@ -30,12 +30,22 @@ experiment config files are flat `key = value` lines with keys:
   cluster     `canonical` (default) or a comma list of vertex ids
 """
 
+# gen-graph writes the experiment families and, alone, their kron base
+_GEN_FAMILIES = {**simulate._FAMILIES, "two-k3": simulate._Family(two_triangles, None, {}, ())}
+# the gen-graph flag of each family key it does not spell the same way
+_FLAG_NAMES = {"p": "side"}
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _echo_config(**kwargs) -> None:
     pairs = " ".join(f"{key}={value}" for key, value in kwargs.items())
     print(f"config: {pairs}", file=sys.stderr)
+
+
+def _echo_args(args) -> None:
+    """Echo the parsed command line, subcommand first and then each option in parser order."""
+    _echo_config(**{key: value for key, value in vars(args).items() if key != "func"})
 
 
 def _read_signal(path, n: int) -> np.ndarray:
@@ -61,28 +71,18 @@ def _load_graph(path):
 
 
 def _cmd_gen_graph(args) -> int:
-    _echo_config(subcommand="gen-graph", family=args.family, depth=args.depth,
-                 side=args.side, periodic=args.periodic, levels=args.levels, out=args.out)
-    if args.family == "bbt":
-        if args.depth is None:
-            raise ValueError("--family bbt requires --depth")
-        g = gen_bbt(args.depth)
-    elif args.family == "lattice":
-        if args.side is None:
-            raise ValueError("--family lattice requires --side")
-        g = gen_lattice(args.side, periodic=args.periodic)
-    elif args.family == "kron":
-        if args.levels is None:
-            raise ValueError("--family kron requires --levels")
-        g = gen_kron_multiscale(two_triangles(), args.levels)
-    else:
-        g = two_triangles()
-    write_edge_list(g, args.out)
+    _echo_args(args)
+    family = _GEN_FAMILIES[args.family]
+    flags = {key: _FLAG_NAMES.get(key, key) for key in family.keys}
+    for key in family.required:
+        if getattr(args, flags[key]) is None:
+            raise ValueError(f"--family {args.family} requires --{flags[key]}")
+    write_edge_list(family.build(**{key: getattr(args, flag) for key, flag in flags.items()}), args.out)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    _echo_config(subcommand="spectrum", graph=args.graph, out=args.out, vectors=args.vectors)
+    _echo_args(args)
     g = _load_graph(args.graph)
     write_spectrum_csv(graph_spectrum(g), args.out, vectors_path=args.vectors)
     return 0
@@ -95,8 +95,7 @@ def _make_detector(stat: str, rho, require_connected: bool = False) -> Detector:
 
 
 def _cmd_scan(args) -> int:
-    _echo_config(subcommand="scan", graph=args.graph, signal=args.signal,
-                 stat=args.stat, rho=args.rho, require_connected=args.require_connected)
+    _echo_args(args)
     g = _load_graph(args.graph)
     y = _read_signal(args.signal, g.n)
     detector = _make_detector(args.stat, args.rho, args.require_connected)
@@ -105,8 +104,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _echo_config(subcommand="calibrate", graph=args.graph, stat=args.stat, rho=args.rho,
-                 sigma=args.sigma, alpha=args.alpha, reps=args.reps, seed=args.seed)
+    _echo_args(args)
     g = _load_graph(args.graph)
     detector = _make_detector(args.stat, args.rho)
     threshold = calibrate_threshold(detector, g, args.sigma, args.alpha, args.reps, args.seed)
@@ -151,9 +149,7 @@ def _write_roc_svg(curves: dict[str, simulate.RocCurve], path) -> None:
     )
     for i, (name, curve) in enumerate(curves.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = sorted((size, power) for _, size, power in curve.points)
-        pts = [(0.0, pts[0][1])] + pts + [(1.0, 1.0)]
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (px(s, p) for s, p in pts))
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (px(s, p) for s, p in simulate._closed_roc(curve)))
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = my + 18 + 16 * i
         parts.append(f'<line x1="{mx + 10}" y1="{ly - 4}" x2="{mx + 34}" y2="{ly - 4}" '
@@ -190,8 +186,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    _echo_config(subcommand="bounds", graph=args.graph, rho=args.rho, sigma=args.sigma,
-                 conf=args.conf, max_cluster=args.max_cluster, eta=args.eta)
+    _echo_args(args)
     g = _load_graph(args.graph)
     report = bounds_mod.bounds_report(
         graph_spectrum(g), args.rho, args.sigma, args.conf,
@@ -212,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen-graph", help="generate a graph and write its edge list")
-    p.add_argument("--family", required=True, choices=("bbt", "lattice", "kron", "two-k3"))
+    p.add_argument("--family", required=True, choices=tuple(_GEN_FAMILIES))
     p.add_argument("--depth", type=int, help="bbt depth")
     p.add_argument("--side", type=int, help="lattice side length")
     p.add_argument("--periodic", action="store_true", help="lattice wrap-around")

@@ -9,8 +9,9 @@ derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,11 +33,6 @@ __all__ = [
     "write_roc_csv",
     "parse_config_file",
 ]
-
-PRESET_NAMES = ("bbt-fig1", "lattice-fig1", "kron-fig1")
-
-_FAMILIES = ("bbt", "lattice", "kron")
-
 
 @dataclass(frozen=True)
 class SignalSpec:
@@ -93,6 +89,69 @@ def snr(spec: SignalSpec, sigma: float) -> float:
     return math.sqrt(k * (spec.n - k) / spec.n) * abs(spec.delta) / sigma
 
 
+def _bbt_cluster(g: Graph, params: dict) -> Cluster:
+    depth = int(params["depth"])
+    if depth < 2:
+        raise ValueError("bbt cluster requires depth >= 2")
+    if g.n != 2 ** (depth + 1) - 1:
+        raise ValueError(f"graph has n={g.n}, not a depth-{depth} balanced binary tree")
+    root = int(params.get("node", 3))
+    if not 3 <= root <= 6:
+        raise ValueError(f"depth-2 node id must be in 3..6, got {root}")
+    # the root's descendants d levels down are the 2**d ids from (root + 1) * 2**d - 1
+    levels = (range((root + 1) * 2**d - 1, (root + 2) * 2**d - 1) for d in range(depth - 1))
+    return Cluster(frozenset(v for level in levels for v in level))
+
+
+def _lattice_cluster(g: Graph, params: dict) -> Cluster:
+    p = int(params["p"])
+    if g.n != p * p:
+        raise ValueError(f"graph has n={g.n}, not a {p}x{p} lattice")
+    half = p // 2
+    return Cluster(frozenset(r * p + c for r in range(half) for c in range(half)))
+
+
+def _kron_cluster(g: Graph, params: dict) -> Cluster:
+    base_n = int(params.get("base_n", two_triangles().n))
+    levels = int(params["levels"])
+    if g.n != base_n**levels:
+        raise ValueError(f"graph has n={g.n}, not a {levels}-level product of a {base_n}-vertex base")
+    base_half = frozenset(params.get("base_half", range(base_n // 2)))
+    if not base_half or any(not 0 <= v < base_n for v in base_half):
+        raise ValueError("base_half must be a nonempty subset of the base vertices")
+    block = base_n ** (levels - 1)
+    return Cluster(frozenset(v for v in range(g.n) if v // block in base_half))
+
+
+class _Family(NamedTuple):
+    build: Callable[..., Graph]  # the graph, called with the keys below as keywords
+    cluster: Callable[[Graph, dict], Cluster]  # the canonical cluster
+    keys: dict  # config key -> its type, for every key the family reads
+    required: tuple[str, ...]
+
+
+# The graph families of the experiments, one row each. A builder calls its generator
+# by name, so a wrapper bound to that name (perfbench's tracer) sees each call.
+_FAMILIES = {
+    "bbt": _Family(lambda depth: gen_bbt(depth), _bbt_cluster, {"depth": int}, ("depth",)),
+    "lattice": _Family(lambda p, periodic=False: gen_lattice(p, periodic), _lattice_cluster,
+                       {"p": int, "periodic": bool}, ("p",)),
+    "kron": _Family(lambda levels: gen_kron_multiscale(two_triangles(), levels), _kron_cluster,
+                    {"levels": int}, ("levels",)),
+}
+
+
+def _family(name: str, params) -> _Family:
+    """The table row of a family, once ``params`` holds every key it requires."""
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}; expected one of {tuple(_FAMILIES)}")
+    family = _FAMILIES[name]
+    for key in family.required:
+        if key not in params:
+            raise ValueError(f"family {name!r} requires {key!r}")
+    return family
+
+
 def canonical_cluster(g: Graph, family: str, **params) -> Cluster:
     """The activated cluster used by the reference experiments for each family.
 
@@ -101,48 +160,11 @@ def canonical_cluster(g: Graph, family: str, **params) -> Cluster:
     lattice: the (p//2) x (p//2) square in the top-left corner; requires ``p``.
     kron:    all vertices whose coarsest-scale coordinate falls in a half of
              the base graph (``base_half``, default the first base_n//2
-             vertices); requires ``base_n`` and ``levels``.
+             vertices); requires ``levels`` (``base_n`` defaults to 6).
 
-    Raises if the graph size does not match the declared family parameters.
+    Raises on a missing required parameter or a graph of another size.
     """
-    if family == "bbt":
-        depth = int(params["depth"])
-        if depth < 2:
-            raise ValueError("bbt cluster requires depth >= 2")
-        if g.n != 2 ** (depth + 1) - 1:
-            raise ValueError(f"graph has n={g.n}, not a depth-{depth} balanced binary tree")
-        root = int(params.get("node", 3))
-        if not 3 <= root <= 6:
-            raise ValueError(f"depth-2 node id must be in 3..6, got {root}")
-        members = []
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            members.append(v)
-            for child in (2 * v + 1, 2 * v + 2):
-                if child < g.n:
-                    frontier.append(child)
-        return Cluster(frozenset(members))
-
-    if family == "lattice":
-        p = int(params["p"])
-        if g.n != p * p:
-            raise ValueError(f"graph has n={g.n}, not a {p}x{p} lattice")
-        half = p // 2
-        return Cluster(frozenset(r * p + c for r in range(half) for c in range(half)))
-
-    if family == "kron":
-        base_n = int(params["base_n"])
-        levels = int(params["levels"])
-        if g.n != base_n**levels:
-            raise ValueError(f"graph has n={g.n}, not a {levels}-level product of a {base_n}-vertex base")
-        base_half = frozenset(params.get("base_half", range(base_n // 2)))
-        if not base_half or any(not 0 <= v < base_n for v in base_half):
-            raise ValueError("base_half must be a nonempty subset of the base vertices")
-        block = base_n ** (levels - 1)
-        return Cluster(frozenset(v for v in range(g.n) if v // block in base_half))
-
-    raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+    return _family(family, params).cluster(g, params)
 
 
 @dataclass(frozen=True)
@@ -150,7 +172,8 @@ class ExperimentConfig:
     """Everything needed to reproduce one ROC experiment.
 
     ``params`` holds the family parameters (bbt: depth; lattice: p, periodic;
-    kron: levels, with the two-triangle base). ``cluster=None`` selects the
+    kron: levels, with the two-triangle base); a missing required parameter
+    or one the family does not read is refused. ``cluster=None`` selects the
     family's canonical cluster.
     """
 
@@ -167,8 +190,9 @@ class ExperimentConfig:
     cluster: frozenset | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        unknown = sorted(set(self.params) - set(_family(self.family, self.params).keys))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} for family {self.family!r}")
         if self.reps_null < 1 or self.reps_alt < 1:
             raise ValueError("replicate counts must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
@@ -214,21 +238,8 @@ class RocCurve:
 
 def build_experiment_graph(config: ExperimentConfig) -> Graph:
     """Instantiate the graph a config describes."""
-    params = config.params
-    if config.family == "bbt":
-        return gen_bbt(int(params["depth"]))
-    if config.family == "lattice":
-        return gen_lattice(int(params["p"]), periodic=bool(params.get("periodic", False)))
-    return gen_kron_multiscale(two_triangles(), int(params["levels"]))
-
-
-def _resolve_cluster(config: ExperimentConfig, g: Graph) -> Cluster:
-    if config.cluster is not None:
-        return Cluster(frozenset(config.cluster))
-    params = dict(config.params)
-    if config.family == "kron":
-        params.setdefault("base_n", two_triangles().n)
-    return canonical_cluster(g, config.family, **params)
+    family = _FAMILIES[config.family]
+    return family.build(**{key: family.keys[key](value) for key, value in config.params.items()})
 
 
 def run_roc(config: ExperimentConfig) -> dict[str, RocCurve]:
@@ -246,9 +257,10 @@ def run_roc(config: ExperimentConfig) -> dict[str, RocCurve]:
     if config.delta == 0.0:
         alt_spec = null_spec
     else:
-        alt_spec = SignalSpec(
-            n=g.n, mu=config.mu, delta=config.delta, cluster=_resolve_cluster(config, g)
-        )
+        cluster = config.cluster
+        if cluster is None:
+            cluster = canonical_cluster(g, config.family, **config.params).members
+        alt_spec = SignalSpec(n=g.n, mu=config.mu, delta=config.delta, cluster=Cluster(frozenset(cluster)))
 
     means = [null_spec.beta()] * config.reps_null + [alt_spec.beta()] * config.reps_alt
     stats = _replicate_statistics(detectors, g, means, config.sigma, config.seed)
@@ -272,45 +284,41 @@ def auc(curve: RocCurve) -> float:
     The curve is closed with (size 0, power at the largest threshold) on the
     left and (1, 1) on the right before integrating.
     """
-    pts = sorted((size, power) for _, size, power in curve.points)
-    left_power = min(power for size, power in pts if size == pts[0][0]) if pts else 1.0
-    xs = [0.0] + [size for size, _ in pts] + [1.0]
-    ys = [left_power] + [power for _, power in pts] + [1.0]
+    pts = _closed_roc(curve)
     area = 0.0
-    for i in range(len(xs) - 1):
-        area += 0.5 * (ys[i] + ys[i + 1]) * (xs[i + 1] - xs[i])
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        area += 0.5 * (y0 + y1) * (x1 - x0)
     return area
 
 
+def _closed_roc(curve: RocCurve) -> list[tuple[float, float]]:
+    """The sorted (size, power) pairs between (0, power at the top threshold) and (1, 1)."""
+    pts = sorted((size, power) for _, size, power in curve.points)
+    return [(0.0, pts[0][1] if pts else 1.0)] + pts + [(1.0, 1.0)]
+
+
+# The named presets reproducing the reference ROC comparisons: family, family
+# parameters and rho. Each puts the gap-to-noise ratio at 0.8 with 500 + 500
+# replicates on the family's canonical cluster, with seed 7.
+_PRESETS = {
+    "bbt-fig1": ("bbt", {"depth": 7}, 4.0 / 255),  # n = 255, rho = 4/n
+    "lattice-fig1": ("lattice", {"p": 16}, 4.0 / 16.0),  # 16x16 grid, rho = 4/sqrt(n)
+    "kron-fig1": ("kron", {"levels": 2}, 4.0 / 36),  # two-triangle base squared, rho = 4/n
+}
+_PRESET_SHARED = dict(delta=0.8, sigma=1.0, reps_null=500, reps_alt=500, seed=7)
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset_config(name: str, seed: int | None = None) -> ExperimentConfig:
-    """Named experiment presets reproducing the reference ROC comparisons.
-
-    All three put the gap-to-noise ratio at 0.8 with 500 + 500 replicates on
-    the family's canonical cluster:
-
-      bbt-fig1:     depth-7 balanced binary tree (n=255), rho = 4/n
-      lattice-fig1: 16x16 grid (n=256), rho = 4/sqrt(n)
-      kron-fig1:    2-level product of the two-triangle base (n=36), rho = 4/n
-    """
-    if name == "bbt-fig1":
-        n = 255
-        config = ExperimentConfig(
-            family="bbt", params={"depth": 7}, delta=0.8, sigma=1.0, rho=4.0 / n, seed=7
-        )
-    elif name == "lattice-fig1":
-        config = ExperimentConfig(
-            family="lattice", params={"p": 16}, delta=0.8, sigma=1.0, rho=4.0 / 16.0, seed=7
-        )
-    elif name == "kron-fig1":
-        n = 36
-        config = ExperimentConfig(
-            family="kron", params={"levels": 2}, delta=0.8, sigma=1.0, rho=4.0 / n, seed=7
-        )
-    else:
+    """The experiment named ``name`` (see :data:`PRESET_NAMES`), optionally with another seed."""
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    family, params, rho = _PRESETS[name]
+    config = dict(_PRESET_SHARED, family=family, params=dict(params), rho=rho)
     if seed is not None:
-        config = replace(config, seed=int(seed))
-    return config
+        config["seed"] = int(seed)
+    return ExperimentConfig(**config)
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
@@ -327,9 +335,10 @@ def _parse_detectors(raw: str) -> tuple[str, ...]:
 def parse_config_file(path) -> ExperimentConfig:
     """Read a flat ``key = value`` experiment description.
 
-    Recognized keys: family (bbt|lattice|kron), depth, p, periodic, levels,
-    mu, delta, sigma, rho, reps_null, reps_alt, seed, detectors (comma list),
-    cluster (``canonical`` or a comma list of vertex ids).
+    Recognized keys: family (bbt|lattice|kron), the family's parameters
+    (bbt: depth; lattice: p, periodic; kron: levels), mu, delta, sigma, rho,
+    reps_null, reps_alt, seed, detectors (comma list), cluster (``canonical``
+    or a comma list of vertex ids). A key another family reads is unknown.
     """
     entries: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -346,11 +355,10 @@ def parse_config_file(path) -> ExperimentConfig:
     except KeyError:
         raise ValueError(f"{path}: missing required key 'family'") from None
     params: dict = {}
-    for key, cast in (("depth", int), ("p", int), ("levels", int)):
+    for key, kind in _family(family, entries).keys.items():
         if key in entries:
-            params[key] = cast(entries.pop(key))
-    if "periodic" in entries:
-        params["periodic"] = entries.pop("periodic").lower() in ("1", "true", "yes")
+            raw = entries.pop(key)
+            params[key] = raw.lower() in ("1", "true", "yes") if kind is bool else kind(raw)
 
     cluster = None
     raw_cluster = entries.pop("cluster", "canonical")

@@ -16,7 +16,9 @@ tree). The same case gives the dual multiplier nu*, and the dual objective,
 the largest eigenvalue of the rank-one-plus-diagonal matrix
 c c' - nu* diag(lambda_2..lambda_n) (clamped at zero) plus nu* * rho, evaluated
 on the ungrouped terms, certifies the value from above: the reported gap is
-the difference between the two.
+the difference between the two. Each observation's coefficients are scaled
+by a power of two before squaring, so neither the solve nor the certificate
+overflows or underflows at extreme scales of y.
 """
 from __future__ import annotations
 
@@ -168,11 +170,13 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 def eig_sym(m: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix, deterministic per input.
 
-    Raises if the input is not symmetric to within 1e-12 relative.
+    Raises if the input is not finite or not symmetric to within 1e-12 relative.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN or infinite values")
     scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - m.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
@@ -196,11 +200,11 @@ def center(y: np.ndarray) -> np.ndarray:
 def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
     """Largest eigenvalue of c c' - nu * diag(lambdas) via the secular equation.
 
-    ``lambdas`` must be strictly positive and ascending; ``nu`` must be
-    nonnegative. Components with |c_i| <= 1e-14 * ||c|| are deflated: they
-    contribute plain diagonal eigenvalues -nu * lambda_i. On the remaining
-    active part, the largest eigenvalue is the unique root above
-    -nu * min(active lambdas) of
+    ``c`` must be finite, ``lambdas`` finite, strictly positive and
+    ascending, and ``nu`` finite and nonnegative. Components with
+    |c_i| <= 1e-14 * ||c|| are deflated: they contribute plain diagonal
+    eigenvalues -nu * lambda_i. On the remaining active part, the largest
+    eigenvalue is the unique root above -nu * min(active lambdas) of
 
         sum_i c_i**2 / (theta + nu * lambda_i) = 1,
 
@@ -213,13 +217,17 @@ def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
         raise ValueError("c and lambdas must be vectors of equal length")
     if lambdas.size == 0:
         raise ValueError("need at least one eigenvalue")
+    if not np.isfinite(c).all():
+        raise ValueError("c contains NaN or infinite values")
+    if not np.isfinite(lambdas).all():
+        raise ValueError("lambdas contain NaN or infinite values")
     if np.any(lambdas <= 0.0):
         raise ValueError("lambdas must be strictly positive")
     if np.any(np.diff(lambdas) < 0.0):
         raise ValueError("lambdas must be ascending")
     nu = float(nu)
-    if nu < 0.0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
+    if not (math.isfinite(nu) and nu >= 0.0):
+        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
 
     norm_c = float(np.linalg.norm(c))
     active = np.abs(c) > 1e-14 * norm_c
@@ -353,19 +361,37 @@ def _grouped_kkt(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[float,
     return value * total, "c", t_hi * theta * total, t_hi, iterations
 
 
-def _solve_block(spectrum: Spectrum, y: np.ndarray, rho: float) -> tuple[np.ndarray, list]:
-    """Coefficients of each row of ``y`` and its :func:`_grouped_kkt` result; ``rho`` is taken as checked."""
+def _solve_block(spectrum: Spectrum, y: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """Coefficients of each row of ``y`` scaled by 2**-e, e, and their :func:`_grouped_kkt` result.
+
+    e brings the row's largest |c_i| into [0.5, 1), so the squares neither
+    overflow nor underflow; a power of two scales exactly, so a value in
+    range keeps every bit once :func:`_unscale` multiplies it by 2**(2e).
+    ``rho`` is taken as checked.
+    """
     coeffs, lambdas = _reduced_coeffs(spectrum, y)
+    exps = np.frexp(np.abs(coeffs).max(axis=1))[1]
+    np.ldexp(coeffs, -exps[:, None], out=coeffs)
     starts, means = spectrum.groups
     sums = coeffs * coeffs
     if starts.size < lambdas.size:
         sums = np.add.reduceat(sums, starts, axis=1)
-    return coeffs, [_grouped_kkt(row, means, rho) for row in sums]
+    return coeffs, exps, [_grouped_kkt(row, means, rho) for row in sums]
+
+
+def _unscale(scaled, exps):
+    """``scaled * 2**(2 * exps)``; raises if that overflows."""
+    with np.errstate(over="ignore"):
+        values = np.ldexp(scaled, 2 * exps)
+    if not np.isfinite(values).all():
+        raise ValueError("the scan statistic overflows: the observation is too large in scale")
+    return values
 
 
 def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
     """Values of the statistic for the rows of an (R, n) block; ``rho`` is taken as checked."""
-    return np.array([solved[0] for solved in _solve_block(spectrum, y, rho)[1]])
+    _, exps, solved = _solve_block(spectrum, y, rho)
+    return _unscale(np.array([row[0] for row in solved]), exps)
 
 
 def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
@@ -379,31 +405,32 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     onto the ellipsoid ("b") or c/(1 + t*lambda) normalized ("c"). The dual
     objective max(0, chi_max(c, lambdas, nu*)) + nu*rho is evaluated once, on
     the ungrouped terms; by weak duality it bounds the statistic from above,
-    and ``gap`` reports the difference, so it also checks the grouping. A
-    constant observation yields 0 in case "a" with a zero gap.
+    and ``gap`` reports the difference, so it also checks the grouping. All
+    of this runs on c scaled exactly by a power of two to a largest entry in
+    [0.5, 1), so it holds for observations from about 1e-153 to 1e153 in
+    scale; a value that overflows is refused. A constant observation yields
+    0 in case "a" with a zero gap.
     """
     rho = float(rho)
     if not (math.isfinite(rho) and rho > 0.0):
         raise ValueError(f"rho must be positive and finite, got {rho}")
     # a one-row block, so that _sss_values on the same row gives the same bits
     y = np.asarray(y, dtype=float)[None]
-    (c,), ((value, case, nu_star, t, iterations),) = _solve_block(spectrum, y, rho)
+    (c,), (e,), ((value, case, nu_star, t, iterations),) = _solve_block(spectrum, y, rho)
     lambdas = spectrum.eigenvalues[1:]
-    # z does not depend on the scale of c; rescaling c to a largest entry of 1
-    # keeps its squares finite
-    largest = float(np.abs(c).max())
-    if largest == 0.0:
+    # c is scaled to a largest entry in [0.5, 1), and z does not depend on its scale
+    if not c.any():
         z = c
     elif case == "a":
-        z = c / largest
-        z /= np.linalg.norm(z)
+        z = c / np.linalg.norm(c)
     elif case == "b":
-        z = c / (largest * lambdas)
+        z = c / lambdas
         z *= math.sqrt(rho / float(z @ (lambdas * z)))
     else:
-        z = c / (largest * (1.0 + t * lambdas))
+        z = c / (1.0 + t * lambdas)
         z /= np.linalg.norm(z)
     gap = _dual_objective(c, lambdas, nu_star, rho) - value
+    value, nu_star, gap = (float(x) for x in _unscale(np.array([value, nu_star, gap]), e))
 
     witness = spectrum.expand(z)
     nz = np.nonzero(np.abs(witness) > 1e-14 * max(1.0, float(np.abs(witness).max())))[0]

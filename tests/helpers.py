@@ -172,6 +172,24 @@ def fix_signs_loop(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def truncated_bound_loop(lambdas: np.ndarray, rho: float) -> tuple[float, int] | None:
+    """min over k with lambda_{k+1} > rho of sqrt(k + (n-k) rho / lambda_{k+1}), one k at a time.
+
+    ``lambdas`` are lambda_2..lambda_n. Returns the bound and the smallest
+    minimizing k, or None when no eigenvalue exceeds rho.
+    """
+    n = lambdas.size + 1
+    best = None
+    for k in range(1, n):
+        lam_next = float(lambdas[k - 1])
+        if lam_next <= rho:
+            continue
+        value = math.sqrt(k + (n - k) * rho / lam_next)
+        if best is None or value < best[0]:
+            best = (value, k)
+    return best
+
+
 def kkt_solve_loop(c: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.ndarray, str, float, int]:
     """The KKT solve on ungrouped coefficients, one term per eigenvector.
 

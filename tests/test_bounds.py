@@ -8,16 +8,20 @@ from graphscan import (
     bbt_lambda2_bound,
     bounds_report,
     build_graph,
+    chi_max,
     gen_bbt,
+    gen_kron_multiscale,
+    gen_lattice,
     graph_spectrum,
     naive_bounds,
     noncentrality,
     null_threshold,
     spectral_snr_bound,
     truncated_bound,
+    two_triangles,
 )
 from graphscan.bounds import format_report
-from helpers import draw_rho, random_connected_graph
+from helpers import draw_rho, random_connected_graph, truncated_bound_loop
 
 
 def p2_spectrum():
@@ -191,3 +195,66 @@ class TestBoundsReport:
         report = bounds_report(k3_spectrum(), rho=4.0, sigma=1.0, conf=0.1)
         assert report.truncated_bound is None
         assert "truncated_bound = none" in format_report(report)
+
+
+class TestTruncatedBoundArray:
+    def test_matches_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        graphs = [gen_bbt(7), gen_lattice(16), gen_kron_multiscale(two_triangles(), 2)]
+        graphs += [random_connected_graph(rng) for _ in range(10)]
+        for g in graphs:
+            spec = graph_spectrum(g)
+            lam_max = spec.eigenvalues[-1]
+            rhos = [draw_rho(rng, spec.eigenvalues) for _ in range(5)] + [lam_max, 2.0 * lam_max]
+            rhos += list(spec.eigenvalues[1:4])  # rho equal to an eigenvalue, which is inadmissible
+            for rho in rhos:
+                expected = truncated_bound_loop(spec.eigenvalues[1:], rho)
+                if expected is None:
+                    with pytest.raises(ValueError, match="admissible"):
+                        truncated_bound(spec, rho)
+                else:
+                    value, k = truncated_bound(spec, rho)
+                    assert (value, k) == expected
+                    assert type(value) is float and type(k) is int
+
+
+class TestOutOfRangeParameters:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: naive_bounds(1, 1), "n must be >= 2"),
+            (lambda: bbt_lambda2_bound(0), "depth must be >= 1"),
+            (lambda: noncentrality(1.0, 1.0, 0, 10), "cluster size"),
+        ],
+        ids=["naive_n1", "bbt_depth0", "noncentrality_size0"],
+    )
+    def test_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("rho", lambda bad: spectral_snr_bound(k3_spectrum(), bad)),
+            ("rho", lambda bad: truncated_bound(k3_spectrum(), bad)),
+            ("rho", lambda bad: null_threshold(k3_spectrum(), bad, 1.0, 0.1)),
+            ("rho", lambda bad: bounds_report(k3_spectrum(), bad, 1.0, 0.1)),
+            ("sigma", lambda bad: null_threshold(k3_spectrum(), 1.0, bad, 0.1)),
+            ("sigma", lambda bad: bounds_report(k3_spectrum(), 1.0, bad, 0.1)),
+            ("eta", lambda bad: bounds_report(k3_spectrum(), 1.0, 1.0, 0.1, eta=bad)),
+            ("sigma", lambda bad: noncentrality(1.0, bad, 3, 10)),
+            ("delta", lambda bad: noncentrality(bad, 1.0, 3, 10)),
+            ("nu", lambda bad: chi_max(np.array([1.0, 2.0]), np.array([1.0, 2.0]), bad)),
+            ("c", lambda bad: chi_max(np.array([bad, 1.0]), np.array([1.0, 2.0]), 1.0)),
+            ("lambdas", lambda bad: chi_max(np.array([1.0, 1.0]), np.array([1.0, abs(bad)]), 1.0)),
+        ],
+        ids=[
+            "snr_rho", "truncated_rho", "threshold_rho", "report_rho", "threshold_sigma",
+            "report_sigma", "report_eta", "noncentrality_sigma", "noncentrality_delta", "chi_max_nu",
+            "chi_max_c", "chi_max_lambdas",
+        ],
+    )
+    def test_non_finite_refused_by_name(self, name, call, bad):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call(bad)

@@ -120,6 +120,18 @@ class TestScan:
         assert code == 1
         assert "sparsity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "No such file"), ("1.0\nheavy\n", "non-numeric entry")],
+        ids=["missing", "word"],
+    )
+    def test_unreadable_signal_is_domain_error(self, tmp_path, p2_file, capsys, content, message):
+        sig = tmp_path / "y.csv"
+        if content is not None:
+            sig.write_text(content)
+        assert run_cli("scan", "--graph", str(p2_file), "--signal", str(sig), "--stat", "energy") == 1
+        assert f"error: --signal {sig}: {message}" in capsys.readouterr().err
+
     def test_length_mismatch_names_the_file(self, tmp_path, p2_file, capsys):
         sig = tmp_path / "y.csv"
         write_signal(sig, [1.0, -1.0, 3.0])
@@ -196,6 +208,22 @@ class TestExperiment:
         assert code == 1
         assert "ghost.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("family = bbt\ndelta = 1.0\n", "error: family 'bbt' requires 'depth'"),
+            ("family = bbt\ndepth = 3\np = 16\n", "unknown keys ['p']"),
+        ],
+        ids=["missing_depth", "foreign_p"],
+    )
+    def test_bad_family_parameters_are_one_error_line(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        code = run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
 
 class TestHelp:
     def test_help_documents_config_format(self, capsys):
@@ -216,6 +244,23 @@ class TestBounds:
         entries = dict(line.split(" = ") for line in out.strip().splitlines())
         assert float(entries["null_threshold"]) == pytest.approx(14.9147, abs=5e-4)
         assert entries["n"] == "2"
+
+    @pytest.mark.parametrize("flag", ["--rho", "--sigma"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_parameter_is_domain_error(self, p2_file, capsys, flag, bad):
+        values = {"--rho": "2.0", "--sigma": "1.0", flag: bad}
+        argv = [arg for pair in values.items() for arg in pair]
+        code = run_cli("bounds", "--graph", str(p2_file), "--conf", "0.1", *argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"error: {flag[2:]} must be positive and finite, got {bad}" in captured.err
+
+    def test_echoes_every_option(self, p2_file, capsys):
+        run_cli("bounds", "--graph", str(p2_file), "--rho", "2.0", "--sigma", "1.0", "--conf", "0.1")
+        assert capsys.readouterr().err == (
+            f"config: subcommand=bounds graph={p2_file} rho=2.0 sigma=1.0 conf=0.1 "
+            "max_cluster=None eta=None\n"
+        )
 
     def test_round_trip_through_generated_file(self, tmp_path, capsys):
         graph_file = tmp_path / "bbt.tsv"

@@ -270,6 +270,12 @@ class TestObservationLength:
             det.statistics(gen_bbt(3), np.zeros((3, 4)))
 
     @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    @pytest.mark.parametrize("shape", [(15,), (1, 1, 15)])
+    def test_block_must_be_two_dimensional(self, kind, shape):
+        with pytest.raises(ValueError, match="expected a block of observation rows"):
+            Detector(kind, rho=1.0).statistics(gen_bbt(3), np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
     def test_every_kind_rejects_a_one_vertex_graph(self, kind):
         with pytest.raises(ValueError, match="two vertices"):
             Detector(kind, rho=1.0).statistic(build_graph(1, []), np.zeros(1))

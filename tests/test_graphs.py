@@ -410,6 +410,13 @@ class TestEdgeListFile:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: vertex count must be positive"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("header", ["n=x", "n=2.5", "n="])
+    def test_rejects_non_integer_vertex_count(self, tmp_path, header):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"{header}\n0\t1\t1.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad vertex count"):
+            read_edge_list(path)
+
     def test_rejects_malformed_edge_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("n=2\n0 1 1.0\n")
@@ -498,3 +505,21 @@ class TestEdgeListGolden:
         path = tmp_path / "g.tsv"
         write_edge_list(make(), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestRefusedArguments:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: Graph(3, [0, 1], [1, 2], [1.0]), "equal length"),
+            (lambda: Cluster(frozenset({-1, 2})), "negative vertex id"),
+            (lambda: boundary_weight(gen_bbt(1), Cluster(frozenset({3}))), "outside the graph"),
+            (lambda: scale_weights(gen_bbt(2), 0.0), "scale factor must be positive"),
+            (lambda: scale_weights(gen_bbt(2), float("nan")), "scale factor must be positive"),
+            (lambda: gen_kron_multiscale(two_triangles(), 0), "levels must be >= 1"),
+        ],
+        ids=["ragged_arrays", "negative_member", "member_outside", "zero_scale", "nan_scale", "zero_levels"],
+    )
+    def test_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -44,6 +44,11 @@ class TestSignalSpec:
         with pytest.raises(ValueError, match="delta"):
             SignalSpec(n=3, mu=0.0, delta=0.0, cluster=Cluster(frozenset({0})))
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_needs_a_vertex(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            SignalSpec(n=n, mu=0.0, delta=0.0)
+
     def test_cluster_must_be_proper(self):
         with pytest.raises(ValueError, match="proper"):
             SignalSpec(n=2, mu=0.0, delta=1.0, cluster=Cluster(frozenset({0, 1})))
@@ -90,6 +95,40 @@ class TestSampleObservation:
         with pytest.raises(ValueError, match="sigma"):
             snr(SignalSpec(n=3, mu=0.0, delta=1.0, cluster=Cluster(frozenset({0}))), bad)
 
+    @pytest.mark.parametrize("index", [-1, -(2**70)])
+    def test_rejects_negative_replicate_index(self, index):
+        with pytest.raises(ValueError, match="replicate index must be nonnegative"):
+            replicate_rng(0, index)
+
+
+class TestFamilyParameters:
+    @pytest.mark.parametrize(
+        "family, params, match",
+        [
+            ("lattice", {}, "requires 'p'"),
+            ("bbt", {"periodic": True}, "requires 'depth'"),
+            ("kron", {"depth": 2}, "requires 'levels'"),
+            ("bbt", {"depth": 3, "p": 16}, r"unknown keys \['p'\]"),
+            ("lattice", {"p": 4, "levels": 2, "depth": 1}, r"unknown keys \['depth', 'levels'\]"),
+            ("ring", {"depth": 3}, "unknown family 'ring'"),
+        ],
+    )
+    def test_config_refuses_missing_and_foreign_keys(self, family, params, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(family=family, params=params)
+
+    @pytest.mark.parametrize("reps", [{"reps_null": 0}, {"reps_alt": 0}, {"reps_null": -1}])
+    def test_config_needs_replicates(self, reps):
+        with pytest.raises(ValueError, match="replicate counts"):
+            ExperimentConfig(family="bbt", params={"depth": 2}, **reps)
+
+    def test_every_family_builds_from_its_keys(self):
+        for family, params, n in (("bbt", {"depth": 3}, 15), ("lattice", {"p": 3, "periodic": True}, 9),
+                                  ("kron", {"levels": 2}, 36)):
+            g = build_experiment_graph(ExperimentConfig(family=family, params=params, delta=0.0))
+            assert g.n == n
+            assert canonical_cluster(g, family, **params).size < n
+
 
 class TestCanonicalCluster:
     def test_bbt_depth_seven_subtree(self):
@@ -119,6 +158,38 @@ class TestCanonicalCluster:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             canonical_cluster(gen_bbt(2), "ring")
+
+    def test_kron_base_defaults_to_two_triangles(self):
+        g = gen_kron_multiscale(two_triangles(), 2)
+        assert canonical_cluster(g, "kron", levels=2) == canonical_cluster(g, "kron", base_n=6, levels=2)
+
+    @pytest.mark.parametrize(
+        "g, family, params, match",
+        [
+            (gen_bbt(3), "bbt", {}, "requires 'depth'"),
+            (gen_lattice(4), "lattice", {"periodic": False}, "requires 'p'"),
+            (gen_kron_multiscale(two_triangles(), 2), "kron", {"base_n": 6}, "requires 'levels'"),
+            (gen_bbt(1), "bbt", {"depth": 1}, "depth >= 2"),
+            (gen_lattice(4), "kron", {"levels": 2}, "not a 2-level product of a 6-vertex base"),
+            (gen_bbt(3), "bbt", {"depth": 3, "node": 7}, "3..6, got 7"),
+            (gen_bbt(3), "bbt", {"depth": 3, "node": 2}, "3..6, got 2"),
+            (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "base_half": ()}, "base_half"),
+            (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "base_half": (6,)}, "base_half"),
+        ],
+        ids=[
+            "no_depth", "no_p", "no_levels", "depth1", "kron_size", "node7", "node2", "empty_half", "half_outside",
+        ],
+    )
+    def test_bad_parameters_rejected(self, g, family, params, match):
+        with pytest.raises(ValueError, match=match):
+            canonical_cluster(g, family, **params)
+
+    @pytest.mark.parametrize("node", [3, 4, 5, 6])
+    def test_bbt_subtree_of_each_depth_two_node(self, node):
+        g = gen_bbt(5)
+        members = canonical_cluster(g, "bbt", depth=5, node=node).members
+        assert len(members) == 15 and induced_connected(g, members)
+        assert all(v == node or (v - 1) // 2 in members for v in members)
 
 
 class TestSnr:
@@ -178,6 +249,14 @@ class TestRocCurve:
         assert curve == RocCurve(points=np.array(triples))
         assert curve != RocCurve(points=((0.0, 1.0, 1.0), (0.5, 0.0, 0.5)))
 
+    @pytest.mark.parametrize("column, accessor", [(1, "sizes"), (2, "powers")])
+    def test_rate_accessors_return_writable_copies(self, column, accessor):
+        curve = RocCurve(points=((0.0, 1.0, 1.0), (0.5, 0.25, 0.75)))
+        rates = getattr(curve, accessor)()
+        np.testing.assert_array_equal(rates, curve.points[:, column])
+        rates[0] = -1.0
+        assert curve.points[0, column] == 1.0
+
 
 class TestRunRoc:
     def small_config(self, **overrides):
@@ -211,6 +290,16 @@ class TestRunRoc:
         for curve in curves.values():
             deviations = [abs(power - size) for _, size, power in curve.points]
             assert max(deviations) <= 0.05
+
+    def test_explicit_cluster(self):
+        config = self.small_config(params={"p": 4}, reps_null=40, reps_alt=40)
+        g = build_experiment_graph(config)
+        canonical = canonical_cluster(g, "lattice", p=4).members
+        assert run_roc(replace(config, cluster=canonical)) == run_roc(config)
+        # a vanishing signal on another cluster changes only the alternative draws
+        other = run_roc(replace(config, cluster=frozenset({15}), delta=1e-12))
+        assert not np.array_equal(other["energy"].powers(), run_roc(config)["energy"].powers())
+        np.testing.assert_array_equal(other["energy"].sizes(), run_roc(config)["energy"].sizes())
 
     def test_same_seed_byte_identical_csv(self, tmp_path):
         config = self.small_config()
@@ -347,6 +436,11 @@ class TestConfigFile:
         path.write_text("family = lattice\np = 3\ncluster = 0,1,3\ndelta = 1.0\n")
         assert parse_config_file(path).cluster == frozenset({0, 1, 3})
 
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("# a tree\n\nfamily = bbt\n   \n  # depth below\ndepth = 2\n")
+        assert parse_config_file(path) == ExperimentConfig(family="bbt", params={"depth": 2})
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("family = bbt\ndepth = 2\nwidth = 4\n")
@@ -364,3 +458,29 @@ class TestConfigFile:
         path.write_text("depth = 2\n")
         with pytest.raises(ValueError, match="family"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("family = bbt\ndepth 2\n", ":2: expected 'key = value'"),
+            ("family = bbt\ndelta = 0.5\n", "family 'bbt' requires 'depth'"),
+            ("family = kron\n", "family 'kron' requires 'levels'"),
+            ("family = bbt\ndepth = 3\np = 16\n", r"unknown keys \['p'\]"),
+            ("family = lattice\np = 4\nlevels = 2\n", r"unknown keys \['levels'\]"),
+            ("family = torus\np = 4\n", "unknown family 'torus'"),
+        ],
+        ids=["no_equals", "no_depth", "no_levels", "foreign_p", "foreign_levels", "unknown_family"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, match):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            parse_config_file(path)
+
+    def test_family_keys_of_each_family(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        for text, params in (("family = bbt\ndepth = 3\n", {"depth": 3}),
+                             ("family = lattice\np = 5\nperiodic = yes\n", {"p": 5, "periodic": True}),
+                             ("family = kron\nlevels = 2\n", {"levels": 2})):
+            path.write_text(text)
+            assert parse_config_file(path).params == params

@@ -89,8 +89,23 @@ class TestEigSym:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3)], ids=["wide", "vector"])
+    def test_rejects_non_square(self, m):
+        with pytest.raises(ValueError, match="square matrix"):
+            eig_sym(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            eig_sym(np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestCenter:
+    @pytest.mark.parametrize("y", [np.ones((2, 2)), np.array([])], ids=["matrix", "empty"])
+    def test_rejects_non_vectors(self, y):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            center(y)
+
     def test_already_centered(self):
         np.testing.assert_array_equal(center(np.array([1.0, -1.0])), [1.0, -1.0])
 
@@ -128,6 +143,19 @@ class TestChiMax:
     def test_rejects_unsorted_lambdas(self):
         with pytest.raises(ValueError, match="ascending"):
             chi_max(np.array([1.0, 1.0]), np.array([2.0, 1.0]), 1.0)
+
+    @pytest.mark.parametrize(
+        "c, lambdas, match",
+        [
+            ([1.0, 2.0], [1.0], "equal length"),
+            ([[1.0]], [[1.0]], "equal length"),
+            ([], [], "at least one eigenvalue"),
+        ],
+        ids=["ragged", "matrix", "empty"],
+    )
+    def test_rejects_bad_shapes(self, c, lambdas, match):
+        with pytest.raises(ValueError, match=match):
+            chi_max(np.array(c), np.array(lambdas), 1.0)
 
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(11)
@@ -194,6 +222,11 @@ class TestSss:
         spec = eig_sym(laplacian(g))
         with pytest.raises(ValueError, match="connected"):
             sss(spec, np.ones(4), 1.0)
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 3), (1, 2, 2)])
+    def test_rejects_wrong_observation_shape(self, shape):
+        with pytest.raises(ValueError, match="expected rows of length 2"):
+            sss(p2_spectrum(), np.ones(shape), 1.0)
 
     def test_witness_feasible_and_attaining(self):
         rng = np.random.default_rng(17)
@@ -375,6 +408,27 @@ class TestGroupedKernel:
             assert result.case == "c"
             assert result.value == pytest.approx(scale**2 * base.value, rel=1e-14, abs=0.0)
             assert result.nu_star == pytest.approx(scale**2 * base.nu_star, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e153, 1e-153])
+    def test_value_and_certificate_at_extreme_scales(self, scale):
+        # each row is scaled by a power of two before squaring, so the case
+        # and the certificate hold where c_i**2 alone would overflow or underflow
+        spec = graph_spectrum(gen_lattice(12, periodic=True))
+        y = np.random.default_rng(2).standard_normal(144)
+        base = sss(spec, y, 1.0)
+        result = sss(spec, scale * y, 1.0)
+        assert result.case == base.case == "c"
+        assert result.value == pytest.approx(scale**2 * base.value, rel=1e-14, abs=0.0)
+        assert abs(result.gap) <= 1e-12 * result.value
+        assert _sss_values(spec, scale * y[None], 1.0)[0] == result.value
+
+    def test_overflowing_value_is_refused(self):
+        spec = graph_spectrum(gen_lattice(12, periodic=True))
+        y = 1e154 * np.random.default_rng(2).standard_normal(144)
+        with pytest.raises(ValueError, match="overflows"):
+            sss(spec, y, 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            _sss_values(spec, y[None], 1.0)
 
 
 class TestPrimalOracle:
