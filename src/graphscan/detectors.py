@@ -45,11 +45,14 @@ def graph_spectrum(g: Graph) -> Spectrum:
     """Spectrum of the graph Laplacian, cached per (immutable) graph.
 
     A graph that records Cartesian factors (lattices, tori, Kronecker
-    products) gets the product of its factors' spectra, with no n x n matrix;
-    any other graph gets a dense eigendecomposition of its Laplacian.
+    products) gets the product of its factors' spectra, and a recorded
+    balanced binary tree the spectrum of its level blocks, with no n x n
+    matrix; any other graph gets a dense eigendecomposition of its Laplacian.
     """
     if g._factors:
         return Spectrum.product(graph_spectrum(f) for f in g._factors)
+    if g._depth:
+        return Spectrum.tree(g._depth)
     return eig_sym(laplacian(g))
 
 

@@ -8,8 +8,10 @@ equal hashes) when their contents are. Every function here is pure.
 :func:`gen_lattice` and :func:`kronecker_product` (hence
 :func:`gen_kron_multiscale`) also record the factors of the Cartesian product
 they build, whose Laplacian is L1 (x) I + I (x) L2, so that its spectrum can be
-computed factor by factor. The record is part of a graph's content: a graph
-read from an edge-list file has none and is never equal to a generated one.
+computed factor by factor, and :func:`gen_bbt` records the depth of the
+balanced binary tree it builds, whose spectrum splits into small blocks. A
+record is part of a graph's content: a graph read from an edge-list file has
+none and is never equal to a generated one.
 """
 from __future__ import annotations
 
@@ -66,7 +68,7 @@ class Graph:
     either orientation and weights that are not finite and positive, naming
     the first offending edge, and stores read-only copies of the arrays.
     Graphs with equal n and arrays, edge order included, and equal factor
-    records are equal; the hash of that content is computed once.
+    and tree records are equal; the hash of that content is computed once.
     """
 
     n: int
@@ -76,6 +78,9 @@ class Graph:
     # the Cartesian factors a generator recorded, in vertex-numbering order;
     # set only through _with_factors, and empty for a graph built from edges
     _factors = ()
+    # the depth gen_bbt built the graph with; set only there, and 0 for any
+    # other graph
+    _depth = 0
 
     def __post_init__(self) -> None:
         n = int(self.n)
@@ -110,7 +115,7 @@ class Graph:
 
     @cached_property
     def _digest(self) -> int:
-        return hash((self.n, self.eu.tobytes(), self.ev.tobytes(), self.w.tobytes(), self._factors))
+        return hash((self.n, self.eu.tobytes(), self.ev.tobytes(), self.w.tobytes(), self._factors, self._depth))
 
     def __hash__(self) -> int:
         return self._digest
@@ -121,12 +126,13 @@ class Graph:
             and self.n == other.n
             and all(map(np.array_equal, (self.eu, self.ev, self.w), (other.eu, other.ev, other.w)))
             and self._factors == other._factors
+            and self._depth == other._depth
         )
 
     def __reduce__(self):
         # unpickling rebuilds through __post_init__, so the arrays come back as
         # validated read-only copies and the digest is recomputed
-        return _rebuild, (self.n, self.eu, self.ev, self.w, self._factors)
+        return _rebuild, (self.n, self.eu, self.ev, self.w, self._factors, self._depth)
 
     @cached_property
     def _connected(self) -> bool:
@@ -159,9 +165,17 @@ def _with_factors(g: Graph, factors) -> Graph:
     return g
 
 
-def _rebuild(n, eu, ev, w, factors) -> Graph:
+def _rebuild(n, eu, ev, w, factors, depth=0) -> Graph:
     g = Graph(n, eu, ev, w)
-    return _with_factors(g, factors) if factors else g
+    if factors:
+        return _with_factors(g, factors)
+    if depth:
+        # a tree record comes back from its generator, whose arrays g must have
+        tree = gen_bbt(depth)
+        if Graph(tree.n, tree.eu, tree.ev, tree.w) != g:
+            raise ValueError(f"graph is not the unit-weight balanced binary tree of depth {depth}")
+        return tree
+    return g
 
 
 @dataclass(frozen=True)
@@ -245,14 +259,16 @@ def gen_bbt(depth: int) -> Graph:
     """Balanced binary tree of the given depth with unit weights.
 
     Vertices are numbered in level order with the root at 0, so the children
-    of v are 2v+1 and 2v+2; n = 2**(depth+1) - 1.
+    of v are 2v+1 and 2v+2; n = 2**(depth+1) - 1. The result records its depth.
     """
     depth = int(depth)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     n = 2 ** (depth + 1) - 1
     child = np.arange(1, n)
-    return Graph(n, (child - 1) // 2, child, np.ones(n - 1))
+    g = Graph(n, (child - 1) // 2, child, np.ones(n - 1))
+    object.__setattr__(g, "_depth", depth)  # before anything hashes g
+    return g
 
 
 def gen_lattice(p: int, periodic: bool = False) -> Graph:
@@ -309,7 +325,8 @@ def scale_weights(g: Graph, factor: float) -> Graph:
     """Multiply every edge weight by a positive scalar.
 
     A recorded product stays one: the Laplacian a*(L1 (x) I + I (x) L2) is
-    (a*L1) (x) I + I (x) (a*L2), so the result records each factor scaled.
+    (a*L1) (x) I + I (x) (a*L2), so the result records each factor scaled. A
+    recorded tree does not: the record is of unit weights.
     """
     factor = float(factor)
     if not (math.isfinite(factor) and factor > 0.0):

@@ -9,6 +9,7 @@ derivation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -172,9 +173,10 @@ class ExperimentConfig:
     """Everything needed to reproduce one ROC experiment.
 
     ``params`` holds the family parameters (bbt: depth; lattice: p, periodic;
-    kron: levels, with the two-triangle base); a missing required parameter
-    or one the family does not read is refused. ``cluster=None`` selects the
-    family's canonical cluster.
+    kron: levels, with the two-triangle base); a missing required parameter,
+    one the family does not read, and a value of another type (an int key
+    takes an integer that is not a bool, a bool key a bool) are refused.
+    ``cluster=None`` selects the family's canonical cluster.
     """
 
     family: str
@@ -190,9 +192,15 @@ class ExperimentConfig:
     cluster: frozenset | None = None
 
     def __post_init__(self) -> None:
-        unknown = sorted(set(self.params) - set(_family(self.family, self.params).keys))
+        keys = _family(self.family, self.params).keys
+        unknown = sorted(set(self.params) - set(keys))
         if unknown:
             raise ValueError(f"unknown keys {unknown} for family {self.family!r}")
+        for key, value in self.params.items():
+            # every key is an int or a bool, and a bool is also an integer
+            wants_bool = keys[key] is bool
+            if isinstance(value, bool) != wants_bool or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key!r} must be {'a bool' if wants_bool else 'an integer'}, got {value!r}")
         if self.reps_null < 1 or self.reps_alt < 1:
             raise ValueError("replicate counts must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
@@ -238,8 +246,7 @@ class RocCurve:
 
 def build_experiment_graph(config: ExperimentConfig) -> Graph:
     """Instantiate the graph a config describes."""
-    family = _FAMILIES[config.family]
-    return family.build(**{key: family.keys[key](value) for key, value in config.params.items()})
+    return _FAMILIES[config.family].build(**config.params)
 
 
 def run_roc(config: ExperimentConfig) -> dict[str, RocCurve]:

@@ -1,4 +1,13 @@
-"""Symmetric eigendecomposition and the spectral scan statistic.
+"""Laplacian spectra in three forms, and the spectral scan statistic.
+
+A :class:`Spectrum` holds the Laplacian eigenvalues in ascending order and
+projects vectors onto the eigenvectors (and expands them back), in one of
+three forms: dense (the n x n basis from :func:`eig_sym`), product (one
+spectrum per factor of a Cartesian product, applied axis by axis) and tree
+(a balanced binary tree of depth d, whose Laplacian splits in the level basis
+into a radial tridiagonal block of size d+1 and, for each level l < d, 2**l
+copies of a tridiagonal block of size d-l; the basis is applied by level sums
+in O(n) per vector). Only the dense form holds an n x n matrix.
 
 The scan statistic over a connected graph with Laplacian L is
 
@@ -18,7 +27,8 @@ c c' - nu* diag(lambda_2..lambda_n) (clamped at zero) plus nu* * rho, evaluated
 on the ungrouped terms, certifies the value from above: the reported gap is
 the difference between the two. Each observation's coefficients are scaled
 by a power of two before squaring, so neither the solve nor the certificate
-overflows or underflows at extreme scales of y.
+overflows or underflows at extreme scales of y; a value outside the range of
+normal doubles is refused.
 """
 from __future__ import annotations
 
@@ -31,6 +41,9 @@ import numpy as np
 
 __all__ = [
     "Spectrum",
+    "DenseSpectrum",
+    "ProductSpectrum",
+    "TreeSpectrum",
     "SssResult",
     "eig_sym",
     "center",
@@ -46,50 +59,47 @@ __all__ = [
 # marks a disconnected graph.
 _TIE_RTOL = 1e-10
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Laplacian eigenvalues in ascending order, with a basis kept in factored form.
+    """Laplacian eigenvalues in ascending order, and the coefficients of vectors on their eigenvectors.
 
-    A graph that is the Cartesian product of leaf factors with Laplacians
-    L1, ..., Lk (vertices numbered row-major over the factors) has the
-    eigenvalues lambda1[i1] + ... + lambdak[ik], each with the eigenvector
-    v1[:, i1] (x) ... (x) vk[:, ik]. ``factors`` holds each leaf's
-    (eigenvalues, eigenvectors) pair; ``eigenvalues`` lists the sums in
-    ascending order (a stable sort of the row-major outer sum), and
-    ``order[i]`` is the row-major index (i1, ..., ik) of ``eigenvalues[i]``.
-    A dense spectrum is the one-factor case, with ``order`` the identity.
-    Arrays are frozen so a cached Spectrum can be shared.
+    A spectrum takes one of three forms, which differ only in how they hold
+    the eigenbasis: :class:`DenseSpectrum` (an n x n matrix),
+    :class:`ProductSpectrum` (one spectrum per Cartesian factor) and
+    :class:`TreeSpectrum` (the small blocks of a balanced binary tree). Each
+    form numbers its eigenvectors in a raw order of its own, and supplies only
+    ``_along``, the transform of a (B, n, A) block along its middle axis from
+    vertex values to raw coefficients (or back, with ``inverse``);
+    ``order[i]`` is the raw index of ``eigenvalues[i]``, and the methods here
+    apply it. Arrays are frozen so a cached Spectrum can be shared.
     """
 
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
     eigenvalues: np.ndarray
     order: np.ndarray
 
     @classmethod
-    def product(cls, spectra) -> Spectrum:
+    def product(cls, spectra) -> ProductSpectrum:
         """The spectrum of the Cartesian product of graphs with these spectra, in order."""
-        factors = tuple(pair for spectrum in spectra for pair in spectrum.factors)
-        sums = reduce(lambda acc, values: (acc[:, None] + values).ravel(), (v for v, _ in factors))
+        factors = tuple(f for s in spectra for f in (s.factors if isinstance(s, ProductSpectrum) else (s,)))
+        sums = reduce(lambda acc, values: (acc[:, None] + values).ravel(), map(_raw_eigenvalues, factors))
         order = np.argsort(sums, kind="stable")
-        values = sums[order]
-        values.flags.writeable = order.flags.writeable = False
-        return cls(factors=factors, eigenvalues=values, order=order)
+        return ProductSpectrum(*_frozen(sums[order], order), factors=factors)
+
+    @classmethod
+    def tree(cls, depth: int) -> TreeSpectrum:
+        """The spectrum of ``gen_bbt(depth)``, from its d+1 tridiagonal blocks."""
+        radial_values, radial = _level_block([2.0] + [3.0] * (depth - 1) + [1.0], first=0)
+        blocks = [_level_block([3.0] * (m - 1) + [1.0], first=1) for m in range(1, depth + 1)]
+        # raw order: the radial block, then level by level from the root, node by node
+        raw = np.concatenate([radial_values] + [np.tile(blocks[depth - level - 1][0], 2**level)
+                                                for level in range(depth)])
+        order = np.argsort(raw, kind="stable")
+        return TreeSpectrum(*_frozen(raw[order], order), depth=depth, radial=radial,
+                            blocks=tuple(vectors for _, vectors in blocks))
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """The dense basis: column i is the unit eigenvector of ``eigenvalues[i]``.
-
-        Built on first use for a factored spectrum, at n*n floats.
-        """
-        if len(self.factors) == 1:
-            return self.factors[0][1]
-        vectors = reduce(np.kron, (v for _, v in self.factors))[:, self.order]
-        vectors.flags.writeable = False
-        return vectors
 
     @cached_property
     def groups(self) -> tuple[np.ndarray, np.ndarray]:
@@ -101,42 +111,165 @@ class Spectrum:
         lambdas = self.eigenvalues[1:]
         starts = np.flatnonzero(np.diff(lambdas, prepend=-np.inf) > _TIE_RTOL * self.eigenvalues[-1])
         means = np.add.reduceat(lambdas, starts) / np.diff(starts, append=lambdas.size)
-        starts.flags.writeable = means.flags.writeable = False
-        return starts, means
-
-    def _contract(self, rows: np.ndarray, transpose: bool) -> np.ndarray:
-        # entry (j1, ..., jk) of each row becomes sum over (i1, ..., ik) of
-        # entry (i1, ..., ik) times the product of M_a[i_a, j_a], one factor
-        # basis (or its transpose) M_a per axis, applied one axis at a time
-        before, after = len(rows), self.n
-        for _, vectors in self.factors:
-            m = vectors.T if transpose else vectors
-            size = m.shape[0]
-            after //= size
-            block = rows.reshape(before, size, after)
-            rows = block.reshape(-1, size) @ m if after == 1 else np.matmul(m.T, block)
-            before *= size
-        return rows.reshape(-1, self.n)
+        return _frozen(starts, means)
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of each row of ``y`` on eigenvectors 2..n, in eigenvalue order.
 
         Drops the coefficient on the first (constant, for a connected graph)
-        eigenvector. A factored spectrum applies each factor basis along its
-        axis, V1' Y V2 for two factors, rather than an n x n matrix.
+        eigenvector.
         """
-        if len(self.factors) == 1:
-            return y @ self.factors[0][1][:, 1:]
-        coeffs = self._contract(np.asarray(y, dtype=float).reshape(-1, self.n), transpose=False)
-        return coeffs[:, self.order[1:]].reshape(*np.shape(y)[:-1], self.n - 1)
+        y = np.asarray(y, dtype=float)
+        coeffs = self._along(y.reshape(-1, self.n, 1), inverse=False).reshape(-1, self.n)
+        return coeffs[:, self.order[1:]].reshape(*y.shape[:-1], self.n - 1)
 
     def expand(self, z: np.ndarray) -> np.ndarray:
         """The vector with coefficients ``z`` on eigenvectors 2..n; inverts :meth:`project`."""
-        if len(self.factors) == 1:
-            return self.factors[0][1][:, 1:] @ z
         coeffs = np.zeros(self.n)
         coeffs[self.order[1:]] = z
-        return self._contract(coeffs[None], transpose=True)[0]
+        return self._along(coeffs.reshape(1, self.n, 1), inverse=True).reshape(self.n)
+
+    def _along(self, block: np.ndarray, inverse: bool) -> np.ndarray:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True, eq=False)
+class DenseSpectrum(Spectrum):
+    """The form with an explicit basis: column i of ``eigenvectors`` belongs to ``eigenvalues[i]``.
+
+    Its raw order is the eigenvalue order, so ``order`` is the identity.
+    """
+
+    eigenvectors: np.ndarray
+
+    def _along(self, block, inverse):
+        m = self.eigenvectors.T if inverse else self.eigenvectors
+        if block.shape[2] == 1:
+            return (block.reshape(-1, m.shape[0]) @ m).reshape(block.shape)
+        return np.matmul(m.T, block)
+
+
+@dataclass(frozen=True, eq=False)
+class ProductSpectrum(Spectrum):
+    """The form of a Cartesian product, held as one dense or tree spectrum per factor.
+
+    A graph that is the Cartesian product of factors with Laplacians L1, ...,
+    Lk (vertices numbered row-major over the factors) has the eigenvalues
+    lambda1[i1] + ... + lambdak[ik], each with the eigenvector
+    v1[i1] (x) ... (x) vk[ik]. The raw index is the row-major index
+    (i1, ..., ik) over the factors' raw indices, and ``eigenvalues`` is the
+    stable sort of the row-major outer sum. A nested product is flattened
+    into its factors.
+    """
+
+    factors: tuple[Spectrum, ...]
+
+    def _along(self, block, inverse):
+        # entry (j1, ..., jk) becomes sum over (i1, ..., ik) of entry
+        # (i1, ..., ik) times the product of M_a[i_a, j_a], one factor basis
+        # M_a (or its transpose) per axis, applied one axis at a time
+        before, after, trailing = block.shape[0], self.n, block.shape[2]
+        for factor in self.factors:
+            after //= factor.n
+            block = factor._along(block.reshape(before, factor.n, after * trailing), inverse)
+            before *= factor.n
+        return block.reshape(-1, self.n, trailing)
+
+
+@dataclass(frozen=True, eq=False)
+class TreeSpectrum(Spectrum):
+    """The form of ``gen_bbt(depth)``, held as the blocks of its Laplacian in the level basis.
+
+    Level l holds the 2**l vertices at distance l from the root. The
+    functions constant on each level are spanned by the unit vectors
+    e_l = 1_{level l} / sqrt(2**l); on them the Laplacian is the radial block,
+    tridiagonal of size d+1 with diagonal (2, 3, ..., 3, 1). For each node u
+    at level l < d, the functions that are opposite on u's two child subtrees
+    and constant on each of their levels are spanned by the unit vectors
+    (1_{left, l+k} - 1_{right, l+k}) / sqrt(2**k), k = 1..d-l; on them the
+    Laplacian is the block T_{d-l}, tridiagonal of size d-l with diagonal
+    (3, ..., 3, 1). Every off-diagonal entry is -sqrt(2). The radial
+    eigenvectors (the constant vector first) and, for each level and each
+    node in turn, those of its block make up the raw order, d+1 + sum over l
+    of 2**l * (d-l) = n in all. ``radial`` and ``blocks[m-1]`` hold the
+    eigenvectors of the radial block and of T_m, their row for level l (or
+    offset k) scaled by 1/sqrt(2**l) (1/sqrt(2**k)): the value of the
+    eigenvector on each vertex of that level (of the left subtree; the right
+    subtree takes its negative).
+    """
+
+    depth: int
+    radial: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+
+    def _along(self, block, inverse):
+        b, n, a = block.shape
+        rows = block.transpose(0, 2, 1).reshape(-1, n)  # a view when a == 1
+        rows = self._from_coefficients(rows) if inverse else self._to_coefficients(rows)
+        return rows.reshape(b, a, n).transpose(0, 2, 1)
+
+    def _to_coefficients(self, y: np.ndarray) -> np.ndarray:
+        """Raw coefficients of each row of ``y``: one pass from the leaves up, O(n) per row."""
+        d, r = self.depth, len(y)
+        out = np.empty((r, self.n))
+        # sums[:, i, k]: the row summed over the vertices k levels below node
+        # i of the current level (k = 0 is node i itself)
+        sums = y[:, -(2**d) :, None]
+        end = self.n
+        for level in range(d - 1, -1, -1):
+            size, width = 2**level, d - level
+            left, right = sums[:, 0::2], sums[:, 1::2]
+            start = end - size * width
+            out[:, start:end] = ((left - right).reshape(-1, width) @ self.blocks[width - 1]).reshape(r, -1)
+            end = start
+            sums = np.empty((r, size, width + 1))
+            sums[:, :, 0] = y[:, size - 1 : 2 * size - 1]
+            np.add(left, right, out=sums[:, :, 1:])
+        out[:, :end] = sums[:, 0] @ self.radial
+        return out
+
+    def _from_coefficients(self, c: np.ndarray) -> np.ndarray:
+        """The vectors with raw coefficients ``c``: one pass from the root down, inverting the one up."""
+        d, r = self.depth, len(c)
+        out = np.empty((r, self.n))
+        # values[:, i, k]: what each vertex k levels below node i of the
+        # current level receives from the blocks above i (k = 0 is node i)
+        values = (c[:, : d + 1] @ self.radial.T)[:, None]
+        start = d + 1
+        for level in range(d):
+            size, width = 2**level, d - level
+            out[:, size - 1 : 2 * size - 1] = values[:, :, 0]
+            end = start + size * width
+            odd = (c[:, start:end].reshape(-1, width) @ self.blocks[width - 1].T).reshape(r, size, width)
+            start = end
+            values, inherited = np.empty((r, 2 * size, width)), values[:, :, 1:]
+            np.add(inherited, odd, out=values[:, 0::2])
+            np.subtract(inherited, odd, out=values[:, 1::2])
+        out[:, -(2**d) :] = values[:, :, 0]
+        return out
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _raw_eigenvalues(spectrum: Spectrum) -> np.ndarray:
+    """The eigenvalues in the spectrum's raw order."""
+    raw = np.empty(spectrum.n)
+    raw[spectrum.order] = spectrum.eigenvalues
+    return raw
+
+
+def _level_block(diagonal: list[float], first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the tridiagonal block with this diagonal and off-diagonal -sqrt(2).
+
+    Row j of the eigenvectors is scaled by 1/sqrt(2**(first + j)).
+    """
+    m = len(diagonal)
+    values, vectors = np.linalg.eigh(np.diag(diagonal) - math.sqrt(2.0) * (np.eye(m, k=1) + np.eye(m, k=-1)))
+    return values, vectors * 2.0 ** (-0.5 * np.arange(first, first + m))[:, None]
 
 
 @dataclass(frozen=True)
@@ -167,7 +300,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(big.any(axis=0) & (lead < 0.0), -1.0, 1.0)
 
 
-def eig_sym(m: np.ndarray) -> Spectrum:
+def eig_sym(m: np.ndarray) -> DenseSpectrum:
     """Full eigendecomposition of a symmetric matrix, deterministic per input.
 
     Raises if the input is not finite or not symmetric to within 1e-12 relative.
@@ -181,10 +314,8 @@ def eig_sym(m: np.ndarray) -> Spectrum:
     if float(np.abs(m - m.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     values, vectors = np.linalg.eigh(m)
-    vectors = _fix_signs(vectors)
-    order = np.arange(values.size)
-    values.flags.writeable = vectors.flags.writeable = order.flags.writeable = False
-    return Spectrum(factors=((values, vectors),), eigenvalues=values, order=order)
+    values, order, vectors = _frozen(values, np.arange(values.size), _fix_signs(vectors))
+    return DenseSpectrum(values, order, eigenvectors=vectors)
 
 
 def center(y: np.ndarray) -> np.ndarray:
@@ -380,11 +511,13 @@ def _solve_block(spectrum: Spectrum, y: np.ndarray, rho: float) -> tuple[np.ndar
 
 
 def _unscale(scaled, exps):
-    """``scaled * 2**(2 * exps)``; raises if that overflows."""
-    with np.errstate(over="ignore"):
+    """``scaled * 2**(2 * exps)``; raises if that overflows, or if a nonzero value leaves the normal range below."""
+    with np.errstate(over="ignore", under="ignore"):
         values = np.ldexp(scaled, 2 * exps)
     if not np.isfinite(values).all():
         raise ValueError("the scan statistic overflows: the observation is too large in scale")
+    if ((np.abs(values) < np.finfo(float).tiny) & (scaled != 0.0)).any():
+        raise ValueError("the scan statistic underflows: the observation is too small in scale")
     return values
 
 
@@ -408,8 +541,9 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     and ``gap`` reports the difference, so it also checks the grouping. All
     of this runs on c scaled exactly by a power of two to a largest entry in
     [0.5, 1), so it holds for observations from about 1e-153 to 1e153 in
-    scale; a value that overflows is refused. A constant observation yields
-    0 in case "a" with a zero gap.
+    scale; a value that overflows, or that underflows out of the normal
+    range, is refused. A constant observation yields 0 in case "a" with a
+    zero gap.
     """
     rho = float(rho)
     if not (math.isfinite(rho) and rho > 0.0):
@@ -429,23 +563,26 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     else:
         z = c / (1.0 + t * lambdas)
         z /= np.linalg.norm(z)
-    gap = _dual_objective(c, lambdas, nu_star, rho) - value
-    value, nu_star, gap = (float(x) for x in _unscale(np.array([value, nu_star, gap]), e))
+    dual = _dual_objective(c, lambdas, nu_star, rho)
+    value, nu_star, dual = (float(x) for x in _unscale(np.array([value, nu_star, dual]), e))
 
     witness = spectrum.expand(z)
     nz = np.nonzero(np.abs(witness) > 1e-14 * max(1.0, float(np.abs(witness).max())))[0]
     if nz.size and witness[nz[0]] < 0:
         witness = -witness
     return SssResult(
-        value=value, nu_star=nu_star, witness=witness, case=case, iterations=iterations, gap=gap
+        value=value, nu_star=nu_star, witness=witness, case=case, iterations=iterations, gap=dual - value
     )
 
 
 def write_spectrum_csv(spectrum: Spectrum, path, vectors_path=None) -> None:
     """Write eigenvalues one per line; optionally the basis in column-major order.
 
-    All values use 17 significant digits, enough to round-trip doubles.
+    All values use 17 significant digits, enough to round-trip doubles. Only
+    a dense spectrum holds a basis to write.
     """
+    if vectors_path is not None and not isinstance(spectrum, DenseSpectrum):
+        raise ValueError(f"only a dense spectrum holds an eigenvector basis, not a {type(spectrum).__name__}")
     Path(path).write_text(
         "".join(f"{v:.17g}\n" for v in spectrum.eigenvalues)
     )

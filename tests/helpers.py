@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from graphscan import Graph, SssResult, build_graph, center, laplacian
+from graphscan import Graph, Spectrum, SssResult, build_graph, center, laplacian
 
 
 def random_connected_graph(rng: np.random.Generator, max_n: int = 12, min_n: int = 2) -> Graph:
@@ -86,6 +86,18 @@ def glr_brute_force(
     if best is None:
         raise ValueError("empty feasible class")
     return best
+
+
+def dense_basis(spectrum: Spectrum) -> np.ndarray:
+    """The n x n basis of any form of spectrum: the constant vector, then column i the expansion of e_i.
+
+    Column i belongs to ``spectrum.eigenvalues[i]``; for a connected graph the
+    first column is the eigenvector of eigenvalue 0 up to sign.
+    """
+    n = spectrum.n
+    columns = [np.full(n, 1.0 / math.sqrt(n))]
+    columns += [spectrum.expand(unit) for unit in np.eye(n - 1)]
+    return np.column_stack(columns)
 
 
 def sss_certificate(g: Graph, y: np.ndarray, rho: float, result: SssResult) -> tuple[bool, float, float]:

@@ -117,6 +117,25 @@ class TestFamilyParameters:
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(family=family, params=params)
 
+    @pytest.mark.parametrize(
+        "family, params, match",
+        [
+            ("lattice", {"p": 4, "periodic": "false"}, "'periodic' must be a bool, got 'false'"),
+            ("lattice", {"p": 4, "periodic": 1}, "'periodic' must be a bool, got 1"),
+            ("lattice", {"p": 4.0}, "'p' must be an integer, got 4.0"),
+            ("bbt", {"depth": 2.7}, "'depth' must be an integer, got 2.7"),
+            ("bbt", {"depth": True}, "'depth' must be an integer, got True"),
+            ("kron", {"levels": "2"}, "'levels' must be an integer, got '2'"),
+        ],
+    )
+    def test_config_refuses_values_of_another_type(self, family, params, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(family=family, params=params)
+
+    def test_config_takes_numpy_integers(self):
+        config = ExperimentConfig(family="lattice", params={"p": np.int64(4), "periodic": False})
+        assert build_experiment_graph(config) == gen_lattice(4)
+
     @pytest.mark.parametrize("reps", [{"reps_null": 0}, {"reps_alt": 0}, {"reps_null": -1}])
     def test_config_needs_replicates(self, reps):
         with pytest.raises(ValueError, match="replicate counts"):

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from graphscan import (
-    Spectrum,
     build_graph,
     center,
     chi_max,
@@ -17,8 +16,8 @@ from graphscan import (
     two_triangles,
     write_spectrum_csv,
 )
-from graphscan.spectral import _dual_objective, _fix_signs, _reduced_coeffs, _sss_values
-from helpers import draw_rho, fix_signs_loop, kkt_solve_loop, random_connected_graph, sss_certificate
+from graphscan.spectral import DenseSpectrum, _dual_objective, _fix_signs, _reduced_coeffs, _sss_values
+from helpers import dense_basis, draw_rho, fix_signs_loop, kkt_solve_loop, random_connected_graph, sss_certificate
 
 
 def p2_spectrum():
@@ -260,7 +259,7 @@ class TestSss:
         if which == "random":
             y = np.random.default_rng(37).standard_normal(g.n)
         else:
-            y = spec.eigenvectors[:, 7]
+            y = dense_basis(spec)[:, 7]
         energy = float(center(y) @ center(y))
         for rho, case in ((0.5 * lam2, "b"), (2.0, None), (lam_n, "a"), (2.0 * lam_n, "a")):
             result = sss(spec, y, rho)
@@ -375,7 +374,7 @@ class TestGroupedKernel:
         lambdas = np.array([0.0, 1.0, 2.0, 3.0, 3.0 + step, 3.0 + 2 * step, 4.0, 5.0, lam_max])
         rng = np.random.default_rng(3)
         basis, _ = np.linalg.qr(np.column_stack((np.ones(n), rng.standard_normal((n, n - 1)))))
-        spec = Spectrum(factors=((lambdas, basis),), eigenvalues=lambdas, order=np.arange(n))
+        spec = DenseSpectrum(eigenvalues=lambdas, order=np.arange(n), eigenvectors=basis)
         starts, _ = spec.groups
         assert starts.size == (6 if inside else 8)
 
@@ -421,6 +420,20 @@ class TestGroupedKernel:
         assert result.value == pytest.approx(scale**2 * base.value, rel=1e-14, abs=0.0)
         assert abs(result.gap) <= 1e-12 * result.value
         assert _sss_values(spec, scale * y[None], 1.0)[0] == result.value
+
+    def test_underflowing_value_is_refused(self):
+        # 1e-154 keeps the value a normal double; at 1e-160 it would be
+        # subnormal and inexact, so it is refused as an overflow is
+        spec = graph_spectrum(gen_lattice(12, periodic=True))
+        y = np.random.default_rng(2).standard_normal(144)
+        base = sss(spec, y, 1.0).value
+        assert sss(spec, 1e-154 * y, 1.0).value == pytest.approx(1e-308 * base, rel=1e-14, abs=0.0)
+        with pytest.raises(ValueError, match="underflows"):
+            sss(spec, 1e-160 * y, 1.0)
+        with pytest.raises(ValueError, match="underflows"):
+            _sss_values(spec, 1e-160 * y[None], 1.0)
+        constant = sss(spec, np.full(144, 2.0**-530), 1.0)  # about 3e-160, centred exactly
+        assert constant.value == constant.nu_star == constant.gap == 0.0
 
     def test_overflowing_value_is_refused(self):
         spec = graph_spectrum(gen_lattice(12, periodic=True))
