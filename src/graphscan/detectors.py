@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .graphs import Graph, is_connected, laplacian
 from .rng import replicate_rng
-from .spectral import Spectrum, _sss_values, eig_sym
+from .spectral import Spectrum, _sss_order_statistic, _sss_values, eig_sym
 
 __all__ = [
     "DETECTOR_KINDS",
@@ -52,7 +53,7 @@ def graph_spectrum(g: Graph) -> Spectrum:
     if g._factors:
         return Spectrum.product(graph_spectrum(f) for f in g._factors)
     if g._depth:
-        return Spectrum.tree(g._depth)
+        return Spectrum.tree(g._depth, g._tree_weight)
     return eig_sym(laplacian(g))
 
 
@@ -187,7 +188,11 @@ class Detector:
         from one-row blocks in the last digits; energy, edge and
         glr_unconstrained give every row the same bits in any block.
         """
-        kernel, _, needs_connected = _KINDS[self.kind]
+        return _KINDS[self.kind][0](self, g, self._checked(g, y))
+
+    def _checked(self, g: Graph, y: np.ndarray) -> np.ndarray:
+        """``y`` as a float block, once it is fit for the statistic on ``g``; raises as :meth:`statistics` documents."""
+        needs_connected = _KINDS[self.kind][2]
         y = np.asarray(y, dtype=float)
         if y.ndim != 2:
             raise ValueError(f"expected a block of observation rows, got shape {y.shape}")
@@ -199,7 +204,7 @@ class Detector:
             raise ValueError("observation contains NaN or infinite values")
         if needs_connected and not is_connected(g):
             raise ValueError("graph must be connected")
-        return kernel(self, g, y)
+        return y
 
 
 def energy_stat(y: np.ndarray) -> float:
@@ -236,21 +241,28 @@ def sss_stat(g: Graph, y: np.ndarray, rho: float) -> float:
     return Detector("sss", rho=rho).statistic(g, y)
 
 
-def _replicate_statistics(detectors, g: Graph, means, sigma: float, seed: int) -> np.ndarray:
-    """Statistics of replicates 0..len(means)-1, one column per detector.
+def _replicate_blocks(g: Graph, means, sigma: float, seed: int):
+    """Blocks of replicates 0..len(means)-1: yields each block's first index and its (R, n) rows.
 
     Replicate r observes ``means[r] + sigma * eps`` with eps drawn from the
     stream keyed by (seed, r), whatever the grouping of replicates into blocks.
+    One buffer holds every block, so each must be used before the next.
     """
     rows = max(1, _BLOCK_ENTRIES // g.n)
     block = np.empty((min(rows, len(means)), g.n))
-    stats = np.empty((len(means), len(detectors)))
     for start in range(0, len(means), rows):
         y = block[: len(means) - start]
         for r, row in enumerate(y, start):
             replicate_rng(seed, r).standard_normal(out=row)
             row *= sigma
             row += means[r]
+        yield start, y
+
+
+def _replicate_statistics(detectors, g: Graph, means, sigma: float, seed: int) -> np.ndarray:
+    """Statistics of replicates 0..len(means)-1 (see :func:`_replicate_blocks`), one column per detector."""
+    stats = np.empty((len(means), len(detectors)))
+    for start, y in _replicate_blocks(g, means, sigma, seed):
         for j, detector in enumerate(detectors):
             stats[start : start + len(y), j] = detector.statistics(g, y)
     return stats
@@ -264,7 +276,10 @@ def calibrate_threshold(
     Simulates ``reps`` draws of pure noise (the statistics are invariant to the
     background level, so it is fixed at zero), and returns the order statistic
     with 1-based index ceil((1 - alpha) * reps). Replicate r draws from the
-    stream keyed by (seed, r).
+    stream keyed by (seed, r). For the SSS, a replicate's root-find runs only
+    as far as it takes to tell whether its value can be that order statistic
+    (see ``spectral._sss_order_statistic``), and the threshold is the one that
+    solving every replicate in full and sorting would give, bit for bit.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
@@ -272,6 +287,10 @@ def calibrate_threshold(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    stats = _replicate_statistics((detector,), g, [0.0] * reps, float(sigma), seed)
     index = math.ceil((1.0 - alpha) * reps)
+    if detector.kind == "sss":
+        checked = (detector._checked(g, y) for _, y in _replicate_blocks(g, [0.0] * reps, float(sigma), seed))
+        first = next(checked)  # the graph is checked before its spectrum is computed
+        return _sss_order_statistic(graph_spectrum(g), chain((first,), checked), detector.rho, index, reps)
+    stats = _replicate_statistics((detector,), g, [0.0] * reps, float(sigma), seed)
     return float(np.sort(stats[:, 0])[index - 1])

@@ -8,10 +8,11 @@ equal hashes) when their contents are. Every function here is pure.
 :func:`gen_lattice` and :func:`kronecker_product` (hence
 :func:`gen_kron_multiscale`) also record the factors of the Cartesian product
 they build, whose Laplacian is L1 (x) I + I (x) L2, so that its spectrum can be
-computed factor by factor, and :func:`gen_bbt` records the depth of the
-balanced binary tree it builds, whose spectrum splits into small blocks. A
-record is part of a graph's content: a graph read from an edge-list file has
-none and is never equal to a generated one.
+computed factor by factor, and :func:`gen_bbt` records the depth and the
+edge weight of the balanced binary tree it builds, whose spectrum splits into
+small blocks; :func:`scale_weights` keeps either record, scaled. A record is
+part of a graph's content: a graph read from an edge-list file has none and is
+never equal to a generated one.
 """
 from __future__ import annotations
 
@@ -78,9 +79,10 @@ class Graph:
     # the Cartesian factors a generator recorded, in vertex-numbering order;
     # set only through _with_factors, and empty for a graph built from edges
     _factors = ()
-    # the depth gen_bbt built the graph with; set only there, and 0 for any
-    # other graph
+    # the depth gen_bbt built the graph with, and the weight of every edge;
+    # set only there and by scale_weights, and (0, 1.0) for any other graph
     _depth = 0
+    _tree_weight = 1.0
 
     def __post_init__(self) -> None:
         n = int(self.n)
@@ -115,7 +117,10 @@ class Graph:
 
     @cached_property
     def _digest(self) -> int:
-        return hash((self.n, self.eu.tobytes(), self.ev.tobytes(), self.w.tobytes(), self._factors, self._depth))
+        return hash((
+            self.n, self.eu.tobytes(), self.ev.tobytes(), self.w.tobytes(),
+            self._factors, self._depth, self._tree_weight,
+        ))
 
     def __hash__(self) -> int:
         return self._digest
@@ -127,12 +132,13 @@ class Graph:
             and all(map(np.array_equal, (self.eu, self.ev, self.w), (other.eu, other.ev, other.w)))
             and self._factors == other._factors
             and self._depth == other._depth
+            and self._tree_weight == other._tree_weight
         )
 
     def __reduce__(self):
         # unpickling rebuilds through __post_init__, so the arrays come back as
         # validated read-only copies and the digest is recomputed
-        return _rebuild, (self.n, self.eu, self.ev, self.w, self._factors, self._depth)
+        return _rebuild, (self.n, self.eu, self.ev, self.w, self._factors, self._depth, self._tree_weight)
 
     @cached_property
     def _connected(self) -> bool:
@@ -165,15 +171,17 @@ def _with_factors(g: Graph, factors) -> Graph:
     return g
 
 
-def _rebuild(n, eu, ev, w, factors, depth=0) -> Graph:
+def _rebuild(n, eu, ev, w, factors, depth=0, tree_weight=1.0) -> Graph:
     g = Graph(n, eu, ev, w)
     if factors:
         return _with_factors(g, factors)
     if depth:
         # a tree record comes back from its generator, whose arrays g must have
-        tree = gen_bbt(depth)
+        tree = scale_weights(gen_bbt(depth), tree_weight)
         if Graph(tree.n, tree.eu, tree.ev, tree.w) != g:
-            raise ValueError(f"graph is not the unit-weight balanced binary tree of depth {depth}")
+            raise ValueError(
+                f"graph is not the unit-weight balanced binary tree of depth {depth} scaled by {tree_weight!r}"
+            )
         return tree
     return g
 
@@ -259,7 +267,8 @@ def gen_bbt(depth: int) -> Graph:
     """Balanced binary tree of the given depth with unit weights.
 
     Vertices are numbered in level order with the root at 0, so the children
-    of v are 2v+1 and 2v+2; n = 2**(depth+1) - 1. The result records its depth.
+    of v are 2v+1 and 2v+2; n = 2**(depth+1) - 1. The result records its
+    depth, and its edge weight 1.0.
     """
     depth = int(depth)
     if depth < 1:
@@ -326,13 +335,19 @@ def scale_weights(g: Graph, factor: float) -> Graph:
 
     A recorded product stays one: the Laplacian a*(L1 (x) I + I (x) L2) is
     (a*L1) (x) I + I (x) (a*L2), so the result records each factor scaled. A
-    recorded tree does not: the record is of unit weights.
+    recorded tree stays one too, with its recorded weight scaled as its edge
+    weights are.
     """
     factor = float(factor)
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"scale factor must be positive and finite, got {factor}")
     scaled = Graph(g.n, g.eu, g.ev, g.w * factor)
-    return _with_factors(scaled, (scale_weights(f, factor) for f in g._factors)) if g._factors else scaled
+    if g._factors:
+        return _with_factors(scaled, (scale_weights(f, factor) for f in g._factors))
+    if g._depth:  # before anything hashes scaled
+        object.__setattr__(scaled, "_depth", g._depth)
+        object.__setattr__(scaled, "_tree_weight", g._tree_weight * factor)
+    return scaled
 
 
 def gen_kron_multiscale(base: Graph, levels: int) -> Graph:

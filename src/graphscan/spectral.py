@@ -29,9 +29,19 @@ the difference between the two. Each observation's coefficients are scaled
 by a power of two before squaring, so neither the solve nor the certificate
 overflows or underflows at extreme scales of y; a value outside the range of
 normal doubles is refused.
+
+The root-find of the third case bisects a bracket [t_lo, t_hi] of the root t
+until it is within 1e-14 of t relative to t, and every bracket on the way
+bounds the value: the point at t_hi is feasible, so its value is a lower
+bound, and the point at t_lo is the maximizer at a larger rho, so its value is
+an upper bound. An order statistic of many observations' values, the Monte
+Carlo threshold, therefore needs only a coarse bracket for most of them; only
+the observations whose bounds may hold the selected rank are solved in full,
+and the result is the same bits as sorting the full solves.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -58,6 +68,21 @@ __all__ = [
 # 1e-4 * lambda_max apart. A lambda_2 equal in this sense to lambda_1 = 0
 # marks a disconnected graph.
 _TIE_RTOL = 1e-10
+
+# Case "c" bisects its root t until the bracket is this narrow relative to t.
+_ROOT_RTOL = 1e-14
+# The first pass of an order statistic narrows each root only this far, about
+# 7 bisection steps past the first lower bound rather than about 47; the value
+# bounds it leaves set all but one or two rows aside on the presets' graphs.
+_COARSE_RTOL = 1e-2
+# A value bound is widened by this fraction to cover the rounding of the sums
+# behind it (one term per distinct eigenvalue, a relative error far below
+# 1e-8 for any spectrum that fits in memory).
+_BOUND_RTOL = 1e-8
+# Group sums that the roots an order statistic keeps open may hold at once;
+# past it, the oldest open roots are solved in full and kept as their value.
+_OPEN_ENTRIES = 1 << 19
+
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -86,13 +111,17 @@ class Spectrum:
         return ProductSpectrum(*_frozen(sums[order], order), factors=factors)
 
     @classmethod
-    def tree(cls, depth: int) -> TreeSpectrum:
-        """The spectrum of ``gen_bbt(depth)``, from its d+1 tridiagonal blocks."""
+    def tree(cls, depth: int, weight: float = 1.0) -> TreeSpectrum:
+        """The spectrum of ``gen_bbt(depth)`` with every edge weight ``weight``, from its d+1 tridiagonal blocks.
+
+        The weight scales the eigenvalues and leaves the eigenvectors as they are.
+        """
         radial_values, radial = _level_block([2.0] + [3.0] * (depth - 1) + [1.0], first=0)
         blocks = [_level_block([3.0] * (m - 1) + [1.0], first=1) for m in range(1, depth + 1)]
         # raw order: the radial block, then level by level from the root, node by node
         raw = np.concatenate([radial_values] + [np.tile(blocks[depth - level - 1][0], 2**level)
                                                 for level in range(depth)])
+        raw *= weight
         order = np.argsort(raw, kind="stable")
         return TreeSpectrum(*_frozen(raw[order], order), depth=depth, radial=radial,
                             blocks=tuple(vectors for _, vectors in blocks))
@@ -195,7 +224,9 @@ class TreeSpectrum(Spectrum):
     eigenvectors of the radial block and of T_m, their row for level l (or
     offset k) scaled by 1/sqrt(2**l) (1/sqrt(2**k)): the value of the
     eigenvector on each vertex of that level (of the left subtree; the right
-    subtree takes its negative).
+    subtree takes its negative). With every edge weight a rather than 1, each
+    block is multiplied by a: the eigenvalues scale by a and the eigenvectors
+    stay.
     """
 
     depth: int
@@ -434,14 +465,17 @@ def _dual_objective(c: np.ndarray, lambdas: np.ndarray, nu: float, rho: float) -
     return max(0.0, chi_max(c, lambdas, nu)) + nu * rho
 
 
-def _grouped_kkt(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[float, str, float, float, int]:
+def _grouped_kkt(
+    s: np.ndarray, lambdas: np.ndarray, rho: float, rtol: float = _ROOT_RTOL
+) -> tuple[float, str, float, _Root | None]:
     """Maximize (c'z)^2 over the unit ball intersected with z' diag(lambdas) z <= rho.
 
     The problem depends on c only through ``s``, the sums of c_i**2 over the
     eigenvectors of each distinct eigenvalue in ``lambdas``. Returns the value,
-    the KKT case, the dual multiplier nu*, the root t (0 outside case "c")
-    and the number of root-finding steps. With weights p = s / sum(s), which
-    keep every intermediate near 1 whatever the scale of c:
+    the KKT case, the dual multiplier nu* and, in case "c", the :class:`_Root`
+    narrowed to relative width ``rtol``, whose ``t_hi`` gives the value and nu*
+    (None in the other cases). With weights p = s / sum(s), which keep every
+    intermediate near 1 whatever the scale of c:
       (a) z = c/||c|| when it already satisfies the ellipsoid, p'lambdas <= rho;
           the value is sum(s) and nu* = 0;
       (b) z proportional to lambdas^-1 * c scaled onto the ellipsoid, when that
@@ -455,50 +489,88 @@ def _grouped_kkt(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[float,
     """
     total = float(s.sum())
     if total == 0.0:
-        return 0.0, "a", 0.0, 0.0, 0
+        return 0.0, "a", 0.0, None
     p = s / total
     if float(p @ lambdas) <= rho:
-        return total, "a", 0.0, 0.0, 0
+        return total, "a", 0.0, None
 
     inv = p / lambdas
     quad = float(inv.sum())  # c' diag(lambdas)^-1 c / total
     if rho * float((inv / lambdas).sum()) <= quad:  # ||z||**2 <= 1
-        return rho * quad * total, "b", quad * total, 0.0, 0
+        return rho * quad * total, "b", quad * total, None
 
-    def ellipsoid_gap(t: float) -> float:
-        q = p / (1.0 + t * lambdas) ** 2  # z(t)_i**2 before normalizing
-        return float(lambdas @ q) / float(q.sum()) - rho
-
-    iterations = 0
-    t_hi = 1.0
-    for _ in range(200):
-        iterations += 1
-        if ellipsoid_gap(t_hi) < 0.0:
-            break
-        t_hi *= 2.0
-    t_lo = 0.0
-    for _ in range(200):
-        iterations += 1
-        mid = 0.5 * (t_lo + t_hi)
-        if ellipsoid_gap(mid) > 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if t_hi - t_lo <= 1e-14 * max(t_hi, 1.0):
-            break
-    w = p / (1.0 + t_hi * lambdas)
-    theta = float(w.sum())
-    value = theta**2 / float((w / (1.0 + t_hi * lambdas)).sum())
-    return value * total, "c", t_hi * theta * total, t_hi, iterations
+    root = _Root(p, total, lambdas, rho).narrow(rtol)
+    value, nu_star = root.solution(root.t_hi)
+    return value, "c", nu_star, root
 
 
-def _solve_block(spectrum: Spectrum, y: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, list]:
+class _Root:
+    """The root t of case "c", held as a bracket [t_lo, t_hi] that bisection narrows.
+
+    ``p``, ``total``, ``lambdas`` and ``rho`` are those of :func:`_grouped_kkt`.
+    t_hi starts at the first of 1, 2, 4, ... at which z(t) lies inside the
+    ellipsoid, and t_lo at 0. A bracket bounds the value:
+    value(t_hi) <= value <= value(t_lo). z(t_hi) is feasible, which gives the
+    lower bound; z(t_lo) is the maximizer at the larger level
+    z(t_lo)' diag(lambdas) z(t_lo) > rho, and the statistic does not decrease
+    as the level grows, which gives the upper one (at t_lo = 0, the value of
+    case "a"). ``iterations`` counts the steps of both phases.
+    """
+
+    __slots__ = ("p", "total", "lambdas", "rho", "t_lo", "t_hi", "doublings", "steps")
+
+    def __init__(self, p: np.ndarray, total: float, lambdas: np.ndarray, rho: float) -> None:
+        self.p, self.total, self.lambdas, self.rho = p, total, lambdas, rho
+        self.t_lo, self.t_hi, self.doublings, self.steps = 0.0, 1.0, 0, 0
+        for _ in range(200):
+            self.doublings += 1
+            if self._gap(self.t_hi) < 0.0:
+                break
+            self.t_hi *= 2.0
+
+    @property
+    def iterations(self) -> int:
+        return self.doublings + self.steps
+
+    def _gap(self, t: float) -> float:
+        q = self.p / (1.0 + t * self.lambdas) ** 2  # z(t)_i**2 before normalizing
+        return float(self.lambdas @ q) / float(q.sum()) - self.rho
+
+    def narrow(self, rtol: float) -> _Root:
+        """Bisect until t_hi - t_lo <= rtol * t_hi, or 200 steps in all.
+
+        The midpoints do not depend on where earlier calls stopped, so
+        narrowing in stages ends on the same bracket as narrowing at once.
+        """
+        while self.steps < 200 and self.t_hi - self.t_lo > rtol * self.t_hi:
+            self.steps += 1
+            mid = 0.5 * (self.t_lo + self.t_hi)
+            if self._gap(mid) > 0.0:
+                self.t_lo = mid
+            else:
+                self.t_hi = mid
+        return self
+
+    def finish(self) -> float:
+        """The value once the root is narrowed in full, as :func:`_grouped_kkt` gives it."""
+        return self.narrow(_ROOT_RTOL).solution(self.t_hi)[0]
+
+    def solution(self, t: float) -> tuple[float, float]:
+        """The value (c'z(t))**2 and the multiplier t * theta(t), with theta as in :func:`_grouped_kkt`."""
+        w = self.p / (1.0 + t * self.lambdas)
+        theta = float(w.sum())
+        return theta**2 / float((w / (1.0 + t * self.lambdas)).sum()) * self.total, t * theta * self.total
+
+
+def _solve_block(
+    spectrum: Spectrum, y: np.ndarray, rho: float, rtol: float = _ROOT_RTOL
+) -> tuple[np.ndarray, np.ndarray, list]:
     """Coefficients of each row of ``y`` scaled by 2**-e, e, and their :func:`_grouped_kkt` result.
 
     e brings the row's largest |c_i| into [0.5, 1), so the squares neither
     overflow nor underflow; a power of two scales exactly, so a value in
     range keeps every bit once :func:`_unscale` multiplies it by 2**(2e).
-    ``rho`` is taken as checked.
+    ``rho`` is taken as checked; case "c" roots are narrowed to ``rtol``.
     """
     coeffs, lambdas = _reduced_coeffs(spectrum, y)
     exps = np.frexp(np.abs(coeffs).max(axis=1))[1]
@@ -507,7 +579,7 @@ def _solve_block(spectrum: Spectrum, y: np.ndarray, rho: float) -> tuple[np.ndar
     sums = coeffs * coeffs
     if starts.size < lambdas.size:
         sums = np.add.reduceat(sums, starts, axis=1)
-    return coeffs, exps, [_grouped_kkt(row, means, rho) for row in sums]
+    return coeffs, exps, [_grouped_kkt(row, means, rho, rtol) for row in sums]
 
 
 def _unscale(scaled, exps):
@@ -525,6 +597,76 @@ def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
     """Values of the statistic for the rows of an (R, n) block; ``rho`` is taken as checked."""
     _, exps, solved = _solve_block(spectrum, y, rho)
     return _unscale(np.array([row[0] for row in solved]), exps)
+
+
+def _value_bounds(spectrum: Spectrum, y: np.ndarray, rho: float) -> tuple[np.ndarray, ...]:
+    """Bounds on the value of each row of ``y``, its open root (or None) and its exponent.
+
+    Cases "a" and "b" give the value itself. Case "c" narrows its root to
+    ``_COARSE_RTOL`` and leaves it open, with the value bounds of its bracket
+    widened by ``_BOUND_RTOL``; a root whose bounds might not unscale to
+    normal doubles is narrowed in full at once, so the block is refused
+    exactly when :func:`_sss_values` refuses it.
+    """
+    _, exps, solved = _solve_block(spectrum, y, rho, _COARSE_RTOL)
+    values = np.array([value for value, *_ in solved])
+    roots = np.array([root for *_, root in solved], dtype=object)
+    opened = np.flatnonzero(np.not_equal(roots, None))
+    low, high = values.copy(), values.copy()
+    low[opened] *= 1.0 - _BOUND_RTOL
+    high[opened] = [roots[i].solution(roots[i].t_lo)[0] * (1.0 + _BOUND_RTOL) for i in opened]
+    with np.errstate(over="ignore", under="ignore"):
+        low, high = np.ldexp(low, 2 * exps), np.ldexp(high, 2 * exps)
+    for i in opened[(low[opened] < np.finfo(float).tiny) | ~np.isfinite(high[opened])]:
+        values[i], roots[i] = roots[i].finish(), None
+    exact = np.equal(roots, None)
+    low[exact] = high[exact] = _unscale(values[exact], exps[exact])
+    return low, high, roots, exps
+
+
+def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, count: int) -> float:
+    """The rank-th smallest (1-based) value of the statistic over the ``count`` rows of ``blocks``.
+
+    ``blocks`` yields (R, n) blocks of observations, each used before the
+    next is drawn. The result equals entry ``rank - 1`` of the sorted
+    :func:`_sss_values` of the same blocks bit for bit, and a block is
+    refused as :func:`_sss_values` refuses it; ``rho`` is taken as checked.
+    Each row is solved only as far as it might hold the result:
+
+    1. every case-"c" root is narrowed to ``_COARSE_RTOL``, and its bracket
+       bounds the row's value (:func:`_value_bounds`);
+    2. a row is set aside once ``count - rank + 1`` rows have lower bounds
+       above its upper bound, or ``rank`` rows upper bounds below its lower
+       bound, for then its value lies below (above) the result; only the rows
+       still in contention keep their roots, and at most ``_OPEN_ENTRIES``
+       group sums stay open, the oldest roots past that being narrowed in full;
+    3. the roots of the rows left are narrowed in full, and the result is the
+       value among theirs whose rank, after the rows set aside below, is ``rank``.
+    """
+    means = spectrum.groups[1]
+    largest = count - rank + 1  # the rank-th smallest value is the largest-th largest
+    floors, ceilings = [], []  # heaps: the largest lower bounds, and the smallest upper bounds negated
+    below = 0  # rows set aside because their value lies below the result
+    # the rows in contention: value bounds (equal once exact), open roots, exponents
+    low, high, roots, exps = np.empty(0), np.empty(0), np.empty(0, dtype=object), np.empty(0, dtype=int)
+    for y in blocks:
+        bounds = _value_bounds(spectrum, y, rho)
+        for heap, size, keys in ((floors, largest, bounds[0]), (ceilings, rank, -bounds[1])):
+            for key in keys.tolist():
+                (heapq.heappush if len(heap) < size else heapq.heappushpop)(heap, key)
+        low, high, roots, exps = (np.concatenate(pair) for pair in zip((low, high, roots, exps), bounds))
+        floor = floors[0] if len(floors) == largest else -math.inf
+        ceiling = -ceilings[0] if len(ceilings) == rank else math.inf
+        keep = (high >= floor) & (low <= ceiling)
+        below += int(np.count_nonzero(high < floor))
+        low, high, roots, exps = low[keep], high[keep], roots[keep], exps[keep]
+        opened = np.flatnonzero(np.not_equal(roots, None))
+        for i in opened[: max(0, opened.size - max(1, _OPEN_ENTRIES // means.size))]:
+            low[i] = high[i] = np.ldexp(roots[i].finish(), 2 * exps[i])
+            roots[i] = None
+    for i in np.flatnonzero(np.not_equal(roots, None)):
+        low[i] = np.ldexp(roots[i].finish(), 2 * exps[i])
+    return float(np.sort(low)[rank - 1 - below])
 
 
 def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
@@ -550,7 +692,7 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     # a one-row block, so that _sss_values on the same row gives the same bits
     y = np.asarray(y, dtype=float)[None]
-    (c,), (e,), ((value, case, nu_star, t, iterations),) = _solve_block(spectrum, y, rho)
+    (c,), (e,), ((value, case, nu_star, root),) = _solve_block(spectrum, y, rho)
     lambdas = spectrum.eigenvalues[1:]
     # c is scaled to a largest entry in [0.5, 1), and z does not depend on its scale
     if not c.any():
@@ -561,7 +703,7 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
         z = c / lambdas
         z *= math.sqrt(rho / float(z @ (lambdas * z)))
     else:
-        z = c / (1.0 + t * lambdas)
+        z = c / (1.0 + root.t_hi * lambdas)
         z /= np.linalg.norm(z)
     dual = _dual_objective(c, lambdas, nu_star, rho)
     value, nu_star, dual = (float(x) for x in _unscale(np.array([value, nu_star, dual]), e))
@@ -570,6 +712,7 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     nz = np.nonzero(np.abs(witness) > 1e-14 * max(1.0, float(np.abs(witness).max())))[0]
     if nz.size and witness[nz[0]] < 0:
         witness = -witness
+    iterations = 0 if root is None else root.iterations
     return SssResult(
         value=value, nu_star=nu_star, witness=witness, case=case, iterations=iterations, gap=dual - value
     )

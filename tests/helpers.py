@@ -242,7 +242,7 @@ def kkt_solve_loop(c: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.n
             t_lo = mid
         else:
             t_hi = mid
-        if t_hi - t_lo <= 1e-14 * max(t_hi, 1.0):
+        if t_hi - t_lo <= 1e-14 * t_hi:
             break
     w = c / (1.0 + t_hi * lambdas)
     theta = float(c @ w)

@@ -12,6 +12,7 @@ from graphscan import (
     gen_lattice,
     graph_spectrum,
     laplacian,
+    scale_weights,
     sss,
     two_triangles,
     write_spectrum_csv,
@@ -407,6 +408,22 @@ class TestGroupedKernel:
             assert result.case == "c"
             assert result.value == pytest.approx(scale**2 * base.value, rel=1e-14, abs=0.0)
             assert result.nu_star == pytest.approx(scale**2 * base.nu_star, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("weight", [1e3, 1e6, 1e9])
+    def test_heavy_weights_keep_the_value(self, weight):
+        # the Laplacian and rho scale by the weight, so the root t scales by
+        # its inverse and the value stays; the bisection's stopping rule is
+        # relative to t, so a root far below 1 is found as precisely
+        g = gen_bbt(3)
+        heavy = scale_weights(g, weight)
+        for seed in range(5):
+            y = np.random.default_rng(seed).standard_normal(g.n)
+            base = sss(graph_spectrum(g), y, 0.5)
+            assert base.case == "c"
+            for h in (heavy, build_graph(heavy.n, heavy.edges)):  # the tree form and the dense one
+                result = sss(graph_spectrum(h), y, 0.5 * weight)
+                assert result.case == "c"
+                assert result.value == pytest.approx(base.value, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("scale", [1e153, 1e-153])
     def test_value_and_certificate_at_extreme_scales(self, scale):

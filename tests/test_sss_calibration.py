@@ -1,0 +1,133 @@
+"""The SSS threshold from partly solved replicates, against solving every replicate in full."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from graphscan import (
+    Detector,
+    calibrate_threshold,
+    gen_bbt,
+    gen_kron_multiscale,
+    gen_lattice,
+    graph_spectrum,
+    sss,
+    two_triangles,
+)
+from graphscan import detectors, spectral
+from graphscan.detectors import _replicate_statistics
+from graphscan.spectral import _BOUND_RTOL, _solve_block
+from helpers import draw_rho, random_connected_graph
+
+GRAPHS = {
+    "bbt": lambda: gen_bbt(5),
+    "torus": lambda: gen_lattice(6, periodic=True),
+    "grid": lambda: gen_lattice(6),
+    "kron": lambda: gen_kron_multiscale(two_triangles(), 2),
+    "random": lambda: random_connected_graph(np.random.default_rng(8), max_n=30, min_n=30),
+}
+ALPHAS = (0.01, 0.05, 0.5, 0.99)
+
+
+def full_solve_threshold(det, g, sigma, alpha, reps, seed):
+    """The order statistic of every replicate solved in full, as the threshold is defined."""
+    stats = _replicate_statistics((det,), g, [0.0] * reps, sigma, seed)[:, 0]
+    return np.sort(stats)[math.ceil((1.0 - alpha) * reps) - 1]
+
+
+def rho_for(g, setting):
+    lambdas = graph_spectrum(g).eigenvalues
+    # every row in case "c" or a mix; every row in case "a" (rho >= lambda_n)
+    # or in case "b" (rho < lambda_2)
+    return {"mixed": math.sqrt(lambdas[1] * lambdas[-1]), "all-a": lambdas[-1], "all-b": 0.5 * lambdas[1]}[setting]
+
+
+class TestBitForBit:
+    @pytest.mark.parametrize("setting", ["mixed", "all-a", "all-b"])
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_matches_sorting_full_solves(self, monkeypatch, name, setting):
+        g = GRAPHS[name]()
+        det = Detector("sss", rho=rho_for(g, setting))
+        # the default block, then blocks of 1 and 7 rows
+        runs = [(None, 100, 1.0), (None, 257, 1.0), (None, 100, 0.0)]
+        if setting == "mixed":
+            runs += [(1, 100, 1.0), (7, 100, 1.0)]
+        for rows, reps, sigma in runs:
+            if rows is not None:
+                monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * g.n)
+            stats = np.sort(_replicate_statistics((det,), g, [0.0] * reps, sigma, 11)[:, 0])
+            for alpha in ALPHAS:
+                threshold = calibrate_threshold(det, g, sigma, alpha, reps, 11)
+                assert threshold == stats[math.ceil((1.0 - alpha) * reps) - 1]
+                assert type(threshold) is float
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_open_roots_past_the_cap_are_solved_in_full(self, monkeypatch, alpha):
+        g = gen_lattice(6, periodic=True)
+        det = Detector("sss", rho=rho_for(g, "mixed"))
+        expected = full_solve_threshold(det, g, 1.0, alpha, 150, 4)
+        monkeypatch.setattr(spectral, "_OPEN_ENTRIES", 1)
+        assert calibrate_threshold(det, g, 1.0, alpha, 150, 4) == expected
+
+    def test_few_replicates_are_solved_in_full(self, monkeypatch):
+        g = gen_lattice(12, periodic=True)
+        det = Detector("sss", rho=2.0)  # 199 of the 200 rows in case "c"
+        finished = []
+        finish = spectral._Root.finish
+        monkeypatch.setattr(spectral._Root, "finish", lambda root: finished.append(root) or finish(root))
+        threshold = calibrate_threshold(det, g, 1.0, 0.05, 200, 2)
+        assert threshold == full_solve_threshold(det, g, 1.0, 0.05, 200, 2)
+        assert 1 <= len(finished) <= 10
+
+    @pytest.mark.parametrize("sigma, match", [(1e160, "overflows"), (1e-160, "underflows")])
+    def test_refuses_extreme_scales_as_a_full_solve_does(self, sigma, match):
+        g = gen_lattice(6, periodic=True)
+        det = Detector("sss", rho=rho_for(g, "mixed"))
+        with pytest.raises(ValueError, match=match):
+            full_solve_threshold(det, g, sigma, 0.05, 100, 3)
+        with pytest.raises(ValueError, match=match):
+            calibrate_threshold(det, g, sigma, 0.05, 100, 3)
+
+
+def case_c_rho(spec, y, u):
+    """A level between the case-"b" and case-"a" limits of ``y``, so ``y`` is in case "c" there."""
+    c = spec.project(y - y.mean())
+    lambdas = spec.eigenvalues[1:]
+    p = c * c / float(c @ c)
+    lo, hi = float((p / lambdas).sum() / (p / lambdas**2).sum()), float(p @ lambdas)
+    assume(hi > lo * (1.0 + 1e-6))
+    return lo ** (1.0 - u) * hi**u
+
+
+class TestBounds:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        u=st.floats(0.01, 0.99),
+        log_rtol=st.floats(-13.0, 0.0),
+    )
+    def test_any_bracket_encloses_the_value(self, seed, u, log_rtol):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, min_n=3)
+        spec = graph_spectrum(g)
+        y = rng.standard_normal((1, g.n))
+        rho = case_c_rho(spec, y[0], u)
+        (value, case, _, _), = _solve_block(spec, y, rho)[2]
+        (_, _, _, root), = _solve_block(spec, y, rho, 10.0**log_rtol)[2]
+        assert case == "c" and root.t_lo <= root.t_hi
+        assert root.solution(root.t_hi)[0] * (1.0 - _BOUND_RTOL) <= value
+        assert value <= root.solution(root.t_lo)[0] * (1.0 + _BOUND_RTOL)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_value_does_not_decrease_as_rho_grows(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, min_n=3)
+        spec = graph_spectrum(g)
+        y = rng.standard_normal(g.n)
+        rhos = sorted(draw_rho(rng, spec.eigenvalues) for _ in range(6))
+        values = [sss(spec, y, rho).value for rho in rhos]
+        for smaller, larger in zip(values, values[1:]):
+            assert smaller <= larger * (1.0 + 1e-12)

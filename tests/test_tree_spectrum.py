@@ -144,9 +144,23 @@ class TestNoDenseWork:
         assert spec.n == 32767 and result.value > 0.0
         assert elapsed < 1.0
 
-    def test_scaled_tree_is_dense(self):
-        g = scale_weights(gen_bbt(3), 2.0)
-        assert g._depth == 0 and isinstance(graph_spectrum(g), DenseSpectrum)
+    @pytest.mark.parametrize("weight", [1e-3, 2.0, 1e9])
+    def test_scaled_tree_stays_a_tree(self, weight):
+        g = scale_weights(gen_bbt(5), weight)
+        spec, dense = graph_spectrum(g), eig_sym(laplacian(g))
+        assert (g._depth, g._tree_weight) == (5, weight) and isinstance(spec, TreeSpectrum)
+        lam_max = float(dense.eigenvalues[-1])
+        np.testing.assert_allclose(spec.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-12 * lam_max)
+        np.testing.assert_array_equal(spec.project(np.eye(g.n)), graph_spectrum(gen_bbt(5)).project(np.eye(g.n)))
+
+    def test_scaled_depth_ten_sets_up_in_well_under_50_ms(self):
+        g = scale_weights(gen_bbt(10), 2.0)
+        detectors.graph_spectrum.cache_clear()
+        start = time.perf_counter()
+        spec = graph_spectrum(g)
+        elapsed = time.perf_counter() - start
+        assert isinstance(spec, TreeSpectrum) and spec.n == 2047
+        assert elapsed < 0.05
 
     def test_only_a_dense_spectrum_writes_a_basis(self, tmp_path):
         for name, g in (("tree", gen_bbt(2)), ("product", kronecker_product(gen_bbt(1), gen_bbt(1)))):
@@ -165,6 +179,23 @@ class TestTreeRecord:
         back = pickle.loads(pickle.dumps(g))
         assert back == g and hash(back) == hash(g) and back._depth == 3
         assert isinstance(graph_spectrum(back), TreeSpectrum)
+
+    def test_scaled_record(self):
+        g = scale_weights(scale_weights(gen_bbt(3), 3.0), 0.1)
+        assert (g.w == g._tree_weight).all() and g._tree_weight == 3.0 * 0.1
+        assert g == scale_weights(scale_weights(gen_bbt(3), 3.0), 0.1) and hash(g) == hash(scale_weights(g, 1.0))
+        assert g != gen_bbt(3) and scale_weights(gen_bbt(3), 1.0) == gen_bbt(3)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g) and back._tree_weight == g._tree_weight
+        assert isinstance(graph_spectrum(back), TreeSpectrum)
+        copy = build_graph(g.n, g.edges)
+        assert copy._depth == 0 and copy != g and isinstance(graph_spectrum(copy), DenseSpectrum)
+
+    def test_record_of_another_weight_is_refused(self):
+        g = scale_weights(gen_bbt(3), 2.0)
+        object.__setattr__(g, "_tree_weight", 3.0)
+        with pytest.raises(ValueError, match="not the unit-weight balanced binary tree of depth 3 scaled by 3.0"):
+            pickle.loads(pickle.dumps(g))
 
     def test_edge_list_copy_stays_dense(self):
         g = gen_bbt(3)
