@@ -173,7 +173,8 @@ def _cmd_experiment(args) -> int:
                  family=config.family, params=config.params, mu=config.mu, delta=config.delta,
                  sigma=config.sigma, rho=config.rho, reps_null=config.reps_null,
                  reps_alt=config.reps_alt, seed=config.seed,
-                 detectors=",".join(config.detectors))
+                 detectors=",".join(config.detectors),
+                 cluster="canonical" if config.cluster is None else ",".join(map(str, sorted(config.cluster))))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = simulate.run_roc(config)

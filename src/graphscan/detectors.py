@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -289,8 +288,8 @@ def calibrate_threshold(
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     index = math.ceil((1.0 - alpha) * reps)
     if detector.kind == "sss":
-        checked = (detector._checked(g, y) for _, y in _replicate_blocks(g, [0.0] * reps, float(sigma), seed))
-        first = next(checked)  # the graph is checked before its spectrum is computed
-        return _sss_order_statistic(graph_spectrum(g), chain((first,), checked), detector.rho, index, reps)
+        detector._checked(g, np.empty((0, g.n)))  # the graph, before its spectrum is computed
+        blocks = (y for _, y in _replicate_blocks(g, [0.0] * reps, float(sigma), seed))
+        return _sss_order_statistic(graph_spectrum(g), blocks, detector.rho, index, reps)
     stats = _replicate_statistics((detector,), g, [0.0] * reps, float(sigma), seed)
     return float(np.sort(stats[:, 0])[index - 1])

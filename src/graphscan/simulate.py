@@ -339,6 +339,20 @@ def _parse_detectors(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+def _parse_value(path, key: str, raw: str, kind):
+    """``raw``, the value of ``key`` in the config file ``path``, read as ``kind``.
+
+    A bool is one of true/false, yes/no or 1/0 in any case. Raises naming the
+    file and the key.
+    """
+    words = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+    try:
+        return words[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        expected = {bool: "true/false, yes/no or 1/0", int: "an integer", float: "a number"}[kind]
+        raise ValueError(f"{path}: '{key}' must be {expected}, got {raw!r}") from None
+
+
 def parse_config_file(path) -> ExperimentConfig:
     """Read a flat ``key = value`` experiment description.
 
@@ -346,6 +360,8 @@ def parse_config_file(path) -> ExperimentConfig:
     (bbt: depth; lattice: p, periodic; kron: levels), mu, delta, sigma, rho,
     reps_null, reps_alt, seed, detectors (comma list), cluster (``canonical``
     or a comma list of vertex ids). A key another family reads is unknown.
+    ``periodic`` is one of true/false, yes/no or 1/0 in any case. A value that
+    does not read as its key's type is refused, naming the file and the key.
     """
     entries: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -365,12 +381,15 @@ def parse_config_file(path) -> ExperimentConfig:
     for key, kind in _family(family, entries).keys.items():
         if key in entries:
             raw = entries.pop(key)
-            params[key] = raw.lower() in ("1", "true", "yes") if kind is bool else kind(raw)
+            params[key] = _parse_value(path, key, raw, kind)
 
     cluster = None
     raw_cluster = entries.pop("cluster", "canonical")
     if raw_cluster != "canonical":
-        cluster = frozenset(int(v) for v in raw_cluster.split(","))
+        try:
+            cluster = frozenset(int(v) for v in raw_cluster.split(","))
+        except ValueError:
+            raise ValueError(f"{path}: 'cluster' must be 'canonical' or vertex ids, got {raw_cluster!r}") from None
 
     kwargs: dict = {}
     for key, cast in (
@@ -383,7 +402,7 @@ def parse_config_file(path) -> ExperimentConfig:
         ("seed", int),
     ):
         if key in entries:
-            kwargs[key] = cast(entries.pop(key))
+            kwargs[key] = _parse_value(path, key, entries.pop(key), cast)
     if "detectors" in entries:
         kwargs["detectors"] = _parse_detectors(entries.pop("detectors"))
     if entries:

@@ -31,13 +31,14 @@ overflows or underflows at extreme scales of y; a value outside the range of
 normal doubles is refused.
 
 The root-find of the third case bisects a bracket [t_lo, t_hi] of the root t
-until it is within 1e-14 of t relative to t, and every bracket on the way
-bounds the value: the point at t_hi is feasible, so its value is a lower
+until it is narrow relative to t (1e-14 in full), and every bracket on the
+way bounds the value: the point at t_hi is feasible, so its value is a lower
 bound, and the point at t_lo is the maximizer at a larger rho, so its value is
 an upper bound. An order statistic of many observations' values, the Monte
-Carlo threshold, therefore needs only a coarse bracket for most of them; only
-the observations whose bounds may hold the selected rank are solved in full,
-and the result is the same bits as sorting the full solves.
+Carlo threshold, therefore needs only a coarse bracket for most of them; the
+observations whose bounds may hold the selected rank are solved again from
+scratch in full, which visits the same midpoints, so the result is the same
+bits as sorting the full solves.
 """
 from __future__ import annotations
 
@@ -79,8 +80,8 @@ _COARSE_RTOL = 1e-2
 # behind it (one term per distinct eigenvalue, a relative error far below
 # 1e-8 for any spectrum that fits in memory).
 _BOUND_RTOL = 1e-8
-# Group sums that the roots an order statistic keeps open may hold at once;
-# past it, the oldest open roots are solved in full and kept as their value.
+# Group sums that an order statistic may hold for its open rows at once; past
+# it, the oldest open rows are solved in full and kept as their value.
 _OPEN_ENTRIES = 1 << 19
 
 
@@ -467,15 +468,15 @@ def _dual_objective(c: np.ndarray, lambdas: np.ndarray, nu: float, rho: float) -
 
 def _grouped_kkt(
     s: np.ndarray, lambdas: np.ndarray, rho: float, rtol: float = _ROOT_RTOL
-) -> tuple[float, str, float, _Root | None]:
+) -> tuple[float, float, str, float, float, int]:
     """Maximize (c'z)^2 over the unit ball intersected with z' diag(lambdas) z <= rho.
 
     The problem depends on c only through ``s``, the sums of c_i**2 over the
-    eigenvectors of each distinct eigenvalue in ``lambdas``. Returns the value,
-    the KKT case, the dual multiplier nu* and, in case "c", the :class:`_Root`
-    narrowed to relative width ``rtol``, whose ``t_hi`` gives the value and nu*
-    (None in the other cases). With weights p = s / sum(s), which keep every
-    intermediate near 1 whatever the scale of c:
+    eigenvectors of each distinct eigenvalue in ``lambdas``. Returns bounds
+    (low, high) on the value, the KKT case, the dual multiplier nu*, the root
+    t (0 outside case "c") and the number of root-finding steps. With weights
+    p = s / sum(s), which keep every intermediate near 1 whatever the scale
+    of c:
       (a) z = c/||c|| when it already satisfies the ellipsoid, p'lambdas <= rho;
           the value is sum(s) and nu* = 0;
       (b) z proportional to lambdas^-1 * c scaled onto the ellipsoid, when that
@@ -483,89 +484,66 @@ def _grouped_kkt(
           the value is rho * nu*;
       (c) otherwise both constraints are active: z(t)_i ~ c_i / (1 + t*lambda_i)
           normalized to the unit sphere, with t > 0 the root of
-          z(t)' diag(lambdas) z(t) = rho (monotone in t, solved by bisection);
-          nu* = t * theta with theta = sum_i c_i**2 / (1 + t*lambda_i), the
-          largest eigenvalue of c c' - nu* diag(lambdas).
+          z(t)' diag(lambdas) z(t) = rho (monotone in t); nu* = t * theta with
+          theta = sum_i c_i**2 / (1 + t*lambda_i), the largest eigenvalue of
+          c c' - nu* diag(lambdas).
+    In cases "a" and "b" both bounds are the value. In case "c", t_hi starts
+    at the first of 1, 2, 4, ... (at most 200 tried) where z(t) lies inside
+    the ellipsoid and t_lo at 0, and bisection narrows [t_lo, t_hi] until
+    t_hi - t_lo <= rtol * t_hi (at most 200 steps), with rtol >= _ROOT_RTOL.
+    The lower bound, nu* and t are taken at t_hi, where z is feasible; the
+    upper bound at t_lo, where z is the maximizer at a level above rho, which
+    the statistic does not fall below. A bracket that meets the full stopping
+    rule is the one a full solve ends on, as the midpoints do not depend on
+    rtol, so its lower bound is the value and is returned as both bounds.
     """
     total = float(s.sum())
     if total == 0.0:
-        return 0.0, "a", 0.0, None
+        return 0.0, 0.0, "a", 0.0, 0.0, 0
     p = s / total
     if float(p @ lambdas) <= rho:
-        return total, "a", 0.0, None
+        return total, total, "a", 0.0, 0.0, 0
 
     inv = p / lambdas
     quad = float(inv.sum())  # c' diag(lambdas)^-1 c / total
     if rho * float((inv / lambdas).sum()) <= quad:  # ||z||**2 <= 1
-        return rho * quad * total, "b", quad * total, None
+        value = rho * quad * total
+        return value, value, "b", quad * total, 0.0, 0
 
-    root = _Root(p, total, lambdas, rho).narrow(rtol)
-    value, nu_star = root.solution(root.t_hi)
-    return value, "c", nu_star, root
+    def gap(t: float) -> float:
+        q = p / (1.0 + t * lambdas) ** 2  # z(t)_i**2 before normalizing
+        return float(lambdas @ q) / float(q.sum()) - rho
 
-
-class _Root:
-    """The root t of case "c", held as a bracket [t_lo, t_hi] that bisection narrows.
-
-    ``p``, ``total``, ``lambdas`` and ``rho`` are those of :func:`_grouped_kkt`.
-    t_hi starts at the first of 1, 2, 4, ... at which z(t) lies inside the
-    ellipsoid, and t_lo at 0. A bracket bounds the value:
-    value(t_hi) <= value <= value(t_lo). z(t_hi) is feasible, which gives the
-    lower bound; z(t_lo) is the maximizer at the larger level
-    z(t_lo)' diag(lambdas) z(t_lo) > rho, and the statistic does not decrease
-    as the level grows, which gives the upper one (at t_lo = 0, the value of
-    case "a"). ``iterations`` counts the steps of both phases.
-    """
-
-    __slots__ = ("p", "total", "lambdas", "rho", "t_lo", "t_hi", "doublings", "steps")
-
-    def __init__(self, p: np.ndarray, total: float, lambdas: np.ndarray, rho: float) -> None:
-        self.p, self.total, self.lambdas, self.rho = p, total, lambdas, rho
-        self.t_lo, self.t_hi, self.doublings, self.steps = 0.0, 1.0, 0, 0
-        for _ in range(200):
-            self.doublings += 1
-            if self._gap(self.t_hi) < 0.0:
-                break
-            self.t_hi *= 2.0
-
-    @property
-    def iterations(self) -> int:
-        return self.doublings + self.steps
-
-    def _gap(self, t: float) -> float:
-        q = self.p / (1.0 + t * self.lambdas) ** 2  # z(t)_i**2 before normalizing
-        return float(self.lambdas @ q) / float(q.sum()) - self.rho
-
-    def narrow(self, rtol: float) -> _Root:
-        """Bisect until t_hi - t_lo <= rtol * t_hi, or 200 steps in all.
-
-        The midpoints do not depend on where earlier calls stopped, so
-        narrowing in stages ends on the same bracket as narrowing at once.
-        """
-        while self.steps < 200 and self.t_hi - self.t_lo > rtol * self.t_hi:
-            self.steps += 1
-            mid = 0.5 * (self.t_lo + self.t_hi)
-            if self._gap(mid) > 0.0:
-                self.t_lo = mid
-            else:
-                self.t_hi = mid
-        return self
-
-    def finish(self) -> float:
-        """The value once the root is narrowed in full, as :func:`_grouped_kkt` gives it."""
-        return self.narrow(_ROOT_RTOL).solution(self.t_hi)[0]
-
-    def solution(self, t: float) -> tuple[float, float]:
-        """The value (c'z(t))**2 and the multiplier t * theta(t), with theta as in :func:`_grouped_kkt`."""
-        w = self.p / (1.0 + t * self.lambdas)
+    def solution(t: float) -> tuple[float, float]:
+        # the value (c'z(t))**2 and the multiplier t * theta(t)
+        w = p / (1.0 + t * lambdas)
         theta = float(w.sum())
-        return theta**2 / float((w / (1.0 + t * self.lambdas)).sum()) * self.total, t * theta * self.total
+        return theta**2 / float((w / (1.0 + t * lambdas)).sum()) * total, t * theta * total
+
+    t_lo, t_hi, steps = 0.0, 1.0, 0
+    for _ in range(200):
+        steps += 1
+        if gap(t_hi) < 0.0:
+            break
+        t_hi *= 2.0
+    for _ in range(200):
+        if t_hi - t_lo <= rtol * t_hi:
+            break
+        steps += 1
+        mid = 0.5 * (t_lo + t_hi)
+        if gap(mid) > 0.0:
+            t_lo = mid
+        else:
+            t_hi = mid
+    value, nu_star = solution(t_hi)
+    high = value if t_hi - t_lo <= _ROOT_RTOL * t_hi else solution(t_lo)[0]
+    return value, high, "c", nu_star, t_hi, steps
 
 
 def _solve_block(
     spectrum: Spectrum, y: np.ndarray, rho: float, rtol: float = _ROOT_RTOL
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Coefficients of each row of ``y`` scaled by 2**-e, e, and their :func:`_grouped_kkt` result.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Coefficients of each row of ``y`` scaled by 2**-e, e, their group sums and their :func:`_grouped_kkt` result.
 
     e brings the row's largest |c_i| into [0.5, 1), so the squares neither
     overflow nor underflow; a power of two scales exactly, so a value in
@@ -579,7 +557,7 @@ def _solve_block(
     sums = coeffs * coeffs
     if starts.size < lambdas.size:
         sums = np.add.reduceat(sums, starts, axis=1)
-    return coeffs, exps, [_grouped_kkt(row, means, rho, rtol) for row in sums]
+    return coeffs, exps, sums, [_grouped_kkt(row, means, rho, rtol) for row in sums]
 
 
 def _unscale(scaled, exps):
@@ -595,33 +573,8 @@ def _unscale(scaled, exps):
 
 def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
     """Values of the statistic for the rows of an (R, n) block; ``rho`` is taken as checked."""
-    _, exps, solved = _solve_block(spectrum, y, rho)
-    return _unscale(np.array([row[0] for row in solved]), exps)
-
-
-def _value_bounds(spectrum: Spectrum, y: np.ndarray, rho: float) -> tuple[np.ndarray, ...]:
-    """Bounds on the value of each row of ``y``, its open root (or None) and its exponent.
-
-    Cases "a" and "b" give the value itself. Case "c" narrows its root to
-    ``_COARSE_RTOL`` and leaves it open, with the value bounds of its bracket
-    widened by ``_BOUND_RTOL``; a root whose bounds might not unscale to
-    normal doubles is narrowed in full at once, so the block is refused
-    exactly when :func:`_sss_values` refuses it.
-    """
-    _, exps, solved = _solve_block(spectrum, y, rho, _COARSE_RTOL)
-    values = np.array([value for value, *_ in solved])
-    roots = np.array([root for *_, root in solved], dtype=object)
-    opened = np.flatnonzero(np.not_equal(roots, None))
-    low, high = values.copy(), values.copy()
-    low[opened] *= 1.0 - _BOUND_RTOL
-    high[opened] = [roots[i].solution(roots[i].t_lo)[0] * (1.0 + _BOUND_RTOL) for i in opened]
-    with np.errstate(over="ignore", under="ignore"):
-        low, high = np.ldexp(low, 2 * exps), np.ldexp(high, 2 * exps)
-    for i in opened[(low[opened] < np.finfo(float).tiny) | ~np.isfinite(high[opened])]:
-        values[i], roots[i] = roots[i].finish(), None
-    exact = np.equal(roots, None)
-    low[exact] = high[exact] = _unscale(values[exact], exps[exact])
-    return low, high, roots, exps
+    _, exps, _, solved = _solve_block(spectrum, y, rho)
+    return _unscale(np.array([value for value, *_ in solved]), exps)
 
 
 def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, count: int) -> float:
@@ -633,39 +586,63 @@ def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, coun
     refused as :func:`_sss_values` refuses it; ``rho`` is taken as checked.
     Each row is solved only as far as it might hold the result:
 
-    1. every case-"c" root is narrowed to ``_COARSE_RTOL``, and its bracket
-       bounds the row's value (:func:`_value_bounds`);
+    1. every case-"c" root is narrowed only to ``_COARSE_RTOL``, and its value
+       bounds, widened by ``_BOUND_RTOL``, bound the row's value (a row whose
+       bounds might not unscale to normal doubles is solved in full at once,
+       so a block is refused exactly when :func:`_sss_values` refuses it);
     2. a row is set aside once ``count - rank + 1`` rows have lower bounds
        above its upper bound, or ``rank`` rows upper bounds below its lower
-       bound, for then its value lies below (above) the result; only the rows
-       still in contention keep their roots, and at most ``_OPEN_ENTRIES``
-       group sums stay open, the oldest roots past that being narrowed in full;
-    3. the roots of the rows left are narrowed in full, and the result is the
-       value among theirs whose rank, after the rows set aside below, is ``rank``.
+       bound, for then its value lies below (above) the result. A row in
+       contention keeps its bounds and exponent, and while it is open (its
+       bounds differ) its group sums; at most ``_OPEN_ENTRIES`` group sums are
+       held, the oldest open rows past that being solved in full;
+    3. the open rows left are solved in full, and the result is the value
+       whose rank, after the rows set aside below, is ``rank``.
+
+    A row is solved in full by solving its group sums again from scratch;
+    bisection visits the same midpoints whatever its width, so the bits are
+    those of :func:`_sss_values`.
     """
     means = spectrum.groups[1]
     largest = count - rank + 1  # the rank-th smallest value is the largest-th largest
     floors, ceilings = [], []  # heaps: the largest lower bounds, and the smallest upper bounds negated
     below = 0  # rows set aside because their value lies below the result
-    # the rows in contention: value bounds (equal once exact), open roots, exponents
-    low, high, roots, exps = np.empty(0), np.empty(0), np.empty(0, dtype=object), np.empty(0, dtype=int)
+
+    def solved_in_full(row, exp):
+        return np.ldexp(_grouped_kkt(row, means, rho)[0], 2 * exp)
+
+    # the rows in contention: value bounds (equal once exact) and exponents,
+    # and the group sums of the open rows, in order
+    low, high, exps, held = np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty((0, means.size))
     for y in blocks:
-        bounds = _value_bounds(spectrum, y, rho)
-        for heap, size, keys in ((floors, largest, bounds[0]), (ceilings, rank, -bounds[1])):
+        e, sums, solved = _solve_block(spectrum, y, rho, _COARSE_RTOL)[1:]
+        bounds = np.array([(lo, hi) for lo, hi, *_ in solved])
+        opened = np.array([case == "c" for _, _, case, *_ in solved])
+        bounds[opened] *= (1.0 - _BOUND_RTOL, 1.0 + _BOUND_RTOL)
+        with np.errstate(over="ignore", under="ignore"):
+            widened = np.ldexp(bounds, 2 * e[:, None])
+        leaving = opened & ((widened[:, 0] < np.finfo(float).tiny) | ~np.isfinite(widened[:, 1]))
+        bounds[leaving, 0] = [_grouped_kkt(row, means, rho)[0] for row in sums[leaving]]
+        opened &= ~leaving
+        widened[~opened] = _unscale(bounds[~opened, 0], e[~opened])[:, None]
+        for heap, size, keys in ((floors, largest, widened[:, 0]), (ceilings, rank, -widened[:, 1])):
             for key in keys.tolist():
                 (heapq.heappush if len(heap) < size else heapq.heappushpop)(heap, key)
-        low, high, roots, exps = (np.concatenate(pair) for pair in zip((low, high, roots, exps), bounds))
+        low, high, exps = (np.concatenate(pair) for pair in zip((low, high, exps), (*widened.T, e)))
+        held = np.concatenate((held, sums[opened]))
         floor = floors[0] if len(floors) == largest else -math.inf
         ceiling = -ceilings[0] if len(ceilings) == rank else math.inf
         keep = (high >= floor) & (low <= ceiling)
         below += int(np.count_nonzero(high < floor))
-        low, high, roots, exps = low[keep], high[keep], roots[keep], exps[keep]
-        opened = np.flatnonzero(np.not_equal(roots, None))
-        for i in opened[: max(0, opened.size - max(1, _OPEN_ENTRIES // means.size))]:
-            low[i] = high[i] = np.ldexp(roots[i].finish(), 2 * exps[i])
-            roots[i] = None
-    for i in np.flatnonzero(np.not_equal(roots, None)):
-        low[i] = np.ldexp(roots[i].finish(), 2 * exps[i])
+        held = held[keep[low < high]]
+        low, high, exps = low[keep], high[keep], exps[keep]
+        past = max(0, len(held) - max(1, _OPEN_ENTRIES // means.size))
+        for i, row in zip(np.flatnonzero(low < high)[:past], held):
+            low[i] = high[i] = solved_in_full(row, exps[i])
+        held = held[past:]
+        del sums  # before the next block is projected, which would otherwise raise the peak memory
+    for i, row in zip(np.flatnonzero(low < high), held):
+        low[i] = solved_in_full(row, exps[i])
     return float(np.sort(low)[rank - 1 - below])
 
 
@@ -674,36 +651,34 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
 
     The KKT case analysis of :func:`_grouped_kkt` runs on one term per distinct
     eigenvalue, the sum of the squared coefficients of its eigenvectors, and
-    gives the value, the case, the dual multiplier nu* and, in case "c", the
-    root t. The primal maximizer z in the nonconstant eigenbasis is rebuilt
-    from the ungrouped coefficients c: c/||c|| (case "a"), c/lambda scaled
-    onto the ellipsoid ("b") or c/(1 + t*lambda) normalized ("c"). The dual
-    objective max(0, chi_max(c, lambdas, nu*)) + nu*rho is evaluated once, on
-    the ungrouped terms; by weak duality it bounds the statistic from above,
-    and ``gap`` reports the difference, so it also checks the grouping. All
-    of this runs on c scaled exactly by a power of two to a largest entry in
-    [0.5, 1), so it holds for observations from about 1e-153 to 1e153 in
-    scale; a value that overflows, or that underflows out of the normal
-    range, is refused. A constant observation yields 0 in case "a" with a
-    zero gap.
+    gives the value, the case, the dual multiplier nu*, and in case "c" the
+    root t and its step count. The primal maximizer z in the nonconstant
+    eigenbasis is rebuilt from the ungrouped coefficients c: c/||c|| (case
+    "a"), c/lambda scaled onto the ellipsoid ("b") or c/(1 + t*lambda)
+    normalized ("c"). The dual objective max(0, chi_max(c, lambdas, nu*)) +
+    nu*rho is evaluated once, on the ungrouped terms; by weak duality it
+    bounds the statistic from above, and ``gap`` reports the difference, so
+    it also checks the grouping. All of this runs on c scaled exactly by a
+    power of two to a largest entry in [0.5, 1), so it holds for observations
+    from about 1e-153 to 1e153 in scale; a value that overflows, or that
+    underflows out of the normal range, is refused. A constant observation
+    yields 0 in case "a" with a zero gap.
     """
     rho = float(rho)
     if not (math.isfinite(rho) and rho > 0.0):
         raise ValueError(f"rho must be positive and finite, got {rho}")
     # a one-row block, so that _sss_values on the same row gives the same bits
     y = np.asarray(y, dtype=float)[None]
-    (c,), (e,), ((value, case, nu_star, root),) = _solve_block(spectrum, y, rho)
+    (c,), (e,), _, ((value, _, case, nu_star, t, iterations),) = _solve_block(spectrum, y, rho)
     lambdas = spectrum.eigenvalues[1:]
     # c is scaled to a largest entry in [0.5, 1), and z does not depend on its scale
     if not c.any():
         z = c
-    elif case == "a":
-        z = c / np.linalg.norm(c)
     elif case == "b":
         z = c / lambdas
         z *= math.sqrt(rho / float(z @ (lambdas * z)))
-    else:
-        z = c / (1.0 + root.t_hi * lambdas)
+    else:  # in case "a", t = 0 and z = c/||c||
+        z = c / (1.0 + t * lambdas)
         z /= np.linalg.norm(z)
     dual = _dual_objective(c, lambdas, nu_star, rho)
     value, nu_star, dual = (float(x) for x in _unscale(np.array([value, nu_star, dual]), e))
@@ -712,7 +687,6 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     nz = np.nonzero(np.abs(witness) > 1e-14 * max(1.0, float(np.abs(witness).max())))[0]
     if nz.size and witness[nz[0]] < 0:
         witness = -witness
-    iterations = 0 if root is None else root.iterations
     return SssResult(
         value=value, nu_star=nu_star, witness=witness, case=case, iterations=iterations, gap=dual - value
     )

@@ -195,6 +195,14 @@ class TestExperiment:
         run_cli("experiment", "--config", str(cfg), "--out-dir", str(out2), "--seed", "5")
         assert (out1 / "roc_energy.csv").read_bytes() != (out2 / "roc_energy.csv").read_bytes()
 
+    @pytest.mark.parametrize("line, echoed", [("cluster = 7,8,3\n", "cluster=3,7,8"), ("", "cluster=canonical")])
+    def test_echo_names_the_cluster(self, tmp_path, capsys, line, echoed):
+        cfg = self.config_file(tmp_path)
+        cfg.write_text(cfg.read_text() + line)
+        assert run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 0
+        (echo,) = [row for row in capsys.readouterr().err.splitlines() if row.startswith("config:")]
+        assert echo.split()[-1] == echoed
+
     def test_preset_flag_accepted(self, tmp_path, capsys):
         # smallest preset, kept quick
         out = tmp_path / "kron"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphscan import (
     Detector,
@@ -241,6 +243,42 @@ class TestNuisanceInvariance:
                 pass
             for a, b in pairs:
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+class TestProperties:
+    """Properties of the statistics on random connected weighted graphs."""
+
+    @staticmethod
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, min_n=3)
+        return rng, g, rng.standard_normal(g.n), draw_rho(rng, graph_spectrum(g).eigenvalues)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_sss_lies_between_zero_and_energy(self, seed):
+        _, g, y, rho = self.draw(seed)
+        assert 0.0 <= sss_stat(g, y, rho) <= energy_stat(y) * (1.0 + 1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_relabelling_vertices_changes_no_statistic(self, seed):
+        rng, g, y, rho = self.draw(seed)
+        label = rng.permutation(g.n)  # vertex v becomes label[v]
+        relabelled = build_graph(g.n, [(label[u], label[v], w) for u, v, w in g.edges])
+        moved = np.empty(g.n)
+        moved[label] = y
+        for a, b in [
+            (sss_stat(g, y, rho), sss_stat(relabelled, moved, rho)),
+            (energy_stat(y), energy_stat(moved)),
+            (edge_stat(g, y), edge_stat(relabelled, moved)),
+            (glr_unconstrained(y), glr_unconstrained(moved)),
+        ]:
+            assert b == pytest.approx(a, rel=1e-12, abs=0.0)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-100, 100))
+    def test_sss_scales_with_the_square(self, seed, k):
+        _, g, y, rho = self.draw(seed)
+        scale = 10.0**k
+        assert sss_stat(g, scale * y, rho) == pytest.approx(scale**2 * sss_stat(g, y, rho), rel=1e-12, abs=0.0)
 
 
 class TestDetector:

@@ -487,8 +487,14 @@ class TestConfigFile:
             ("family = bbt\ndepth = 3\np = 16\n", r"unknown keys \['p'\]"),
             ("family = lattice\np = 4\nlevels = 2\n", r"unknown keys \['levels'\]"),
             ("family = torus\np = 4\n", "unknown family 'torus'"),
+            ("family = lattice\np = 4\nperiodic = ture\n",
+             r"exp\.cfg: 'periodic' must be true/false, yes/no or 1/0, got 'ture'"),
+            ("family = lattice\np = 4.5\n", r"exp\.cfg: 'p' must be an integer, got '4\.5'"),
+            ("family = lattice\np = 4\ncluster = 1, 2,\n",
+             r"exp\.cfg: 'cluster' must be 'canonical' or vertex ids, got '1, 2,'"),
         ],
-        ids=["no_equals", "no_depth", "no_levels", "foreign_p", "foreign_levels", "unknown_family"],
+        ids=["no_equals", "no_depth", "no_levels", "foreign_p", "foreign_levels", "unknown_family",
+             "misspelt_bool", "fractional_int", "trailing_comma_cluster"],
     )
     def test_malformed_file_rejected(self, tmp_path, text, match):
         path = tmp_path / "exp.cfg"
@@ -500,6 +506,9 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         for text, params in (("family = bbt\ndepth = 3\n", {"depth": 3}),
                              ("family = lattice\np = 5\nperiodic = yes\n", {"p": 5, "periodic": True}),
+                             ("family = lattice\np = 5\nperiodic = TRUE\n", {"p": 5, "periodic": True}),
+                             ("family = lattice\np = 5\nperiodic = No\n", {"p": 5, "periodic": False}),
+                             ("family = lattice\np = 5\nperiodic = 0\n", {"p": 5, "periodic": False}),
                              ("family = kron\nlevels = 2\n", {"levels": 2})):
             path.write_text(text)
             assert parse_config_file(path).params == params

@@ -74,11 +74,17 @@ class TestBitForBit:
     def test_few_replicates_are_solved_in_full(self, monkeypatch):
         g = gen_lattice(12, periodic=True)
         det = Detector("sss", rho=2.0)  # 199 of the 200 rows in case "c"
+        expected = full_solve_threshold(det, g, 1.0, 0.05, 200, 2)
         finished = []
-        finish = spectral._Root.finish
-        monkeypatch.setattr(spectral._Root, "finish", lambda root: finished.append(root) or finish(root))
-        threshold = calibrate_threshold(det, g, 1.0, 0.05, 200, 2)
-        assert threshold == full_solve_threshold(det, g, 1.0, 0.05, 200, 2)
+        solve = spectral._grouped_kkt
+
+        def counted(s, lambdas, rho, rtol=spectral._ROOT_RTOL):
+            if rtol == spectral._ROOT_RTOL:
+                finished.append(s)
+            return solve(s, lambdas, rho, rtol)
+
+        monkeypatch.setattr(spectral, "_grouped_kkt", counted)
+        assert calibrate_threshold(det, g, 1.0, 0.05, 200, 2) == expected
         assert 1 <= len(finished) <= 10
 
     @pytest.mark.parametrize("sigma, match", [(1e160, "overflows"), (1e-160, "underflows")])
@@ -114,11 +120,10 @@ class TestBounds:
         spec = graph_spectrum(g)
         y = rng.standard_normal((1, g.n))
         rho = case_c_rho(spec, y[0], u)
-        (value, case, _, _), = _solve_block(spec, y, rho)[2]
-        (_, _, _, root), = _solve_block(spec, y, rho, 10.0**log_rtol)[2]
-        assert case == "c" and root.t_lo <= root.t_hi
-        assert root.solution(root.t_hi)[0] * (1.0 - _BOUND_RTOL) <= value
-        assert value <= root.solution(root.t_lo)[0] * (1.0 + _BOUND_RTOL)
+        (value, _, case, *_), = _solve_block(spec, y, rho)[3]
+        (low, high, *_), = _solve_block(spec, y, rho, 10.0**log_rtol)[3]
+        assert case == "c"
+        assert low * (1.0 - _BOUND_RTOL) <= value <= high * (1.0 + _BOUND_RTOL)
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1))
