@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Graph, is_connected, laplacian
-from .rng import replicate_rng
+from .rng import _replicate_streams
 from .spectral import Spectrum, _sss_order_statistic, _sss_values, eig_sym
 
 __all__ = [
@@ -249,10 +249,11 @@ def _replicate_blocks(g: Graph, means, sigma: float, seed: int):
     """
     rows = max(1, _BLOCK_ENTRIES // g.n)
     block = np.empty((min(rows, len(means)), g.n))
+    streams = _replicate_streams(seed, range(len(means)))
     for start in range(0, len(means), rows):
         y = block[: len(means) - start]
         for r, row in enumerate(y, start):
-            replicate_rng(seed, r).standard_normal(out=row)
+            next(streams).standard_normal(out=row)
             row *= sigma
             row += means[r]
         yield start, y
@@ -275,10 +276,13 @@ def calibrate_threshold(
     Simulates ``reps`` draws of pure noise (the statistics are invariant to the
     background level, so it is fixed at zero), and returns the order statistic
     with 1-based index ceil((1 - alpha) * reps). Replicate r draws from the
-    stream keyed by (seed, r). For the SSS, a replicate's root-find runs only
-    as far as it takes to tell whether its value can be that order statistic
-    (see ``spectral._sss_order_statistic``), and the threshold is the one that
-    solving every replicate in full and sorting would give, bit for bit.
+    stream keyed by (seed, r). For the SSS, each replicate is solved only as
+    far as it takes to tell whether its value can be that order statistic
+    (see ``spectral._sss_order_statistic``): every replicate is bounded in
+    closed form from its grouped coefficients, those whose bounds may hold the
+    selected rank are bisected to a coarse bracket, and the few left in
+    contention are solved in full. The threshold is the one that solving
+    every replicate in full and sorting would give, bit for bit.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")

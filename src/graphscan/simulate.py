@@ -361,17 +361,21 @@ def parse_config_file(path) -> ExperimentConfig:
     reps_null, reps_alt, seed, detectors (comma list), cluster (``canonical``
     or a comma list of vertex ids). A key another family reads is unknown.
     ``periodic`` is one of true/false, yes/no or 1/0 in any case. A value that
-    does not read as its key's type is refused, naming the file and the key.
+    does not read as its key's type is refused, naming the file and the key,
+    and so is a key given twice, naming the file and both lines.
     """
     entries: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        entries[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        entries[key], lines[key] = value, lineno
 
     try:
         family = entries.pop("family")

@@ -34,15 +34,18 @@ The root-find of the third case bisects a bracket [t_lo, t_hi] of the root t
 until it is narrow relative to t (1e-14 in full), and every bracket on the
 way bounds the value: the point at t_hi is feasible, so its value is a lower
 bound, and the point at t_lo is the maximizer at a larger rho, so its value is
-an upper bound. An order statistic of many observations' values, the Monte
-Carlo threshold, therefore needs only a coarse bracket for most of them; the
-observations whose bounds may hold the selected rank are solved again from
-scratch in full, which visits the same midpoints, so the result is the same
-bits as sorting the full solves.
+an upper bound. Cheaper still, the value is bounded in closed form from the
+group sums alone, above by dropping the ellipsoid or the ball and below by two
+feasible points (c and diag(lambda)^-1 c scaled into the feasible set); these
+bounds are the value in the first two cases. An order statistic of many
+observations' values, the Monte Carlo threshold, is found in three stages:
+every observation is bounded in closed form, the few whose bounds may hold
+the selected rank are bisected to a coarse bracket, and those still in
+contention are solved again from scratch in full, which visits the same
+midpoints, so the result is the same bits as sorting the full solves.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -72,9 +75,10 @@ _TIE_RTOL = 1e-10
 
 # Case "c" bisects its root t until the bracket is this narrow relative to t.
 _ROOT_RTOL = 1e-14
-# The first pass of an order statistic narrows each root only this far, about
-# 7 bisection steps past the first lower bound rather than about 47; the value
-# bounds it leaves set all but one or two rows aside on the presets' graphs.
+# An order statistic narrows the roots its closed-form bounds leave in
+# contention only this far, about 7 bisection steps past the first lower bound
+# rather than about 47; the value bounds it leaves set all but one or two rows
+# aside on the presets' graphs.
 _COARSE_RTOL = 1e-2
 # A value bound is widened by this fraction to cover the rounding of the sums
 # behind it (one term per distinct eigenvalue, a relative error far below
@@ -540,23 +544,52 @@ def _grouped_kkt(
     return value, high, "c", nu_star, t_hi, steps
 
 
-def _solve_block(
-    spectrum: Spectrum, y: np.ndarray, rho: float, rtol: float = _ROOT_RTOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Coefficients of each row of ``y`` scaled by 2**-e, e, their group sums and their :func:`_grouped_kkt` result.
+def _closed_form_bounds(sums: np.ndarray, lambdas: np.ndarray, rho: float) -> np.ndarray:
+    """Bounds (low, high) on the value of :func:`_grouped_kkt` for each row of group sums, with no root-find.
+
+    With total = sum(s), weights p = s / total, q1 = p'lambdas,
+    q = sum(p / lambdas) and q2 = sum(p / lambdas**2), the value is at most
+    total (the ball alone) and rho * q * total (the ellipsoid alone). It is at
+    least the value of two feasible points: c/||c|| scaled onto the ellipsoid,
+    total * min(1, rho / q1), and lambdas^-1 * c scaled into both constraints,
+    rho * q * total * min(1, q / (rho * q2)). In cases "a" and "b" both bounds
+    are the value up to rounding. A row of zeros, or sums whose moments
+    overflow, gives a bound that is NaN or infinite.
+    """
+    total, first, inverse, inverse2 = (sums @ np.stack((np.ones_like(lambdas), lambdas, 1.0 / lambdas,
+                                                        lambdas**-2.0), axis=1)).T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ball, ellipsoid = total * np.minimum(1.0, rho * total / first), rho * inverse
+        low = np.maximum(ball, ellipsoid * np.minimum(1.0, inverse / (rho * inverse2)))
+        return np.stack((low, np.minimum(total, ellipsoid)), axis=1)
+
+
+def _scaled_sums(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients of each row of ``y`` scaled by 2**-e, e, and their sums over each group of equal eigenvalues.
 
     e brings the row's largest |c_i| into [0.5, 1), so the squares neither
     overflow nor underflow; a power of two scales exactly, so a value in
     range keeps every bit once :func:`_unscale` multiplies it by 2**(2e).
-    ``rho`` is taken as checked; case "c" roots are narrowed to ``rtol``.
     """
     coeffs, lambdas = _reduced_coeffs(spectrum, y)
     exps = np.frexp(np.abs(coeffs).max(axis=1))[1]
     np.ldexp(coeffs, -exps[:, None], out=coeffs)
-    starts, means = spectrum.groups
+    starts = spectrum.groups[0]
     sums = coeffs * coeffs
     if starts.size < lambdas.size:
         sums = np.add.reduceat(sums, starts, axis=1)
+    return coeffs, exps, sums
+
+
+def _solve_block(
+    spectrum: Spectrum, y: np.ndarray, rho: float, rtol: float = _ROOT_RTOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """:func:`_scaled_sums` of the rows of ``y`` and each row's :func:`_grouped_kkt` result.
+
+    ``rho`` is taken as checked; case "c" roots are narrowed to ``rtol``.
+    """
+    coeffs, exps, sums = _scaled_sums(spectrum, y)
+    means = spectrum.groups[1]
     return coeffs, exps, sums, [_grouped_kkt(row, means, rho, rtol) for row in sums]
 
 
@@ -577,6 +610,21 @@ def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
     return _unscale(np.array([value for value, *_ in solved]), exps)
 
 
+def _set_aside(low: np.ndarray, high: np.ndarray, largest: int, smallest: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rows whose value bounds ``low`` and ``high`` place them below, and above, the result.
+
+    The result is the ``largest``-th largest and the ``smallest``-th smallest
+    value among these rows and those still to come. If ``largest`` rows have
+    lower bounds of at least f, the result is at least f, so a row whose upper
+    bound is below f lies below it; likewise a row whose lower bound is above
+    the ``smallest``-th smallest upper bound lies above it.
+    """
+    m = low.size
+    floor = np.partition(low, m - largest)[m - largest] if m >= largest else -math.inf
+    ceiling = np.partition(high, smallest - 1)[smallest - 1] if m >= smallest else math.inf
+    return high < floor, low > ceiling
+
+
 def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, count: int) -> float:
     """The rank-th smallest (1-based) value of the statistic over the ``count`` rows of ``blocks``.
 
@@ -584,64 +632,85 @@ def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, coun
     next is drawn. The result equals entry ``rank - 1`` of the sorted
     :func:`_sss_values` of the same blocks bit for bit, and a block is
     refused as :func:`_sss_values` refuses it; ``rho`` is taken as checked.
-    Each row is solved only as far as it might hold the result:
+    Each row is solved only as far as it might hold the result, in three
+    stages:
 
-    1. every case-"c" root is narrowed only to ``_COARSE_RTOL``, and its value
-       bounds, widened by ``_BOUND_RTOL``, bound the row's value (a row whose
-       bounds might not unscale to normal doubles is solved in full at once,
-       so a block is refused exactly when :func:`_sss_values` refuses it);
-    2. a row is set aside once ``count - rank + 1`` rows have lower bounds
-       above its upper bound, or ``rank`` rows upper bounds below its lower
-       bound, for then its value lies below (above) the result. A row in
+    0. as each block arrives, every row is bounded in closed form from its
+       group sums (:func:`_closed_form_bounds`), the bounds widened by
+       ``_BOUND_RTOL``; a row whose bounds might not unscale to normal doubles
+       is solved in full at once, so a block is refused exactly when
+       :func:`_sss_values` refuses it. A row is then set aside once
+       ``count - rank + 1`` rows have lower bounds above its upper bound, or
+       ``rank`` rows upper bounds below its lower bound, for then its value
+       lies below (above) the result (:func:`_set_aside`). A row in
        contention keeps its bounds and exponent, and while it is open (its
        bounds differ) its group sums; at most ``_OPEN_ENTRIES`` group sums are
        held, the oldest open rows past that being solved in full;
-    3. the open rows left are solved in full, and the result is the value
+    1. once every block is in, the rows still in contention are narrowed, the
+       largest upper bound first so that the lower bounds that set rows aside
+       rise fastest: each is solved with its case-"c" root narrowed only to
+       ``_COARSE_RTOL`` (exactly, in cases "a" and "b"), its bounds become
+       the tighter of the two pairs, and the rows it sets aside are skipped;
+    2. the open rows left are solved in full, and the result is the value
        whose rank, after the rows set aside below, is ``rank``.
 
-    A row is solved in full by solving its group sums again from scratch;
-    bisection visits the same midpoints whatever its width, so the bits are
-    those of :func:`_sss_values`.
+    Every value that can be returned comes from :func:`_grouped_kkt`: a
+    bracket that meets the full stopping rule, or a case "a" or "b", is
+    exact at any ``rtol``, and a row is solved in full by solving its group
+    sums again from scratch; bisection visits the same midpoints whatever its
+    width, so the bits are those of :func:`_sss_values`.
     """
     means = spectrum.groups[1]
     largest = count - rank + 1  # the rank-th smallest value is the largest-th largest
-    floors, ceilings = [], []  # heaps: the largest lower bounds, and the smallest upper bounds negated
-    below = 0  # rows set aside because their value lies below the result
+    widen = (1.0 - _BOUND_RTOL, 1.0 + _BOUND_RTOL)
+    below = above = 0  # rows set aside because their value lies below (above) the result
+    # the rows in contention: value bounds (equal once exact) and exponents,
+    # and the group sums of the open rows, in order
+    low, high, exps, held = np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty((0, means.size))
 
     def solved_in_full(row, exp):
         return np.ldexp(_grouped_kkt(row, means, rho)[0], 2 * exp)
 
-    # the rows in contention: value bounds (equal once exact) and exponents,
-    # and the group sums of the open rows, in order
-    low, high, exps, held = np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty((0, means.size))
-    for y in blocks:
-        e, sums, solved = _solve_block(spectrum, y, rho, _COARSE_RTOL)[1:]
-        bounds = np.array([(lo, hi) for lo, hi, *_ in solved])
-        opened = np.array([case == "c" for _, _, case, *_ in solved])
-        bounds[opened] *= (1.0 - _BOUND_RTOL, 1.0 + _BOUND_RTOL)
-        with np.errstate(over="ignore", under="ignore"):
-            widened = np.ldexp(bounds, 2 * e[:, None])
-        leaving = opened & ((widened[:, 0] < np.finfo(float).tiny) | ~np.isfinite(widened[:, 1]))
-        bounds[leaving, 0] = [_grouped_kkt(row, means, rho)[0] for row in sums[leaving]]
-        opened &= ~leaving
-        widened[~opened] = _unscale(bounds[~opened, 0], e[~opened])[:, None]
-        for heap, size, keys in ((floors, largest, widened[:, 0]), (ceilings, rank, -widened[:, 1])):
-            for key in keys.tolist():
-                (heapq.heappush if len(heap) < size else heapq.heappushpop)(heap, key)
-        low, high, exps = (np.concatenate(pair) for pair in zip((low, high, exps), (*widened.T, e)))
-        held = np.concatenate((held, sums[opened]))
-        floor = floors[0] if len(floors) == largest else -math.inf
-        ceiling = -ceilings[0] if len(ceilings) == rank else math.inf
-        keep = (high >= floor) & (low <= ceiling)
-        below += int(np.count_nonzero(high < floor))
+    def set_aside():
+        nonlocal low, high, exps, held, below, above
+        under, over = _set_aside(low, high, largest - above, rank - below)
+        below, above = below + int(np.count_nonzero(under)), above + int(np.count_nonzero(over))
+        keep = ~(under | over)
         held = held[keep[low < high]]
         low, high, exps = low[keep], high[keep], exps[keep]
+
+    for y in blocks:  # stage 0
+        e, sums = _scaled_sums(spectrum, y)[1:]
+        with np.errstate(over="ignore", under="ignore"):
+            bounds = np.ldexp(_closed_form_bounds(sums, means, rho) * widen, 2 * e[:, None])
+        leaving = ~(bounds[:, 0] >= np.finfo(float).tiny) | ~np.isfinite(bounds[:, 1])
+        full = [_grouped_kkt(row, means, rho)[0] for row in sums[leaving]]
+        bounds[leaving] = _unscale(np.array(full, dtype=float), e[leaving])[:, None]
+        low, high, exps = (np.concatenate(pair) for pair in zip((low, high, exps), (*bounds.T, e)))
+        held = np.concatenate((held, sums[bounds[:, 0] < bounds[:, 1]]))
+        del sums  # before the next block is projected, which would otherwise raise the peak memory
+        set_aside()
         past = max(0, len(held) - max(1, _OPEN_ENTRIES // means.size))
         for i, row in zip(np.flatnonzero(low < high)[:past], held):
             low[i] = high[i] = solved_in_full(row, exps[i])
         held = held[past:]
-        del sums  # before the next block is projected, which would otherwise raise the peak memory
-    for i, row in zip(np.flatnonzero(low < high), held):
+
+    opened = np.flatnonzero(low < high)  # stage 1
+    under, over = _set_aside(low, high, largest - above, rank - below)
+    for j in np.argsort(-high[opened], kind="stable"):
+        i = opened[j]
+        if under[i] or over[i]:
+            continue
+        lo, hi = _grouped_kkt(held[j], means, rho, _COARSE_RTOL)[:2]
+        if lo == hi:
+            low[i] = high[i] = np.ldexp(lo, 2 * exps[i])
+        else:
+            lo, hi = np.ldexp(np.multiply((lo, hi), widen), 2 * exps[i])
+            low[i], high[i] = max(low[i], lo), min(high[i], hi)
+        under, over = _set_aside(low, high, largest - above, rank - below)
+    held = held[low[opened] < high[opened]]
+    set_aside()
+    for i, row in zip(np.flatnonzero(low < high), held):  # stage 2
         low[i] = solved_in_full(row, exps[i])
     return float(np.sort(low)[rank - 1 - below])
 

@@ -364,6 +364,17 @@ class TestBlockStatistics:
                 assert det.statistic(g, row) == sss(graph_spectrum(g), row, rho).value
 
 
+class TestReplicateBlocks:
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_each_row_is_its_replicate_stream(self, monkeypatch, rows):
+        g = gen_lattice(5)
+        if rows is not None:
+            monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * g.n)
+        for seed in (0, 7, 2**64 + 3, -5):
+            drawn = np.vstack([y.copy() for _, y in detectors._replicate_blocks(g, [0.0] * 30, 1.0, seed)])
+            assert drawn.tolist() == [replicate_rng(seed, r).standard_normal(g.n).tolist() for r in range(30)]
+
+
 class TestCalibrateThreshold:
     def test_median_at_alpha_half(self):
         g = p2()

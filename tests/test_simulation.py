@@ -502,6 +502,12 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=match):
             parse_config_file(path)
 
+    def test_repeated_key_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("family = lattice\np = 4\n# p raised below\np = 6\n")
+        with pytest.raises(ValueError, match=r"exp\.cfg:4: key 'p' repeats line 2"):
+            parse_config_file(path)
+
     def test_family_keys_of_each_family(self, tmp_path):
         path = tmp_path / "exp.cfg"
         for text, params in (("family = bbt\ndepth = 3\n", {"depth": 3}),

@@ -18,7 +18,7 @@ from graphscan import (
 )
 from graphscan import detectors, spectral
 from graphscan.detectors import _replicate_statistics
-from graphscan.spectral import _BOUND_RTOL, _solve_block
+from graphscan.spectral import _BOUND_RTOL, _closed_form_bounds, _solve_block
 from helpers import draw_rho, random_connected_graph
 
 GRAPHS = {
@@ -87,6 +87,23 @@ class TestBitForBit:
         assert calibrate_threshold(det, g, 1.0, 0.05, 200, 2) == expected
         assert 1 <= len(finished) <= 10
 
+    def test_closed_form_bounds_leave_few_rows_to_narrow(self, monkeypatch):
+        g = gen_lattice(12, periodic=True)
+        det = Detector("sss", rho=2.0)  # mid-spectrum, where the closed-form bounds are loosest
+        expected = full_solve_threshold(det, g, 1.0, 0.05, 200, 2)
+        narrowed = []
+        solve = spectral._grouped_kkt
+
+        def counted(s, lambdas, rho, rtol=spectral._ROOT_RTOL):
+            if rtol == spectral._COARSE_RTOL:
+                narrowed.append(s)
+            return solve(s, lambdas, rho, rtol)
+
+        monkeypatch.setattr(spectral, "_grouped_kkt", counted)
+        assert calibrate_threshold(det, g, 1.0, 0.05, 200, 2) == expected
+        # narrowing every row, as a first pass without closed-form bounds would, takes 200
+        assert len(narrowed) <= 80
+
     @pytest.mark.parametrize("sigma, match", [(1e160, "overflows"), (1e-160, "underflows")])
     def test_refuses_extreme_scales_as_a_full_solve_does(self, sigma, match):
         g = gen_lattice(6, periodic=True)
@@ -107,7 +124,32 @@ def case_c_rho(spec, y, u):
     return lo ** (1.0 - u) * hi**u
 
 
+def rho_in(lambdas, regime, u):
+    """A level below lambda_2, between lambda_2 and lambda_n, or at least lambda_n, placed by ``u`` in [0, 1]."""
+    lam2, lamn = float(lambdas[1]), float(lambdas[-1])
+    levels = {"below": lam2 * (0.01 + 0.98 * u), "between": lam2 ** (1.0 - u) * lamn**u, "above": lamn * (1.0 + 3.0 * u)}
+    return levels[regime]
+
+
 class TestBounds:
+    @settings(max_examples=90)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        regime=st.sampled_from(["below", "between", "above"]),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_closed_form_bounds_enclose_the_value(self, seed, regime, u):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, min_n=3)
+        spec = graph_spectrum(g)
+        rho = rho_in(spec.eigenvalues, regime, u)
+        _, _, sums, solved = _solve_block(spec, rng.standard_normal((8, g.n)), rho)
+        for (low, high), (value, _, case, *_) in zip(_closed_form_bounds(sums, spec.groups[1], rho), solved):
+            assert low * (1.0 - _BOUND_RTOL) <= value <= high * (1.0 + _BOUND_RTOL)
+            if case != "c":
+                assert low == pytest.approx(value, rel=1e-12, abs=0.0)
+                assert high == pytest.approx(value, rel=1e-12, abs=0.0)
+
     @settings(max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1),
