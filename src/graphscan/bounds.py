@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._check import integer
 from .spectral import Spectrum, _connected_lambdas
 
 __all__ = [
@@ -99,10 +100,10 @@ def naive_bounds(n: int, max_cluster: int) -> tuple[float, float]:
     Returns (sqrt(n - 1), sqrt(max_cluster * log n)) where ``max_cluster`` is
     the largest cluster size (at most n/2) in the class under test.
     """
-    n = int(n)
+    n = integer("n", n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    max_cluster = int(max_cluster)
+    max_cluster = integer("max_cluster", max_cluster)
     if not 1 <= max_cluster <= n // 2:
         raise ValueError(f"max_cluster must be in 1..n//2, got {max_cluster}")
     return math.sqrt(n - 1.0), math.sqrt(max_cluster * math.log(n))
@@ -114,7 +115,7 @@ def noncentrality(delta: float, sigma: float, cluster_size: int, n: int) -> floa
     delta = float(delta)
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
-    cluster_size = int(cluster_size)
+    cluster_size, n = integer("cluster_size", cluster_size), integer("n", n)
     if not 0 < cluster_size < n:
         raise ValueError(f"cluster size must be in 1..n-1, got {cluster_size}")
     return (delta / sigma) ** 2 * cluster_size * (n - cluster_size) / n
@@ -122,7 +123,7 @@ def noncentrality(delta: float, sigma: float, cluster_size: int, n: int) -> floa
 
 def bbt_lambda2_bound(depth: int) -> float:
     """Upper bound 2**depth + 105*[depth < 4] on 1/lambda_2 of the balanced binary tree."""
-    depth = int(depth)
+    depth = integer("depth", depth)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     return float(2**depth + (105 if depth < 4 else 0))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -169,12 +169,10 @@ def _cmd_experiment(args) -> int:
             raise ValueError(f"--config {args.config}: {exc.strerror or exc}") from exc
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-    _echo_config(subcommand="experiment", preset=args.preset, config=args.config,
-                 family=config.family, params=config.params, mu=config.mu, delta=config.delta,
-                 sigma=config.sigma, rho=config.rho, reps_null=config.reps_null,
-                 reps_alt=config.reps_alt, seed=config.seed,
-                 detectors=",".join(config.detectors),
+    shown = {f.name: getattr(config, f.name) for f in fields(config)}
+    shown.update(detectors=",".join(config.detectors),
                  cluster="canonical" if config.cluster is None else ",".join(map(str, sorted(config.cluster))))
+    _echo_config(subcommand="experiment", preset=args.preset, config=args.config, **shown)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = simulate.run_roc(config)

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._check import integer
 from .graphs import Graph, is_connected, laplacian
 from .rng import _replicate_streams
 from .spectral import Spectrum, _sss_order_statistic, _sss_values, eig_sym
@@ -282,8 +283,10 @@ def calibrate_threshold(
     closed form from its grouped coefficients, those whose bounds may hold the
     selected rank are bisected to a coarse bracket, and the few left in
     contention are solved in full. The threshold is the one that solving
-    every replicate in full and sorting would give, bit for bit.
+    every replicate in full and sorting would give, bit for bit. ``reps``
+    and ``seed`` must be integers.
     """
+    reps, seed = integer("reps", reps), integer("seed", seed)
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
     if not 0.0 < alpha < 1.0:

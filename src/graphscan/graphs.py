@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._check import integer
+
 __all__ = [
     "Graph",
     "Cluster",
@@ -190,14 +192,15 @@ def _rebuild(n, eu, ev, w, factors, depth=0, tree_weight=1.0) -> Graph:
 class Cluster:
     """A candidate activation cluster: a set of vertex ids.
 
-    Must be nonempty; properness (|C| < n) is checked against a graph by the
+    Must be nonempty, and every id an integer (not a bool) that is not
+    negative; properness (|C| < n) is checked against a graph by the
     operations that need it.
     """
 
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        members = frozenset(int(v) for v in self.members)
+        members = frozenset(integer("cluster vertex id", v) for v in self.members)
         if not members:
             raise ValueError("cluster must be nonempty")
         if any(v < 0 for v in members):
@@ -270,7 +273,7 @@ def gen_bbt(depth: int) -> Graph:
     of v are 2v+1 and 2v+2; n = 2**(depth+1) - 1. The result records its
     depth, and its edge weight 1.0.
     """
-    depth = int(depth)
+    depth = integer("depth", depth)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     n = 2 ** (depth + 1) - 1
@@ -287,7 +290,7 @@ def gen_lattice(p: int, periodic: bool = False) -> Graph:
     torus (product of two cycles), and the result records those factors.
     Periodic requires p >= 3 so that wrap-around does not duplicate an edge.
     """
-    p = int(p)
+    p = integer("p", p)
     minimum = 3 if periodic else 2
     if p < minimum:
         kind = "periodic" if periodic else "non-periodic"
@@ -358,7 +361,7 @@ def gen_kron_multiscale(base: Graph, levels: int) -> Graph:
     to right, so the first (most significant) index coordinate is the coarsest
     scale and carries the lightest edge weights.
     """
-    levels = int(levels)
+    levels = integer("levels", levels)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if not is_connected(base):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._check import integer
+
 __all__ = ["replicate_rng"]
 
 _MASK64 = (1 << 64) - 1
@@ -23,8 +25,9 @@ def _replicate_key(seed: int, index: int) -> np.ndarray:
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one replicate of a seeded experiment."""
-    return np.random.Generator(np.random.Philox(key=_replicate_key(seed, index)))
+    """Independent generator for one replicate of a seeded experiment; both arguments must be integers."""
+    key = _replicate_key(integer("seed", seed), integer("replicate index", index))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _replicate_streams(seed: int, indices):

@@ -9,13 +9,13 @@ derivation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
+from ._check import integer, require
 from .detectors import RHO_KINDS, Detector, _replicate_statistics
 from .graphs import Cluster, Graph, gen_bbt, gen_lattice, gen_kron_multiscale, two_triangles
 
@@ -91,12 +91,12 @@ def snr(spec: SignalSpec, sigma: float) -> float:
 
 
 def _bbt_cluster(g: Graph, params: dict) -> Cluster:
-    depth = int(params["depth"])
+    depth = integer("depth", params["depth"])
     if depth < 2:
         raise ValueError("bbt cluster requires depth >= 2")
     if g.n != 2 ** (depth + 1) - 1:
         raise ValueError(f"graph has n={g.n}, not a depth-{depth} balanced binary tree")
-    root = int(params.get("node", 3))
+    root = integer("node", params.get("node", 3))
     if not 3 <= root <= 6:
         raise ValueError(f"depth-2 node id must be in 3..6, got {root}")
     # the root's descendants d levels down are the 2**d ids from (root + 1) * 2**d - 1
@@ -105,7 +105,7 @@ def _bbt_cluster(g: Graph, params: dict) -> Cluster:
 
 
 def _lattice_cluster(g: Graph, params: dict) -> Cluster:
-    p = int(params["p"])
+    p = integer("p", params["p"])
     if g.n != p * p:
         raise ValueError(f"graph has n={g.n}, not a {p}x{p} lattice")
     half = p // 2
@@ -113,11 +113,11 @@ def _lattice_cluster(g: Graph, params: dict) -> Cluster:
 
 
 def _kron_cluster(g: Graph, params: dict) -> Cluster:
-    base_n = int(params.get("base_n", two_triangles().n))
-    levels = int(params["levels"])
+    base_n = integer("base_n", params.get("base_n", two_triangles().n))
+    levels = integer("levels", params["levels"])
     if g.n != base_n**levels:
         raise ValueError(f"graph has n={g.n}, not a {levels}-level product of a {base_n}-vertex base")
-    base_half = frozenset(params.get("base_half", range(base_n // 2)))
+    base_half = frozenset(integer("base_half vertex", v) for v in params.get("base_half", range(base_n // 2)))
     if not base_half or any(not 0 <= v < base_n for v in base_half):
         raise ValueError("base_half must be a nonempty subset of the base vertices")
     block = base_n ** (levels - 1)
@@ -163,7 +163,8 @@ def canonical_cluster(g: Graph, family: str, **params) -> Cluster:
              the base graph (``base_half``, default the first base_n//2
              vertices); requires ``levels`` (``base_n`` defaults to 6).
 
-    Raises on a missing required parameter or a graph of another size.
+    Raises on a missing required parameter, a parameter or ``base_half``
+    vertex that is not an integer, or a graph of another size.
     """
     return _family(family, params).cluster(g, params)
 
@@ -173,10 +174,12 @@ class ExperimentConfig:
     """Everything needed to reproduce one ROC experiment.
 
     ``params`` holds the family parameters (bbt: depth; lattice: p, periodic;
-    kron: levels, with the two-triangle base); a missing required parameter,
-    one the family does not read, and a value of another type (an int key
-    takes an integer that is not a bool, a bool key a bool) are refused.
-    ``cluster=None`` selects the family's canonical cluster.
+    kron: levels, with the two-triangle base). Each family parameter must be
+    of its type in ``_FAMILIES`` and each scalar field of its annotated type
+    (see :mod:`graphscan._check`), the floats finite; a missing or foreign
+    parameter, ``detectors`` other than a nonempty tuple of distinct kinds,
+    and ``cluster`` other than None (the family's canonical cluster) or a
+    nonempty set of nonnegative integer ids are refused.
     """
 
     family: str
@@ -196,18 +199,32 @@ class ExperimentConfig:
         unknown = sorted(set(self.params) - set(keys))
         if unknown:
             raise ValueError(f"unknown keys {unknown} for family {self.family!r}")
-        for key, value in self.params.items():
-            # every key is an int or a bool, and a bool is also an integer
-            wants_bool = keys[key] is bool
-            if isinstance(value, bool) != wants_bool or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key!r} must be {'a bool' if wants_bool else 'an integer'}, got {value!r}")
+        types = {**keys, **_FIELD_TYPES}
+        for key, value in {**self.params, **{name: getattr(self, name) for name in _SCALAR_FIELDS}}.items():
+            require(repr(key), value, types[key])
         if self.reps_null < 1 or self.reps_alt < 1:
             raise ValueError("replicate counts must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be positive and finite")
-        SignalSpec(n=1, mu=self.mu, delta=self.delta)  # mu and delta must be finite
-        for kind in self.detectors:
+        kinds = self.detectors
+        if not (isinstance(kinds, tuple) and kinds and all(kinds.count(kind) == 1 for kind in kinds)):
+            raise ValueError(f"'detectors' must be a nonempty tuple of distinct detector kinds, got {kinds!r}")
+        for kind in kinds:
             Detector(kind, rho=self.rho if kind in RHO_KINDS else None)
+        for name in ("mu", "delta", "rho"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.cluster is not None:
+            if not isinstance(self.cluster, (set, frozenset)):
+                raise ValueError(f"'cluster' must be None or a set of vertex ids, got {self.cluster!r}")
+            Cluster(self.cluster)  # nonempty, of nonnegative integer ids
+
+
+# The type of every field after family and params, from its annotation, and the scalar
+# fields among them, whose values the type rule of graphscan._check checks
+_FIELD_TYPES = {name: kind for name, kind in get_type_hints(ExperimentConfig).items()
+                if name not in ("family", "params")}
+_SCALAR_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind in (bool, int, float))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -263,11 +280,11 @@ def run_roc(config: ExperimentConfig) -> dict[str, RocCurve]:
     null_spec = SignalSpec(n=g.n, mu=config.mu, delta=0.0, cluster=None)
     if config.delta == 0.0:
         alt_spec = null_spec
+    elif config.cluster is None:
+        cluster = canonical_cluster(g, config.family, **config.params)
+        alt_spec = SignalSpec(n=g.n, mu=config.mu, delta=config.delta, cluster=cluster)
     else:
-        cluster = config.cluster
-        if cluster is None:
-            cluster = canonical_cluster(g, config.family, **config.params).members
-        alt_spec = SignalSpec(n=g.n, mu=config.mu, delta=config.delta, cluster=Cluster(frozenset(cluster)))
+        alt_spec = SignalSpec(n=g.n, mu=config.mu, delta=config.delta, cluster=Cluster(config.cluster))
 
     means = [null_spec.beta()] * config.reps_null + [alt_spec.beta()] * config.reps_alt
     stats = _replicate_statistics(detectors, g, means, config.sigma, config.seed)
@@ -335,34 +352,32 @@ def write_roc_csv(curve: RocCurve, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_detectors(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
-
-def _parse_value(path, key: str, raw: str, kind):
-    """``raw``, the value of ``key`` in the config file ``path``, read as ``kind``.
-
-    A bool is one of true/false, yes/no or 1/0 in any case. Raises naming the
-    file and the key.
-    """
-    words = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-    try:
-        return words[raw.lower()] if kind is bool else kind(raw)
-    except (KeyError, ValueError):
-        expected = {bool: "true/false, yes/no or 1/0", int: "an integer", float: "a number"}[kind]
-        raise ValueError(f"{path}: '{key}' must be {expected}, got {raw!r}") from None
+# How a config file spells a value of each annotated type: the parser of its text, and
+# what a refusal says the value must be
+_SPELLINGS = {
+    bool: (lambda raw: _BOOL_WORDS[raw.lower()], "true/false, yes/no or 1/0"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    tuple[str, ...]: (lambda raw: tuple(filter(None, map(str.strip, raw.split(",")))), "a comma list"),
+    frozenset | None: (lambda raw: None if raw == "canonical" else frozenset(int(v) for v in raw.split(",")),
+                       "'canonical' or vertex ids"),
+}
 
 
 def parse_config_file(path) -> ExperimentConfig:
     """Read a flat ``key = value`` experiment description.
 
     Recognized keys: family (bbt|lattice|kron), the family's parameters
-    (bbt: depth; lattice: p, periodic; kron: levels), mu, delta, sigma, rho,
-    reps_null, reps_alt, seed, detectors (comma list), cluster (``canonical``
-    or a comma list of vertex ids). A key another family reads is unknown.
-    ``periodic`` is one of true/false, yes/no or 1/0 in any case. A value that
-    does not read as its key's type is refused, naming the file and the key,
-    and so is a key given twice, naming the file and both lines.
+    (bbt: depth; lattice: p, periodic; kron: levels) and every other field of
+    :class:`ExperimentConfig`, each read by its one type in ``_FAMILIES`` or
+    the annotations: detectors is a comma list, cluster ``canonical`` or a
+    comma list of vertex ids, and a bool one of true/false, yes/no or 1/0 in
+    any case. A key another family reads is unknown. A value that does not
+    read as its key's type is refused, naming the file and the key, and so is
+    a key given twice, naming the file and both lines; the values read are
+    then checked, and refused with the same messages, as the config does.
     """
     entries: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -381,34 +396,16 @@ def parse_config_file(path) -> ExperimentConfig:
         family = entries.pop("family")
     except KeyError:
         raise ValueError(f"{path}: missing required key 'family'") from None
-    params: dict = {}
-    for key, kind in _family(family, entries).keys.items():
+    keys = _family(family, entries).keys
+    params, fields = {}, {}
+    for key, kind in {**keys, **_FIELD_TYPES}.items():
         if key in entries:
+            parse, expected = _SPELLINGS[kind]
             raw = entries.pop(key)
-            params[key] = _parse_value(path, key, raw, kind)
-
-    cluster = None
-    raw_cluster = entries.pop("cluster", "canonical")
-    if raw_cluster != "canonical":
-        try:
-            cluster = frozenset(int(v) for v in raw_cluster.split(","))
-        except ValueError:
-            raise ValueError(f"{path}: 'cluster' must be 'canonical' or vertex ids, got {raw_cluster!r}") from None
-
-    kwargs: dict = {}
-    for key, cast in (
-        ("mu", float),
-        ("delta", float),
-        ("sigma", float),
-        ("rho", float),
-        ("reps_null", int),
-        ("reps_alt", int),
-        ("seed", int),
-    ):
-        if key in entries:
-            kwargs[key] = _parse_value(path, key, entries.pop(key), cast)
-    if "detectors" in entries:
-        kwargs["detectors"] = _parse_detectors(entries.pop("detectors"))
+            try:
+                (params if key in keys else fields)[key] = parse(raw)
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}: '{key}' must be {expected}, got {raw!r}") from None
     if entries:
         raise ValueError(f"{path}: unknown keys {sorted(entries)}")
-    return ExperimentConfig(family=family, params=params, cluster=cluster, **kwargs)
+    return ExperimentConfig(family=family, params=params, **fields)

@@ -448,20 +448,6 @@ def _connected_lambdas(spectrum: Spectrum) -> np.ndarray:
     return lambdas
 
 
-def _reduced_coeffs(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of centered y in the nonconstant eigenbasis, and lambda_2..n.
-
-    ``y`` is one observation or an (R, n) block of them, centered row by row.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != spectrum.n:
-        raise ValueError(f"observations have shape {y.shape}, expected rows of length {spectrum.n}")
-    lambdas = _connected_lambdas(spectrum)
-    if not np.isfinite(y).all():
-        raise ValueError("observation contains NaN or infinite values")
-    return spectrum.project(y - y.mean(axis=-1, keepdims=True)), lambdas
-
-
 def _dual_objective(c: np.ndarray, lambdas: np.ndarray, nu: float, rho: float) -> float:
     # The clamp at zero accounts for the constant-vector direction, where the
     # full matrix y~ y~' - nu L always has eigenvalue 0; without it the dual
@@ -565,13 +551,20 @@ def _closed_form_bounds(sums: np.ndarray, lambdas: np.ndarray, rho: float) -> np
 
 
 def _scaled_sums(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients of each row of ``y`` scaled by 2**-e, e, and their sums over each group of equal eigenvalues.
+    """Coefficients of each centred row of ``y`` scaled by 2**-e, e, and their sums over each group of equal eigenvalues.
 
-    e brings the row's largest |c_i| into [0.5, 1), so the squares neither
+    Raises unless ``y`` is a finite (R, n) block and the graph connected. e
+    brings the row's largest |c_i| into [0.5, 1), so the squares neither
     overflow nor underflow; a power of two scales exactly, so a value in
     range keeps every bit once :func:`_unscale` multiplies it by 2**(2e).
     """
-    coeffs, lambdas = _reduced_coeffs(spectrum, y)
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[1] != spectrum.n:
+        raise ValueError(f"observations have shape {y.shape}, expected rows of length {spectrum.n}")
+    lambdas = _connected_lambdas(spectrum)
+    if not np.isfinite(y).all():
+        raise ValueError("observation contains NaN or infinite values")
+    coeffs = spectrum.project(y - y.mean(axis=1, keepdims=True))
     exps = np.frexp(np.abs(coeffs).max(axis=1))[1]
     np.ldexp(coeffs, -exps[:, None], out=coeffs)
     starts = spectrum.groups[0]
@@ -579,18 +572,6 @@ def _scaled_sums(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     if starts.size < lambdas.size:
         sums = np.add.reduceat(sums, starts, axis=1)
     return coeffs, exps, sums
-
-
-def _solve_block(
-    spectrum: Spectrum, y: np.ndarray, rho: float, rtol: float = _ROOT_RTOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """:func:`_scaled_sums` of the rows of ``y`` and each row's :func:`_grouped_kkt` result.
-
-    ``rho`` is taken as checked; case "c" roots are narrowed to ``rtol``.
-    """
-    coeffs, exps, sums = _scaled_sums(spectrum, y)
-    means = spectrum.groups[1]
-    return coeffs, exps, sums, [_grouped_kkt(row, means, rho, rtol) for row in sums]
 
 
 def _unscale(scaled, exps):
@@ -606,8 +587,9 @@ def _unscale(scaled, exps):
 
 def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
     """Values of the statistic for the rows of an (R, n) block; ``rho`` is taken as checked."""
-    _, exps, _, solved = _solve_block(spectrum, y, rho)
-    return _unscale(np.array([value for value, *_ in solved]), exps)
+    _, exps, sums = _scaled_sums(spectrum, y)
+    means = spectrum.groups[1]
+    return _unscale(np.array([_grouped_kkt(row, means, rho)[0] for row in sums]), exps)
 
 
 def _set_aside(low: np.ndarray, high: np.ndarray, largest: int, smallest: int) -> tuple[np.ndarray, np.ndarray]:
@@ -738,7 +720,8 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     # a one-row block, so that _sss_values on the same row gives the same bits
     y = np.asarray(y, dtype=float)[None]
-    (c,), (e,), _, ((value, _, case, nu_star, t, iterations),) = _solve_block(spectrum, y, rho)
+    (c,), (e,), (s,) = _scaled_sums(spectrum, y)
+    value, _, case, nu_star, t, iterations = _grouped_kkt(s, spectrum.groups[1], rho)
     lambdas = spectrum.eigenvalues[1:]
     # c is scaled to a largest entry in [0.5, 1), and z does not depend on its scale
     if not c.any():

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from graphscan import gen_bbt, read_edge_list
+from graphscan import simulate
 from graphscan.cli import main
 
 
@@ -209,7 +211,11 @@ class TestExperiment:
         code = run_cli("experiment", "--preset", "kron-fig1", "--out-dir", str(out))
         assert code == 0
         assert (out / "roc_sss.csv").exists()
-        assert "seed=7" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "config: subcommand=experiment preset=kron-fig1 config=None family=kron params={'levels': 2} "
+            "mu=0.0 delta=0.8 sigma=1.0 rho=0.1111111111111111 reps_null=500 reps_alt=500 seed=7 "
+            "detectors=sss,energy,edge,glr_unconstrained cluster=canonical"
+        ]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli("experiment", "--config", str(tmp_path / "ghost.cfg"), "--out-dir", str(tmp_path))
@@ -240,6 +246,13 @@ class TestHelp:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         assert "key = value" in out and "detectors" in out
+
+    def test_help_names_every_config_key(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("--help")
+        words = set(re.findall(r"\w+", capsys.readouterr().out.partition("experiment config files")[2]))
+        family_keys = {key for family in simulate._FAMILIES.values() for key in family.keys}
+        assert {"family", *family_keys, *simulate._FIELD_TYPES} <= words
 
 
 class TestBounds:

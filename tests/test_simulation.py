@@ -135,6 +135,8 @@ class TestFamilyParameters:
     def test_config_takes_numpy_integers(self):
         config = ExperimentConfig(family="lattice", params={"p": np.int64(4), "periodic": False})
         assert build_experiment_graph(config) == gen_lattice(4)
+        config = ExperimentConfig(family="bbt", params={"depth": 2}, reps_null=np.int32(5), seed=np.uint8(3))
+        assert (config.reps_null, config.seed) == (5, 3)
 
     @pytest.mark.parametrize("reps", [{"reps_null": 0}, {"reps_alt": 0}, {"reps_null": -1}])
     def test_config_needs_replicates(self, reps):
@@ -501,6 +503,36 @@ class TestConfigFile:
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "field, value, line, match",
+        [
+            ("reps_null", 2.5, "reps_null = 2.5", "'reps_null' must be an integer"),
+            ("reps_alt", True, "reps_alt = true", "'reps_alt' must be an integer"),
+            ("seed", 1.5, "seed = 1.5", "'seed' must be an integer"),
+            ("mu", math.nan, "mu = nan", "mu must be finite, got nan"),
+            ("mu", True, "mu = true", "'mu' must be a number"),
+            ("rho", math.inf, "rho = inf\ndetectors = energy", "rho must be finite, got inf"),
+            ("detectors", ("energy", "energy"), "detectors = energy, energy",
+             r"'detectors' must be a nonempty tuple of distinct detector kinds, got \('energy', 'energy'\)"),
+            ("detectors", (), "detectors =", r"'detectors' must be a nonempty tuple of distinct detector kinds, got \(\)"),
+            ("detectors", "sss", None, "'detectors' must be a nonempty tuple of distinct detector kinds, got 'sss'"),
+            ("cluster", frozenset(), None, "cluster must be nonempty"),
+            ("cluster", [0], None, r"'cluster' must be None or a set of vertex ids, got \[0\]"),
+        ],
+        ids=["fractional_reps", "bool_reps", "fractional_seed", "nan_mu", "bool_mu", "inf_rho", "repeated_detectors",
+             "no_detectors", "string_detectors", "empty_cluster", "list_cluster"],
+    )
+    def test_config_and_file_refuse_alike(self, tmp_path, field, value, line, match):
+        # a file cannot spell a detectors string or an empty or listed cluster
+        base = {"detectors": ("energy",)} if field == "rho" else {}
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(family="bbt", params={"depth": 2}, **{**base, field: value})
+        if line is not None:
+            path = tmp_path / "exp.cfg"
+            path.write_text(f"family = bbt\ndepth = 2\n{line}\n")
+            with pytest.raises(ValueError, match=match):
+                parse_config_file(path)
 
     def test_repeated_key_rejected_naming_both_lines(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -17,7 +17,7 @@ from graphscan import (
     two_triangles,
     write_spectrum_csv,
 )
-from graphscan.spectral import DenseSpectrum, _dual_objective, _fix_signs, _reduced_coeffs, _sss_values
+from graphscan.spectral import DenseSpectrum, _dual_objective, _fix_signs, _scaled_sums, _sss_values
 from helpers import dense_basis, draw_rho, fix_signs_loop, kkt_solve_loop, random_connected_graph, sss_certificate
 
 
@@ -295,7 +295,8 @@ class TestSss:
             spec = graph_spectrum(g)
             y = rng.standard_normal(g.n)
             rho = draw_rho(rng, spec.eigenvalues)
-            c, lambdas = _reduced_coeffs(spec, y)
+            (c,), _, _ = _scaled_sums(spec, y[None])
+            lambdas = spec.eigenvalues[1:]
             grid = np.linspace(0.0, float(c @ c) / rho, 100)
             f = np.array([_dual_objective(c, lambdas, nu, rho) for nu in grid])
             chord_minus_mid = 0.5 * (f[:-2] + f[2:]) - f[1:-1]
@@ -305,9 +306,11 @@ class TestSss:
 
 def reference_values(spec, y, rho):
     """Values, cases and step counts of the ungrouped reference loop on the rows of ``y``."""
-    coeffs, lambdas = _reduced_coeffs(spec, y)
+    # the coefficients are scaled by powers of two, which the cases and steps do not see
+    coeffs, exps, _ = _scaled_sums(spec, y)
+    lambdas = spec.eigenvalues[1:]
     solved = [kkt_solve_loop(c, lambdas, rho) for c in coeffs]
-    values = np.array([float(c @ z) ** 2 for c, (z, *_) in zip(coeffs, solved)])
+    values = np.ldexp([float(c @ z) ** 2 for c, (z, *_) in zip(coeffs, solved)], 2 * exps)
     return values, [case for _, case, _, _ in solved], [steps for *_, steps in solved]
 
 

@@ -18,7 +18,7 @@ from graphscan import (
 )
 from graphscan import detectors, spectral
 from graphscan.detectors import _replicate_statistics
-from graphscan.spectral import _BOUND_RTOL, _closed_form_bounds, _solve_block
+from graphscan.spectral import _BOUND_RTOL, _closed_form_bounds, _grouped_kkt, _scaled_sums
 from helpers import draw_rho, random_connected_graph
 
 GRAPHS = {
@@ -143,7 +143,8 @@ class TestBounds:
         g = random_connected_graph(rng, min_n=3)
         spec = graph_spectrum(g)
         rho = rho_in(spec.eigenvalues, regime, u)
-        _, _, sums, solved = _solve_block(spec, rng.standard_normal((8, g.n)), rho)
+        sums = _scaled_sums(spec, rng.standard_normal((8, g.n)))[2]
+        solved = [_grouped_kkt(row, spec.groups[1], rho) for row in sums]
         for (low, high), (value, _, case, *_) in zip(_closed_form_bounds(sums, spec.groups[1], rho), solved):
             assert low * (1.0 - _BOUND_RTOL) <= value <= high * (1.0 + _BOUND_RTOL)
             if case != "c":
@@ -162,8 +163,9 @@ class TestBounds:
         spec = graph_spectrum(g)
         y = rng.standard_normal((1, g.n))
         rho = case_c_rho(spec, y[0], u)
-        (value, _, case, *_), = _solve_block(spec, y, rho)[3]
-        (low, high, *_), = _solve_block(spec, y, rho, 10.0**log_rtol)[3]
+        (s,) = _scaled_sums(spec, y)[2]
+        value, _, case, *_ = _grouped_kkt(s, spec.groups[1], rho)
+        low, high, *_ = _grouped_kkt(s, spec.groups[1], rho, 10.0**log_rtol)
         assert case == "c"
         assert low * (1.0 - _BOUND_RTOL) <= value <= high * (1.0 + _BOUND_RTOL)
 
