@@ -13,10 +13,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._check import integer
+from ._check import integer, require
 from .graphs import Graph, is_connected, laplacian
 from .rng import _replicate_streams
-from .spectral import Spectrum, _sss_order_statistic, _sss_values, eig_sym
+from .spectral import (
+    _BLOCK_ENTRIES,
+    _WORKSPACE,
+    Spectrum,
+    _row_chunks,
+    _sss_order_statistic,
+    _sss_values,
+    eig_sym,
+)
 
 __all__ = [
     "DETECTOR_KINDS",
@@ -34,7 +42,6 @@ __all__ = [
 
 _GLR_EXACT_MAX_N = 22
 _ENUM_CHUNK = 1 << 16  # cluster sums (masks x rows) held at once
-_BLOCK_ENTRIES = 1 << 16  # observation entries in one replicate block
 
 
 class EmptyClassError(ValueError):
@@ -86,17 +93,20 @@ def _glr_unconstrained_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndar
     # For a fixed size k the best cluster takes the k largest centred values
     # (complements score the same), so one sorted prefix-sum sweep is exact.
     # The negated values sort ascending into that order, and the sign cancels
-    # in the square; sorting and summing them in place makes one copy of the
-    # block rather than one per step.
+    # in the square; they are sorted and summed in place in the thread's
+    # workspace, chunk by chunk.
     n = y.shape[1]
-    swept = y.mean(axis=1, keepdims=True) - y
-    swept.sort(axis=1)
-    prefix = np.cumsum(swept, axis=1, out=swept)[:, :-1]
-    np.square(prefix, out=prefix)
-    prefix *= n
     k = np.arange(1, n)
-    prefix /= k * (n - k)
-    return prefix.max(axis=1)
+    values = []
+    for chunk in _row_chunks(y, n):
+        swept = np.subtract(chunk.mean(axis=1, keepdims=True), chunk, out=_WORKSPACE.array("a", chunk.shape))
+        swept.sort(axis=1)
+        prefix = np.cumsum(swept, axis=1, out=swept)[:, :-1]
+        np.square(prefix, out=prefix)
+        prefix *= n
+        prefix /= k * (n - k)
+        values.append(prefix.max(axis=1))
+    return np.concatenate(values)
 
 
 def _connected_masks(bits: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
@@ -160,8 +170,9 @@ RHO_KINDS = tuple(kind for kind, (_, takes_rho, _) in _KINDS.items() if takes_rh
 class Detector:
     """A named statistic with its parameters.
 
-    ``rho`` (positive and finite) is required for the kinds in :data:`RHO_KINDS`;
-    ``require_connected`` only applies to glr_exact.
+    ``rho`` (a positive and finite number, not a bool) is required for the
+    kinds in :data:`RHO_KINDS`; ``require_connected`` only applies to
+    glr_exact.
     """
 
     kind: str
@@ -172,7 +183,7 @@ class Detector:
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
         if self.kind in RHO_KINDS:
-            if self.rho is None or not (math.isfinite(self.rho) and self.rho > 0.0):
+            if self.rho is None or not (math.isfinite(require("rho", self.rho, float)) and self.rho > 0.0):
                 raise ValueError(f"detector {self.kind!r} requires a finite rho > 0")
 
     def statistic(self, g: Graph, y: np.ndarray) -> float:
@@ -183,10 +194,11 @@ class Detector:
         """The statistic of each row of an (R, n) block of observations.
 
         Rows must have length ``g.n`` >= 2 and finite entries; the kinds that
-        use the edges also need a connected graph. The SSS and glr_exact score
-        the whole block with one matrix product, so their values can differ
-        from one-row blocks in the last digits; energy, edge and
-        glr_unconstrained give every row the same bits in any block.
+        use the edges also need a connected graph. The SSS scores the block
+        in chunks of up to 2**16 entries, and glr_exact the whole block, with
+        one matrix product each, so their values can differ from one-row
+        blocks in the last digits; energy, edge and glr_unconstrained give
+        every row the same bits in any block.
         """
         return _KINDS[self.kind][0](self, g, self._checked(g, y))
 
@@ -246,10 +258,11 @@ def _replicate_blocks(g: Graph, means, sigma: float, seed: int):
 
     Replicate r observes ``means[r] + sigma * eps`` with eps drawn from the
     stream keyed by (seed, r), whatever the grouping of replicates into blocks.
-    One buffer holds every block, so each must be used before the next.
+    The thread's workspace buffer "noise" holds every block, so each must be
+    used before the next, and before the thread draws another run's blocks.
     """
     rows = max(1, _BLOCK_ENTRIES // g.n)
-    block = np.empty((min(rows, len(means)), g.n))
+    block = _WORKSPACE.array("noise", (min(rows, len(means)), g.n))
     streams = _replicate_streams(seed, range(len(means)))
     for start in range(0, len(means), rows):
         y = block[: len(means) - start]

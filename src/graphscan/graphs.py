@@ -67,9 +67,11 @@ class Graph:
     """Undirected weighted graph on vertices 0..n-1 with no self-loops or multi-edges.
 
     Edge i joins ``eu[i]`` and ``ev[i]`` with weight ``w[i]``. Construction
-    refuses non-integer or out-of-range ids, self-loops, a pair given twice in
-    either orientation and weights that are not finite and positive, naming
-    the first offending edge, and stores read-only copies of the arrays.
+    refuses a vertex count that is not a positive integer (a float or a bool
+    included), non-integer or out-of-range ids, self-loops, a pair given
+    twice in either orientation and weights that are not finite and
+    positive, naming the first offending edge, and stores read-only copies
+    of the arrays.
     Graphs with equal n and arrays, edge order included, and equal factor
     and tree records are equal; the hash of that content is computed once.
     """
@@ -87,9 +89,7 @@ class Graph:
     _tree_weight = 1.0
 
     def __post_init__(self) -> None:
-        n = int(self.n)
-        if n != self.n:
-            raise ValueError(f"vertex count must be an integer, got {self.n}")
+        n = integer("vertex count", self.n)
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
         ends, w = np.array((self.eu, self.ev)), np.array(self.w, dtype=float)

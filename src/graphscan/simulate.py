@@ -39,6 +39,7 @@ __all__ = [
 class SignalSpec:
     """Piecewise-constant mean: mu everywhere, mu + delta on the cluster.
 
+    ``n`` must be a positive integer (not a float or a bool).
     ``cluster=None`` means the null (constant) signal; under the alternative
     the gap must be nonzero and the cluster a nonempty proper subset.
     """
@@ -49,6 +50,7 @@ class SignalSpec:
     cluster: Cluster | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", integer("n", self.n))
         if self.n < 1:
             raise ValueError("n must be positive")
         for name, value in (("mu", self.mu), ("delta", self.delta)):

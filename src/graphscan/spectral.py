@@ -43,15 +43,29 @@ every observation is bounded in closed form, the few whose bounds may hold
 the selected rank are bisected to a coarse bracket, and those still in
 contention are solved again from scratch in full, which visits the same
 midpoints, so the result is the same bits as sorting the full solves.
+
+A block of observations is scored in a workspace of flat float buffers that
+each thread keeps (``threading.local``) and reuses for every block and call,
+so no buffer is allocated, faulted in and freed per block: one buffer holds
+the replicate noise, and two hold in turn the centred block, the
+projection's axis-by-axis outputs, the coefficients in eigenvalue order and
+their squares. A block is scored in chunks of at most 2**16 entries (or one
+row, if a row is longer), so each buffer keeps at most that many: three
+buffers per thread, 1.5 MB for n up to 2**16. The coefficients and group sums
+``_scaled_sums`` returns are views of the workspace, valid until its next
+call in the same thread.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
+
+from ._check import require
 
 __all__ = [
     "Spectrum",
@@ -87,6 +101,41 @@ _BOUND_RTOL = 1e-8
 # Group sums that an order statistic may hold for its open rows at once; past
 # it, the oldest open rows are solved in full and kept as their value.
 _OPEN_ENTRIES = 1 << 19
+# Observation entries in one block of replicates, and in the chunks a block is
+# scored in, so the most each workspace buffer holds unless one row is longer.
+_BLOCK_ENTRIES = 1 << 16
+
+
+class _Workspace(threading.local):
+    """Flat float buffers, one per role, that a thread reuses for every block it scores.
+
+    The roles are "noise" (the replicate draws) and "a" and "b" (what a
+    block's scoring passes between them). A buffer grows to the largest array
+    asked of it and is never shrunk, so a thread keeps at most three.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def array(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous array of this shape at the start of the role's buffer, holding whatever was left there."""
+        size = math.prod(shape)
+        buffer = self.buffers.get(role)
+        if buffer is None or buffer.size < size:
+            buffer = self.buffers[role] = np.empty(size)
+        return buffer[:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _row_chunks(y: np.ndarray, n: int):
+    """The (R, n) block ``y`` in chunks of whole rows, each of at most ``_BLOCK_ENTRIES`` entries or one row.
+
+    An empty block is one empty chunk.
+    """
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return (y[start : start + rows] for start in range(0, max(len(y), 1), rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +148,10 @@ class Spectrum:
     :class:`TreeSpectrum` (the small blocks of a balanced binary tree). Each
     form numbers its eigenvectors in a raw order of its own, and supplies only
     ``_along``, the transform of a (B, n, A) block along its middle axis from
-    vertex values to raw coefficients (or back, with ``inverse``);
+    vertex values to raw coefficients (or back, with ``inverse``). Given
+    ``out``, a C-contiguous array of the block's shape, it may return the
+    result there rather than in new memory, and a product may also overwrite
+    the block with it;
     ``order[i]`` is the raw index of ``eigenvalues[i]``, and the methods here
     apply it. Arrays are frozen so a cached Spectrum can be shared.
     """
@@ -147,6 +199,16 @@ class Spectrum:
         means = np.add.reduceat(lambdas, starts) / np.diff(starts, append=lambdas.size)
         return _frozen(starts, means)
 
+    @cached_property
+    def _moments(self) -> np.ndarray:
+        """The (groups, 4) matrix of 1, lambda, 1/lambda and lambda**-2 at each group's mean.
+
+        :func:`_closed_form_bounds` takes the moments of a row of group sums
+        as one product with it.
+        """
+        means = self.groups[1]
+        return _frozen(np.stack((np.ones_like(means), means, 1.0 / means, means**-2.0), axis=1))[0]
+
     def project(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of each row of ``y`` on eigenvectors 2..n, in eigenvalue order.
 
@@ -163,7 +225,7 @@ class Spectrum:
         coeffs[self.order[1:]] = z
         return self._along(coeffs.reshape(1, self.n, 1), inverse=True).reshape(self.n)
 
-    def _along(self, block: np.ndarray, inverse: bool) -> np.ndarray:
+    def _along(self, block: np.ndarray, inverse: bool, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -176,11 +238,12 @@ class DenseSpectrum(Spectrum):
 
     eigenvectors: np.ndarray
 
-    def _along(self, block, inverse):
+    def _along(self, block, inverse, out=None):
         m = self.eigenvectors.T if inverse else self.eigenvectors
         if block.shape[2] == 1:
-            return (block.reshape(-1, m.shape[0]) @ m).reshape(block.shape)
-        return np.matmul(m.T, block)
+            rows = None if out is None else out.reshape(-1, m.shape[0])
+            return np.matmul(block.reshape(-1, m.shape[0]), m, out=rows).reshape(block.shape)
+        return np.matmul(m.T, block, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,14 +261,17 @@ class ProductSpectrum(Spectrum):
 
     factors: tuple[Spectrum, ...]
 
-    def _along(self, block, inverse):
+    def _along(self, block, inverse, out=None):
         # entry (j1, ..., jk) becomes sum over (i1, ..., ik) of entry
         # (i1, ..., ik) times the product of M_a[i_a, j_a], one factor basis
-        # M_a (or its transpose) per axis, applied one axis at a time
+        # M_a (or its transpose) per axis, applied one axis at a time; given
+        # out, the axes write into out and the block in turn
         before, after, trailing = block.shape[0], self.n, block.shape[2]
         for factor in self.factors:
             after //= factor.n
-            block = factor._along(block.reshape(before, factor.n, after * trailing), inverse)
+            shape = (before, factor.n, after * trailing)
+            written = factor._along(block.reshape(shape), inverse, None if out is None else out.reshape(shape))
+            block, out = written, None if out is None else block
             before *= factor.n
         return block.reshape(-1, self.n, trailing)
 
@@ -238,16 +304,19 @@ class TreeSpectrum(Spectrum):
     radial: np.ndarray
     blocks: tuple[np.ndarray, ...]
 
-    def _along(self, block, inverse):
+    def _along(self, block, inverse, out=None):
         b, n, a = block.shape
         rows = block.transpose(0, 2, 1).reshape(-1, n)  # a view when a == 1
-        rows = self._from_coefficients(rows) if inverse else self._to_coefficients(rows)
+        if inverse:
+            rows = self._from_coefficients(rows)
+        else:  # into out when its rows are the result's, as they are when a == 1
+            rows = self._to_coefficients(rows, None if out is None or a > 1 else out.reshape(b, n))
         return rows.reshape(b, a, n).transpose(0, 2, 1)
 
-    def _to_coefficients(self, y: np.ndarray) -> np.ndarray:
-        """Raw coefficients of each row of ``y``: one pass from the leaves up, O(n) per row."""
+    def _to_coefficients(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Raw coefficients of each row of ``y``, into ``out`` if given: one pass from the leaves up, O(n) per row."""
         d, r = self.depth, len(y)
-        out = np.empty((r, self.n))
+        out = np.empty((r, self.n)) if out is None else out
         # sums[:, i, k]: the row summed over the vertices k levels below node
         # i of the current level (k = 0 is node i itself)
         sums = y[:, -(2**d) :, None]
@@ -530,20 +599,21 @@ def _grouped_kkt(
     return value, high, "c", nu_star, t_hi, steps
 
 
-def _closed_form_bounds(sums: np.ndarray, lambdas: np.ndarray, rho: float) -> np.ndarray:
+def _closed_form_bounds(spectrum: Spectrum, sums: np.ndarray, rho: float) -> np.ndarray:
     """Bounds (low, high) on the value of :func:`_grouped_kkt` for each row of group sums, with no root-find.
 
-    With total = sum(s), weights p = s / total, q1 = p'lambdas,
-    q = sum(p / lambdas) and q2 = sum(p / lambdas**2), the value is at most
-    total (the ball alone) and rho * q * total (the ellipsoid alone). It is at
-    least the value of two feasible points: c/||c|| scaled onto the ellipsoid,
+    With lambdas the spectrum's group means, total = sum(s), weights
+    p = s / total, q1 = p'lambdas, q = sum(p / lambdas) and
+    q2 = sum(p / lambdas**2), the value is at most total (the ball alone) and
+    rho * q * total (the ellipsoid alone). It is at least the value of two
+    feasible points: c/||c|| scaled onto the ellipsoid,
     total * min(1, rho / q1), and lambdas^-1 * c scaled into both constraints,
     rho * q * total * min(1, q / (rho * q2)). In cases "a" and "b" both bounds
     are the value up to rounding. A row of zeros, or sums whose moments
-    overflow, gives a bound that is NaN or infinite.
+    overflow, gives a bound that is NaN or infinite. The four moments of
+    every row are one product with the spectrum's cached ``_moments``.
     """
-    total, first, inverse, inverse2 = (sums @ np.stack((np.ones_like(lambdas), lambdas, 1.0 / lambdas,
-                                                        lambdas**-2.0), axis=1)).T
+    total, first, inverse, inverse2 = (sums @ spectrum._moments).T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ball, ellipsoid = total * np.minimum(1.0, rho * total / first), rho * inverse
         low = np.maximum(ball, ellipsoid * np.minimum(1.0, inverse / (rho * inverse2)))
@@ -557,6 +627,10 @@ def _scaled_sums(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     brings the row's largest |c_i| into [0.5, 1), so the squares neither
     overflow nor underflow; a power of two scales exactly, so a value in
     range keeps every bit once :func:`_unscale` multiplies it by 2**(2e).
+    The block is centred, projected, ordered, scaled and squared in the
+    thread's workspace buffers "a" and "b", so the coefficients, and the sums
+    unless groups were summed, are views of them, valid until the next call;
+    ``y`` is one chunk of :func:`_row_chunks`.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[1] != spectrum.n:
@@ -564,11 +638,19 @@ def _scaled_sums(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     lambdas = _connected_lambdas(spectrum)
     if not np.isfinite(y).all():
         raise ValueError("observation contains NaN or infinite values")
-    coeffs = spectrum.project(y - y.mean(axis=1, keepdims=True))
-    exps = np.frexp(np.abs(coeffs).max(axis=1))[1]
+    r, n = y.shape
+    centred, spare = (_WORKSPACE.array(role, (r, n, 1)) for role in ("a", "b"))
+    np.subtract(y, y.mean(axis=1, keepdims=True), out=centred[:, :, 0])
+    raw = spectrum._along(centred, False, spare)
+    # the ordered coefficients go to a buffer the projection left free, and
+    # their squares to the other
+    ordered, squared = ("a", "b") if np.may_share_memory(raw, spare) else ("b", "a")
+    coeffs = _WORKSPACE.array(ordered, (r, n - 1))
+    np.take(raw.reshape(r, n), spectrum.order[1:], axis=1, out=coeffs, mode="clip")  # "raise" would buffer
+    exps = np.frexp(np.maximum(coeffs.max(axis=1), -coeffs.min(axis=1)))[1]
     np.ldexp(coeffs, -exps[:, None], out=coeffs)
     starts = spectrum.groups[0]
-    sums = coeffs * coeffs
+    sums = np.multiply(coeffs, coeffs, out=_WORKSPACE.array(squared, (r, n - 1)))
     if starts.size < lambdas.size:
         sums = np.add.reduceat(sums, starts, axis=1)
     return coeffs, exps, sums
@@ -586,10 +668,13 @@ def _unscale(scaled, exps):
 
 
 def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
-    """Values of the statistic for the rows of an (R, n) block; ``rho`` is taken as checked."""
-    _, exps, sums = _scaled_sums(spectrum, y)
+    """Values of the statistic for the rows of an (R, n) block, scored chunk by chunk; ``rho`` is taken as checked."""
     means = spectrum.groups[1]
-    return _unscale(np.array([_grouped_kkt(row, means, rho)[0] for row in sums]), exps)
+    values = []
+    for chunk in _row_chunks(np.asarray(y, dtype=float), spectrum.n):
+        _, exps, sums = _scaled_sums(spectrum, chunk)
+        values.append(_unscale(np.array([_grouped_kkt(row, means, rho)[0] for row in sums]), exps))
+    return np.concatenate(values)
 
 
 def _set_aside(low: np.ndarray, high: np.ndarray, largest: int, smallest: int) -> tuple[np.ndarray, np.ndarray]:
@@ -610,8 +695,8 @@ def _set_aside(low: np.ndarray, high: np.ndarray, largest: int, smallest: int) -
 def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, count: int) -> float:
     """The rank-th smallest (1-based) value of the statistic over the ``count`` rows of ``blocks``.
 
-    ``blocks`` yields (R, n) blocks of observations, each used before the
-    next is drawn. The result equals entry ``rank - 1`` of the sorted
+    ``blocks`` yields (R, n) blocks of observations, each used (chunk by
+    chunk) before the next is drawn. The result equals entry ``rank - 1`` of the sorted
     :func:`_sss_values` of the same blocks bit for bit, and a block is
     refused as :func:`_sss_values` refuses it; ``rho`` is taken as checked.
     Each row is solved only as far as it might hold the result, in three
@@ -661,16 +746,16 @@ def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, coun
         held = held[keep[low < high]]
         low, high, exps = low[keep], high[keep], exps[keep]
 
-    for y in blocks:  # stage 0
+    for y in (chunk for block in blocks for chunk in _row_chunks(block, spectrum.n)):  # stage 0
         e, sums = _scaled_sums(spectrum, y)[1:]
         with np.errstate(over="ignore", under="ignore"):
-            bounds = np.ldexp(_closed_form_bounds(sums, means, rho) * widen, 2 * e[:, None])
+            bounds = np.ldexp(_closed_form_bounds(spectrum, sums, rho) * widen, 2 * e[:, None])
         leaving = ~(bounds[:, 0] >= np.finfo(float).tiny) | ~np.isfinite(bounds[:, 1])
         full = [_grouped_kkt(row, means, rho)[0] for row in sums[leaving]]
         bounds[leaving] = _unscale(np.array(full, dtype=float), e[leaving])[:, None]
         low, high, exps = (np.concatenate(pair) for pair in zip((low, high, exps), (*bounds.T, e)))
         held = np.concatenate((held, sums[bounds[:, 0] < bounds[:, 1]]))
-        del sums  # before the next block is projected, which would otherwise raise the peak memory
+        del sums  # summed groups are new memory, freed before the next chunk's are summed
         set_aside()
         past = max(0, len(held) - max(1, _OPEN_ENTRIES // means.size))
         for i, row in zip(np.flatnonzero(low < high)[:past], held):
@@ -715,10 +800,11 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     underflows out of the normal range, is refused. A constant observation
     yields 0 in case "a" with a zero gap.
     """
-    rho = float(rho)
+    rho = float(require("rho", rho, float))
     if not (math.isfinite(rho) and rho > 0.0):
         raise ValueError(f"rho must be positive and finite, got {rho}")
-    # a one-row block, so that _sss_values on the same row gives the same bits
+    # a one-row block, so that _sss_values on the same row gives the same bits;
+    # c and s are views of the workspace, used before anything else scores
     y = np.asarray(y, dtype=float)[None]
     (c,), (e,), (s,) = _scaled_sums(spectrum, y)
     value, _, case, nu_star, t, iterations = _grouped_kkt(s, spectrum.groups[1], rho)

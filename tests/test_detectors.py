@@ -282,6 +282,17 @@ class TestProperties:
 
 
 class TestDetector:
+    def test_rho_must_not_be_a_bool(self):
+        y = np.arange(7.0)
+        for call in (
+            lambda: Detector("sss", rho=True),
+            lambda: Detector("glr_exact", rho=True),
+            lambda: sss_stat(gen_bbt(2), y, True),
+            lambda: sss(graph_spectrum(gen_bbt(2)), y, True),
+        ):
+            with pytest.raises(ValueError, match="rho must be a number, got True"):
+                call()
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown detector"):
             Detector("sum")

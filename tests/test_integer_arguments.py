@@ -7,6 +7,8 @@ import pytest
 from graphscan import (
     Cluster,
     Detector,
+    Graph,
+    SignalSpec,
     bbt_lambda2_bound,
     calibrate_threshold,
     canonical_cluster,
@@ -42,6 +44,8 @@ CALLS = {
     "noncentrality_size": (lambda v: noncentrality(1.0, 1.0, v, 10), 2, "cluster_size"),
     "noncentrality_n": (lambda v: noncentrality(1.0, 1.0, 2, v), 10, "n"),
     "bbt_lambda2_bound": (lambda v: bbt_lambda2_bound(v), 3, "depth"),
+    "graph_n": (lambda v: Graph(v, [0], [1], [1.0]).n, 2, "vertex count"),
+    "signal_n": (lambda v: SignalSpec(n=v, mu=0.0, delta=0.0).beta().tolist(), 3, "n"),
 }
 
 

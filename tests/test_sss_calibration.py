@@ -145,7 +145,7 @@ class TestBounds:
         rho = rho_in(spec.eigenvalues, regime, u)
         sums = _scaled_sums(spec, rng.standard_normal((8, g.n)))[2]
         solved = [_grouped_kkt(row, spec.groups[1], rho) for row in sums]
-        for (low, high), (value, _, case, *_) in zip(_closed_form_bounds(sums, spec.groups[1], rho), solved):
+        for (low, high), (value, _, case, *_) in zip(_closed_form_bounds(spec, sums, rho), solved):
             assert low * (1.0 - _BOUND_RTOL) <= value <= high * (1.0 + _BOUND_RTOL)
             if case != "c":
                 assert low == pytest.approx(value, rel=1e-12, abs=0.0)
