@@ -258,18 +258,29 @@ def _replicate_blocks(g: Graph, means, sigma: float, seed: int):
 
     Replicate r observes ``means[r] + sigma * eps`` with eps drawn from the
     stream keyed by (seed, r), whatever the grouping of replicates into blocks.
-    The thread's workspace buffer "noise" holds every block, so each must be
-    used before the next, and before the thread draws another run's blocks.
+    A block is scaled at once (not at all when sigma is 1), and each run of
+    rows whose means are one object gets that mean added at once (not at all
+    when it is zero). The thread's workspace buffer "noise" holds every block,
+    so each must be used before the next, and before the thread draws another
+    run's blocks.
     """
     rows = max(1, _BLOCK_ENTRIES // g.n)
     block = _WORKSPACE.array("noise", (min(rows, len(means)), g.n))
     streams = _replicate_streams(seed, range(len(means)))
     for start in range(0, len(means), rows):
         y = block[: len(means) - start]
-        for r, row in enumerate(y, start):
+        for row in y:
             next(streams).standard_normal(out=row)
-            row *= sigma
-            row += means[r]
+        if sigma != 1.0:
+            y *= sigma
+        first = 0
+        while first < len(y):
+            mean, end = means[start + first], first + 1
+            while end < len(y) and means[start + end] is mean:
+                end += 1
+            if np.any(mean):
+                y[first:end] += mean
+            first = end
         yield start, y
 
 
@@ -293,11 +304,12 @@ def calibrate_threshold(
     stream keyed by (seed, r). For the SSS, each replicate is solved only as
     far as it takes to tell whether its value can be that order statistic
     (see ``spectral._sss_order_statistic``): every replicate is bounded in
-    closed form from its grouped coefficients, those whose bounds may hold the
-    selected rank are bisected to a coarse bracket, and the few left in
-    contention are solved in full. The threshold is the one that solving
-    every replicate in full and sorting would give, bit for bit. ``reps``
-    and ``seed`` must be integers.
+    closed form from its grouped coefficients (the bounds at the two ends of
+    the KKT multiplier path), the bounds of those that may hold the selected
+    rank are refined in batches by a few lockstep Newton steps along the
+    path, and the few left in contention are solved in full. The threshold
+    is the one that solving every replicate in full and sorting would give,
+    bit for bit. ``reps`` and ``seed`` must be integers.
     """
     reps, seed = integer("reps", reps), integer("seed", seed)
     if reps < 100:

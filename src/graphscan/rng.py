@@ -34,12 +34,18 @@ def _replicate_streams(seed: int, indices):
     """For each index in turn, one shared generator set to the stream of ``replicate_rng(seed, index)``.
 
     Re-keying one Philox (counter 0, empty buffer) gives the same bits as
-    building a new generator, at about a quarter of the cost. Each generator
-    yielded must be used before the next is drawn.
+    building a new generator, at about a quarter of the cost; the keys of all
+    the indices (nonnegative and below 2**63) are built at once. Each
+    generator yielded must be used before the next is drawn.
     """
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and indices.min() < 0:
+        raise ValueError(f"replicate index must be nonnegative, got {indices.min()}")
+    keys = np.empty((indices.size, 2), dtype=np.uint64)
+    keys[:, 0], keys[:, 1] = indices, int(seed) & _MASK64
     generator = np.random.Generator(np.random.Philox(key=0))
     state = generator.bit_generator.state  # a fresh stream: counter 0 and an empty buffer
-    for index in indices:
-        state["state"]["key"] = _replicate_key(seed, index)
+    for key in keys:
+        state["state"]["key"] = key
         generator.bit_generator.state = state
         yield generator

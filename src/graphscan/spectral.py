@@ -30,30 +30,32 @@ by a power of two before squaring, so neither the solve nor the certificate
 overflows or underflows at extreme scales of y; a value outside the range of
 normal doubles is refused.
 
-The root-find of the third case bisects a bracket [t_lo, t_hi] of the root t
-until it is narrow relative to t (1e-14 in full), and every bracket on the
-way bounds the value: the point at t_hi is feasible, so its value is a lower
-bound, and the point at t_lo is the maximizer at a larger rho, so its value is
-an upper bound. Cheaper still, the value is bounded in closed form from the
-group sums alone, above by dropping the ellipsoid or the ball and below by two
-feasible points (c and diag(lambda)^-1 c scaled into the feasible set); these
-bounds are the value in the first two cases. An order statistic of many
-observations' values, the Monte Carlo threshold, is found in three stages:
-every observation is bounded in closed form, the few whose bounds may hold
-the selected rank are bisected to a coarse bracket, and those still in
-contention are solved again from scratch in full, which visits the same
-midpoints, so the result is the same bits as sorting the full solves.
+The root-find of the third case bisects a bracket of the root until it is
+narrow relative to the root (1e-14). The value is also bounded with no
+root-find: at any point u > 0 of the third case's multiplier path, the
+maximizer's direction there, scaled into the feasible set, gives a lower
+bound and the dual objective at the matching multiplier an upper bound. Both
+are the value at the root, and at the path's two ends they are closed forms
+in the group sums (dropping the ellipsoid or the ball, and c or
+diag(lambda)^-1 c scaled into the feasible set), which are the value in the
+first two cases. An order statistic of many observations' values, the Monte
+Carlo threshold, is found in three stages: every observation is bounded at
+the path's ends, the bounds of those that may hold the selected rank are
+refined a batch at a time by a few lockstep Newton steps along the path, and
+those still in contention are solved from scratch in full, so the result is
+the same bits as sorting the full solves.
 
 A block of observations is scored in a workspace of flat float buffers that
 each thread keeps (``threading.local``) and reuses for every block and call,
 so no buffer is allocated, faulted in and freed per block: one buffer holds
 the replicate noise, and two hold in turn the centred block, the
 projection's axis-by-axis outputs, the coefficients in eigenvalue order and
-their squares. A block is scored in chunks of at most 2**16 entries (or one
-row, if a row is longer), so each buffer keeps at most that many: three
-buffers per thread, 1.5 MB for n up to 2**16. The coefficients and group sums
-``_scaled_sums`` returns are views of the workspace, valid until its next
-call in the same thread.
+their squares; a tree's projection works its level sums in a fourth. A block
+is scored in chunks of at most 2**16 entries (or one row, if a row is
+longer), so each buffer keeps at most that many: four buffers per thread,
+2 MB for n up to 2**16. The coefficients and group sums ``_scaled_sums``
+returns are views of the workspace, valid until its next call in the same
+thread.
 """
 from __future__ import annotations
 
@@ -89,11 +91,14 @@ _TIE_RTOL = 1e-10
 
 # Case "c" bisects its root t until the bracket is this narrow relative to t.
 _ROOT_RTOL = 1e-14
-# An order statistic narrows the roots its closed-form bounds leave in
-# contention only this far, about 7 bisection steps past the first lower bound
-# rather than about 47; the value bounds it leaves set all but one or two rows
-# aside on the presets' graphs.
-_COARSE_RTOL = 1e-2
+# An order statistic refines the bounds of the rows its closed-form bounds
+# leave in contention this many at a time, largest upper bound first, setting
+# rows aside between batches; each row takes this many points of the case-"c"
+# multiplier path (a start and Newton steps from it), which bound every
+# case-"c" row of null samples on tori, trees and Kronecker products within
+# 3e-7 relative.
+_PATH_BATCH = 16
+_PATH_STEPS = 4
 # A value bound is widened by this fraction to cover the rounding of the sums
 # behind it (one term per distinct eigenvalue, a relative error far below
 # 1e-8 for any spectrum that fits in memory).
@@ -109,9 +114,10 @@ _BLOCK_ENTRIES = 1 << 16
 class _Workspace(threading.local):
     """Flat float buffers, one per role, that a thread reuses for every block it scores.
 
-    The roles are "noise" (the replicate draws) and "a" and "b" (what a
-    block's scoring passes between them). A buffer grows to the largest array
-    asked of it and is never shrunk, so a thread keeps at most three.
+    The roles are "noise" (the replicate draws), "a" and "b" (what a block's
+    scoring passes between them) and "tree" (a tree projection's level sums).
+    A buffer grows to the largest array asked of it and is never shrunk, so a
+    thread keeps at most four.
     """
 
     def __init__(self) -> None:
@@ -201,13 +207,13 @@ class Spectrum:
 
     @cached_property
     def _moments(self) -> np.ndarray:
-        """The (groups, 4) matrix of 1, lambda, 1/lambda and lambda**-2 at each group's mean.
+        """The (groups, 5) matrix of 1, lambda, 1/lambda, lambda**-2 and lambda**-3 at each group's mean.
 
-        :func:`_closed_form_bounds` takes the moments of a row of group sums
-        as one product with it.
+        :func:`_closed_form_bounds` and :func:`_path_bounds` take the moments
+        of rows of group sums as one product with it.
         """
         means = self.groups[1]
-        return _frozen(np.stack((np.ones_like(means), means, 1.0 / means, means**-2.0), axis=1))[0]
+        return _frozen(np.stack((np.ones_like(means), means, 1.0 / means, means**-2.0, means**-3.0), axis=1))[0]
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of each row of ``y`` on eigenvectors 2..n, in eigenvalue order.
@@ -314,23 +320,40 @@ class TreeSpectrum(Spectrum):
         return rows.reshape(b, a, n).transpose(0, 2, 1)
 
     def _to_coefficients(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Raw coefficients of each row of ``y``, into ``out`` if given: one pass from the leaves up, O(n) per row."""
-        d, r = self.depth, len(y)
-        out = np.empty((r, self.n)) if out is None else out
-        # sums[:, i, k]: the row summed over the vertices k levels below node
-        # i of the current level (k = 0 is node i itself)
-        sums = y[:, -(2**d) :, None]
-        end = self.n
+        """Raw coefficients of each row of ``y``, into ``out`` if given: one pass from the leaves up, O(n) per row.
+
+        Given ``out``, the level sums are worked in the thread's workspace
+        buffer "tree", of ``out``'s size; otherwise in new memory.
+        """
+        d, r, n = self.depth, len(y), self.n
+        scratch = np.empty(r * n) if out is None else _WORKSPACE.array("tree", (r * n,))
+        out = np.empty((r, n)) if out is None else out
+        # sums[:, i, k]: the row summed over the vertices k+1 levels below
+        # node i of the current level; y holds the nodes' own values. Each
+        # level's sums are made at the end of scratch its children's sums are
+        # not at, first as the children's differences, whose product with the
+        # level's block is the level's coefficients, which go next to them
+        sums = scratch[:0].reshape(r, 2**d, 0)
+        at_start, end = True, n
         for level in range(d - 1, -1, -1):
             size, width = 2**level, d - level
-            left, right = sums[:, 0::2], sums[:, 1::2]
-            start = end - size * width
-            out[:, start:end] = ((left - right).reshape(-1, width) @ self.blocks[width - 1]).reshape(r, -1)
-            end = start
-            sums = np.empty((r, size, width + 1))
-            sums[:, :, 0] = y[:, size - 1 : 2 * size - 1]
-            np.add(left, right, out=sums[:, :, 1:])
-        out[:, :end] = sums[:, 0] @ self.radial
+            m = r * size * width
+            here, there = (0, m) if at_start else (r * n - m, r * n - 2 * m)
+            made, product = scratch[here : here + m].reshape(r, size, width), scratch[there : there + m]
+            children = y[:, 2 * size - 1 : 4 * size - 1]
+            np.subtract(children[:, 0::2], children[:, 1::2], out=made[:, :, 0])
+            np.subtract(sums[:, 0::2], sums[:, 1::2], out=made[:, :, 1:])
+            np.matmul(made.reshape(-1, width), self.blocks[width - 1], out=product.reshape(-1, width))
+            out[:, end - size * width : end] = product.reshape(r, -1)
+            end -= size * width
+            np.add(children[:, 0::2], children[:, 1::2], out=made[:, :, 0])
+            np.add(sums[:, 0::2], sums[:, 1::2], out=made[:, :, 1:])
+            sums, at_start = made, not at_start
+        # the root's value and sums, one row each, at the end the sums are not at
+        here = 0 if at_start else r * n - r * (d + 1)
+        root = scratch[here : here + r * (d + 1)].reshape(r, d + 1)
+        root[:, 0], root[:, 1:] = y[:, 0], sums[:, 0]
+        np.matmul(root, self.radial, out=out[:, :end])
         return out
 
     def _from_coefficients(self, c: np.ndarray) -> np.ndarray:
@@ -525,17 +548,14 @@ def _dual_objective(c: np.ndarray, lambdas: np.ndarray, nu: float, rho: float) -
     return max(0.0, chi_max(c, lambdas, nu)) + nu * rho
 
 
-def _grouped_kkt(
-    s: np.ndarray, lambdas: np.ndarray, rho: float, rtol: float = _ROOT_RTOL
-) -> tuple[float, float, str, float, float, int]:
+def _grouped_kkt(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[float, str, float, float, int]:
     """Maximize (c'z)^2 over the unit ball intersected with z' diag(lambdas) z <= rho.
 
     The problem depends on c only through ``s``, the sums of c_i**2 over the
-    eigenvectors of each distinct eigenvalue in ``lambdas``. Returns bounds
-    (low, high) on the value, the KKT case, the dual multiplier nu*, the root
-    t (0 outside case "c") and the number of root-finding steps. With weights
-    p = s / sum(s), which keep every intermediate near 1 whatever the scale
-    of c:
+    eigenvectors of each distinct eigenvalue in ``lambdas``. Returns the
+    value, the KKT case, the dual multiplier nu*, the root t (0 outside case
+    "c") and the number of root-finding steps. With weights p = s / sum(s),
+    which keep every intermediate near 1 whatever the scale of c:
       (a) z = c/||c|| when it already satisfies the ellipsoid, p'lambdas <= rho;
           the value is sum(s) and nu* = 0;
       (b) z proportional to lambdas^-1 * c scaled onto the ellipsoid, when that
@@ -546,38 +566,26 @@ def _grouped_kkt(
           z(t)' diag(lambdas) z(t) = rho (monotone in t); nu* = t * theta with
           theta = sum_i c_i**2 / (1 + t*lambda_i), the largest eigenvalue of
           c c' - nu* diag(lambdas).
-    In cases "a" and "b" both bounds are the value. In case "c", t_hi starts
-    at the first of 1, 2, 4, ... (at most 200 tried) where z(t) lies inside
-    the ellipsoid and t_lo at 0, and bisection narrows [t_lo, t_hi] until
-    t_hi - t_lo <= rtol * t_hi (at most 200 steps), with rtol >= _ROOT_RTOL.
-    The lower bound, nu* and t are taken at t_hi, where z is feasible; the
-    upper bound at t_lo, where z is the maximizer at a level above rho, which
-    the statistic does not fall below. A bracket that meets the full stopping
-    rule is the one a full solve ends on, as the midpoints do not depend on
-    rtol, so its lower bound is the value and is returned as both bounds.
+    In case "c", t_hi starts at the first of 1, 2, 4, ... (at most 200 tried)
+    where z(t) lies inside the ellipsoid and t_lo at 0, and bisection narrows
+    [t_lo, t_hi] until t_hi - t_lo <= _ROOT_RTOL * t_hi (at most 200 steps);
+    the value, nu* and t are taken at t_hi, where z is feasible.
     """
     total = float(s.sum())
     if total == 0.0:
-        return 0.0, 0.0, "a", 0.0, 0.0, 0
+        return 0.0, "a", 0.0, 0.0, 0
     p = s / total
     if float(p @ lambdas) <= rho:
-        return total, total, "a", 0.0, 0.0, 0
+        return total, "a", 0.0, 0.0, 0
 
     inv = p / lambdas
     quad = float(inv.sum())  # c' diag(lambdas)^-1 c / total
     if rho * float((inv / lambdas).sum()) <= quad:  # ||z||**2 <= 1
-        value = rho * quad * total
-        return value, value, "b", quad * total, 0.0, 0
+        return rho * quad * total, "b", quad * total, 0.0, 0
 
     def gap(t: float) -> float:
         q = p / (1.0 + t * lambdas) ** 2  # z(t)_i**2 before normalizing
         return float(lambdas @ q) / float(q.sum()) - rho
-
-    def solution(t: float) -> tuple[float, float]:
-        # the value (c'z(t))**2 and the multiplier t * theta(t)
-        w = p / (1.0 + t * lambdas)
-        theta = float(w.sum())
-        return theta**2 / float((w / (1.0 + t * lambdas)).sum()) * total, t * theta * total
 
     t_lo, t_hi, steps = 0.0, 1.0, 0
     for _ in range(200):
@@ -586,7 +594,7 @@ def _grouped_kkt(
             break
         t_hi *= 2.0
     for _ in range(200):
-        if t_hi - t_lo <= rtol * t_hi:
+        if t_hi - t_lo <= _ROOT_RTOL * t_hi:
             break
         steps += 1
         mid = 0.5 * (t_lo + t_hi)
@@ -594,30 +602,106 @@ def _grouped_kkt(
             t_lo = mid
         else:
             t_hi = mid
-    value, nu_star = solution(t_hi)
-    high = value if t_hi - t_lo <= _ROOT_RTOL * t_hi else solution(t_lo)[0]
-    return value, high, "c", nu_star, t_hi, steps
+    # the value (c'z(t))**2 and the multiplier t * theta(t)
+    w = p / (1.0 + t_hi * lambdas)
+    theta = float(w.sum())
+    value = theta**2 / float((w / (1.0 + t_hi * lambdas)).sum()) * total
+    return value, "c", t_hi * theta * total, t_hi, steps
 
 
 def _closed_form_bounds(spectrum: Spectrum, sums: np.ndarray, rho: float) -> np.ndarray:
     """Bounds (low, high) on the value of :func:`_grouped_kkt` for each row of group sums, with no root-find.
 
-    With lambdas the spectrum's group means, total = sum(s), weights
-    p = s / total, q1 = p'lambdas, q = sum(p / lambdas) and
-    q2 = sum(p / lambdas**2), the value is at most total (the ball alone) and
-    rho * q * total (the ellipsoid alone). It is at least the value of two
-    feasible points: c/||c|| scaled onto the ellipsoid,
-    total * min(1, rho / q1), and lambdas^-1 * c scaled into both constraints,
+    These are the bounds of :func:`_path_bounds` at the two ends of the
+    multiplier path, u -> 0 and u -> infinity, in closed form. With lambdas
+    the spectrum's group means, total = sum(s), weights p = s / total,
+    q1 = p'lambdas, q = sum(p / lambdas) and q2 = sum(p / lambdas**2), the
+    value is at most total (the ball alone) and rho * q * total (the
+    ellipsoid alone). It is at least the value of two feasible points:
+    c/||c|| scaled onto the ellipsoid, total * min(1, rho / q1), and
+    lambdas^-1 * c scaled into both constraints,
     rho * q * total * min(1, q / (rho * q2)). In cases "a" and "b" both bounds
     are the value up to rounding. A row of zeros, or sums whose moments
-    overflow, gives a bound that is NaN or infinite. The four moments of
-    every row are one product with the spectrum's cached ``_moments``.
+    overflow, gives a bound that is NaN or infinite. The moments of every row
+    are one product with the spectrum's cached ``_moments``.
     """
-    total, first, inverse, inverse2 = (sums @ spectrum._moments).T
+    total, first, inverse, inverse2, _ = (sums @ spectrum._moments).T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ball, ellipsoid = total * np.minimum(1.0, rho * total / first), rho * inverse
         low = np.maximum(ball, ellipsoid * np.minimum(1.0, inverse / (rho * inverse2)))
         return np.stack((low, np.minimum(total, ellipsoid)), axis=1)
+
+
+def _path_weights(means: np.ndarray, rho: float) -> np.ndarray:
+    """The (groups, 4) matrix of 1, lambda, max(lambda - rho, 0) and max(rho - lambda, 0) at each group's mean."""
+    return np.stack((np.ones_like(means), means, np.maximum(means - rho, 0.0), np.maximum(rho - means, 0.0)), axis=1)
+
+
+def _path_point(sums: np.ndarray, means: np.ndarray, weights: np.ndarray, rho: float, u: np.ndarray):
+    """L(u), U(u), P(u), N(u), P3(u) and N3(u) (see :func:`_path_bounds`) for each row of group sums at its own u.
+
+    ``weights`` is :func:`_path_weights` of ``means`` and ``rho``;
+    P3 = sum_{lambda > rho} (lambda-rho)*s/(u+lambda)**3 and N3 likewise.
+    """
+    w = 1.0 / (u[:, None] + means)
+    terms = np.empty((3, *sums.shape))  # s/(u+lambda)**k, k = 1, 2, 3
+    for k, factor in enumerate((sums, terms[0], terms[1])):
+        np.multiply(factor, w, out=terms[k])
+    moments = terms @ weights
+    a, (b, e, p, n), (p3, n3) = moments[0, :, 0], moments[1].T, moments[2, :, 2:].T
+    return a * a / b * np.minimum(1.0, rho * b / e), (u + rho) * a, p, n, p3, n3
+
+
+def _path_bounds(spectrum: Spectrum, sums: np.ndarray, rho: float) -> np.ndarray:
+    """Bounds (low, high) on the value of :func:`_grouped_kkt` for rows of group sums, refined along the case-"c" path.
+
+    For a row of sums s_j at group means lambda_j and any u > 0 (u = 1/t in
+    :func:`_grouped_kkt`), let A = sum s/(u+lambda), B = sum s/(u+lambda)**2
+    and E = sum lambda*s/(u+lambda)**2. The point z ~ c/(u+lambda), scaled
+    into both constraints, is feasible with value
+    L(u) = A**2/B * min(1, rho*B/E), and U(u) = (u+rho)*A is the dual
+    objective max(0, chi_max(nu)) + nu*rho at nu = A, as chi_max(A) = u*A
+    exactly; so L(u) <= value <= U(u) for every u, in any case, and both
+    equal the value at the case-"c" root, where E = rho*B. As u goes to 0
+    and to infinity they become the ellipsoid's and the ball's bounds of
+    :func:`_closed_form_bounds`. Split E - rho*B = P - N into its terms
+    above and below rho, P = sum_{lambda > rho} (lambda-rho)*s/(u+lambda)**2
+    and N likewise with rho-lambda: the root is that of
+    phi(u) = N**-1/2 - P**-1/2, which is nearly linear in u (exactly so with
+    one term on each side), as the reciprocal norm is in Moré and Sorensen's
+    trust-region root. Every row takes ``_PATH_STEPS`` points in lockstep,
+    starting from the root of the expansion of E - rho*B about u = 0,
+    (q1 - rho*q2) / (2*(q2 - rho*q3)) with q_k = sum s/lambda**k (rho where
+    that is not positive and finite), each after the first by Newton's step
+    on phi, or the geometric midpoint of the bracket the signs of P - N have
+    left when the step falls outside it. Returns the best bounds seen; NaN
+    and infinite ones are dropped (a row none of whose points is finite
+    keeps 0 and infinity).
+    """
+    means = spectrum.groups[1]
+    weights = _path_weights(means, rho)
+    _, _, inverse, inverse2, inverse3 = (sums @ spectrum._moments).T
+    low, high = np.zeros(len(sums)), np.full(len(sums), math.inf)
+    below, above = np.zeros(len(sums)), np.full(len(sums), math.inf)  # where P < N, and P > N
+    with np.errstate(all="ignore"):
+        u = (inverse - rho * inverse2) / (2.0 * (inverse2 - rho * inverse3))
+        u[~((u > 0.0) & (u < math.inf))] = rho
+        for step in range(_PATH_STEPS):
+            lower, upper, p, n, p3, n3 = _path_point(sums, means, weights, rho, u)
+            np.fmax(low, np.where(lower < math.inf, lower, 0.0), out=low)
+            np.fmin(high, upper, out=high)
+            if step == _PATH_STEPS - 1:
+                break
+            np.copyto(below, u, where=p < n)
+            np.copyto(above, u, where=p > n)
+            # phi' = N**-3/2 * N3 - P**-3/2 * P3
+            root_n, root_p = n**-0.5, p**-0.5
+            u = u - (root_n - root_p) / (root_n**3 * n3 - root_p**3 * p3)
+            outside = ~((below < u) & (u < above))
+            if outside.any():
+                lo, hi = below[outside], above[outside]
+                u[outside] = np.where(lo > 0.0, np.where(hi < math.inf, np.sqrt(lo * hi), 16.0 * lo), hi / 16.0)
+    return np.stack((low, high), axis=1)
 
 
 def _scaled_sums(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -703,29 +787,31 @@ def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, coun
     stages:
 
     0. as each block arrives, every row is bounded in closed form from its
-       group sums (:func:`_closed_form_bounds`), the bounds widened by
-       ``_BOUND_RTOL``; a row whose bounds might not unscale to normal doubles
-       is solved in full at once, so a block is refused exactly when
-       :func:`_sss_values` refuses it. A row is then set aside once
-       ``count - rank + 1`` rows have lower bounds above its upper bound, or
-       ``rank`` rows upper bounds below its lower bound, for then its value
-       lies below (above) the result (:func:`_set_aside`). A row in
-       contention keeps its bounds and exponent, and while it is open (its
-       bounds differ) its group sums; at most ``_OPEN_ENTRIES`` group sums are
-       held, the oldest open rows past that being solved in full;
-    1. once every block is in, the rows still in contention are narrowed, the
-       largest upper bound first so that the lower bounds that set rows aside
-       rise fastest: each is solved with its case-"c" root narrowed only to
-       ``_COARSE_RTOL`` (exactly, in cases "a" and "b"), its bounds become
-       the tighter of the two pairs, and the rows it sets aside are skipped;
+       group sums (:func:`_closed_form_bounds`, the bounds at the two ends of
+       the case-"c" multiplier path), the bounds widened by ``_BOUND_RTOL``;
+       a row whose bounds might not unscale to normal doubles is solved in
+       full at once, so a block is refused exactly when :func:`_sss_values`
+       refuses it. A row is then set aside once ``count - rank + 1`` rows
+       have lower bounds above its upper bound, or ``rank`` rows upper bounds
+       below its lower bound, for then its value lies below (above) the
+       result (:func:`_set_aside`). A row in contention keeps its bounds and
+       exponent, and while it is open (its bounds differ) its group sums; at
+       most ``_OPEN_ENTRIES`` group sums are held, the oldest open rows past
+       that being solved in full;
+    1. once every block is in, the rows still in contention are refined
+       ``_PATH_BATCH`` at a time, the largest upper bound first so that the
+       lower bounds that set rows aside rise fastest, and the rows each batch
+       sets aside are skipped: a row in case "a" or "b" is solved (exactly),
+       and the others are bounded in lockstep along the path
+       (:func:`_path_bounds`), their bounds widened and tightened as in stage
+       0. Widened, a refined row's bounds never meet: it stays open however
+       close they come;
     2. the open rows left are solved in full, and the result is the value
        whose rank, after the rows set aside below, is ``rank``.
 
-    Every value that can be returned comes from :func:`_grouped_kkt`: a
-    bracket that meets the full stopping rule, or a case "a" or "b", is
-    exact at any ``rtol``, and a row is solved in full by solving its group
-    sums again from scratch; bisection visits the same midpoints whatever its
-    width, so the bits are those of :func:`_sss_values`.
+    Every value that can be returned comes from :func:`_grouped_kkt`, which
+    solves a row's group sums from scratch, so the bits are those of
+    :func:`_sss_values`.
     """
     means = spectrum.groups[1]
     largest = count - rank + 1  # the rank-th smallest value is the largest-th largest
@@ -751,30 +837,34 @@ def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, coun
         with np.errstate(over="ignore", under="ignore"):
             bounds = np.ldexp(_closed_form_bounds(spectrum, sums, rho) * widen, 2 * e[:, None])
         leaving = ~(bounds[:, 0] >= np.finfo(float).tiny) | ~np.isfinite(bounds[:, 1])
-        full = [_grouped_kkt(row, means, rho)[0] for row in sums[leaving]]
-        bounds[leaving] = _unscale(np.array(full, dtype=float), e[leaving])[:, None]
+        if leaving.any():
+            full = [_grouped_kkt(row, means, rho)[0] for row in sums[leaving]]
+            bounds[leaving] = _unscale(np.array(full), e[leaving])[:, None]
         low, high, exps = (np.concatenate(pair) for pair in zip((low, high, exps), (*bounds.T, e)))
         held = np.concatenate((held, sums[bounds[:, 0] < bounds[:, 1]]))
         del sums  # summed groups are new memory, freed before the next chunk's are summed
         set_aside()
-        past = max(0, len(held) - max(1, _OPEN_ENTRIES // means.size))
-        for i, row in zip(np.flatnonzero(low < high)[:past], held):
-            low[i] = high[i] = solved_in_full(row, exps[i])
-        held = held[past:]
+        past = len(held) - max(1, _OPEN_ENTRIES // means.size)
+        if past > 0:
+            for i, row in zip(np.flatnonzero(low < high)[:past], held):
+                low[i] = high[i] = solved_in_full(row, exps[i])
+            held = held[past:]
 
     opened = np.flatnonzero(low < high)  # stage 1
-    under, over = _set_aside(low, high, largest - above, rank - below)
-    for j in np.argsort(-high[opened], kind="stable"):
-        i = opened[j]
-        if under[i] or over[i]:
-            continue
-        lo, hi = _grouped_kkt(held[j], means, rho, _COARSE_RTOL)[:2]
-        if lo == hi:
-            low[i] = high[i] = np.ldexp(lo, 2 * exps[i])
-        else:
-            lo, hi = np.ldexp(np.multiply((lo, hi), widen), 2 * exps[i])
-            low[i], high[i] = max(low[i], lo), min(high[i], hi)
+    pending = np.argsort(-high[opened], kind="stable")
+    while pending.size:
         under, over = _set_aside(low, high, largest - above, rank - below)
+        pending = pending[~(under | over)[opened[pending]]]
+        batch, pending = pending[:_PATH_BATCH], pending[_PATH_BATCH:]
+        i, sums = opened[batch], held[batch]
+        total, first, inverse, inverse2, _ = (sums @ spectrum._moments).T
+        exact = (first <= rho * total) | (rho * inverse2 <= inverse)  # cases "a" and "b", up to rounding
+        for k in np.flatnonzero(exact):
+            low[i[k]] = high[i[k]] = solved_in_full(sums[k], exps[i[k]])
+        i, e = i[~exact], exps[i[~exact]]
+        with np.errstate(over="ignore", under="ignore"):
+            bounds = np.ldexp(_path_bounds(spectrum, sums[~exact], rho) * widen, 2 * e[:, None])
+        low[i], high[i] = np.fmax(low[i], bounds[:, 0]), np.fmin(high[i], bounds[:, 1])
     held = held[low[opened] < high[opened]]
     set_aside()
     for i, row in zip(np.flatnonzero(low < high), held):  # stage 2
@@ -807,7 +897,7 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     # c and s are views of the workspace, used before anything else scores
     y = np.asarray(y, dtype=float)[None]
     (c,), (e,), (s,) = _scaled_sums(spectrum, y)
-    value, _, case, nu_star, t, iterations = _grouped_kkt(s, spectrum.groups[1], rho)
+    value, case, nu_star, t, iterations = _grouped_kkt(s, spectrum.groups[1], rho)
     lambdas = spectrum.eigenvalues[1:]
     # c is scaled to a largest entry in [0.5, 1), and z does not depend on its scale
     if not c.any():

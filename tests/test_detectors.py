@@ -1,4 +1,5 @@
 """Detector statistics, their shared invariances, and Monte Carlo calibration."""
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from graphscan import (
 )
 from graphscan import detectors
 from graphscan.detectors import DETECTOR_KINDS
+from graphscan.rng import _replicate_streams
 from helpers import draw_rho, glr_brute_force, random_connected_graph
 
 
@@ -381,9 +383,24 @@ class TestReplicateBlocks:
         g = gen_lattice(5)
         if rows is not None:
             monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * g.n)
-        for seed in (0, 7, 2**64 + 3, -5):
-            drawn = np.vstack([y.copy() for _, y in detectors._replicate_blocks(g, [0.0] * 30, 1.0, seed)])
-            assert drawn.tolist() == [replicate_rng(seed, r).standard_normal(g.n).tolist() for r in range(30)]
+        rng = np.random.default_rng(6)
+        shared, other = rng.standard_normal(g.n), rng.standard_normal(g.n)
+        # one zero mean for all; runs of shared vectors, zero among them, that
+        # straddle blocks of 7; a vector per row; a scalar that is not zero
+        mean_lists = [
+            [0.0] * 30,
+            [shared] * 12 + [np.zeros(g.n)] * 5 + [other] * 13,
+            list(rng.standard_normal((30, g.n))),
+            [-1.5] * 30,
+        ]
+        for seed, sigma, means in itertools.product((0, 7, 2**64 + 3, -5), (1.0, 2.5), mean_lists):
+            drawn = np.vstack([y.copy() for _, y in detectors._replicate_blocks(g, means, sigma, seed)])
+            expected = [means[r] + sigma * replicate_rng(seed, r).standard_normal(g.n) for r in range(30)]
+            assert drawn.tobytes() == np.vstack(expected).tobytes()
+
+    def test_streams_refuse_a_negative_index(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(_replicate_streams(0, [3, -1]))
 
 
 class TestCalibrateThreshold:

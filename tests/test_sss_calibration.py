@@ -13,12 +13,21 @@ from graphscan import (
     gen_kron_multiscale,
     gen_lattice,
     graph_spectrum,
+    scale_weights,
     sss,
     two_triangles,
 )
 from graphscan import detectors, spectral
 from graphscan.detectors import _replicate_statistics
-from graphscan.spectral import _BOUND_RTOL, _closed_form_bounds, _grouped_kkt, _scaled_sums
+from graphscan.spectral import (
+    _BOUND_RTOL,
+    _closed_form_bounds,
+    _grouped_kkt,
+    _path_bounds,
+    _path_point,
+    _path_weights,
+    _scaled_sums,
+)
 from helpers import draw_rho, random_connected_graph
 
 GRAPHS = {
@@ -29,12 +38,31 @@ GRAPHS = {
     "random": lambda: random_connected_graph(np.random.default_rng(8), max_n=30, min_n=30),
 }
 ALPHAS = (0.01, 0.05, 0.5, 0.99)
+# random connected graphs, trees and products, drawn from a generator
+FAMILIES = {
+    "random": lambda rng: random_connected_graph(rng, min_n=3),
+    "bbt": lambda rng: gen_bbt(int(rng.integers(1, 6))),
+    "torus": lambda rng: gen_lattice(int(rng.integers(3, 9)), periodic=True),
+    "kron": lambda rng: gen_kron_multiscale(two_triangles(), int(rng.integers(1, 3))),
+}
 
 
 def full_solve_threshold(det, g, sigma, alpha, reps, seed):
     """The order statistic of every replicate solved in full, as the threshold is defined."""
     stats = _replicate_statistics((det,), g, [0.0] * reps, sigma, seed)[:, 0]
     return np.sort(stats)[math.ceil((1.0 - alpha) * reps) - 1]
+
+
+def counted_calls(monkeypatch, name):
+    """Replace ``spectral.<name>`` by a wrapper that records each call's arguments in the list returned."""
+    calls, function = [], getattr(spectral, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(spectral, name, counted)
+    return calls
 
 
 def rho_for(g, setting):
@@ -71,38 +99,48 @@ class TestBitForBit:
         monkeypatch.setattr(spectral, "_OPEN_ENTRIES", 1)
         assert calibrate_threshold(det, g, 1.0, alpha, 150, 4) == expected
 
+    @pytest.mark.parametrize(
+        "make, rho, reps, seeds",
+        [
+            (lambda: gen_lattice(48, periodic=True), 4.0 / 48, 100, range(5)),
+            (lambda: gen_bbt(7), 4.0 / 255, 1000, range(1)),
+        ],
+        ids=["torus-48", "bbt-7"],
+    )
+    def test_matches_sorting_full_solves_where_refined_bounds_meet(self, make, rho, reps, seeds):
+        # graphs on which a refined row's bounds, unwidened, can round to one
+        # double though the row is not solved
+        g = make()
+        det = Detector("sss", rho=rho)
+        for seed in seeds:
+            expected = full_solve_threshold(det, g, 1.0, 0.05, reps, seed)
+            assert calibrate_threshold(det, g, 1.0, 0.05, reps, seed) == expected
+
     def test_few_replicates_are_solved_in_full(self, monkeypatch):
         g = gen_lattice(12, periodic=True)
         det = Detector("sss", rho=2.0)  # 199 of the 200 rows in case "c"
         expected = full_solve_threshold(det, g, 1.0, 0.05, 200, 2)
-        finished = []
-        solve = spectral._grouped_kkt
-
-        def counted(s, lambdas, rho, rtol=spectral._ROOT_RTOL):
-            if rtol == spectral._ROOT_RTOL:
-                finished.append(s)
-            return solve(s, lambdas, rho, rtol)
-
-        monkeypatch.setattr(spectral, "_grouped_kkt", counted)
+        solved = counted_calls(monkeypatch, "_grouped_kkt")
         assert calibrate_threshold(det, g, 1.0, 0.05, 200, 2) == expected
-        assert 1 <= len(finished) <= 10
+        assert 1 <= len(solved) <= 10
+
+    def test_few_replicates_of_the_large_torus_are_solved(self, monkeypatch):
+        g = gen_lattice(48, periodic=True)
+        det = Detector("sss", rho=4.0 / 48)
+        solved = counted_calls(monkeypatch, "_grouped_kkt")
+        for seed in range(10):
+            calibrate_threshold(det, g, 1.0, 0.05, 100, seed)
+        # one per call holds the rank; solving every replicate would take 1000
+        assert len(solved) <= 15
 
     def test_closed_form_bounds_leave_few_rows_to_narrow(self, monkeypatch):
         g = gen_lattice(12, periodic=True)
         det = Detector("sss", rho=2.0)  # mid-spectrum, where the closed-form bounds are loosest
         expected = full_solve_threshold(det, g, 1.0, 0.05, 200, 2)
-        narrowed = []
-        solve = spectral._grouped_kkt
-
-        def counted(s, lambdas, rho, rtol=spectral._ROOT_RTOL):
-            if rtol == spectral._COARSE_RTOL:
-                narrowed.append(s)
-            return solve(s, lambdas, rho, rtol)
-
-        monkeypatch.setattr(spectral, "_grouped_kkt", counted)
+        refined = counted_calls(monkeypatch, "_path_bounds")
         assert calibrate_threshold(det, g, 1.0, 0.05, 200, 2) == expected
-        # narrowing every row, as a first pass without closed-form bounds would, takes 200
-        assert len(narrowed) <= 80
+        # refining every row, as a first pass without closed-form bounds would, takes 200
+        assert sum(len(sums) for _, sums, _ in refined) <= 80
 
     @pytest.mark.parametrize("sigma, match", [(1e160, "overflows"), (1e-160, "underflows")])
     def test_refuses_extreme_scales_as_a_full_solve_does(self, sigma, match):
@@ -145,29 +183,50 @@ class TestBounds:
         rho = rho_in(spec.eigenvalues, regime, u)
         sums = _scaled_sums(spec, rng.standard_normal((8, g.n)))[2]
         solved = [_grouped_kkt(row, spec.groups[1], rho) for row in sums]
-        for (low, high), (value, _, case, *_) in zip(_closed_form_bounds(spec, sums, rho), solved):
+        for (low, high), (value, case, *_) in zip(_closed_form_bounds(spec, sums, rho), solved):
             assert low * (1.0 - _BOUND_RTOL) <= value <= high * (1.0 + _BOUND_RTOL)
             if case != "c":
                 assert low == pytest.approx(value, rel=1e-12, abs=0.0)
                 assert high == pytest.approx(value, rel=1e-12, abs=0.0)
 
-    @settings(max_examples=60)
+    @settings(max_examples=120)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        u=st.floats(0.01, 0.99),
-        log_rtol=st.floats(-13.0, 0.0),
+        family=st.sampled_from(sorted(FAMILIES)),
+        regime=st.sampled_from(["below", "between", "above", "case-c"]),
+        u=st.floats(0.0, 1.0),
+        log_weight=st.floats(-6.0, 9.0),
     )
-    def test_any_bracket_encloses_the_value(self, seed, u, log_rtol):
+    def test_every_point_of_the_path_bounds_the_value(self, seed, family, regime, u, log_weight):
         rng = np.random.default_rng(seed)
-        g = random_connected_graph(rng, min_n=3)
+        g = scale_weights(FAMILIES[family](rng), 10.0**log_weight)
         spec = graph_spectrum(g)
-        y = rng.standard_normal((1, g.n))
-        rho = case_c_rho(spec, y[0], u)
-        (s,) = _scaled_sums(spec, y)[2]
-        value, _, case, *_ = _grouped_kkt(s, spec.groups[1], rho)
-        low, high, *_ = _grouped_kkt(s, spec.groups[1], rho, 10.0**log_rtol)
-        assert case == "c"
-        assert low * (1.0 - _BOUND_RTOL) <= value <= high * (1.0 + _BOUND_RTOL)
+        means = spec.groups[1]
+        y = rng.standard_normal((6, g.n))
+        rho = case_c_rho(spec, y[0], u) if regime == "case-c" else rho_in(spec.eigenvalues, regime, u)
+        sums = _scaled_sums(spec, y)[2]
+        solved = [_grouped_kkt(row, means, rho) for row in sums]
+        values = np.array([value for value, *_ in solved])
+        weights = _path_weights(means, rho)
+
+        def bounds_at(u):
+            return np.stack(_path_point(sums, means, weights, rho, u)[:2], axis=1)
+
+        # 0+, points across the spectrum and beyond, and infinity, where
+        # u + lambda rounds to lambda and to u
+        zero, infinity = bounds_at(np.full(6, means[0] * 1e-17)), bounds_at(np.full(6, means[-1] * 1e17))
+        spread = np.exp(rng.uniform(math.log(means[0] * 1e-3), math.log(means[-1] * 1e3), (4, 6)))
+        for bounds in [zero, infinity, *map(bounds_at, spread), _path_bounds(spec, sums, rho)]:
+            assert (bounds[:, 0] * (1.0 - _BOUND_RTOL) <= values).all()
+            assert (values <= bounds[:, 1] * (1.0 + _BOUND_RTOL)).all()
+        closed = _closed_form_bounds(spec, sums, rho)
+        np.testing.assert_allclose(np.maximum(zero[:, 0], infinity[:, 0]), closed[:, 0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(np.minimum(zero[:, 1], infinity[:, 1]), closed[:, 1], rtol=1e-12, atol=0.0)
+        for row, (value, case, _, t, _) in zip(sums, solved):
+            if case == "c":
+                low, high = _path_point(row[None], means, weights, rho, np.array([1.0 / t]))[:2]
+                assert low[0] == pytest.approx(value, rel=1e-12, abs=0.0)
+                assert high[0] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1))

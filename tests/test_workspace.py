@@ -123,15 +123,40 @@ def test_rows_longer_than_a_chunk_are_scored_one_at_a_time(monkeypatch):
     assert glr_values.tobytes() == expected[1]
 
 
-def test_calibration_allocates_less_than_half_a_megabyte():
-    g = gen_lattice(48, periodic=True)
-    det = Detector("sss", rho=4.0 / 48)
-    calibrate_threshold(det, g, 1.0, 0.05, 100, 0)  # the spectrum, its groups and the workspace
+def traced_peak(det, g, reps):
+    """The most memory a steady-state ``calibrate_threshold`` call allocates at once, by tracemalloc."""
+    calibrate_threshold(det, g, 1.0, 0.05, reps, 0)  # the spectrum, its groups and the workspace
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        calibrate_threshold(det, g, 1.0, 0.05, 100, 1)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        calibrate_threshold(det, g, 1.0, 0.05, reps, 1)
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 512 * 1024
+
+
+def test_calibration_allocates_less_than_half_a_megabyte():
+    assert traced_peak(Detector("sss", rho=4.0 / 48), gen_lattice(48, periodic=True), 100) < 512 * 1024
+
+
+def test_tree_calibration_keeps_its_level_sums_in_the_workspace():
+    # 712 KB while each block's level sums and differences were new arrays
+    assert traced_peak(Detector("sss", rho=4.0 / 255), gen_bbt(7), 1000) < 400 * 1024
+
+
+def test_tree_level_sums_stay_within_one_block():
+    sizes = {}
+
+    def work():
+        g = gen_bbt(9)
+        big = np.random.default_rng(2).standard_normal((3 * _BLOCK_ENTRIES // g.n + 5, g.n))
+        scores(g, big)
+        calibrate_threshold(Detector("sss", rho=0.05), g, 1.0, 0.1, 300, 4)
+        sizes.update({role: buffer.size for role, buffer in _WORKSPACE.buffers.items()})
+
+    thread = threading.Thread(target=work)  # a new thread starts with an empty workspace
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert set(sizes) == {"noise", "a", "b", "tree"}
+    assert max(sizes.values()) <= _BLOCK_ENTRIES
