@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._check import integer
+from ._check import integer, require
 from .spectral import Spectrum, _connected_lambdas
 
 __all__ = [
@@ -44,7 +44,7 @@ class BoundsReport:
 
 
 def _positive(name: str, value: float) -> float:
-    value = float(value)
+    value = float(require(name, value, float))
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
@@ -85,7 +85,7 @@ def null_threshold(spectrum: Spectrum, rho: float, sigma: float, conf: float) ->
     (sqrt(2 sigma^2 sum min(1, rho/lambda_i)) + sqrt(2 sigma^2 log(2/conf)))^2;
     the scan statistic exceeds this under the null with probability <= conf.
     """
-    conf = float(conf)
+    conf = float(require("conf", conf, float))
     if not 0.0 < conf < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {conf}")
     sigma = _positive("sigma", sigma)
@@ -112,7 +112,7 @@ def naive_bounds(n: int, max_cluster: int) -> tuple[float, float]:
 def noncentrality(delta: float, sigma: float, cluster_size: int, n: int) -> float:
     """Noncentrality (delta/sigma)^2 |C| (n - |C|) / n of the oracle likelihood ratio."""
     sigma = _positive("sigma", sigma)
-    delta = float(delta)
+    delta = float(require("delta", delta, float))
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
     cluster_size, n = integer("cluster_size", cluster_size), integer("n", n)
@@ -139,7 +139,7 @@ def bounds_report(
 ) -> BoundsReport:
     """Assemble every bound for one instance; truncated entries are None when
     no eigenvalue exceeds rho."""
-    if eta is not None and not math.isfinite(eta):
+    if eta is not None and not math.isfinite(require("eta", eta, float)):
         raise ValueError(f"eta must be finite, got {eta}")
     n = spectrum.n
     if max_cluster is None:

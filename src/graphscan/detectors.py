@@ -182,6 +182,7 @@ class Detector:
     def __post_init__(self) -> None:
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
+        require("require_connected", self.require_connected, bool)
         if self.kind in RHO_KINDS:
             if self.rho is None or not (math.isfinite(require("rho", self.rho, float)) and self.rho > 0.0):
                 raise ValueError(f"detector {self.kind!r} requires a finite rho > 0")
@@ -303,15 +304,17 @@ def calibrate_threshold(
     with 1-based index ceil((1 - alpha) * reps). Replicate r draws from the
     stream keyed by (seed, r). For the SSS, each replicate is solved only as
     far as it takes to tell whether its value can be that order statistic
-    (see ``spectral._sss_order_statistic``): every replicate is bounded in
-    closed form from its grouped coefficients (the bounds at the two ends of
-    the KKT multiplier path), the bounds of those that may hold the selected
-    rank are refined in batches by a few lockstep Newton steps along the
-    path, and the few left in contention are solved in full. The threshold
-    is the one that solving every replicate in full and sorting would give,
-    bit for bit. ``reps`` and ``seed`` must be integers.
+    (see ``spectral._sss_order_statistic``): one function bounds every
+    replicate, first in closed form from its grouped coefficients (the two
+    ends of the KKT multiplier path), then, for those that may hold the
+    selected rank and a batch at a time, at a few lockstep Newton steps along
+    the path; the few left in contention are solved in full by the solver
+    :func:`sss` uses. The threshold is the one that solving every replicate
+    in full and sorting would give, bit for bit. ``reps`` and ``seed`` must
+    be integers, and ``sigma`` and ``alpha`` numbers; none may be a bool.
     """
     reps, seed = integer("reps", reps), integer("seed", seed)
+    alpha, sigma = require("alpha", alpha, float), require("sigma", sigma, float)
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
     if not 0.0 < alpha < 1.0:

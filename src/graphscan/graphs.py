@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._check import integer
+from ._check import integer, require
 
 __all__ = [
     "Graph",
@@ -341,7 +341,7 @@ def scale_weights(g: Graph, factor: float) -> Graph:
     recorded tree stays one too, with its recorded weight scaled as its edge
     weights are.
     """
-    factor = float(factor)
+    factor = float(require("factor", factor, float))
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"scale factor must be positive and finite, got {factor}")
     scaled = Graph(g.n, g.eu, g.ev, g.w * factor)

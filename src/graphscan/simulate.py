@@ -54,7 +54,7 @@ class SignalSpec:
         if self.n < 1:
             raise ValueError("n must be positive")
         for name, value in (("mu", self.mu), ("delta", self.delta)):
-            if not math.isfinite(value):
+            if not math.isfinite(require(name, value, float)):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.cluster is not None:
             if self.delta == 0.0:
@@ -75,7 +75,7 @@ class SignalSpec:
 
 def sample_observation(spec: SignalSpec, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """One draw y = beta + sigma * eps with iid standard normal eps."""
-    sigma = float(sigma)
+    sigma = float(require("sigma", sigma, float))
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     return spec.beta() + sigma * rng.standard_normal(spec.n)
@@ -85,7 +85,7 @@ def snr(spec: SignalSpec, sigma: float) -> float:
     """Separation-to-noise ratio sqrt(|C| |C~| / n) * |delta| / sigma."""
     if spec.is_null:
         raise ValueError("SNR is undefined for a null signal")
-    sigma = float(sigma)
+    sigma = float(require("sigma", sigma, float))
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     k = spec.cluster.size

@@ -31,19 +31,17 @@ overflows or underflows at extreme scales of y; a value outside the range of
 normal doubles is refused.
 
 The root-find of the third case bisects a bracket of the root until it is
-narrow relative to the root (1e-14). The value is also bounded with no
-root-find: at any point u > 0 of the third case's multiplier path, the
-maximizer's direction there, scaled into the feasible set, gives a lower
-bound and the dual objective at the matching multiplier an upper bound. Both
-are the value at the root, and at the path's two ends they are closed forms
-in the group sums (dropping the ellipsoid or the ball, and c or
-diag(lambda)^-1 c scaled into the feasible set), which are the value in the
-first two cases. An order statistic of many observations' values, the Monte
-Carlo threshold, is found in three stages: every observation is bounded at
-the path's ends, the bounds of those that may hold the selected rank are
-refined a batch at a time by a few lockstep Newton steps along the path, and
-those still in contention are solved from scratch in full, so the result is
-the same bits as sorting the full solves.
+narrow relative to the root (1e-14). Every point of the third case's
+multiplier path also bounds the value, with no root-find: the maximizer's
+direction there, scaled into the feasible set, from below, and the dual
+objective at the matching multiplier from above. Both are the value at the
+root, and at the path's two ends they are closed forms in the group sums,
+which are the value in the first two cases. The Monte Carlo threshold, an
+order statistic of many observations' values, bounds every observation at
+the path's ends, refines a batch at a time the bounds of those that may hold
+the selected rank by a few lockstep Newton steps along the path, and solves
+those still in contention in full, so it is the same bits as sorting the
+full solves.
 
 A block of observations is scored in a workspace of flat float buffers that
 each thread keeps (``threading.local``) and reuses for every block and call,
@@ -209,8 +207,8 @@ class Spectrum:
     def _moments(self) -> np.ndarray:
         """The (groups, 5) matrix of 1, lambda, 1/lambda, lambda**-2 and lambda**-3 at each group's mean.
 
-        :func:`_closed_form_bounds` and :func:`_path_bounds` take the moments
-        of rows of group sums as one product with it.
+        :func:`_path_bounds` takes the moments of rows of group sums as one
+        product with it.
         """
         means = self.groups[1]
         return _frozen(np.stack((np.ones_like(means), means, 1.0 / means, means**-2.0, means**-3.0), axis=1))[0]
@@ -484,7 +482,7 @@ def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
         raise ValueError("lambdas must be strictly positive")
     if np.any(np.diff(lambdas) < 0.0):
         raise ValueError("lambdas must be ascending")
-    nu = float(nu)
+    nu = float(require("nu", nu, float))
     if not (math.isfinite(nu) and nu >= 0.0):
         raise ValueError(f"nu must be nonnegative and finite, got {nu}")
 
@@ -609,29 +607,6 @@ def _grouped_kkt(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[float,
     return value, "c", t_hi * theta * total, t_hi, steps
 
 
-def _closed_form_bounds(spectrum: Spectrum, sums: np.ndarray, rho: float) -> np.ndarray:
-    """Bounds (low, high) on the value of :func:`_grouped_kkt` for each row of group sums, with no root-find.
-
-    These are the bounds of :func:`_path_bounds` at the two ends of the
-    multiplier path, u -> 0 and u -> infinity, in closed form. With lambdas
-    the spectrum's group means, total = sum(s), weights p = s / total,
-    q1 = p'lambdas, q = sum(p / lambdas) and q2 = sum(p / lambdas**2), the
-    value is at most total (the ball alone) and rho * q * total (the
-    ellipsoid alone). It is at least the value of two feasible points:
-    c/||c|| scaled onto the ellipsoid, total * min(1, rho / q1), and
-    lambdas^-1 * c scaled into both constraints,
-    rho * q * total * min(1, q / (rho * q2)). In cases "a" and "b" both bounds
-    are the value up to rounding. A row of zeros, or sums whose moments
-    overflow, gives a bound that is NaN or infinite. The moments of every row
-    are one product with the spectrum's cached ``_moments``.
-    """
-    total, first, inverse, inverse2, _ = (sums @ spectrum._moments).T
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ball, ellipsoid = total * np.minimum(1.0, rho * total / first), rho * inverse
-        low = np.maximum(ball, ellipsoid * np.minimum(1.0, inverse / (rho * inverse2)))
-        return np.stack((low, np.minimum(total, ellipsoid)), axis=1)
-
-
 def _path_weights(means: np.ndarray, rho: float) -> np.ndarray:
     """The (groups, 4) matrix of 1, lambda, max(lambda - rho, 0) and max(rho - lambda, 0) at each group's mean."""
     return np.stack((np.ones_like(means), means, np.maximum(means - rho, 0.0), np.maximum(rho - means, 0.0)), axis=1)
@@ -652,45 +627,52 @@ def _path_point(sums: np.ndarray, means: np.ndarray, weights: np.ndarray, rho: f
     return a * a / b * np.minimum(1.0, rho * b / e), (u + rho) * a, p, n, p3, n3
 
 
-def _path_bounds(spectrum: Spectrum, sums: np.ndarray, rho: float) -> np.ndarray:
-    """Bounds (low, high) on the value of :func:`_grouped_kkt` for rows of group sums, refined along the case-"c" path.
+def _path_bounds(spectrum: Spectrum, sums: np.ndarray, rho: float, steps: int) -> np.ndarray:
+    """Bounds (low, high) on the value of :func:`_grouped_kkt` for rows of group sums, at ``steps`` path points.
 
-    For a row of sums s_j at group means lambda_j and any u > 0 (u = 1/t in
+    For a row of sums s at group means lambda and any u > 0 (u = 1/t in
     :func:`_grouped_kkt`), let A = sum s/(u+lambda), B = sum s/(u+lambda)**2
     and E = sum lambda*s/(u+lambda)**2. The point z ~ c/(u+lambda), scaled
     into both constraints, is feasible with value
     L(u) = A**2/B * min(1, rho*B/E), and U(u) = (u+rho)*A is the dual
     objective max(0, chi_max(nu)) + nu*rho at nu = A, as chi_max(A) = u*A
     exactly; so L(u) <= value <= U(u) for every u, in any case, and both
-    equal the value at the case-"c" root, where E = rho*B. As u goes to 0
-    and to infinity they become the ellipsoid's and the ball's bounds of
-    :func:`_closed_form_bounds`. Split E - rho*B = P - N into its terms
-    above and below rho, P = sum_{lambda > rho} (lambda-rho)*s/(u+lambda)**2
-    and N likewise with rho-lambda: the root is that of
-    phi(u) = N**-1/2 - P**-1/2, which is nearly linear in u (exactly so with
-    one term on each side), as the reciprocal norm is in Moré and Sorensen's
-    trust-region root. Every row takes ``_PATH_STEPS`` points in lockstep,
-    starting from the root of the expansion of E - rho*B about u = 0,
-    (q1 - rho*q2) / (2*(q2 - rho*q3)) with q_k = sum s/lambda**k (rho where
-    that is not positive and finite), each after the first by Newton's step
-    on phi, or the geometric midpoint of the bracket the signs of P - N have
-    left when the step falls outside it. Returns the best bounds seen; NaN
-    and infinite ones are dropped (a row none of whose points is finite
-    keeps 0 and infinity).
+    equal the value at the case-"c" root, where E = rho*B. With
+    q_k = sum s/lambda**k (one product with the cached ``_moments``), the
+    path's ends give closed forms, returned when ``steps`` is 0: the value
+    is at most q_0 (the ball alone) and rho*q_1 (the ellipsoid alone), and
+    at least the values of c and of c/lambda scaled into both constraints,
+    q_0 * min(1, rho*q_0/q_-1) and rho*q_1 * min(1, q_1/(rho*q_2)); in cases
+    "a" and "b" they are the value up to rounding, and a row of zeros, or
+    sums whose moments overflow, gives NaN or infinite bounds. Otherwise
+    each row takes ``steps`` points in lockstep, and the best bounds seen
+    are kept, NaN and infinite ones dropped. The first point is the root of
+    the expansion of E - rho*B about u = 0, (q_1 - rho*q_2) / (2*(q_2 -
+    rho*q_3)) (rho where that is not positive and finite); each later one is
+    Newton's step on phi(u) = N**-1/2 - P**-1/2, with E - rho*B = P - N
+    split into the terms above and below rho (P = sum_{lambda > rho}
+    (lambda-rho)*s/(u+lambda)**2), or the geometric midpoint of the bracket
+    the signs of P - N have left when the step falls outside it. phi is
+    nearly linear in u (exactly so with one term on each side), as the
+    reciprocal norm is in Moré and Sorensen's trust-region root.
     """
-    means = spectrum.groups[1]
-    weights = _path_weights(means, rho)
-    _, _, inverse, inverse2, inverse3 = (sums @ spectrum._moments).T
-    low, high = np.zeros(len(sums)), np.full(len(sums), math.inf)
-    below, above = np.zeros(len(sums)), np.full(len(sums), math.inf)  # where P < N, and P > N
+    total, first, inverse, inverse2, inverse3 = (sums @ spectrum._moments).T
     with np.errstate(all="ignore"):
+        ball, ellipsoid = total * np.minimum(1.0, rho * total / first), rho * inverse
+        low = np.maximum(ball, ellipsoid * np.minimum(1.0, inverse / (rho * inverse2)))
+        high = np.minimum(total, ellipsoid)
+        if steps == 0:
+            return np.stack((low, high), axis=1)
+        means = spectrum.groups[1]
+        weights = _path_weights(means, rho)
+        below, above = np.zeros(len(sums)), np.full(len(sums), math.inf)  # where P < N, and P > N
         u = (inverse - rho * inverse2) / (2.0 * (inverse2 - rho * inverse3))
         u[~((u > 0.0) & (u < math.inf))] = rho
-        for step in range(_PATH_STEPS):
+        for step in range(steps):
             lower, upper, p, n, p3, n3 = _path_point(sums, means, weights, rho, u)
             np.fmax(low, np.where(lower < math.inf, lower, 0.0), out=low)
             np.fmin(high, upper, out=high)
-            if step == _PATH_STEPS - 1:
+            if step == steps - 1:
                 break
             np.copyto(below, u, where=p < n)
             np.copyto(above, u, where=p > n)
@@ -751,13 +733,18 @@ def _unscale(scaled, exps):
     return values
 
 
+def _solved(spectrum: Spectrum, sums: np.ndarray, exps: np.ndarray, rho: float) -> np.ndarray:
+    """Values of the statistic for rows of group sums scaled by 2**-exps (:func:`_scaled_sums`), each solved in full."""
+    means = spectrum.groups[1]
+    return _unscale(np.array([_grouped_kkt(row, means, rho)[0] for row in sums]), exps)
+
+
 def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
     """Values of the statistic for the rows of an (R, n) block, scored chunk by chunk; ``rho`` is taken as checked."""
-    means = spectrum.groups[1]
     values = []
     for chunk in _row_chunks(np.asarray(y, dtype=float), spectrum.n):
         _, exps, sums = _scaled_sums(spectrum, chunk)
-        values.append(_unscale(np.array([_grouped_kkt(row, means, rho)[0] for row in sums]), exps))
+        values.append(_solved(spectrum, sums, exps, rho))
     return np.concatenate(values)
 
 
@@ -780,49 +767,44 @@ def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, coun
     """The rank-th smallest (1-based) value of the statistic over the ``count`` rows of ``blocks``.
 
     ``blocks`` yields (R, n) blocks of observations, each used (chunk by
-    chunk) before the next is drawn. The result equals entry ``rank - 1`` of the sorted
-    :func:`_sss_values` of the same blocks bit for bit, and a block is
-    refused as :func:`_sss_values` refuses it; ``rho`` is taken as checked.
-    Each row is solved only as far as it might hold the result, in three
-    stages:
+    chunk) before the next is drawn. The result is entry ``rank - 1`` of the
+    sorted :func:`_sss_values` of the same blocks, bit for bit, as every value
+    that can be returned comes from :func:`_solved`; a block is refused as
+    :func:`_sss_values` refuses it, and ``rho`` is taken as checked. Each row
+    is solved only as far as it might hold the result, in three stages,
+    every bound widened by ``_BOUND_RTOL`` and unscaled:
 
-    0. as each block arrives, every row is bounded in closed form from its
-       group sums (:func:`_closed_form_bounds`, the bounds at the two ends of
-       the case-"c" multiplier path), the bounds widened by ``_BOUND_RTOL``;
-       a row whose bounds might not unscale to normal doubles is solved in
-       full at once, so a block is refused exactly when :func:`_sss_values`
-       refuses it. A row is then set aside once ``count - rank + 1`` rows
-       have lower bounds above its upper bound, or ``rank`` rows upper bounds
-       below its lower bound, for then its value lies below (above) the
-       result (:func:`_set_aside`). A row in contention keeps its bounds and
+    0. as each block arrives, every row is bounded at the two ends of the
+       case-"c" multiplier path (:func:`_path_bounds` with no steps); a row
+       whose bounds might not unscale to normal doubles is solved in full at
+       once, so a block is refused exactly when :func:`_sss_values` refuses
+       it. A row is then set aside once ``count - rank + 1`` rows have lower
+       bounds above its upper bound, or ``rank`` rows upper bounds below its
+       lower bound, for then its value lies below (above) the result
+       (:func:`_set_aside`). A row in contention keeps its bounds and
        exponent, and while it is open (its bounds differ) its group sums; at
        most ``_OPEN_ENTRIES`` group sums are held, the oldest open rows past
        that being solved in full;
-    1. once every block is in, the rows still in contention are refined
-       ``_PATH_BATCH`` at a time, the largest upper bound first so that the
-       lower bounds that set rows aside rise fastest, and the rows each batch
-       sets aside are skipped: a row in case "a" or "b" is solved (exactly),
-       and the others are bounded in lockstep along the path
-       (:func:`_path_bounds`), their bounds widened and tightened as in stage
-       0. Widened, a refined row's bounds never meet: it stays open however
-       close they come;
+    1. once every block is in, the rows still in contention are bounded at
+       ``_PATH_STEPS`` points of the path, ``_PATH_BATCH`` at a time, the
+       largest upper bound first so that the lower bounds that set rows
+       aside rise fastest, skipping the rows each batch sets aside. Widened,
+       a row's bounds never meet, even where they are its value up to
+       rounding (cases "a" and "b"), so it stays open;
     2. the open rows left are solved in full, and the result is the value
        whose rank, after the rows set aside below, is ``rank``.
-
-    Every value that can be returned comes from :func:`_grouped_kkt`, which
-    solves a row's group sums from scratch, so the bits are those of
-    :func:`_sss_values`.
     """
-    means = spectrum.groups[1]
+    groups = spectrum.groups[1].size
     largest = count - rank + 1  # the rank-th smallest value is the largest-th largest
-    widen = (1.0 - _BOUND_RTOL, 1.0 + _BOUND_RTOL)
     below = above = 0  # rows set aside because their value lies below (above) the result
     # the rows in contention: value bounds (equal once exact) and exponents,
     # and the group sums of the open rows, in order
-    low, high, exps, held = np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty((0, means.size))
+    low, high, exps, held = np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty((0, groups))
 
-    def solved_in_full(row, exp):
-        return np.ldexp(_grouped_kkt(row, means, rho)[0], 2 * exp)
+    def widened(sums, e, steps):
+        with np.errstate(over="ignore", under="ignore"):
+            bounds = _path_bounds(spectrum, sums, rho, steps) * (1.0 - _BOUND_RTOL, 1.0 + _BOUND_RTOL)
+            return np.ldexp(bounds, 2 * e[:, None])
 
     def set_aside():
         nonlocal low, high, exps, held, below, above
@@ -834,41 +816,33 @@ def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, coun
 
     for y in (chunk for block in blocks for chunk in _row_chunks(block, spectrum.n)):  # stage 0
         e, sums = _scaled_sums(spectrum, y)[1:]
-        with np.errstate(over="ignore", under="ignore"):
-            bounds = np.ldexp(_closed_form_bounds(spectrum, sums, rho) * widen, 2 * e[:, None])
+        bounds = widened(sums, e, 0)
         leaving = ~(bounds[:, 0] >= np.finfo(float).tiny) | ~np.isfinite(bounds[:, 1])
         if leaving.any():
-            full = [_grouped_kkt(row, means, rho)[0] for row in sums[leaving]]
-            bounds[leaving] = _unscale(np.array(full), e[leaving])[:, None]
+            bounds[leaving] = _solved(spectrum, sums[leaving], e[leaving], rho)[:, None]
         low, high, exps = (np.concatenate(pair) for pair in zip((low, high, exps), (*bounds.T, e)))
         held = np.concatenate((held, sums[bounds[:, 0] < bounds[:, 1]]))
         del sums  # summed groups are new memory, freed before the next chunk's are summed
         set_aside()
-        past = len(held) - max(1, _OPEN_ENTRIES // means.size)
+        past = len(held) - max(1, _OPEN_ENTRIES // groups)
         if past > 0:
-            for i, row in zip(np.flatnonzero(low < high)[:past], held):
-                low[i] = high[i] = solved_in_full(row, exps[i])
+            i = np.flatnonzero(low < high)[:past]
+            low[i] = high[i] = _solved(spectrum, held[:past], exps[i], rho)
             held = held[past:]
 
     opened = np.flatnonzero(low < high)  # stage 1
     pending = np.argsort(-high[opened], kind="stable")
     while pending.size:
+        batch, pending = pending[:_PATH_BATCH], pending[_PATH_BATCH:]
+        i = opened[batch]
+        bounds = widened(held[batch], exps[i], _PATH_STEPS)
+        low[i], high[i] = np.fmax(low[i], bounds[:, 0]), np.fmin(high[i], bounds[:, 1])
         under, over = _set_aside(low, high, largest - above, rank - below)
         pending = pending[~(under | over)[opened[pending]]]
-        batch, pending = pending[:_PATH_BATCH], pending[_PATH_BATCH:]
-        i, sums = opened[batch], held[batch]
-        total, first, inverse, inverse2, _ = (sums @ spectrum._moments).T
-        exact = (first <= rho * total) | (rho * inverse2 <= inverse)  # cases "a" and "b", up to rounding
-        for k in np.flatnonzero(exact):
-            low[i[k]] = high[i[k]] = solved_in_full(sums[k], exps[i[k]])
-        i, e = i[~exact], exps[i[~exact]]
-        with np.errstate(over="ignore", under="ignore"):
-            bounds = np.ldexp(_path_bounds(spectrum, sums[~exact], rho) * widen, 2 * e[:, None])
-        low[i], high[i] = np.fmax(low[i], bounds[:, 0]), np.fmin(high[i], bounds[:, 1])
     held = held[low[opened] < high[opened]]
     set_aside()
-    for i, row in zip(np.flatnonzero(low < high), held):  # stage 2
-        low[i] = solved_in_full(row, exps[i])
+    i = np.flatnonzero(low < high)  # stage 2
+    low[i] = _solved(spectrum, held, exps[i], rho)
     return float(np.sort(low)[rank - 1 - below])
 
 

@@ -295,6 +295,14 @@ class TestDetector:
             with pytest.raises(ValueError, match="rho must be a number, got True"):
                 call()
 
+    def test_require_connected_must_be_a_bool(self):
+        # the string "no" used to be taken as true, restricting glr_exact to connected clusters
+        for good in (False, True):
+            assert Detector("glr_exact", rho=1.0, require_connected=good).require_connected is good
+        for bad in ("no", 0, None):
+            with pytest.raises(ValueError, match=f"require_connected must be a bool, got {bad!r}"):
+                Detector("glr_exact", rho=1.0, require_connected=bad)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown detector"):
             Detector("sum")

@@ -1,4 +1,5 @@
-"""Counts, sizes, ids and seeds must be integers: numpy integers pass, and a float or a bool is refused, not truncated."""
+"""Counts, sizes, ids and seeds must be integers, and real-valued arguments numbers: a bool, a string (or, for
+an integer, a float) is refused naming the argument, not converted."""
 import re
 
 import numpy as np
@@ -10,14 +11,22 @@ from graphscan import (
     Graph,
     SignalSpec,
     bbt_lambda2_bound,
+    bounds_report,
     calibrate_threshold,
     canonical_cluster,
+    chi_max,
     gen_bbt,
     gen_kron_multiscale,
     gen_lattice,
+    graph_spectrum,
     naive_bounds,
     noncentrality,
+    null_threshold,
     replicate_rng,
+    sample_observation,
+    scale_weights,
+    snr,
+    spectral_snr_bound,
     two_triangles,
 )
 
@@ -54,4 +63,37 @@ def test_integers_only(call, good, name):
     assert call(np.int64(good)) == call(np.int32(good)) == call(good)
     for bad in (float(good), good + 0.5, True):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            call(bad)
+
+
+GRID = graph_spectrum(gen_lattice(3))
+ALTERNATIVE = dict(n=4, cluster=Cluster(frozenset({0})))
+
+# (call with the value under test, a valid value, the name a refusal gives)
+REALS = {
+    "calibrate_sigma": (lambda v: calibrate_threshold(Detector("sss", rho=0.5), gen_lattice(3), v, 0.05, 100, 1),
+                        1.0, "sigma"),
+    "calibrate_alpha": (lambda v: calibrate_threshold(Detector("sss", rho=0.5), gen_lattice(3), 1.0, v, 100, 1),
+                        0.05, "alpha"),
+    "sample_sigma": (lambda v: sample_observation(SignalSpec(n=3, mu=0.0, delta=0.0), v, replicate_rng(0, 0)).tolist(),
+                     1.0, "sigma"),
+    "snr_sigma": (lambda v: snr(SignalSpec(mu=0.0, delta=1.0, **ALTERNATIVE), v), 2.0, "sigma"),
+    "signal_mu": (lambda v: SignalSpec(n=3, mu=v, delta=0.0).beta().tolist(), 0.5, "mu"),
+    "signal_delta": (lambda v: SignalSpec(mu=0.0, delta=v, **ALTERNATIVE).beta().tolist(), 0.5, "delta"),
+    "scale_weights": (lambda v: scale_weights(gen_lattice(3), v).w.tolist(), 2.0, "factor"),
+    "chi_max_nu": (lambda v: chi_max(np.array([1.0, 2.0]), np.array([1.0, 3.0]), v), 0.5, "nu"),
+    "snr_bound_rho": (lambda v: spectral_snr_bound(GRID, v), 0.5, "rho"),
+    "null_threshold_sigma": (lambda v: null_threshold(GRID, 0.5, v, 0.05), 1.0, "sigma"),
+    "null_threshold_conf": (lambda v: null_threshold(GRID, 0.5, 1.0, v), 0.05, "conf"),
+    "noncentrality_delta": (lambda v: noncentrality(v, 1.0, 3, 10), 1.0, "delta"),
+    "noncentrality_sigma": (lambda v: noncentrality(1.0, v, 3, 10), 1.0, "sigma"),
+    "bounds_report_eta": (lambda v: bounds_report(GRID, 0.5, 1.0, 0.05, eta=v).eta, 0.5, "eta"),
+}
+
+
+@pytest.mark.parametrize("call, good, name", REALS.values(), ids=REALS)
+def test_reals_only(call, good, name):
+    assert call(np.float64(good)) == call(good)
+    for bad in (True, str(good)):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {bad!r}")):
             call(bad)
