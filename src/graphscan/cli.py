@@ -74,6 +74,10 @@ def _cmd_gen_graph(args) -> int:
     _echo_args(args)
     family = _GEN_FAMILIES[args.family]
     flags = {key: _FLAG_NAMES.get(key, key) for key in family.keys}
+    unread = {_FLAG_NAMES.get(key, key) for other in _GEN_FAMILIES.values() for key in other.keys} - set(flags.values())
+    for flag in sorted(unread):
+        if getattr(args, flag) is not None and getattr(args, flag) is not False:  # --periodic is False when absent
+            raise ValueError(f"--family {args.family} does not read --{flag}")
     for key in family.required:
         if getattr(args, flags[key]) is None:
             raise ValueError(f"--family {args.family} requires --{flags[key]}")

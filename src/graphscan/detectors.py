@@ -70,7 +70,7 @@ def _edgeless(n: int) -> Graph:
     return Graph(n, (), (), ())
 
 
-# Kernels: (detector, graph, checked (R, n) float block) -> (R,) values.
+# Kernels: (detector, graph, checked (R, n) chunk of a float block) -> (R,) values.
 
 
 def _sss_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
@@ -93,20 +93,16 @@ def _glr_unconstrained_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndar
     # For a fixed size k the best cluster takes the k largest centred values
     # (complements score the same), so one sorted prefix-sum sweep is exact.
     # The negated values sort ascending into that order, and the sign cancels
-    # in the square; they are sorted and summed in place in the thread's
-    # workspace, chunk by chunk.
+    # in the square; they are sorted and summed in place in the workspace.
     n = y.shape[1]
     k = np.arange(1, n)
-    values = []
-    for chunk in _row_chunks(y, n):
-        swept = np.subtract(chunk.mean(axis=1, keepdims=True), chunk, out=_WORKSPACE.array("a", chunk.shape))
-        swept.sort(axis=1)
-        prefix = np.cumsum(swept, axis=1, out=swept)[:, :-1]
-        np.square(prefix, out=prefix)
-        prefix *= n
-        prefix /= k * (n - k)
-        values.append(prefix.max(axis=1))
-    return np.concatenate(values)
+    swept = np.subtract(y.mean(axis=1, keepdims=True), y, out=_WORKSPACE.array("a", y.shape))
+    swept.sort(axis=1)
+    prefix = np.cumsum(swept, axis=1, out=swept)[:, :-1]
+    np.square(prefix, out=prefix)
+    prefix *= n
+    prefix /= k * (n - k)
+    return prefix.max(axis=1)
 
 
 def _connected_masks(bits: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
@@ -127,11 +123,12 @@ def _connected_masks(bits: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
 
 
 def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
-    # every cluster is a bit mask, enumerated once per block and scored for
+    # every cluster is a bit mask, enumerated once per chunk and scored for
     # all rows with one product
     n = g.n
     if n > _GLR_EXACT_MAX_N:
         raise ValueError(f"exact enumeration limited to n <= {_GLR_EXACT_MAX_N}, got n={n}")
+    adjacency = laplacian(g) < 0.0 if det.require_connected else None
     ytilde = y - y.mean(axis=1, keepdims=True)
     best = np.full(len(y), -math.inf)  # stays -inf while no cluster is feasible
     chunk = max(1, _ENUM_CHUNK // len(y))
@@ -142,7 +139,7 @@ def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
         cut = (bits[:, g.eu] != bits[:, g.ev]) @ g.w
         ok = n * cut / (sizes * (n - sizes)) <= det.rho
         if det.require_connected:
-            ok[ok] = _connected_masks(bits[ok], laplacian(g) < 0.0)
+            ok[ok] = _connected_masks(bits[ok], adjacency)
         if ok.any():
             sums = bits[ok] @ ytilde.T  # (clusters, rows)
             scores = n * sums**2 / (sizes[ok] * (n - sizes[ok]))[:, None]
@@ -171,8 +168,8 @@ class Detector:
     """A named statistic with its parameters.
 
     ``rho`` (a positive and finite number, not a bool) is required for the
-    kinds in :data:`RHO_KINDS`; ``require_connected`` only applies to
-    glr_exact.
+    kinds in :data:`RHO_KINDS` and refused for the others;
+    ``require_connected`` may be true only for glr_exact.
     """
 
     kind: str
@@ -182,26 +179,30 @@ class Detector:
     def __post_init__(self) -> None:
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        require("require_connected", self.require_connected, bool)
+        if require("require_connected", self.require_connected, bool) and self.kind != "glr_exact":
+            raise ValueError(f"require_connected applies only to glr_exact, not to {self.kind!r}")
         if self.kind in RHO_KINDS:
             if self.rho is None or not (math.isfinite(require("rho", self.rho, float)) and self.rho > 0.0):
                 raise ValueError(f"detector {self.kind!r} requires a finite rho > 0")
+        elif self.rho is not None:
+            raise ValueError(f"detector {self.kind!r} takes no rho, got {self.rho!r}")
 
     def statistic(self, g: Graph, y: np.ndarray) -> float:
         """The statistic of one observation, scored as a one-row block."""
         return float(self.statistics(g, np.asarray(y, dtype=float)[None])[0])
 
     def statistics(self, g: Graph, y: np.ndarray) -> np.ndarray:
-        """The statistic of each row of an (R, n) block of observations.
+        """The statistic of each row of an (R, n) block of observations, scored chunk by chunk.
 
         Rows must have length ``g.n`` >= 2 and finite entries; the kinds that
-        use the edges also need a connected graph. The SSS scores the block
-        in chunks of up to 2**16 entries, and glr_exact the whole block, with
-        one matrix product each, so their values can differ from one-row
-        blocks in the last digits; energy, edge and glr_unconstrained give
-        every row the same bits in any block.
+        use the edges also need a connected graph. The SSS and glr_exact score
+        each chunk (up to 2**16 entries, ``spectral._row_chunks``) with one
+        matrix product, so their values can differ from one-row blocks in the
+        last digits; energy, edge and glr_unconstrained give every row the
+        same bits in any block.
         """
-        return _KINDS[self.kind][0](self, g, self._checked(g, y))
+        kernel = _KINDS[self.kind][0]
+        return np.concatenate([kernel(self, g, chunk) for chunk in _row_chunks(self._checked(g, y), g.n)])
 
     def _checked(self, g: Graph, y: np.ndarray) -> np.ndarray:
         """``y`` as a float block, once it is fit for the statistic on ``g``; raises as :meth:`statistics` documents."""
@@ -304,14 +305,12 @@ def calibrate_threshold(
     with 1-based index ceil((1 - alpha) * reps). Replicate r draws from the
     stream keyed by (seed, r). For the SSS, each replicate is solved only as
     far as it takes to tell whether its value can be that order statistic
-    (see ``spectral._sss_order_statistic``): one function bounds every
-    replicate, first in closed form from its grouped coefficients (the two
-    ends of the KKT multiplier path), then, for those that may hold the
-    selected rank and a batch at a time, at a few lockstep Newton steps along
-    the path; the few left in contention are solved in full by the solver
-    :func:`sss` uses. The threshold is the one that solving every replicate
-    in full and sorting would give, bit for bit. ``reps`` and ``seed`` must
-    be integers, and ``sigma`` and ``alpha`` numbers; none may be a bool.
+    (``spectral._sss_order_statistic`` bounds the replicates along the KKT
+    multiplier path, and solves the few left in contention by the solver
+    :func:`sss` uses), so the threshold is the one that solving every
+    replicate in full and sorting would give, bit for bit. ``reps`` and
+    ``seed`` must be integers, and ``sigma`` and ``alpha`` numbers; none may
+    be a bool.
     """
     reps, seed = integer("reps", reps), integer("seed", seed)
     alpha, sigma = require("alpha", alpha, float), require("sigma", sigma, float)

@@ -40,8 +40,9 @@ class SignalSpec:
     """Piecewise-constant mean: mu everywhere, mu + delta on the cluster.
 
     ``n`` must be a positive integer (not a float or a bool).
-    ``cluster=None`` means the null (constant) signal; under the alternative
-    the gap must be nonzero and the cluster a nonempty proper subset.
+    ``cluster=None`` means the null (constant) signal, whose gap must be 0;
+    under the alternative the gap must be nonzero and the cluster a nonempty
+    proper subset.
     """
 
     n: int
@@ -56,7 +57,10 @@ class SignalSpec:
         for name, value in (("mu", self.mu), ("delta", self.delta)):
             if not math.isfinite(require(name, value, float)):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.cluster is not None:
+        if self.cluster is None:
+            if self.delta != 0.0:
+                raise ValueError(f"the null signal (no cluster) requires delta == 0, got {self.delta}")
+        else:
             if self.delta == 0.0:
                 raise ValueError("alternative signal requires delta != 0")
             if max(self.cluster.members) >= self.n or self.cluster.size >= self.n:

@@ -31,29 +31,30 @@ overflows or underflows at extreme scales of y; a value outside the range of
 normal doubles is refused.
 
 The root-find of the third case bisects a bracket of the root until it is
-narrow relative to the root (1e-14). Every point of the third case's
-multiplier path also bounds the value, with no root-find: the maximizer's
-direction there, scaled into the feasible set, from below, and the dual
-objective at the matching multiplier from above. Both are the value at the
-root, and at the path's two ends they are closed forms in the group sums,
-which are the value in the first two cases. The Monte Carlo threshold, an
-order statistic of many observations' values, bounds every observation at
-the path's ends, refines a batch at a time the bounds of those that may hold
-the selected rank by a few lockstep Newton steps along the path, and solves
-those still in contention in full, so it is the same bits as sorting the
-full solves.
+narrow relative to the root (1e-14), one row at a time; a chunk of
+observations is settled in the first two cases all at once, each row in the
+same bits as alone. Every point of the third case's multiplier path also
+bounds the value, with no root-find: the maximizer's direction there, scaled
+into the feasible set, from below, and the dual objective at the matching
+multiplier from above. Both are the value at the root, and at the path's two
+ends they are closed forms in the group sums, which are the value in the first
+two cases. The Monte Carlo threshold, an order statistic of many observations'
+values, bounds every observation at the path's ends, refines a batch at a time
+the bounds of those that may hold the selected rank by a few lockstep Newton
+steps along the path, and solves those still in contention in full, so it is
+the same bits as sorting the full solves.
 
 A block of observations is scored in a workspace of flat float buffers that
 each thread keeps (``threading.local``) and reuses for every block and call,
 so no buffer is allocated, faulted in and freed per block: one buffer holds
-the replicate noise, and two hold in turn the centred block, the
-projection's axis-by-axis outputs, the coefficients in eigenvalue order and
-their squares; a tree's projection works its level sums in a fourth. A block
-is scored in chunks of at most 2**16 entries (or one row, if a row is
-longer), so each buffer keeps at most that many: four buffers per thread,
-2 MB for n up to 2**16. The coefficients and group sums ``_scaled_sums``
-returns are views of the workspace, valid until its next call in the same
-thread.
+the replicate noise, and two hold in turn the centred block, the projection's
+axis-by-axis outputs, the coefficients in eigenvalue order and their squares;
+a tree's projection works its level sums in a fourth. The functions here score
+one chunk of a block, of at most 2**16 entries (or one row, if a row is
+longer; :func:`_row_chunks`), so each buffer keeps at most that many: four
+buffers per thread, 2 MB for n up to 2**16. The coefficients and group sums
+``_scaled_sums`` returns are views of the workspace, valid until its next call
+in the same thread.
 """
 from __future__ import annotations
 
@@ -546,48 +547,52 @@ def _dual_objective(c: np.ndarray, lambdas: np.ndarray, nu: float, rho: float) -
     return max(0.0, chi_max(c, lambdas, nu)) + nu * rho
 
 
-def _grouped_kkt(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[float, str, float, float, int]:
-    """Maximize (c'z)^2 over the unit ball intersected with z' diag(lambdas) z <= rho.
+def _grouped_kkt(sums: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.ndarray, ...]:
+    """Maximize (c'z)^2 over the unit ball intersected with z' diag(lambdas) z <= rho, for each row of ``sums``.
 
-    The problem depends on c only through ``s``, the sums of c_i**2 over the
-    eigenvectors of each distinct eigenvalue in ``lambdas``. Returns the
-    value, the KKT case, the dual multiplier nu*, the root t (0 outside case
-    "c") and the number of root-finding steps. With weights p = s / sum(s),
-    which keep every intermediate near 1 whatever the scale of c:
+    The problem depends on c only through its row s of ``sums``, the sums of
+    c_i**2 over the eigenvectors of each distinct eigenvalue in ``lambdas``.
+    Returns arrays of the value, the KKT case, the dual multiplier nu*, the
+    root t (0 outside case "c") and the root-finding steps. With weights
+    p = s / sum(s), which keep every intermediate near 1 whatever c's scale:
       (a) z = c/||c|| when it already satisfies the ellipsoid, p'lambdas <= rho;
           the value is sum(s) and nu* = 0;
       (b) z proportional to lambdas^-1 * c scaled onto the ellipsoid, when that
           point stays inside the unit ball; nu* = c' diag(lambdas)^-1 c and
           the value is rho * nu*;
-      (c) otherwise both constraints are active: z(t)_i ~ c_i / (1 + t*lambda_i)
-          normalized to the unit sphere, with t > 0 the root of
-          z(t)' diag(lambdas) z(t) = rho (monotone in t); nu* = t * theta with
-          theta = sum_i c_i**2 / (1 + t*lambda_i), the largest eigenvalue of
-          c c' - nu* diag(lambdas).
-    In case "c", t_hi starts at the first of 1, 2, 4, ... (at most 200 tried)
-    where z(t) lies inside the ellipsoid and t_lo at 0, and bisection narrows
-    [t_lo, t_hi] until t_hi - t_lo <= _ROOT_RTOL * t_hi (at most 200 steps);
-    the value, nu* and t are taken at t_hi, where z is feasible.
+      (c) otherwise both constraints are active (:func:`_kkt_root`, row by row).
+    A row's sums and dot products round as for the row alone, in any chunk.
     """
-    total = float(s.sum())
-    if total == 0.0:
-        return 0.0, "a", 0.0, 0.0, 0
-    p = s / total
-    if float(p @ lambdas) <= rho:
-        return total, "a", 0.0, 0.0, 0
-
+    total = sums.sum(axis=1)
+    p = sums / np.where(total > 0.0, total, 1.0)[:, None]  # a row of zeros stays zero, in case "a"
     inv = p / lambdas
-    quad = float(inv.sum())  # c' diag(lambdas)^-1 c / total
-    if rho * float((inv / lambdas).sum()) <= quad:  # ||z||**2 <= 1
-        return rho * quad * total, "b", quad * total, 0.0, 0
+    quad = inv.sum(axis=1)  # c' diag(lambdas)^-1 c / total
+    ball = (p[:, None] @ lambdas)[:, 0] <= rho  # a BLAS dot product per row, as p @ lambdas is for one row
+    # case "b" where z = c/lambda, scaled onto the ellipsoid, has ||z||**2 <= 1
+    case = np.where(ball, "a", np.where(rho * (inv / lambdas).sum(axis=1) <= quad, "b", "c"))
+    value, nu_star = np.where(ball, total, rho * quad * total), np.where(ball, 0.0, quad * total)
+    t, steps = np.zeros(len(sums)), np.zeros(len(sums), dtype=int)
+    for i in np.flatnonzero(case == "c"):
+        value[i], nu_star[i], t[i], steps[i] = _kkt_root(p[i], lambdas, rho, total[i])
+    return value, case, nu_star, t, steps
 
+
+def _kkt_root(p: np.ndarray, lambdas: np.ndarray, rho: float, total: float) -> tuple[float, float, float, int]:
+    """Case "c" of :func:`_grouped_kkt` for one row of weights p and sum ``total``: the value, nu*, t and steps.
+
+    z(t)_i ~ c_i / (1 + t*lambda_i) normalized, with t > 0 the root of
+    z(t)' diag(lambdas) z(t) = rho (monotone in t); nu* = t * theta, theta =
+    sum_i c_i**2 / (1 + t*lambda_i) the top eigenvalue of c c' - nu* diag(lambdas).
+    t_hi starts at the first of 1, 2, 4, ... (200 at most) where z(t) is inside
+    the ellipsoid, t_lo at 0, and bisection narrows them to t_hi - t_lo <=
+    _ROOT_RTOL * t_hi (200 steps at most); the results are taken at t_hi.
+    """
     def gap(t: float) -> float:
         q = p / (1.0 + t * lambdas) ** 2  # z(t)_i**2 before normalizing
         return float(lambdas @ q) / float(q.sum()) - rho
 
-    t_lo, t_hi, steps = 0.0, 1.0, 0
-    for _ in range(200):
-        steps += 1
+    t_lo, t_hi = 0.0, 1.0
+    for steps in range(1, 201):
         if gap(t_hi) < 0.0:
             break
         t_hi *= 2.0
@@ -604,7 +609,7 @@ def _grouped_kkt(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[float,
     w = p / (1.0 + t_hi * lambdas)
     theta = float(w.sum())
     value = theta**2 / float((w / (1.0 + t_hi * lambdas)).sum()) * total
-    return value, "c", t_hi * theta * total, t_hi, steps
+    return value, t_hi * theta * total, t_hi, steps
 
 
 def _path_weights(means: np.ndarray, rho: float) -> np.ndarray:
@@ -735,17 +740,13 @@ def _unscale(scaled, exps):
 
 def _solved(spectrum: Spectrum, sums: np.ndarray, exps: np.ndarray, rho: float) -> np.ndarray:
     """Values of the statistic for rows of group sums scaled by 2**-exps (:func:`_scaled_sums`), each solved in full."""
-    means = spectrum.groups[1]
-    return _unscale(np.array([_grouped_kkt(row, means, rho)[0] for row in sums]), exps)
+    return _unscale(_grouped_kkt(sums, spectrum.groups[1], rho)[0], exps)
 
 
 def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
-    """Values of the statistic for the rows of an (R, n) block, scored chunk by chunk; ``rho`` is taken as checked."""
-    values = []
-    for chunk in _row_chunks(np.asarray(y, dtype=float), spectrum.n):
-        _, exps, sums = _scaled_sums(spectrum, chunk)
-        values.append(_solved(spectrum, sums, exps, rho))
-    return np.concatenate(values)
+    """Values of the statistic for the rows of one chunk (:func:`_row_chunks`); ``rho`` is taken as checked."""
+    _, exps, sums = _scaled_sums(spectrum, y)
+    return _solved(spectrum, sums, exps, rho)
 
 
 def _set_aside(low: np.ndarray, high: np.ndarray, largest: int, smallest: int) -> tuple[np.ndarray, np.ndarray]:
@@ -763,21 +764,21 @@ def _set_aside(low: np.ndarray, high: np.ndarray, largest: int, smallest: int) -
     return high < floor, low > ceiling
 
 
-def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, count: int) -> float:
-    """The rank-th smallest (1-based) value of the statistic over the ``count`` rows of ``blocks``.
+def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, count: int) -> float:
+    """The rank-th smallest (1-based) value of the statistic over the ``count`` rows of ``chunks``.
 
-    ``blocks`` yields (R, n) blocks of observations, each used (chunk by
-    chunk) before the next is drawn. The result is entry ``rank - 1`` of the
-    sorted :func:`_sss_values` of the same blocks, bit for bit, as every value
-    that can be returned comes from :func:`_solved`; a block is refused as
+    ``chunks`` yields chunks (:func:`_row_chunks`) of observations, each used
+    before the next is drawn. The result is entry ``rank - 1`` of the sorted
+    :func:`_sss_values` of the same chunks, bit for bit, as every value
+    that can be returned comes from :func:`_solved`; a chunk is refused as
     :func:`_sss_values` refuses it, and ``rho`` is taken as checked. Each row
     is solved only as far as it might hold the result, in three stages,
     every bound widened by ``_BOUND_RTOL`` and unscaled:
 
-    0. as each block arrives, every row is bounded at the two ends of the
+    0. as each chunk arrives, every row is bounded at the two ends of the
        case-"c" multiplier path (:func:`_path_bounds` with no steps); a row
        whose bounds might not unscale to normal doubles is solved in full at
-       once, so a block is refused exactly when :func:`_sss_values` refuses
+       once, so a chunk is refused exactly when :func:`_sss_values` refuses
        it. A row is then set aside once ``count - rank + 1`` rows have lower
        bounds above its upper bound, or ``rank`` rows upper bounds below its
        lower bound, for then its value lies below (above) the result
@@ -785,7 +786,7 @@ def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, coun
        exponent, and while it is open (its bounds differ) its group sums; at
        most ``_OPEN_ENTRIES`` group sums are held, the oldest open rows past
        that being solved in full;
-    1. once every block is in, the rows still in contention are bounded at
+    1. once every chunk is in, the rows still in contention are bounded at
        ``_PATH_STEPS`` points of the path, ``_PATH_BATCH`` at a time, the
        largest upper bound first so that the lower bounds that set rows
        aside rise fastest, skipping the rows each batch sets aside. Widened,
@@ -814,7 +815,7 @@ def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, coun
         held = held[keep[low < high]]
         low, high, exps = low[keep], high[keep], exps[keep]
 
-    for y in (chunk for block in blocks for chunk in _row_chunks(block, spectrum.n)):  # stage 0
+    for y in chunks:  # stage 0
         e, sums = _scaled_sums(spectrum, y)[1:]
         bounds = widened(sums, e, 0)
         leaving = ~(bounds[:, 0] >= np.finfo(float).tiny) | ~np.isfinite(bounds[:, 1])
@@ -849,10 +850,9 @@ def _sss_order_statistic(spectrum: Spectrum, blocks, rho: float, rank: int, coun
 def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     """Spectral scan statistic by one KKT solve, certified by the dual.
 
-    The KKT case analysis of :func:`_grouped_kkt` runs on one term per distinct
-    eigenvalue, the sum of the squared coefficients of its eigenvectors, and
-    gives the value, the case, the dual multiplier nu*, and in case "c" the
-    root t and its step count. The primal maximizer z in the nonconstant
+    :func:`_grouped_kkt`, on the observation as a one-row chunk, gives the
+    value, the case, the dual multiplier nu*, and in case "c" the root t and
+    its step count. The primal maximizer z in the nonconstant
     eigenbasis is rebuilt from the ungrouped coefficients c: c/||c|| (case
     "a"), c/lambda scaled onto the ellipsoid ("b") or c/(1 + t*lambda)
     normalized ("c"). The dual objective max(0, chi_max(c, lambdas, nu*)) +
@@ -867,11 +867,11 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     rho = float(require("rho", rho, float))
     if not (math.isfinite(rho) and rho > 0.0):
         raise ValueError(f"rho must be positive and finite, got {rho}")
-    # a one-row block, so that _sss_values on the same row gives the same bits;
+    # a one-row chunk, so that _sss_values on the same row gives the same bits;
     # c and s are views of the workspace, used before anything else scores
     y = np.asarray(y, dtype=float)[None]
-    (c,), (e,), (s,) = _scaled_sums(spectrum, y)
-    value, case, nu_star, t, iterations = _grouped_kkt(s, spectrum.groups[1], rho)
+    (c,), e, s = _scaled_sums(spectrum, y)
+    (value,), (case,), (nu_star,), (t,), (iterations,) = _grouped_kkt(s, spectrum.groups[1], rho)
     lambdas = spectrum.eigenvalues[1:]
     # c is scaled to a largest entry in [0.5, 1), and z does not depend on its scale
     if not c.any():
@@ -890,7 +890,7 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     if nz.size and witness[nz[0]] < 0:
         witness = -witness
     return SssResult(
-        value=value, nu_star=nu_star, witness=witness, case=case, iterations=iterations, gap=dual - value
+        value=value, nu_star=nu_star, witness=witness, case=str(case), iterations=int(iterations), gap=dual - value
     )
 
 

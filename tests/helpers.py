@@ -247,3 +247,45 @@ def kkt_solve_loop(c: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.n
     w = c / (1.0 + t_hi * lambdas)
     theta = float(c @ w)
     return w / np.linalg.norm(w), "c", t_hi * theta, iterations
+
+
+def grouped_kkt_loop(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[float, str, float, float, int]:
+    """The KKT solve on one row ``s`` of group sums, written row by row: value, case, nu*, root t and steps.
+
+    ``spectral._grouped_kkt`` must give each row of a chunk these bits.
+    """
+    total = float(s.sum())
+    if total == 0.0:
+        return 0.0, "a", 0.0, 0.0, 0
+    p = s / total
+    if float(p @ lambdas) <= rho:
+        return total, "a", 0.0, 0.0, 0
+
+    inv = p / lambdas
+    quad = float(inv.sum())  # c' diag(lambdas)^-1 c / total
+    if rho * float((inv / lambdas).sum()) <= quad:  # ||z||**2 <= 1
+        return rho * quad * total, "b", quad * total, 0.0, 0
+
+    def gap(t: float) -> float:
+        q = p / (1.0 + t * lambdas) ** 2  # z(t)_i**2 before normalizing
+        return float(lambdas @ q) / float(q.sum()) - rho
+
+    t_lo, t_hi, steps = 0.0, 1.0, 0
+    for _ in range(200):
+        steps += 1
+        if gap(t_hi) < 0.0:
+            break
+        t_hi *= 2.0
+    for _ in range(200):
+        if t_hi - t_lo <= 1e-14 * t_hi:
+            break
+        steps += 1
+        mid = 0.5 * (t_lo + t_hi)
+        if gap(mid) > 0.0:
+            t_lo = mid
+        else:
+            t_hi = mid
+    w = p / (1.0 + t_hi * lambdas)
+    theta = float(w.sum())
+    value = theta**2 / float((w / (1.0 + t_hi * lambdas)).sum()) * total
+    return value, "c", t_hi * theta * total, t_hi, steps

@@ -46,6 +46,23 @@ class TestGenGraph:
             run_cli("gen-graph", "--family", "bbt", "--depth", "2", "--frobnicate", "1")
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--family", "bbt", "--depth", "3", "--side", "5", "--levels", "9", "--periodic"), "--levels"),
+            (("--family", "bbt", "--depth", "3", "--periodic"), "--periodic"),
+            (("--family", "lattice", "--side", "3", "--depth", "0"), "--depth"),
+            (("--family", "kron", "--levels", "2", "--side", "4"), "--side"),
+            (("--family", "two-k3", "--levels", "2"), "--levels"),
+        ],
+        ids=["bbt-three", "bbt-periodic", "lattice-depth-zero", "kron-side", "two-k3-levels"],
+    )
+    def test_refuses_a_flag_its_family_does_not_read(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "g.tsv"
+        assert run_cli("gen-graph", *argv, "--out", str(out)) == 1
+        assert f"error: --family {argv[1]} does not read {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_echoes_config_to_stderr(self, tmp_path, capsys):
         run_cli("gen-graph", "--family", "lattice", "--side", "3", "--out", str(tmp_path / "l.tsv"))
         err = capsys.readouterr().err
@@ -105,6 +122,22 @@ class TestScan:
             code = run_cli("scan", "--graph", str(p2_file), "--signal", str(sig), "--stat", stat)
             assert code == 1
             assert "--rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--stat", "energy", "--rho", "0.5"), "takes no rho"),
+            (("--stat", "sss", "--rho", "0.5", "--require-connected"), "require_connected applies only to glr_exact"),
+        ],
+        ids=["energy-rho", "sss-require-connected"],
+    )
+    def test_refuses_an_argument_the_statistic_does_not_read(self, tmp_path, p2_file, capsys, flags, message):
+        sig = tmp_path / "y.csv"
+        write_signal(sig, [1.0, -1.0])
+        assert run_cli("scan", "--graph", str(p2_file), "--signal", str(sig), *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err and message in captured.err
 
     def test_non_finite_signal_is_domain_error(self, tmp_path, p2_file, capsys):
         sig = tmp_path / "y.csv"

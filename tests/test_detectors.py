@@ -19,13 +19,14 @@ from graphscan import (
     glr_exact,
     glr_unconstrained,
     graph_spectrum,
+    laplacian,
     replicate_rng,
     scale_weights,
     sss,
     sss_stat,
 )
 from graphscan import detectors
-from graphscan.detectors import DETECTOR_KINDS
+from graphscan.detectors import DETECTOR_KINDS, RHO_KINDS
 from graphscan.rng import _replicate_streams
 from helpers import draw_rho, glr_brute_force, random_connected_graph
 
@@ -36,6 +37,11 @@ def p2():
 
 def k3():
     return build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+
+
+def detector(kind):
+    """A detector of this kind, with rho 1 if it takes one."""
+    return Detector(kind, rho=1.0 if kind in RHO_KINDS else None)
 
 
 class TestEnergyStat:
@@ -151,6 +157,17 @@ class TestGlrExact:
                 continue
             assert restricted <= free + 1e-12
             checked += 1
+
+    def test_adjacency_is_built_once_per_call(self, monkeypatch):
+        # three rows of gen_bbt(3) enumerate its 32766 masks in two batches
+        g = gen_bbt(3)
+        y = np.random.default_rng(4).standard_normal((3, g.n))
+        det = Detector("glr_exact", rho=1.0, require_connected=True)
+        expected = det.statistics(g, y)
+        built = []
+        monkeypatch.setattr(detectors, "laplacian", lambda h: built.append(h) or laplacian(h))
+        assert det.statistics(g, y).tobytes() == expected.tobytes()
+        assert len(built) == 1
 
     def test_connected_matches_brute_force(self):
         rng = np.random.default_rng(29)
@@ -303,6 +320,18 @@ class TestDetector:
             with pytest.raises(ValueError, match=f"require_connected must be a bool, got {bad!r}"):
                 Detector("glr_exact", rho=1.0, require_connected=bad)
 
+    @pytest.mark.parametrize("kind", sorted(set(DETECTOR_KINDS) - set(RHO_KINDS)))
+    @pytest.mark.parametrize("rho", [True, "abc", -3.0, 1.0])
+    def test_refuses_a_rho_its_statistic_does_not_read(self, kind, rho):
+        with pytest.raises(ValueError, match=f"detector {kind!r} takes no rho"):
+            Detector(kind, rho=rho)
+
+    @pytest.mark.parametrize("kind", [kind for kind in DETECTOR_KINDS if kind != "glr_exact"])
+    def test_require_connected_only_for_glr_exact(self, kind):
+        with pytest.raises(ValueError, match="require_connected applies only to glr_exact"):
+            Detector(kind, rho=1.0 if kind in RHO_KINDS else None, require_connected=True)
+        assert detector(kind).require_connected is False
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown detector"):
             Detector("sum")
@@ -322,7 +351,7 @@ class TestDetector:
 class TestObservationLength:
     @pytest.mark.parametrize("kind", DETECTOR_KINDS)
     def test_every_kind_rejects_wrong_length(self, kind):
-        det = Detector(kind, rho=1.0)
+        det = detector(kind)
         with pytest.raises(ValueError, match="length 4, expected 15"):
             det.statistic(gen_bbt(3), np.arange(4.0))
         with pytest.raises(ValueError, match="length 4, expected 15"):
@@ -332,12 +361,12 @@ class TestObservationLength:
     @pytest.mark.parametrize("shape", [(15,), (1, 1, 15)])
     def test_block_must_be_two_dimensional(self, kind, shape):
         with pytest.raises(ValueError, match="expected a block of observation rows"):
-            Detector(kind, rho=1.0).statistics(gen_bbt(3), np.zeros(shape))
+            detector(kind).statistics(gen_bbt(3), np.zeros(shape))
 
     @pytest.mark.parametrize("kind", DETECTOR_KINDS)
     def test_every_kind_rejects_a_one_vertex_graph(self, kind):
         with pytest.raises(ValueError, match="two vertices"):
-            Detector(kind, rho=1.0).statistic(build_graph(1, []), np.zeros(1))
+            detector(kind).statistic(build_graph(1, []), np.zeros(1))
 
 
 class TestBlockStatistics:

@@ -44,6 +44,12 @@ class TestSignalSpec:
         with pytest.raises(ValueError, match="delta"):
             SignalSpec(n=3, mu=0.0, delta=0.0, cluster=Cluster(frozenset({0})))
 
+    @pytest.mark.parametrize("delta", [5.0, -0.5])
+    def test_null_refuses_a_nonzero_delta(self, delta):
+        # the gap would apply to no vertex, and beta() would drop it
+        with pytest.raises(ValueError, match="delta == 0"):
+            SignalSpec(n=4, mu=0.0, delta=delta)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_needs_a_vertex(self, n):
         with pytest.raises(ValueError, match="n must be positive"):

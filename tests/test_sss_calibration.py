@@ -28,7 +28,7 @@ from graphscan.spectral import (
     _path_weights,
     _scaled_sums,
 )
-from helpers import draw_rho, random_connected_graph
+from helpers import draw_rho, grouped_kkt_loop, random_connected_graph
 
 GRAPHS = {
     "bbt": lambda: gen_bbt(5),
@@ -123,14 +123,14 @@ class TestBitForBit:
         g = gen_lattice(12, periodic=True)
         det = Detector("sss", rho=2.0)  # 199 of the 200 rows in case "c"
         expected = full_solve_threshold(det, g, 1.0, 0.05, 200, 2)
-        solved = counted_calls(monkeypatch, "_grouped_kkt")
+        solved = counted_calls(monkeypatch, "_kkt_root")  # the case-"c" rows solved in full
         assert calibrate_threshold(det, g, 1.0, 0.05, 200, 2) == expected
         assert 1 <= len(solved) <= 10
 
     def test_few_replicates_of_the_large_torus_are_solved(self, monkeypatch):
         g = gen_lattice(48, periodic=True)
         det = Detector("sss", rho=4.0 / 48)
-        solved = counted_calls(monkeypatch, "_grouped_kkt")
+        solved = counted_calls(monkeypatch, "_kkt_root")  # the case-"c" rows solved in full
         for seed in range(10):
             calibrate_threshold(det, g, 1.0, 0.05, 100, seed)
         # one per call holds the rank; solving every replicate would take 1000
@@ -185,8 +185,8 @@ class TestBounds:
         spec = graph_spectrum(g)
         rho = rho_in(spec.eigenvalues, regime, u)
         sums = _scaled_sums(spec, rng.standard_normal((8, g.n)))[2]
-        solved = [_grouped_kkt(row, spec.groups[1], rho) for row in sums]
-        for (low, high), (value, case, *_) in zip(_path_bounds(spec, sums, rho, 0), solved):
+        values, cases = _grouped_kkt(sums, spec.groups[1], rho)[:2]
+        for (low, high), value, case in zip(_path_bounds(spec, sums, rho, 0), values, cases):
             assert low * (1.0 - _BOUND_RTOL) <= value <= high * (1.0 + _BOUND_RTOL)
             if case != "c":
                 assert low == pytest.approx(value, rel=1e-12, abs=0.0)
@@ -208,8 +208,7 @@ class TestBounds:
         y = rng.standard_normal((6, g.n))
         rho = case_c_rho(spec, y[0], u) if regime == "case-c" else rho_in(spec.eigenvalues, regime, u)
         sums = _scaled_sums(spec, y)[2]
-        solved = [_grouped_kkt(row, means, rho) for row in sums]
-        values = np.array([value for value, *_ in solved])
+        values, cases, _, roots, _ = _grouped_kkt(sums, means, rho)
         weights = _path_weights(means, rho)
 
         def bounds_at(u):
@@ -228,7 +227,7 @@ class TestBounds:
         np.testing.assert_allclose(np.minimum(zero[:, 1], infinity[:, 1]), closed[:, 1], rtol=1e-12, atol=0.0)
         # the bounds at a case-"c" row's root, and the refined bounds of the
         # others, which start at the closed forms, are the value
-        for row, bounds, (value, case, _, t, _) in zip(sums, refined, solved):
+        for row, bounds, value, case, t in zip(sums, refined, values, cases, roots):
             if case == "c":
                 bounds = np.concatenate(_path_point(row[None], means, weights, rho, np.array([1.0 / t]))[:2])
             assert bounds == pytest.approx([value, value], rel=1e-12, abs=0.0)
@@ -244,3 +243,45 @@ class TestBounds:
         values = [sss(spec, y, rho).value for rho in rhos]
         for smaller, larger in zip(values, values[1:]):
             assert smaller <= larger * (1.0 + 1e-12)
+
+
+class TestBlockSolve:
+    """The KKT solve of a chunk of group sums against the row-by-row reference."""
+
+    @settings(max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(sorted(FAMILIES)),
+        regime=st.sampled_from(["below", "between", "above", "case-c"]),
+        u=st.floats(0.0, 1.0),
+        log_weight=st.floats(-6.0, 9.0),
+    )
+    def test_matches_the_row_by_row_solve(self, seed, family, regime, u, log_weight):
+        rng = np.random.default_rng(seed)
+        g = scale_weights(FAMILIES[family](rng), 10.0**log_weight)
+        spec = graph_spectrum(g)
+        means = spec.groups[1]
+        y = rng.standard_normal((6, g.n))
+        rho = case_c_rho(spec, y[0], u) if regime == "case-c" else rho_in(spec.eigenvalues, regime, u)
+        sums = _scaled_sums(spec, y)[2]
+        solved = _grouped_kkt(sums, means, rho)
+        for i, row in enumerate(sums):
+            expected = grouped_kkt_loop(row, means, rho)
+            assert tuple(field[i] for field in solved) == expected
+            assert solved[0][i].tobytes() == np.float64(expected[0]).tobytes()
+
+    def test_each_row_of_a_mixed_chunk_gets_its_own_bits(self):
+        g = gen_lattice(8, periodic=True)
+        spec = graph_spectrum(g)
+        lambdas = spec.eigenvalues
+        rho = math.sqrt(lambdas[1] * lambdas[-1])
+        low, high = spec.expand(np.eye(g.n - 1)[0]), spec.expand(np.eye(g.n - 1)[-1])
+        # the lowest mode alone is in case "a", the highest alone in case "b",
+        # noise in case "c", and a constant row is all zeros
+        y = np.vstack([low, high, np.zeros(g.n), *np.random.default_rng(3).standard_normal((5, g.n))])
+        sums = _scaled_sums(spec, y)[2].copy()
+        solved = _grouped_kkt(sums, spec.groups[1], rho)
+        assert set(solved[1]) == {"a", "b", "c"}
+        for i in range(len(sums)):
+            alone = _grouped_kkt(sums[i : i + 1].copy(), spec.groups[1], rho)
+            assert [field[i : i + 1].tobytes() for field in solved] == [field.tobytes() for field in alone]
