@@ -40,7 +40,6 @@ class BoundsReport:
     edge_bound: float
     null_threshold: float
     confidence: float
-    eta: float | None = None
 
 
 def _positive(name: str, value: float) -> float:
@@ -135,12 +134,9 @@ def bounds_report(
     sigma: float,
     conf: float,
     max_cluster: int | None = None,
-    eta: float | None = None,
 ) -> BoundsReport:
     """Assemble every bound for one instance; truncated entries are None when
     no eigenvalue exceeds rho."""
-    if eta is not None and not math.isfinite(require("eta", eta, float)):
-        raise ValueError(f"eta must be finite, got {eta}")
     n = spectrum.n
     if max_cluster is None:
         max_cluster = n // 2
@@ -159,7 +155,6 @@ def bounds_report(
         edge_bound=edge,
         null_threshold=null_threshold(spectrum, rho, sigma, conf),
         confidence=float(conf),
-        eta=None if eta is None else float(eta),
     )
 
 

@@ -191,10 +191,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_bounds(args) -> int:
     _echo_args(args)
     g = _load_graph(args.graph)
-    report = bounds_mod.bounds_report(
-        graph_spectrum(g), args.rho, args.sigma, args.conf,
-        max_cluster=args.max_cluster, eta=args.eta,
-    )
+    report = bounds_mod.bounds_report(graph_spectrum(g), args.rho, args.sigma, args.conf, max_cluster=args.max_cluster)
     print(bounds_mod.format_report(report), end="")
     return 0
 
@@ -259,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--conf", type=float, required=True)
     p.add_argument("--max-cluster", type=int)
-    p.add_argument("--eta", type=float)
     p.set_defaults(func=_cmd_bounds)
     return parser
 

@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _GLR_EXACT_MAX_N = 22
-_ENUM_CHUNK = 1 << 16  # cluster sums (masks x rows) held at once
 
 
 class EmptyClassError(ValueError):
@@ -54,13 +53,14 @@ def graph_spectrum(g: Graph) -> Spectrum:
 
     A graph that records Cartesian factors (lattices, tori, Kronecker
     products) gets the product of its factors' spectra, and a recorded
-    balanced binary tree the spectrum of its level blocks, with no n x n
-    matrix; any other graph gets a dense eigendecomposition of its Laplacian.
+    balanced binary tree the spectrum of its level blocks, scaled by the
+    weight all its edges share, with no n x n matrix; any other graph gets a
+    dense eigendecomposition of its Laplacian.
     """
     if g._factors:
         return Spectrum.product(graph_spectrum(f) for f in g._factors)
     if g._depth:
-        return Spectrum.tree(g._depth, g._tree_weight)
+        return Spectrum.tree(g._depth, float(g.w[0]))
     return eig_sym(laplacian(g))
 
 
@@ -124,14 +124,16 @@ def _connected_masks(bits: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
 
 def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
     # every cluster is a bit mask, enumerated once per chunk and scored for
-    # all rows with one product
+    # all rows with one product, holding at most _BLOCK_ENTRIES cluster sums
     n = g.n
     if n > _GLR_EXACT_MAX_N:
         raise ValueError(f"exact enumeration limited to n <= {_GLR_EXACT_MAX_N}, got n={n}")
+    if not len(y):
+        return np.empty(0)
     adjacency = laplacian(g) < 0.0 if det.require_connected else None
     ytilde = y - y.mean(axis=1, keepdims=True)
     best = np.full(len(y), -math.inf)  # stays -inf while no cluster is feasible
-    chunk = max(1, _ENUM_CHUNK // len(y))
+    chunk = max(1, _BLOCK_ENTRIES // len(y))
     for start in range(1, 2**n - 1, chunk):
         masks = np.arange(start, min(start + chunk, 2**n - 1), dtype=np.int64)
         bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)  # (chunk, n)
@@ -255,41 +257,40 @@ def sss_stat(g: Graph, y: np.ndarray, rho: float) -> float:
     return Detector("sss", rho=rho).statistic(g, y)
 
 
-def _replicate_blocks(g: Graph, means, sigma: float, seed: int):
-    """Blocks of replicates 0..len(means)-1: yields each block's first index and its (R, n) rows.
+def _replicate_blocks(g: Graph, runs, sigma: float, seed: int):
+    """Blocks of the replicates of ``runs``: yields each block's first index and its (R, n) rows.
 
-    Replicate r observes ``means[r] + sigma * eps`` with eps drawn from the
-    stream keyed by (seed, r), whatever the grouping of replicates into blocks.
-    A block is scaled at once (not at all when sigma is 1), and each run of
-    rows whose means are one object gets that mean added at once (not at all
-    when it is zero). The thread's workspace buffer "noise" holds every block,
-    so each must be used before the next, and before the thread draws another
-    run's blocks.
+    ``runs`` is a sequence of (mean, count) pairs, whose replicates are
+    numbered run after run from 0. Replicate r observes its run's mean plus
+    ``sigma * eps``, with eps drawn from the stream keyed by (seed, r),
+    whatever the grouping of replicates into blocks. A block is scaled at
+    once (not at all when sigma is 1), and each run's rows in it get the
+    run's mean added at once (not at all when it is zero). The thread's
+    workspace buffer "noise" holds every block, so each must be used before
+    the next, and before the thread draws another run's blocks.
     """
+    total = sum(count for _, count in runs)
     rows = max(1, _BLOCK_ENTRIES // g.n)
-    block = _WORKSPACE.array("noise", (min(rows, len(means)), g.n))
-    streams = _replicate_streams(seed, range(len(means)))
-    for start in range(0, len(means), rows):
-        y = block[: len(means) - start]
+    block = _WORKSPACE.array("noise", (min(rows, total), g.n))
+    streams = _replicate_streams(seed, range(total))
+    for start in range(0, total, rows):
+        y = block[: total - start]
         for row in y:
             next(streams).standard_normal(out=row)
         if sigma != 1.0:
             y *= sigma
-        first = 0
-        while first < len(y):
-            mean, end = means[start + first], first + 1
-            while end < len(y) and means[start + end] is mean:
-                end += 1
+        first = -start  # the run's first replicate, counted from the block's
+        for mean, count in runs:
             if np.any(mean):
-                y[first:end] += mean
-            first = end
+                y[max(first, 0) : max(first + count, 0)] += mean
+            first += count
         yield start, y
 
 
-def _replicate_statistics(detectors, g: Graph, means, sigma: float, seed: int) -> np.ndarray:
-    """Statistics of replicates 0..len(means)-1 (see :func:`_replicate_blocks`), one column per detector."""
-    stats = np.empty((len(means), len(detectors)))
-    for start, y in _replicate_blocks(g, means, sigma, seed):
+def _replicate_statistics(detectors, g: Graph, runs, sigma: float, seed: int) -> np.ndarray:
+    """Statistics of the replicates of ``runs`` (see :func:`_replicate_blocks`), one column per detector."""
+    stats = np.empty((sum(count for _, count in runs), len(detectors)))
+    for start, y in _replicate_blocks(g, runs, sigma, seed):
         for j, detector in enumerate(detectors):
             stats[start : start + len(y), j] = detector.statistics(g, y)
     return stats
@@ -323,7 +324,7 @@ def calibrate_threshold(
     index = math.ceil((1.0 - alpha) * reps)
     if detector.kind == "sss":
         detector._checked(g, np.empty((0, g.n)))  # the graph, before its spectrum is computed
-        blocks = (y for _, y in _replicate_blocks(g, [0.0] * reps, float(sigma), seed))
+        blocks = (y for _, y in _replicate_blocks(g, ((0.0, reps),), float(sigma), seed))
         return _sss_order_statistic(graph_spectrum(g), blocks, detector.rho, index, reps)
-    stats = _replicate_statistics((detector,), g, [0.0] * reps, float(sigma), seed)
+    stats = _replicate_statistics((detector,), g, ((0.0, reps),), float(sigma), seed)
     return float(np.sort(stats[:, 0])[index - 1])

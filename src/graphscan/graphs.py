@@ -83,10 +83,9 @@ class Graph:
     # the Cartesian factors a generator recorded, in vertex-numbering order;
     # set only through _with_factors, and empty for a graph built from edges
     _factors = ()
-    # the depth gen_bbt built the graph with, and the weight of every edge;
-    # set only there and by scale_weights, and (0, 1.0) for any other graph
+    # the depth gen_bbt built the graph with, whose edges then share one
+    # weight; set only there and by scale_weights, and 0 for any other graph
     _depth = 0
-    _tree_weight = 1.0
 
     def __post_init__(self) -> None:
         n = integer("vertex count", self.n)
@@ -121,7 +120,7 @@ class Graph:
     def _digest(self) -> int:
         return hash((
             self.n, self.eu.tobytes(), self.ev.tobytes(), self.w.tobytes(),
-            self._factors, self._depth, self._tree_weight,
+            self._factors, self._depth,
         ))
 
     def __hash__(self) -> int:
@@ -134,13 +133,12 @@ class Graph:
             and all(map(np.array_equal, (self.eu, self.ev, self.w), (other.eu, other.ev, other.w)))
             and self._factors == other._factors
             and self._depth == other._depth
-            and self._tree_weight == other._tree_weight
         )
 
     def __reduce__(self):
         # unpickling rebuilds through __post_init__, so the arrays come back as
         # validated read-only copies and the digest is recomputed
-        return _rebuild, (self.n, self.eu, self.ev, self.w, self._factors, self._depth, self._tree_weight)
+        return _rebuild, (self.n, self.eu, self.ev, self.w, self._factors, self._depth)
 
     @cached_property
     def _connected(self) -> bool:
@@ -173,16 +171,18 @@ def _with_factors(g: Graph, factors) -> Graph:
     return g
 
 
-def _rebuild(n, eu, ev, w, factors, depth=0, tree_weight=1.0) -> Graph:
+def _rebuild(n, eu, ev, w, factors, depth=0) -> Graph:
     g = Graph(n, eu, ev, w)
     if factors:
         return _with_factors(g, factors)
     if depth:
-        # a tree record comes back from its generator, whose arrays g must have
-        tree = scale_weights(gen_bbt(depth), tree_weight)
+        # a tree record comes back from its generator, scaled by g's first
+        # edge weight; g must have the arrays that gives
+        weight = float(g.w[0]) if g.w.size else 1.0
+        tree = scale_weights(gen_bbt(depth), weight)
         if Graph(tree.n, tree.eu, tree.ev, tree.w) != g:
             raise ValueError(
-                f"graph is not the unit-weight balanced binary tree of depth {depth} scaled by {tree_weight!r}"
+                f"graph is not the unit-weight balanced binary tree of depth {depth} scaled by {weight!r}"
             )
         return tree
     return g
@@ -271,7 +271,7 @@ def gen_bbt(depth: int) -> Graph:
 
     Vertices are numbered in level order with the root at 0, so the children
     of v are 2v+1 and 2v+2; n = 2**(depth+1) - 1. The result records its
-    depth, and its edge weight 1.0.
+    depth.
     """
     depth = integer("depth", depth)
     if depth < 1:
@@ -338,8 +338,8 @@ def scale_weights(g: Graph, factor: float) -> Graph:
 
     A recorded product stays one: the Laplacian a*(L1 (x) I + I (x) L2) is
     (a*L1) (x) I + I (x) (a*L2), so the result records each factor scaled. A
-    recorded tree stays one too, with its recorded weight scaled as its edge
-    weights are.
+    recorded tree stays one too: its edges still share one weight, which its
+    spectrum reads from them.
     """
     factor = float(require("factor", factor, float))
     if not (math.isfinite(factor) and factor > 0.0):
@@ -349,7 +349,6 @@ def scale_weights(g: Graph, factor: float) -> Graph:
         return _with_factors(scaled, (scale_weights(f, factor) for f in g._factors))
     if g._depth:  # before anything hashes scaled
         object.__setattr__(scaled, "_depth", g._depth)
-        object.__setattr__(scaled, "_tree_weight", g._tree_weight * factor)
     return scaled
 
 

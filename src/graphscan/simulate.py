@@ -292,8 +292,8 @@ def run_roc(config: ExperimentConfig) -> dict[str, RocCurve]:
     else:
         alt_spec = SignalSpec(n=g.n, mu=config.mu, delta=config.delta, cluster=Cluster(config.cluster))
 
-    means = [null_spec.beta()] * config.reps_null + [alt_spec.beta()] * config.reps_alt
-    stats = _replicate_statistics(detectors, g, means, config.sigma, config.seed)
+    runs = ((null_spec.beta(), config.reps_null), (alt_spec.beta(), config.reps_alt))
+    stats = _replicate_statistics(detectors, g, runs, config.sigma, config.seed)
 
     curves: dict[str, RocCurve] = {}
     for j, kind in enumerate(config.detectors):

@@ -343,7 +343,7 @@ class TreeSpectrum(Spectrum):
             np.subtract(children[:, 0::2], children[:, 1::2], out=made[:, :, 0])
             np.subtract(sums[:, 0::2], sums[:, 1::2], out=made[:, :, 1:])
             np.matmul(made.reshape(-1, width), self.blocks[width - 1], out=product.reshape(-1, width))
-            out[:, end - size * width : end] = product.reshape(r, -1)
+            out[:, end - size * width : end] = product.reshape(r, size * width)
             end -= size * width
             np.add(children[:, 0::2], children[:, 1::2], out=made[:, :, 0])
             np.add(sums[:, 0::2], sums[:, 1::2], out=made[:, :, 1:])

@@ -189,7 +189,6 @@ class TestBoundsReport:
         text = format_report(report)
         lines = dict(line.split(" = ") for line in text.strip().splitlines())
         assert float(lines["energy_bound"]) == 1.0
-        assert lines["eta"] == "none"
 
     def test_truncated_none_when_inadmissible(self):
         report = bounds_report(k3_spectrum(), rho=4.0, sigma=1.0, conf=0.1)
@@ -242,7 +241,6 @@ class TestOutOfRangeParameters:
             ("rho", lambda bad: bounds_report(k3_spectrum(), bad, 1.0, 0.1)),
             ("sigma", lambda bad: null_threshold(k3_spectrum(), 1.0, bad, 0.1)),
             ("sigma", lambda bad: bounds_report(k3_spectrum(), 1.0, bad, 0.1)),
-            ("eta", lambda bad: bounds_report(k3_spectrum(), 1.0, 1.0, 0.1, eta=bad)),
             ("sigma", lambda bad: noncentrality(1.0, bad, 3, 10)),
             ("delta", lambda bad: noncentrality(bad, 1.0, 3, 10)),
             ("nu", lambda bad: chi_max(np.array([1.0, 2.0]), np.array([1.0, 2.0]), bad)),
@@ -251,7 +249,7 @@ class TestOutOfRangeParameters:
         ],
         ids=[
             "snr_rho", "truncated_rho", "threshold_rho", "report_rho", "threshold_sigma",
-            "report_sigma", "report_eta", "noncentrality_sigma", "noncentrality_delta", "chi_max_nu",
+            "report_sigma", "noncentrality_sigma", "noncentrality_delta", "chi_max_nu",
             "chi_max_c", "chi_max_lambdas",
         ],
     )

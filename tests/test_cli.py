@@ -313,7 +313,7 @@ class TestBounds:
         run_cli("bounds", "--graph", str(p2_file), "--rho", "2.0", "--sigma", "1.0", "--conf", "0.1")
         assert capsys.readouterr().err == (
             f"config: subcommand=bounds graph={p2_file} rho=2.0 sigma=1.0 conf=0.1 "
-            "max_cluster=None eta=None\n"
+            "max_cluster=None\n"
         )
 
     def test_round_trip_through_generated_file(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from graphscan import (
     edge_stat,
     energy_stat,
     gen_bbt,
+    gen_kron_multiscale,
     gen_lattice,
     glr_exact,
     glr_unconstrained,
@@ -370,6 +371,17 @@ class TestObservationLength:
 
 
 class TestBlockStatistics:
+    @pytest.mark.parametrize(
+        "g",
+        [k3(), gen_lattice(4, periodic=True), gen_bbt(3), gen_kron_multiscale(gen_bbt(1), 2)],
+        ids=["dense", "torus", "tree", "tree-product"],
+    )
+    def test_empty_block_scores_to_nothing(self, g):
+        empty = np.empty((0, g.n))
+        assert graph_spectrum(g).project(empty).shape == (0, g.n - 1)
+        for kind in DETECTOR_KINDS:
+            assert detector(kind).statistics(g, empty).shape == (0,)
+
     @staticmethod
     def blocks():
         rng = np.random.default_rng(53)
@@ -422,16 +434,18 @@ class TestReplicateBlocks:
             monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * g.n)
         rng = np.random.default_rng(6)
         shared, other = rng.standard_normal(g.n), rng.standard_normal(g.n)
-        # one zero mean for all; runs of shared vectors, zero among them, that
-        # straddle blocks of 7; a vector per row; a scalar that is not zero
-        mean_lists = [
-            [0.0] * 30,
-            [shared] * 12 + [np.zeros(g.n)] * 5 + [other] * 13,
-            list(rng.standard_normal((30, g.n))),
-            [-1.5] * 30,
+        # one zero run for all; runs that straddle blocks of 7, a zero run and
+        # a run of no replicates among them; a run per row; a scalar that is
+        # not zero
+        run_lists = [
+            [(0.0, 30)],
+            [(shared, 12), (np.zeros(g.n), 5), (shared, 0), (other, 13)],
+            [(mean, 1) for mean in rng.standard_normal((30, g.n))],
+            [(-1.5, 30)],
         ]
-        for seed, sigma, means in itertools.product((0, 7, 2**64 + 3, -5), (1.0, 2.5), mean_lists):
-            drawn = np.vstack([y.copy() for _, y in detectors._replicate_blocks(g, means, sigma, seed)])
+        for seed, sigma, runs in itertools.product((0, 7, 2**64 + 3, -5), (1.0, 2.5), run_lists):
+            drawn = np.vstack([y.copy() for _, y in detectors._replicate_blocks(g, runs, sigma, seed)])
+            means = [mean for mean, count in runs for _ in range(count)]
             expected = [means[r] + sigma * replicate_rng(seed, r).standard_normal(g.n) for r in range(30)]
             assert drawn.tobytes() == np.vstack(expected).tobytes()
 

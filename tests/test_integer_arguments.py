@@ -11,7 +11,6 @@ from graphscan import (
     Graph,
     SignalSpec,
     bbt_lambda2_bound,
-    bounds_report,
     calibrate_threshold,
     canonical_cluster,
     chi_max,
@@ -87,7 +86,6 @@ REALS = {
     "null_threshold_conf": (lambda v: null_threshold(GRID, 0.5, 1.0, v), 0.05, "conf"),
     "noncentrality_delta": (lambda v: noncentrality(v, 1.0, 3, 10), 1.0, "delta"),
     "noncentrality_sigma": (lambda v: noncentrality(1.0, v, 3, 10), 1.0, "sigma"),
-    "bounds_report_eta": (lambda v: bounds_report(GRID, 0.5, 1.0, 0.05, eta=v).eta, 0.5, "eta"),
 }
 
 

@@ -49,7 +49,7 @@ FAMILIES = {
 
 def full_solve_threshold(det, g, sigma, alpha, reps, seed):
     """The order statistic of every replicate solved in full, as the threshold is defined."""
-    stats = _replicate_statistics((det,), g, [0.0] * reps, sigma, seed)[:, 0]
+    stats = _replicate_statistics((det,), g, ((0.0, reps),), sigma, seed)[:, 0]
     return np.sort(stats)[math.ceil((1.0 - alpha) * reps) - 1]
 
 
@@ -85,7 +85,7 @@ class TestBitForBit:
         for rows, reps, sigma in runs:
             if rows is not None:
                 monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * g.n)
-            stats = np.sort(_replicate_statistics((det,), g, [0.0] * reps, sigma, 11)[:, 0])
+            stats = np.sort(_replicate_statistics((det,), g, ((0.0, reps),), sigma, 11)[:, 0])
             for alpha in ALPHAS:
                 threshold = calibrate_threshold(det, g, sigma, alpha, reps, 11)
                 assert threshold == stats[math.ceil((1.0 - alpha) * reps) - 1]

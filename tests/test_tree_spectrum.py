@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from graphscan import (
     Detector,
+    Graph,
     build_graph,
     eig_sym,
     gen_bbt,
@@ -148,7 +149,7 @@ class TestNoDenseWork:
     def test_scaled_tree_stays_a_tree(self, weight):
         g = scale_weights(gen_bbt(5), weight)
         spec, dense = graph_spectrum(g), eig_sym(laplacian(g))
-        assert (g._depth, g._tree_weight) == (5, weight) and isinstance(spec, TreeSpectrum)
+        assert g._depth == 5 and (g.w == weight).all() and isinstance(spec, TreeSpectrum)
         lam_max = float(dense.eigenvalues[-1])
         np.testing.assert_allclose(spec.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-12 * lam_max)
         np.testing.assert_array_equal(spec.project(np.eye(g.n)), graph_spectrum(gen_bbt(5)).project(np.eye(g.n)))
@@ -182,20 +183,25 @@ class TestTreeRecord:
 
     def test_scaled_record(self):
         g = scale_weights(scale_weights(gen_bbt(3), 3.0), 0.1)
-        assert (g.w == g._tree_weight).all() and g._tree_weight == 3.0 * 0.1
+        assert (g.w == 3.0 * 0.1).all()
         assert g == scale_weights(scale_weights(gen_bbt(3), 3.0), 0.1) and hash(g) == hash(scale_weights(g, 1.0))
         assert g != gen_bbt(3) and scale_weights(gen_bbt(3), 1.0) == gen_bbt(3)
         back = pickle.loads(pickle.dumps(g))
-        assert back == g and hash(back) == hash(g) and back._tree_weight == g._tree_weight
+        assert back == g and hash(back) == hash(g) and back.w.tobytes() == g.w.tobytes()
         assert isinstance(graph_spectrum(back), TreeSpectrum)
         copy = build_graph(g.n, g.edges)
         assert copy._depth == 0 and copy != g and isinstance(graph_spectrum(copy), DenseSpectrum)
 
     def test_record_of_another_weight_is_refused(self):
-        g = scale_weights(gen_bbt(3), 2.0)
-        object.__setattr__(g, "_tree_weight", 3.0)
-        with pytest.raises(ValueError, match="not the unit-weight balanced binary tree of depth 3 scaled by 3.0"):
+        tree = scale_weights(gen_bbt(3), 2.0)
+        g = Graph(tree.n, tree.eu, tree.ev, np.r_[tree.w[:-1], 3.0])  # the last edge weighs 3, the others 2
+        object.__setattr__(g, "_depth", 3)
+        with pytest.raises(ValueError, match="not the unit-weight balanced binary tree of depth 3 scaled by 2.0"):
             pickle.loads(pickle.dumps(g))
+        edgeless = Graph(15, (), (), ())
+        object.__setattr__(edgeless, "_depth", 3)
+        with pytest.raises(ValueError, match="of depth 3 scaled by 1.0"):
+            pickle.loads(pickle.dumps(edgeless))
 
     def test_edge_list_copy_stays_dense(self):
         g = gen_bbt(3)
