@@ -21,14 +21,18 @@ needing a one-dimensional monotone root-find. The conditions depend on c only
 through the c_i**2, so the solve runs on one term per distinct eigenvalue, the
 sum of the c_i**2 over its eigenvectors; trees, lattices and their products
 repeat eigenvalues heavily (33 distinct values among the 254 of the depth-7
-tree). The same case gives the dual multiplier nu*, and the dual objective,
-the largest eigenvalue of the rank-one-plus-diagonal matrix
-c c' - nu* diag(lambda_2..lambda_n) (clamped at zero) plus nu* * rho, evaluated
-on the ungrouped terms, certifies the value from above: the reported gap is
-the difference between the two. Each observation's coefficients are scaled
-by a power of two before squaring, so neither the solve nor the certificate
-overflows or underflows at extreme scales of y; a value outside the range of
-normal doubles is refused.
+tree). The same case gives the dual multiplier nu*, and the dual objective
+at nu*, max(0, theta) + nu* * rho with theta the largest eigenvalue of
+c c' - nu* diag(lambda_2..lambda_n), certifies the value from above: the
+reported gap is the difference between the two. It is a closed form: with
+u = 1/t, nu* = sum c_i**2/(u + lambda_i) makes theta = u*nu* (the root of
+theta's secular equation), so the dual is (1 + rho*t) * sum c_i**2/(1 +
+t*lambda_i): ||c||**2 in case "a" (t = 0), rho * sum c_i**2/lambda_i in case
+"b" (t -> infinity), and summed over the ungrouped terms, so that it also
+checks the grouping. Each observation's coefficients are scaled by a power
+of two before squaring, so neither the solve nor the certificate overflows
+or underflows at extreme scales of y; a value outside the range of normal
+doubles is refused.
 
 The root-find of the third case bisects a bracket of the root until it is
 narrow relative to the root (1e-14), one row at a time; a chunk of
@@ -539,14 +543,6 @@ def _connected_lambdas(spectrum: Spectrum) -> np.ndarray:
     return lambdas
 
 
-def _dual_objective(c: np.ndarray, lambdas: np.ndarray, nu: float, rho: float) -> float:
-    # The clamp at zero accounts for the constant-vector direction, where the
-    # full matrix y~ y~' - nu L always has eigenvalue 0; without it the dual
-    # is no upper bound once the reduced matrix goes negative definite
-    # (rho < lambda_2 regime).
-    return max(0.0, chi_max(c, lambdas, nu)) + nu * rho
-
-
 def _grouped_kkt(sums: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.ndarray, ...]:
     """Maximize (c'z)^2 over the unit ball intersected with z' diag(lambdas) z <= rho, for each row of ``sums``.
 
@@ -852,17 +848,19 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
 
     :func:`_grouped_kkt`, on the observation as a one-row chunk, gives the
     value, the case, the dual multiplier nu*, and in case "c" the root t and
-    its step count. The primal maximizer z in the nonconstant
-    eigenbasis is rebuilt from the ungrouped coefficients c: c/||c|| (case
-    "a"), c/lambda scaled onto the ellipsoid ("b") or c/(1 + t*lambda)
-    normalized ("c"). The dual objective max(0, chi_max(c, lambdas, nu*)) +
-    nu*rho is evaluated once, on the ungrouped terms; by weak duality it
-    bounds the statistic from above, and ``gap`` reports the difference, so
-    it also checks the grouping. All of this runs on c scaled exactly by a
-    power of two to a largest entry in [0.5, 1), so it holds for observations
-    from about 1e-153 to 1e153 in scale; a value that overflows, or that
-    underflows out of the normal range, is refused. A constant observation
-    yields 0 in case "a" with a zero gap.
+    its step count. The primal maximizer z in the nonconstant eigenbasis is
+    rebuilt from the ungrouped coefficients c: c/||c|| (case "a"), c/lambda
+    scaled onto the ellipsoid ("b") or c/(1 + t*lambda) normalized ("c").
+    The vector before scaling gives the dual objective at nu* in closed form
+    (see the module docstring): rho * c'(c/lambda) in case "b", and
+    (1 + rho*t) * c'(c/(1 + t*lambda)) otherwise. It is summed over the
+    ungrouped terms; by weak duality it bounds the statistic from above, and
+    ``gap`` reports the difference, so it also checks the grouping. All of
+    this runs on c scaled exactly by a power of two to a largest entry in
+    [0.5, 1), so it holds for observations from about 1e-153 to 1e153 in
+    scale; a value that overflows, or that underflows out of the normal
+    range, is refused. A constant observation yields 0 in case "a" with a
+    zero gap.
     """
     rho = float(require("rho", rho, float))
     if not (math.isfinite(rho) and rho > 0.0):
@@ -874,15 +872,15 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     (value,), (case,), (nu_star,), (t,), (iterations,) = _grouped_kkt(s, spectrum.groups[1], rho)
     lambdas = spectrum.eigenvalues[1:]
     # c is scaled to a largest entry in [0.5, 1), and z does not depend on its scale
-    if not c.any():
-        z = c
-    elif case == "b":
+    if case == "b":
         z = c / lambdas
+        dual = rho * float(c @ z)
         z *= math.sqrt(rho / float(z @ (lambdas * z)))
-    else:  # in case "a", t = 0 and z = c/||c||
+    else:  # in case "a", t = 0: z = c/||c|| and the dual is ||c||**2
         z = c / (1.0 + t * lambdas)
-        z /= np.linalg.norm(z)
-    dual = _dual_objective(c, lambdas, nu_star, rho)
+        dual = (1.0 + rho * t) * float(c @ z)
+        if c.any():
+            z /= np.linalg.norm(z)
     value, nu_star, dual = (float(x) for x in _unscale(np.array([value, nu_star, dual]), e))
 
     witness = spectrum.expand(z)

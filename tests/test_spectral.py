@@ -17,7 +17,7 @@ from graphscan import (
     two_triangles,
     write_spectrum_csv,
 )
-from graphscan.spectral import DenseSpectrum, _dual_objective, _fix_signs, _scaled_sums, _sss_values
+from graphscan.spectral import DenseSpectrum, _fix_signs, _scaled_sums, _sss_values
 from helpers import dense_basis, draw_rho, fix_signs_loop, kkt_solve_loop, random_connected_graph, sss_certificate
 
 
@@ -298,7 +298,9 @@ class TestSss:
             (c,), _, _ = _scaled_sums(spec, y[None])
             lambdas = spec.eigenvalues[1:]
             grid = np.linspace(0.0, float(c @ c) / rho, 100)
-            f = np.array([_dual_objective(c, lambdas, nu, rho) for nu in grid])
+            # the clamp at zero is the constant vector's direction, where
+            # y~ y~' - nu L has eigenvalue 0
+            f = np.array([max(0.0, chi_max(c, lambdas, nu)) + nu * rho for nu in grid])
             chord_minus_mid = 0.5 * (f[:-2] + f[2:]) - f[1:-1]
             tol = 1e-9 * (1.0 + np.abs(f).max())
             assert chord_minus_mid.min() >= -tol
