@@ -18,9 +18,12 @@ from .graphs import Graph, is_connected, laplacian
 from .rng import _replicate_streams
 from .spectral import (
     _BLOCK_ENTRIES,
+    _OVERFLOWS,
+    _UNDERFLOWS,
     _WORKSPACE,
     Spectrum,
     _row_chunks,
+    _row_means,
     _sss_order_statistic,
     _sss_values,
     eig_sym,
@@ -80,7 +83,7 @@ def _sss_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
 def _energy_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
     # one dot product per row keeps the rounding of a single observation, and
     # centring row by row makes no copy of the block
-    centred = (row - mean for row, mean in zip(y, y.mean(axis=1)))
+    centred = (row - mean for row, mean in zip(y, _row_means(y)))
     return np.array([row @ row for row in centred])
 
 
@@ -96,7 +99,7 @@ def _glr_unconstrained_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndar
     # in the square; they are sorted and summed in place in the workspace.
     n = y.shape[1]
     k = np.arange(1, n)
-    swept = np.subtract(y.mean(axis=1, keepdims=True), y, out=_WORKSPACE.array("a", y.shape))
+    swept = np.subtract(_row_means(y)[:, None], y, out=_WORKSPACE.array("a", y.shape))
     swept.sort(axis=1)
     prefix = np.cumsum(swept, axis=1, out=swept)[:, :-1]
     np.square(prefix, out=prefix)
@@ -131,7 +134,7 @@ def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
     if not len(y):
         return np.empty(0)
     adjacency = laplacian(g) < 0.0 if det.require_connected else None
-    ytilde = y - y.mean(axis=1, keepdims=True)
+    ytilde = y - _row_means(y)[:, None]
     best = np.full(len(y), -math.inf)  # stays -inf while no cluster is feasible
     chunk = max(1, _BLOCK_ENTRIES // len(y))
     for start in range(1, 2**n - 1, chunk):
@@ -201,10 +204,27 @@ class Detector:
         each chunk (up to 2**16 entries, ``spectral._row_chunks``) with one
         matrix product, so their values can differ from one-row blocks in the
         last digits; energy, edge and glr_unconstrained give every row the
-        same bits in any block.
+        same bits in any block. A constant row scores exactly 0, however
+        large. A value that overflows a double is refused, as is any row
+        whose sum overflows. A value below the normal doubles is refused when
+        its row is not constant but all its deviations from the mean square
+        below them, so that the value has lost its digits: every kind but
+        glr_exact is positive on a row that is not constant, and glr_exact
+        may be exactly 0 on a row of normal scale, which is returned.
         """
         kernel = _KINDS[self.kind][0]
-        return np.concatenate([kernel(self, g, chunk) for chunk in _row_chunks(self._checked(g, y), g.n)])
+        y = self._checked(g, y)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            values = np.concatenate([kernel(self, g, chunk) for chunk in _row_chunks(y, g.n)])
+        if not np.isfinite(values).all():
+            raise ValueError(_OVERFLOWS.format(self.kind))
+        small = values < np.finfo(float).tiny
+        if small.any():
+            rows = y[small]
+            deviation = np.abs(rows - _row_means(rows)[:, None]).max(axis=1)
+            if ((deviation > 0.0) & (deviation < 2.0**-511)).any():
+                raise ValueError(_UNDERFLOWS.format(self.kind))
+        return values
 
     def _checked(self, g: Graph, y: np.ndarray) -> np.ndarray:
         """``y`` as a float block, once it is fit for the statistic on ``g``; raises as :meth:`statistics` documents."""

@@ -112,6 +112,9 @@ _OPEN_ENTRIES = 1 << 19
 # Observation entries in one block of replicates, and in the chunks a block is
 # scored in, so the most each workspace buffer holds unless one row is longer.
 _BLOCK_ENTRIES = 1 << 16
+# How a statistic refuses a value outside the normal doubles, given its name.
+_OVERFLOWS = "the {} statistic overflows: the observation is too large in scale"
+_UNDERFLOWS = "the {} statistic underflows: the observation is too small in scale"
 
 
 class _Workspace(threading.local):
@@ -449,14 +452,39 @@ def eig_sym(m: np.ndarray) -> DenseSpectrum:
     return DenseSpectrum(values, order, eigenvectors=vectors)
 
 
+def _row_means(y: np.ndarray) -> np.ndarray:
+    """The mean of each row of the (R, n) block ``y``, with a constant row's mean its value, so it centres to zeros.
+
+    Every other row's mean has the bits of ``y.mean(axis=1)``, infinite where
+    the row's sum overflows. Only the rows whose first and last entries are
+    equal are tested for constancy.
+    """
+    with np.errstate(over="ignore"):
+        means = y.mean(axis=1)
+    candidates = y[:, 0] == y[:, -1]
+    if candidates.any():
+        constant = np.flatnonzero(candidates)
+        constant = constant[(y[constant] == y[constant, :1]).all(axis=1)]
+        means[constant] = y[constant, 0]
+    return means
+
+
 def center(y: np.ndarray) -> np.ndarray:
-    """Subtract the mean: y~ = (I - 11'/n) y. Rejects NaN and infinite entries."""
+    """Subtract the mean: y~ = (I - 11'/n) y, exactly 0 for a constant ``y``, however large.
+
+    Rejects NaN and infinite entries, and an observation whose mean or
+    centred entries overflow.
+    """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("expected a nonempty vector")
     if not np.isfinite(y).all():
         raise ValueError("observation contains NaN or infinite values")
-    return y - y.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = y - _row_means(y[None])[0]
+    if not np.isfinite(centred).all():
+        raise ValueError("the centred observation overflows: the observation is too large in scale")
+    return centred
 
 
 def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
@@ -690,8 +718,8 @@ def _path_bounds(spectrum: Spectrum, sums: np.ndarray, rho: float, steps: int) -
 def _scaled_sums(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients of each centred row of ``y`` scaled by 2**-e, e, and their sums over each group of equal eigenvalues.
 
-    Raises unless ``y`` is a finite (R, n) block and the graph connected. e
-    brings the row's largest |c_i| into [0.5, 1), so the squares neither
+    Raises unless ``y`` is a finite (R, n) block whose coefficients are
+    finite, and the graph connected. e brings the row's largest |c_i| into [0.5, 1), so the squares neither
     overflow nor underflow; a power of two scales exactly, so a value in
     range keeps every bit once :func:`_unscale` multiplies it by 2**(2e).
     The block is centred, projected, ordered, scaled and squared in the
@@ -707,14 +735,18 @@ def _scaled_sums(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndar
         raise ValueError("observation contains NaN or infinite values")
     r, n = y.shape
     centred, spare = (_WORKSPACE.array(role, (r, n, 1)) for role in ("a", "b"))
-    np.subtract(y, y.mean(axis=1, keepdims=True), out=centred[:, :, 0])
-    raw = spectrum._along(centred, False, spare)
+    with np.errstate(over="ignore", invalid="ignore"):  # a row too large to project is refused below
+        np.subtract(y, _row_means(y)[:, None], out=centred[:, :, 0])
+        raw = spectrum._along(centred, False, spare)
     # the ordered coefficients go to a buffer the projection left free, and
     # their squares to the other
     ordered, squared = ("a", "b") if np.may_share_memory(raw, spare) else ("b", "a")
     coeffs = _WORKSPACE.array(ordered, (r, n - 1))
     np.take(raw.reshape(r, n), spectrum.order[1:], axis=1, out=coeffs, mode="clip")  # "raise" would buffer
-    exps = np.frexp(np.maximum(coeffs.max(axis=1), -coeffs.min(axis=1)))[1]
+    largest = np.maximum(coeffs.max(axis=1), -coeffs.min(axis=1))
+    if not np.isfinite(largest).all():
+        raise ValueError(_OVERFLOWS.format("scan"))
+    exps = np.frexp(largest)[1]
     np.ldexp(coeffs, -exps[:, None], out=coeffs)
     starts = spectrum.groups[0]
     sums = np.multiply(coeffs, coeffs, out=_WORKSPACE.array(squared, (r, n - 1)))
@@ -728,9 +760,9 @@ def _unscale(scaled, exps):
     with np.errstate(over="ignore", under="ignore"):
         values = np.ldexp(scaled, 2 * exps)
     if not np.isfinite(values).all():
-        raise ValueError("the scan statistic overflows: the observation is too large in scale")
+        raise ValueError(_OVERFLOWS.format("scan"))
     if ((np.abs(values) < np.finfo(float).tiny) & (scaled != 0.0)).any():
-        raise ValueError("the scan statistic underflows: the observation is too small in scale")
+        raise ValueError(_UNDERFLOWS.format("scan"))
     return values
 
 
@@ -859,8 +891,8 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     this runs on c scaled exactly by a power of two to a largest entry in
     [0.5, 1), so it holds for observations from about 1e-153 to 1e153 in
     scale; a value that overflows, or that underflows out of the normal
-    range, is refused. A constant observation yields 0 in case "a" with a
-    zero gap.
+    range, is refused. A constant observation, however large, centres to
+    exact zeros and yields 0 in case "a" with a zero gap.
     """
     rho = float(require("rho", rho, float))
     if not (math.isfinite(rho) and rho > 0.0):

@@ -5,7 +5,18 @@ import math
 
 import numpy as np
 
-from graphscan import Graph, Spectrum, SssResult, build_graph, center, laplacian
+from graphscan import (
+    Graph,
+    Spectrum,
+    SssResult,
+    build_graph,
+    center,
+    gen_bbt,
+    gen_kron_multiscale,
+    gen_lattice,
+    laplacian,
+    two_triangles,
+)
 
 
 def random_connected_graph(rng: np.random.Generator, max_n: int = 12, min_n: int = 2) -> Graph:
@@ -23,6 +34,15 @@ def random_connected_graph(rng: np.random.Generator, max_n: int = 12, min_n: int
             if (u, v) not in have and rng.random() < 0.3:
                 edges.append((u, v, float(rng.uniform(0.5, 2.0))))
     return build_graph(n, edges)
+
+
+# random connected graphs, trees, tori and Kronecker products, drawn from a generator
+FAMILIES = {
+    "random": lambda rng: random_connected_graph(rng, min_n=3),
+    "bbt": lambda rng: gen_bbt(int(rng.integers(1, 6))),
+    "torus": lambda rng: gen_lattice(int(rng.integers(3, 9)), periodic=True),
+    "kron": lambda rng: gen_kron_multiscale(two_triangles(), int(rng.integers(1, 3))),
+}
 
 
 def draw_rho(rng: np.random.Generator, eigenvalues: np.ndarray) -> float:

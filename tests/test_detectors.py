@@ -426,6 +426,51 @@ class TestBlockStatistics:
                 assert det.statistic(g, row) == sss(graph_spectrum(g), row, rho).value
 
 
+class TestOutOfRange:
+    """A constant row scores 0 at any scale, and a value outside the normal doubles is refused, for every kind."""
+
+    @pytest.mark.parametrize("level", [0.1, -3.7, 1e308, -1.7e308, 2.0**-1074])
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_constant_rows_score_zero(self, kind, level):
+        # 0.1 used to centre to about -2.8e-17 and score up to 1.6e-31, and
+        # 1e308 to overflow its mean
+        g = gen_bbt(3)
+        y = np.vstack([np.full(g.n, level), np.random.default_rng(5).standard_normal(g.n)])
+        values = detector(kind).statistics(g, y)
+        assert values[0] == 0.0 and values[1] > 0.0
+        assert detector(kind).statistic(g, y[0]) == 0.0
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_overflowing_value_is_refused(self, kind):
+        g = gen_bbt(3)
+        y = np.where(np.arange(g.n) % 2 == 0, 1.7e308, -1.7e308)
+        with pytest.raises(ValueError, match="overflows"):
+            detector(kind).statistic(g, y)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-310])
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_underflowing_value_is_refused(self, kind, scale):
+        g = gen_bbt(3)
+        y = scale * np.random.default_rng(5).standard_normal(g.n)
+        if kind == "edge" and scale == 1e-200:
+            # a difference of degree one stays a normal double
+            assert detector(kind).statistic(g, y) == pytest.approx(1e-200 * edge_stat(g, y / scale), rel=1e-14)
+        else:
+            with pytest.raises(ValueError, match="underflows"):
+                detector(kind).statistic(g, y)
+
+    def test_glr_exact_can_be_zero_on_a_row_that_is_not_constant(self):
+        # on the 4-cycle at rho 2 only pairs of adjacent vertices are clusters,
+        # and each sums to 0 here
+        g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+        assert glr_exact(g, np.array([1.0, -1.0, 1.0, -1.0]), 2.0) == 0.0
+
+    def test_calibration_refuses_an_overflowing_statistic(self):
+        # the energy threshold at sigma 1e200 used to be inf
+        with pytest.raises(ValueError, match="overflows"):
+            calibrate_threshold(Detector("energy"), gen_bbt(3), 1e200, 0.05, 100, 0)
+
+
 class TestReplicateBlocks:
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_each_row_is_its_replicate_stream(self, monkeypatch, rows):

@@ -1,6 +1,8 @@
 """Eigendecomposition contract, the secular solver, and the scan-statistic KKT solve."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphscan import (
     build_graph,
@@ -17,8 +19,17 @@ from graphscan import (
     two_triangles,
     write_spectrum_csv,
 )
+from graphscan import spectral
 from graphscan.spectral import DenseSpectrum, _fix_signs, _scaled_sums, _sss_values
-from helpers import dense_basis, draw_rho, fix_signs_loop, kkt_solve_loop, random_connected_graph, sss_certificate
+from helpers import (
+    FAMILIES,
+    dense_basis,
+    draw_rho,
+    fix_signs_loop,
+    kkt_solve_loop,
+    random_connected_graph,
+    sss_certificate,
+)
 
 
 def p2_spectrum():
@@ -123,6 +134,21 @@ class TestCenter:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="NaN or infinite"):
             center(np.array([1.0, bad, 0.0]))
+
+    @pytest.mark.parametrize("level", [0.1, 1e308, -1.7e308, 2.0**-1074])
+    def test_constant_is_exactly_zero(self, level):
+        assert center(np.full(15, level)).tobytes() == np.zeros(15).tobytes()
+
+    def test_other_rows_keep_the_bits_of_the_mean(self):
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 15, 128, 255, 2304):
+            y = rng.uniform(-5.0, 5.0) + rng.standard_normal(n)
+            y[-1] = y[0]  # the cheap test for a constant row passes, the full one not
+            assert center(y).tobytes() == (y - y.mean()).tobytes()
+
+    def test_rejects_an_overflowing_row(self):
+        with pytest.raises(ValueError, match="overflows"):
+            center(np.array([1.7e308, -1.7e308, 1.7e308]))
 
 
 class TestChiMax:
@@ -304,6 +330,64 @@ class TestSss:
             chord_minus_mid = 0.5 * (f[:-2] + f[2:]) - f[1:-1]
             tol = 1e-9 * (1.0 + np.abs(f).max())
             assert chord_minus_mid.min() >= -tol
+
+
+class TestClosedFormCertificate:
+    """The dual objective at nu*, in closed form, against a secular solve of it at the same multiplier."""
+
+    @staticmethod
+    def rows_and_levels(spec, rng, scale, u):
+        """Two noise rows and a constant one, rho putting row 0 in each case, and whether row 0 has a case "c"."""
+        y = scale * rng.standard_normal((3, spec.n))
+        y[2] = scale
+        lambdas = spec.eigenvalues[1:]
+        c = spec.project(y[0] - y[0].mean())
+        p = c * c / float(c @ c)
+        # the case-"b" and case-"a" limits of row 0, strictly between which it is in case "c"
+        lo, hi = float((p / lambdas).sum() / (p / lambdas**2).sum()), float(p @ lambdas)
+        levels = {"a": 2.0 * lambdas[-1], "b": 0.5 * lambdas[0], "c": lo ** (1.0 - u) * hi**u}
+        return y, levels, hi > lo * (1.0 + 1e-3)
+
+    @settings(max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(sorted(FAMILIES)),
+        log_weight=st.floats(-6.0, 9.0),
+        log_scale=st.floats(-150.0, 150.0),
+        u=st.floats(0.05, 0.95),
+    )
+    def test_gap_matches_a_secular_solve(self, seed, family, log_weight, log_scale, u):
+        rng = np.random.default_rng(seed)
+        spec = graph_spectrum(scale_weights(FAMILIES[family](rng), 10.0**log_weight))
+        lambdas = spec.eigenvalues[1:]
+        y, levels, has_c = self.rows_and_levels(spec, rng, 10.0**log_scale, u)
+        assume(has_c)
+        for case, rho in levels.items():
+            for i, row in enumerate(y):
+                result = sss(spec, row, rho)
+                # max(0, chi_max) + nu*rho - value on the power-of-two-scaled coefficients
+                (c,), (e,), _ = _scaled_sums(spec, row[None])
+                nu, value = np.ldexp([result.nu_star, result.value], -2 * e)
+                reference = np.ldexp(max(0.0, chi_max(c.copy(), lambdas, nu)) + nu * rho - value, 2 * e)
+                assert abs(result.gap - reference) <= 1e-13 * result.value
+                if i == 0:
+                    assert result.case == case
+                if i == 2:
+                    assert (result.case, result.value, result.nu_star, result.gap) == ("a", 0.0, 0.0, 0.0)
+
+    def test_sss_solves_no_secular_equation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sss called chi_max")
+
+        monkeypatch.setattr(spectral, "chi_max", refuse)
+        spec = graph_spectrum(gen_lattice(8, periodic=True))
+        y, levels, has_c = self.rows_and_levels(spec, np.random.default_rng(4), 1.0, 0.5)
+        assert has_c
+        for case, rho in levels.items():
+            result = sss(spec, y[0], rho)
+            assert result.case == case
+            assert abs(result.gap) <= 1e-12 * result.value
+            assert sss(spec, y[2], rho).value == 0.0
 
 
 def reference_values(spec, y, rho):

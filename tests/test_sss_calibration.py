@@ -28,7 +28,7 @@ from graphscan.spectral import (
     _path_weights,
     _scaled_sums,
 )
-from helpers import draw_rho, grouped_kkt_loop, random_connected_graph
+from helpers import FAMILIES, draw_rho, grouped_kkt_loop, random_connected_graph
 
 GRAPHS = {
     "bbt": lambda: gen_bbt(5),
@@ -38,13 +38,6 @@ GRAPHS = {
     "random": lambda: random_connected_graph(np.random.default_rng(8), max_n=30, min_n=30),
 }
 ALPHAS = (0.01, 0.05, 0.5, 0.99)
-# random connected graphs, trees and products, drawn from a generator
-FAMILIES = {
-    "random": lambda rng: random_connected_graph(rng, min_n=3),
-    "bbt": lambda rng: gen_bbt(int(rng.integers(1, 6))),
-    "torus": lambda rng: gen_lattice(int(rng.integers(3, 9)), periodic=True),
-    "kron": lambda rng: gen_kron_multiscale(two_triangles(), int(rng.integers(1, 3))),
-}
 
 
 def full_solve_threshold(det, g, sigma, alpha, reps, seed):
