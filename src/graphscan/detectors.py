@@ -81,10 +81,10 @@ def _sss_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
 
 
 def _energy_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
-    # one dot product per row keeps the rounding of a single observation, and
-    # centring row by row makes no copy of the block
-    centred = (row - mean for row, mean in zip(y, _row_means(y)))
-    return np.array([row @ row for row in centred])
+    # the stacked product takes one dot product per row, which keeps the
+    # rounding of a single observation in any block
+    centred = np.subtract(y, _row_means(y)[:, None], out=_WORKSPACE.array("a", y.shape))
+    return (centred[:, None, :] @ centred[:, :, None])[:, 0, 0]
 
 
 def _edge_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:

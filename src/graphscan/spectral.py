@@ -648,11 +648,10 @@ def _path_point(sums: np.ndarray, means: np.ndarray, weights: np.ndarray, rho: f
     P3 = sum_{lambda > rho} (lambda-rho)*s/(u+lambda)**3 and N3 likewise.
     """
     w = 1.0 / (u[:, None] + means)
-    terms = np.empty((3, *sums.shape))  # s/(u+lambda)**k, k = 1, 2, 3
-    for k, factor in enumerate((sums, terms[0], terms[1])):
-        np.multiply(factor, w, out=terms[k])
-    moments = terms @ weights
-    a, (b, e, p, n), (p3, n3) = moments[0, :, 0], moments[1].T, moments[2, :, 2:].T
+    term = sums * w  # s/(u+lambda)**k for k = 1, 2, 3 in turn
+    a = (term @ weights)[:, 0]
+    b, e, p, n = (np.multiply(term, w, out=term) @ weights).T
+    p3, n3 = (np.multiply(term, w, out=term) @ weights)[:, 2:].T
     return a * a / b * np.minimum(1.0, rho * b / e), (u + rho) * a, p, n, p3, n3
 
 

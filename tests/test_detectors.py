@@ -401,6 +401,13 @@ class TestBlockStatistics:
             rows = [det.statistic(g, row) for row in y]
             np.testing.assert_allclose(det.statistics(g, y), rows, rtol=1e-12, atol=0.0)
 
+    def test_energy_block_matches_row_by_row_on_long_rows(self):
+        rng = np.random.default_rng(29)
+        det = Detector("energy")
+        for n, rows, scale in itertools.product((3, 255, 4096, 10007), (1, 2, 6), (1e-150, 1.0, 1e150)):
+            y = scale * rng.standard_normal((rows, n))
+            assert det.statistics(detectors._edgeless(n), y).tolist() == [energy_stat(row) for row in y]
+
     def test_glr_exact_block_matches_row_by_row(self):
         checked = 0
         for g, y, rho in self.blocks():
@@ -497,6 +504,18 @@ class TestReplicateBlocks:
     def test_streams_refuse_a_negative_index(self):
         with pytest.raises(ValueError, match="nonnegative"):
             next(_replicate_streams(0, [3, -1]))
+
+    @pytest.mark.parametrize("index", [2**64, 2**70, -(2**70)])
+    def test_streams_refuse_what_replicate_rng_refuses(self, index):
+        for refused in (lambda: replicate_rng(0, index), lambda: next(_replicate_streams(0, [3, index]))):
+            with pytest.raises(ValueError, match=f"below 2\\*\\*64, got {index}$"):
+                refused()
+
+    def test_streams_of_indices_beyond_2_to_the_63(self):
+        indices = [2**63, 2**64 - 1]
+        for seed in (0, 2**64 + 3, -5):
+            drawn = [stream.standard_normal(3).tobytes() for stream in _replicate_streams(seed, indices)]
+            assert drawn == [replicate_rng(seed, r).standard_normal(3).tobytes() for r in indices]
 
 
 class TestCalibrateThreshold:
