@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._check import integer, require
+from ._check import integer, real, require
 from .spectral import Spectrum, _connected_lambdas
 
 __all__ = [
@@ -42,20 +42,13 @@ class BoundsReport:
     confidence: float
 
 
-def _positive(name: str, value: float) -> float:
-    value = float(require(name, value, float))
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
 def spectral_snr_bound(spectrum: Spectrum, rho: float) -> float:
     """sqrt(sum over i >= 2 of min(1, rho / lambda_i)).
 
     The SNR must grow faster than this for the scan statistic to separate the
     hypotheses; it never exceeds sqrt(n - 1), with equality once rho >= lambda_n.
     """
-    rho = _positive("rho", rho)
+    rho = real("rho", rho, "positive")
     lambdas = _connected_lambdas(spectrum)
     return math.sqrt(float(np.minimum(1.0, rho / lambdas).sum()))
 
@@ -67,7 +60,7 @@ def truncated_bound(spectrum: Spectrum, rho: float) -> tuple[float, int]:
     :func:`spectral_snr_bound` on the same inputs. Raises when no eigenvalue
     exceeds rho.
     """
-    rho = _positive("rho", rho)
+    rho = real("rho", rho, "positive")
     lambdas = _connected_lambdas(spectrum)
     admissible = lambdas > rho  # lambda_{k+1} > rho, for k = 1..n-1 in 1-based spectrum order
     if not admissible.any():
@@ -87,7 +80,7 @@ def null_threshold(spectrum: Spectrum, rho: float, sigma: float, conf: float) ->
     conf = float(require("conf", conf, float))
     if not 0.0 < conf < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {conf}")
-    sigma = _positive("sigma", sigma)
+    sigma = real("sigma", sigma, "positive")
     expectation = math.sqrt(2.0 * sigma**2) * spectral_snr_bound(spectrum, rho)
     deviation = math.sqrt(2.0 * sigma**2 * math.log(2.0 / conf))
     return (expectation + deviation) ** 2
@@ -99,9 +92,7 @@ def naive_bounds(n: int, max_cluster: int) -> tuple[float, float]:
     Returns (sqrt(n - 1), sqrt(max_cluster * log n)) where ``max_cluster`` is
     the largest cluster size (at most n/2) in the class under test.
     """
-    n = integer("n", n)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = integer("n", n, 2)
     max_cluster = integer("max_cluster", max_cluster)
     if not 1 <= max_cluster <= n // 2:
         raise ValueError(f"max_cluster must be in 1..n//2, got {max_cluster}")
@@ -110,10 +101,8 @@ def naive_bounds(n: int, max_cluster: int) -> tuple[float, float]:
 
 def noncentrality(delta: float, sigma: float, cluster_size: int, n: int) -> float:
     """Noncentrality (delta/sigma)^2 |C| (n - |C|) / n of the oracle likelihood ratio."""
-    sigma = _positive("sigma", sigma)
-    delta = float(require("delta", delta, float))
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
+    sigma = real("sigma", sigma, "positive")
+    delta = real("delta", delta)
     cluster_size, n = integer("cluster_size", cluster_size), integer("n", n)
     if not 0 < cluster_size < n:
         raise ValueError(f"cluster size must be in 1..n-1, got {cluster_size}")
@@ -122,9 +111,7 @@ def noncentrality(delta: float, sigma: float, cluster_size: int, n: int) -> floa
 
 def bbt_lambda2_bound(depth: int) -> float:
     """Upper bound 2**depth + 105*[depth < 4] on 1/lambda_2 of the balanced binary tree."""
-    depth = integer("depth", depth)
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    depth = integer("depth", depth, 1)
     return float(2**depth + (105 if depth < 4 else 0))
 
 

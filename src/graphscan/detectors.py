@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._check import integer, require
+from ._check import integer, real, require
 from .graphs import Graph, is_connected, laplacian
 from .rng import _replicate_streams
 from .spectral import (
@@ -187,8 +187,7 @@ class Detector:
         if require("require_connected", self.require_connected, bool) and self.kind != "glr_exact":
             raise ValueError(f"require_connected applies only to glr_exact, not to {self.kind!r}")
         if self.kind in RHO_KINDS:
-            if self.rho is None or not (math.isfinite(require("rho", self.rho, float)) and self.rho > 0.0):
-                raise ValueError(f"detector {self.kind!r} requires a finite rho > 0")
+            real("rho", self.rho, "positive")
         elif self.rho is not None:
             raise ValueError(f"detector {self.kind!r} takes no rho, got {self.rho!r}")
 
@@ -333,18 +332,15 @@ def calibrate_threshold(
     ``seed`` must be integers, and ``sigma`` and ``alpha`` numbers; none may
     be a bool.
     """
-    reps, seed = integer("reps", reps), integer("seed", seed)
-    alpha, sigma = require("alpha", alpha, float), require("sigma", sigma, float)
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100, got {reps}")
+    reps, seed = integer("reps", reps, 100), integer("seed", seed)
+    alpha = require("alpha", alpha, float)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
+    sigma = real("sigma", sigma, "nonnegative")
     index = math.ceil((1.0 - alpha) * reps)
     if detector.kind == "sss":
         detector._checked(g, np.empty((0, g.n)))  # the graph, before its spectrum is computed
-        blocks = (y for _, y in _replicate_blocks(g, ((0.0, reps),), float(sigma), seed))
+        blocks = (y for _, y in _replicate_blocks(g, ((0.0, reps),), sigma, seed))
         return _sss_order_statistic(graph_spectrum(g), blocks, detector.rho, index, reps)
-    stats = _replicate_statistics((detector,), g, ((0.0, reps),), float(sigma), seed)
+    stats = _replicate_statistics((detector,), g, ((0.0, reps),), sigma, seed)
     return float(np.sort(stats[:, 0])[index - 1])

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._check import integer, require
+from ._check import integer, real
 
 __all__ = [
     "Graph",
@@ -273,9 +273,7 @@ def gen_bbt(depth: int) -> Graph:
     of v are 2v+1 and 2v+2; n = 2**(depth+1) - 1. The result records its
     depth.
     """
-    depth = integer("depth", depth)
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    depth = integer("depth", depth, 1)
     n = 2 ** (depth + 1) - 1
     child = np.arange(1, n)
     g = Graph(n, (child - 1) // 2, child, np.ones(n - 1))
@@ -341,9 +339,7 @@ def scale_weights(g: Graph, factor: float) -> Graph:
     recorded tree stays one too: its edges still share one weight, which its
     spectrum reads from them.
     """
-    factor = float(require("factor", factor, float))
-    if not (math.isfinite(factor) and factor > 0.0):
-        raise ValueError(f"scale factor must be positive and finite, got {factor}")
+    factor = real("scale factor", factor, "positive")
     scaled = Graph(g.n, g.eu, g.ev, g.w * factor)
     if g._factors:
         return _with_factors(scaled, (scale_weights(f, factor) for f in g._factors))
@@ -360,9 +356,7 @@ def gen_kron_multiscale(base: Graph, levels: int) -> Graph:
     to right, so the first (most significant) index coordinate is the coarsest
     scale and carries the lightest edge weights.
     """
-    levels = integer("levels", levels)
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    levels = integer("levels", levels, 1)
     if not is_connected(base):
         raise ValueError("base graph must be connected")
     p = base.n

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from ._check import integer, require
+from ._check import integer, real, require
 from .detectors import RHO_KINDS, Detector, _replicate_statistics
 from .graphs import Cluster, Graph, gen_bbt, gen_lattice, gen_kron_multiscale, two_triangles
 
@@ -54,9 +54,8 @@ class SignalSpec:
         object.__setattr__(self, "n", integer("n", self.n))
         if self.n < 1:
             raise ValueError("n must be positive")
-        for name, value in (("mu", self.mu), ("delta", self.delta)):
-            if not math.isfinite(require(name, value, float)):
-                raise ValueError(f"{name} must be finite, got {value}")
+        real("mu", self.mu)
+        real("delta", self.delta)
         if self.cluster is None:
             if self.delta != 0.0:
                 raise ValueError(f"the null signal (no cluster) requires delta == 0, got {self.delta}")
@@ -79,9 +78,7 @@ class SignalSpec:
 
 def sample_observation(spec: SignalSpec, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """One draw y = beta + sigma * eps with iid standard normal eps."""
-    sigma = float(require("sigma", sigma, float))
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
+    sigma = real("sigma", sigma, "nonnegative")
     return spec.beta() + sigma * rng.standard_normal(spec.n)
 
 
@@ -89,9 +86,7 @@ def snr(spec: SignalSpec, sigma: float) -> float:
     """Separation-to-noise ratio sqrt(|C| |C~| / n) * |delta| / sigma."""
     if spec.is_null:
         raise ValueError("SNR is undefined for a null signal")
-    sigma = float(require("sigma", sigma, float))
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    sigma = real("sigma", sigma, "positive")
     k = spec.cluster.size
     return math.sqrt(k * (spec.n - k) / spec.n) * abs(spec.delta) / sigma
 
@@ -135,16 +130,17 @@ class _Family(NamedTuple):
     cluster: Callable[[Graph, dict], Cluster]  # the canonical cluster
     keys: dict  # config key -> its type, for every key the family reads
     required: tuple[str, ...]
+    options: tuple[str, ...] = ()  # the keywords the canonical cluster reads besides the config keys
 
 
 # The graph families of the experiments, one row each. A builder calls its generator
 # by name, so a wrapper bound to that name (perfbench's tracer) sees each call.
 _FAMILIES = {
-    "bbt": _Family(lambda depth: gen_bbt(depth), _bbt_cluster, {"depth": int}, ("depth",)),
+    "bbt": _Family(lambda depth: gen_bbt(depth), _bbt_cluster, {"depth": int}, ("depth",), ("node",)),
     "lattice": _Family(lambda p, periodic=False: gen_lattice(p, periodic), _lattice_cluster,
                        {"p": int, "periodic": bool}, ("p",)),
     "kron": _Family(lambda levels: gen_kron_multiscale(two_triangles(), levels), _kron_cluster,
-                    {"levels": int}, ("levels",)),
+                    {"levels": int}, ("levels",), ("base_n", "base_half")),
 }
 
 
@@ -169,10 +165,16 @@ def canonical_cluster(g: Graph, family: str, **params) -> Cluster:
              the base graph (``base_half``, default the first base_n//2
              vertices); requires ``levels`` (``base_n`` defaults to 6).
 
-    Raises on a missing required parameter, a parameter or ``base_half``
-    vertex that is not an integer, or a graph of another size.
+    Any family config key (lattice ``periodic`` too) is accepted. Raises on a
+    missing required parameter, a keyword neither the family nor its cluster
+    reads, a parameter or ``base_half`` vertex that is not an integer, or a
+    graph of another size.
     """
-    return _family(family, params).cluster(g, params)
+    row = _family(family, params)
+    unknown = sorted(set(params) - set(row.keys) - set(row.options))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} for family {family!r}")
+    return row.cluster(g, params)
 
 
 @dataclass(frozen=True)
@@ -182,10 +184,12 @@ class ExperimentConfig:
     ``params`` holds the family parameters (bbt: depth; lattice: p, periodic;
     kron: levels, with the two-triangle base). Each family parameter must be
     of its type in ``_FAMILIES`` and each scalar field of its annotated type
-    (see :mod:`graphscan._check`), the floats finite; a missing or foreign
-    parameter, ``detectors`` other than a nonempty tuple of distinct kinds,
-    and ``cluster`` other than None (the family's canonical cluster) or a
-    nonempty set of nonnegative integer ids are refused.
+    (see :mod:`graphscan._check`), the floats finite and sigma positive; a
+    missing or foreign parameter, ``detectors`` other than a nonempty tuple
+    of distinct kinds, and ``cluster`` other than None (the family's
+    canonical cluster) or a nonempty set of nonnegative integer ids are
+    refused, and so is a cluster with delta 0, whose alternative draws are
+    null draws that read no cluster.
     """
 
     family: str
@@ -210,19 +214,19 @@ class ExperimentConfig:
             require(repr(key), value, types[key])
         if self.reps_null < 1 or self.reps_alt < 1:
             raise ValueError("replicate counts must be >= 1")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("sigma must be positive and finite")
+        for name in ("mu", "delta", "rho"):
+            real(name, getattr(self, name))
+        real("sigma", self.sigma, "positive")
         kinds = self.detectors
         if not (isinstance(kinds, tuple) and kinds and all(kinds.count(kind) == 1 for kind in kinds)):
             raise ValueError(f"'detectors' must be a nonempty tuple of distinct detector kinds, got {kinds!r}")
         for kind in kinds:
             Detector(kind, rho=self.rho if kind in RHO_KINDS else None)
-        for name in ("mu", "delta", "rho"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.cluster is not None:
             if not isinstance(self.cluster, (set, frozenset)):
                 raise ValueError(f"'cluster' must be None or a set of vertex ids, got {self.cluster!r}")
+            if self.delta == 0.0:
+                raise ValueError(f"'cluster' is read only when delta != 0, got {self.cluster!r}")
             Cluster(self.cluster)  # nonempty, of nonnegative integer ids
 
 

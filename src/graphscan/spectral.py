@@ -70,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._check import require
+from ._check import real
 
 __all__ = [
     "Spectrum",
@@ -515,9 +515,7 @@ def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
         raise ValueError("lambdas must be strictly positive")
     if np.any(np.diff(lambdas) < 0.0):
         raise ValueError("lambdas must be ascending")
-    nu = float(require("nu", nu, float))
-    if not (math.isfinite(nu) and nu >= 0.0):
-        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
+    nu = real("nu", nu, "nonnegative")
 
     norm_c = float(np.linalg.norm(c))
     active = np.abs(c) > 1e-14 * norm_c
@@ -893,9 +891,7 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     range, is refused. A constant observation, however large, centres to
     exact zeros and yields 0 in case "a" with a zero gap.
     """
-    rho = float(require("rho", rho, float))
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+    rho = real("rho", rho, "positive")
     # a one-row chunk, so that _sss_values on the same row gives the same bits;
     # c and s are views of the workspace, used before anything else scores
     y = np.asarray(y, dtype=float)[None]

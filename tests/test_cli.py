@@ -271,6 +271,16 @@ class TestExperiment:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
+    def test_cluster_without_a_gap_is_one_error_line(self, tmp_path, capsys):
+        cfg = self.config_file(tmp_path)
+        cfg.write_text(cfg.read_text().replace("delta = 1.5", "delta = 0") + "cluster = 0,1\n")
+        code = run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 'cluster' is read only when delta != 0, got frozenset({0, 1})"
+        ]
+        assert not (tmp_path / "out").exists()
+
 
 class TestHelp:
     def test_help_documents_config_format(self, capsys):

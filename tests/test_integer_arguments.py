@@ -1,5 +1,8 @@
 """Counts, sizes, ids and seeds must be integers, and real-valued arguments numbers: a bool, a string (or, for
-an integer, a float) is refused naming the argument, not converted."""
+an integer, a float) is refused naming the argument, not converted. A real-valued argument must also be finite
+and, where its sign matters, positive or nonnegative, and some counts have a minimum; a value outside the range is
+refused with one message, naming the argument and giving the value."""
+import math
 import re
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from graphscan import (
     Cluster,
     Detector,
+    ExperimentConfig,
     Graph,
     SignalSpec,
     bbt_lambda2_bound,
@@ -26,6 +30,9 @@ from graphscan import (
     scale_weights,
     snr,
     spectral_snr_bound,
+    sss,
+    sss_stat,
+    truncated_bound,
     two_triangles,
 )
 
@@ -94,4 +101,60 @@ def test_reals_only(call, good, name):
     assert call(np.float64(good)) == call(good)
     for bad in (True, str(good)):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {bad!r}")):
+            call(bad)
+
+
+# (call with the value under test, the name a refusal gives, the range the value must be in)
+RANGES = {
+    "calibrate_sigma": (REALS["calibrate_sigma"][0], "sigma", "nonnegative and finite"),
+    "sample_sigma": (REALS["sample_sigma"][0], "sigma", "nonnegative and finite"),
+    "snr_sigma": (REALS["snr_sigma"][0], "sigma", "positive and finite"),
+    "signal_mu": (REALS["signal_mu"][0], "mu", "finite"),
+    "signal_delta": (REALS["signal_delta"][0], "delta", "finite"),
+    "scale_weights": (REALS["scale_weights"][0], "scale factor", "positive and finite"),
+    "chi_max_nu": (REALS["chi_max_nu"][0], "nu", "nonnegative and finite"),
+    "snr_bound_rho": (REALS["snr_bound_rho"][0], "rho", "positive and finite"),
+    "truncated_bound_rho": (lambda v: truncated_bound(GRID, v), "rho", "positive and finite"),
+    "null_threshold_sigma": (REALS["null_threshold_sigma"][0], "sigma", "positive and finite"),
+    "noncentrality_delta": (REALS["noncentrality_delta"][0], "delta", "finite"),
+    "noncentrality_sigma": (REALS["noncentrality_sigma"][0], "sigma", "positive and finite"),
+    "detector_sss_rho": (lambda v: Detector("sss", rho=v), "rho", "positive and finite"),
+    "detector_glr_exact_rho": (lambda v: Detector("glr_exact", rho=v), "rho", "positive and finite"),
+    "sss_rho": (lambda v: sss(GRID, np.arange(9.0), v), "rho", "positive and finite"),
+    "sss_stat_rho": (lambda v: sss_stat(gen_lattice(3), np.arange(9.0), v), "rho", "positive and finite"),
+    "config_mu": (lambda v: ExperimentConfig(family="bbt", params={"depth": 2}, mu=v), "mu", "finite"),
+    "config_delta": (lambda v: ExperimentConfig(family="bbt", params={"depth": 2}, delta=v), "delta", "finite"),
+    "config_rho": (lambda v: ExperimentConfig(family="bbt", params={"depth": 2}, rho=v, detectors=("energy",)),
+                   "rho", "finite"),
+    "config_sigma": (lambda v: ExperimentConfig(family="bbt", params={"depth": 2}, sigma=v), "sigma",
+                     "positive and finite"),
+}
+
+# The values outside each range besides NaN and the infinities
+_OUTSIDE = {"finite": (), "nonnegative and finite": (-1.0, -1e-300), "positive and finite": (0.0, -0.0, -1.0)}
+
+
+@pytest.mark.parametrize("call, name, rule", RANGES.values(), ids=RANGES)
+def test_reals_out_of_range(call, name, rule):
+    for bad in (math.nan, math.inf, -math.inf, *_OUTSIDE[rule]):
+        for value in (bad, np.float64(bad)):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {bad}')}$"):
+                call(value)
+
+
+# (call with the value under test, the name a refusal gives, the least value taken)
+MINIMA = {
+    "gen_bbt": (CALLS["gen_bbt"][0], "depth", 1),
+    "gen_kron_multiscale": (CALLS["gen_kron_multiscale"][0], "levels", 1),
+    "calibrate_reps": (CALLS["calibrate_reps"][0], "reps", 100),
+    "naive_n": (lambda v: naive_bounds(v, 1), "n", 2),
+    "bbt_lambda2_bound": (CALLS["bbt_lambda2_bound"][0], "depth", 1),
+}
+
+
+@pytest.mark.parametrize("call, name, minimum", MINIMA.values(), ids=MINIMA)
+def test_integers_below_their_minimum(call, name, minimum):
+    call(np.int64(minimum))
+    for bad in (minimum - 1, -(2**70)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be >= {minimum}, got {bad}')}$"):
             call(bad)

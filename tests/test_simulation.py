@@ -202,9 +202,14 @@ class TestCanonicalCluster:
             (gen_bbt(3), "bbt", {"depth": 3, "node": 2}, "3..6, got 2"),
             (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "base_half": ()}, "base_half"),
             (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "base_half": (6,)}, "base_half"),
+            (gen_lattice(4), "lattice", {"p": 4, "bogus": 1}, r"unknown keys \['bogus'\] for family 'lattice'"),
+            (gen_bbt(3), "bbt", {"depth": 3, "base_half": (0,)}, r"unknown keys \['base_half'\] for family 'bbt'"),
+            (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "node": 3, "p": 4},
+             r"unknown keys \['node', 'p'\] for family 'kron'"),
         ],
         ids=[
             "no_depth", "no_p", "no_levels", "depth1", "kron_size", "node7", "node2", "empty_half", "half_outside",
+            "unread_key", "other_cluster_option", "other_family_keys",
         ],
     )
     def test_bad_parameters_rejected(self, g, family, params, match):
@@ -539,6 +544,17 @@ class TestConfigFile:
             path.write_text(f"family = bbt\ndepth = 2\n{line}\n")
             with pytest.raises(ValueError, match=match):
                 parse_config_file(path)
+
+    def test_config_and_file_refuse_a_cluster_nothing_reads(self, tmp_path):
+        # with no gap the alternative draws are null draws, which read no cluster
+        match = r"'cluster' is read only when delta != 0, got frozenset\(\{999\}\)"
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(family="bbt", params={"depth": 3}, delta=0.0, cluster=frozenset({999}))
+        path = tmp_path / "exp.cfg"
+        path.write_text("family = bbt\ndepth = 3\ndelta = 0\ncluster = 999\n")
+        with pytest.raises(ValueError, match=match):
+            parse_config_file(path)
+        assert ExperimentConfig(family="bbt", params={"depth": 3}, delta=0.0).cluster is None
 
     def test_repeated_key_rejected_naming_both_lines(self, tmp_path):
         path = tmp_path / "exp.cfg"
