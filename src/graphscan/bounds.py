@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._check import integer, real, require
+from ._check import integer, real
 from .spectral import Spectrum, _connected_lambdas
 
 __all__ = [
@@ -50,7 +50,7 @@ def spectral_snr_bound(spectrum: Spectrum, rho: float) -> float:
     """
     rho = real("rho", rho, "positive")
     lambdas = _connected_lambdas(spectrum)
-    return math.sqrt(float(np.minimum(1.0, rho / lambdas).sum()))
+    return math.sqrt(float((np.minimum(lambdas, rho) / lambdas).sum()))  # min(1, rho/lambda), with no overflow
 
 
 def truncated_bound(spectrum: Spectrum, rho: float) -> tuple[float, int]:
@@ -77,12 +77,10 @@ def null_threshold(spectrum: Spectrum, rho: float, sigma: float, conf: float) ->
     (sqrt(2 sigma^2 sum min(1, rho/lambda_i)) + sqrt(2 sigma^2 log(2/conf)))^2;
     the scan statistic exceeds this under the null with probability <= conf.
     """
-    conf = float(require("conf", conf, float))
-    if not 0.0 < conf < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {conf}")
+    conf = real("conf", conf, "(0, 1)")
     sigma = real("sigma", sigma, "positive")
     expectation = math.sqrt(2.0 * sigma**2) * spectral_snr_bound(spectrum, rho)
-    deviation = math.sqrt(2.0 * sigma**2 * math.log(2.0 / conf))
+    deviation = math.sqrt(2.0 * sigma**2 * (math.log(2.0) - math.log(conf)))
     return (expectation + deviation) ** 2
 
 
@@ -93,19 +91,14 @@ def naive_bounds(n: int, max_cluster: int) -> tuple[float, float]:
     the largest cluster size (at most n/2) in the class under test.
     """
     n = integer("n", n, 2)
-    max_cluster = integer("max_cluster", max_cluster)
-    if not 1 <= max_cluster <= n // 2:
-        raise ValueError(f"max_cluster must be in 1..n//2, got {max_cluster}")
+    max_cluster = integer("max_cluster", max_cluster, 1, n // 2)
     return math.sqrt(n - 1.0), math.sqrt(max_cluster * math.log(n))
 
 
 def noncentrality(delta: float, sigma: float, cluster_size: int, n: int) -> float:
     """Noncentrality (delta/sigma)^2 |C| (n - |C|) / n of the oracle likelihood ratio."""
-    sigma = real("sigma", sigma, "positive")
-    delta = real("delta", delta)
-    cluster_size, n = integer("cluster_size", cluster_size), integer("n", n)
-    if not 0 < cluster_size < n:
-        raise ValueError(f"cluster size must be in 1..n-1, got {cluster_size}")
+    sigma, delta, n = real("sigma", sigma, "positive"), real("delta", delta), integer("n", n)
+    cluster_size = integer("cluster_size", cluster_size, 1, n - 1)
     return (delta / sigma) ** 2 * cluster_size * (n - cluster_size) / n
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._check import integer, real, require
+from ._check import integer, observation, real, require
 from .graphs import Graph, is_connected, laplacian
 from .rng import _replicate_streams
 from .spectral import (
@@ -192,8 +192,8 @@ class Detector:
             raise ValueError(f"detector {self.kind!r} takes no rho, got {self.rho!r}")
 
     def statistic(self, g: Graph, y: np.ndarray) -> float:
-        """The statistic of one observation, scored as a one-row block."""
-        return float(self.statistics(g, np.asarray(y, dtype=float)[None])[0])
+        """The statistic of one observation, a vector of length ``g.n``, scored as a one-row block."""
+        return float(self._scored(g, self._checked(g, y, rows=False)[None])[0])
 
     def statistics(self, g: Graph, y: np.ndarray) -> np.ndarray:
         """The statistic of each row of an (R, n) block of observations, scored chunk by chunk.
@@ -211,8 +211,20 @@ class Detector:
         glr_exact is positive on a row that is not constant, and glr_exact
         may be exactly 0 on a row of normal scale, which is returned.
         """
+        return self._scored(g, self._checked(g, y))
+
+    def _checked(self, g: Graph, y, rows: bool = True) -> np.ndarray:
+        """``y`` as a float block (vector, if not ``rows``) fit for the statistic on ``g``; raises otherwise."""
+        y = observation(y, g.n, rows)
+        if g.n < 2:
+            raise ValueError("need at least two vertices")
+        if _KINDS[self.kind][2] and not is_connected(g):
+            raise ValueError("graph must be connected")
+        return y
+
+    def _scored(self, g: Graph, y: np.ndarray) -> np.ndarray:
+        """The statistic of each row of the checked (R, g.n) block ``y``; refuses a value out of range."""
         kernel = _KINDS[self.kind][0]
-        y = self._checked(g, y)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             values = np.concatenate([kernel(self, g, chunk) for chunk in _row_chunks(y, g.n)])
         if not np.isfinite(values).all():
@@ -225,26 +237,11 @@ class Detector:
                 raise ValueError(_UNDERFLOWS.format(self.kind))
         return values
 
-    def _checked(self, g: Graph, y: np.ndarray) -> np.ndarray:
-        """``y`` as a float block, once it is fit for the statistic on ``g``; raises as :meth:`statistics` documents."""
-        needs_connected = _KINDS[self.kind][2]
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 2:
-            raise ValueError(f"expected a block of observation rows, got shape {y.shape}")
-        if y.shape[1] != g.n:
-            raise ValueError(f"observation has length {y.shape[1]}, expected {g.n}")
-        if g.n < 2:
-            raise ValueError("need at least two vertices")
-        if not np.isfinite(y).all():
-            raise ValueError("observation contains NaN or infinite values")
-        if needs_connected and not is_connected(g):
-            raise ValueError("graph must be connected")
-        return y
-
 
 def energy_stat(y: np.ndarray) -> float:
     """Squared norm of the centered observation."""
-    return Detector("energy").statistic(_edgeless(np.size(y)), y)
+    y = observation(y)
+    return Detector("energy").statistic(_edgeless(y.size), y)
 
 
 def edge_stat(g: Graph, y: np.ndarray) -> float:
@@ -265,7 +262,8 @@ def glr_exact(g: Graph, y: np.ndarray, rho: float, require_connected: bool = Fal
 
 def glr_unconstrained(y: np.ndarray) -> float:
     """GLR over all nonempty proper subsets, in O(n log n) by a sorted prefix-sum sweep."""
-    return Detector("glr_unconstrained").statistic(_edgeless(np.size(y)), y)
+    y = observation(y)
+    return Detector("glr_unconstrained").statistic(_edgeless(y.size), y)
 
 
 def sss_stat(g: Graph, y: np.ndarray, rho: float) -> float:
@@ -297,7 +295,11 @@ def _replicate_blocks(g: Graph, runs, sigma: float, seed: int):
         for row in y:
             next(streams).standard_normal(out=row)
         if sigma != 1.0:
-            y *= sigma
+            try:
+                with np.errstate(over="raise"):
+                    y *= sigma
+            except FloatingPointError:
+                raise ValueError(f"sigma must be small enough for finite noise, got {sigma}") from None
         first = -start  # the run's first replicate, counted from the block's
         for mean, count in runs:
             if np.any(mean):
@@ -333,14 +335,12 @@ def calibrate_threshold(
     be a bool.
     """
     reps, seed = integer("reps", reps, 100), integer("seed", seed)
-    alpha = require("alpha", alpha, float)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = real("alpha", alpha, "(0, 1)")
     sigma = real("sigma", sigma, "nonnegative")
     index = math.ceil((1.0 - alpha) * reps)
     if detector.kind == "sss":
         detector._checked(g, np.empty((0, g.n)))  # the graph, before its spectrum is computed
-        blocks = (y for _, y in _replicate_blocks(g, ((0.0, reps),), sigma, seed))
+        blocks = (detector._checked(g, y) for _, y in _replicate_blocks(g, ((0.0, reps),), sigma, seed))
         return _sss_order_statistic(graph_spectrum(g), blocks, detector.rho, index, reps)
     stats = _replicate_statistics((detector,), g, ((0.0, reps),), sigma, seed)
     return float(np.sort(stats[:, 0])[index - 1])

@@ -88,9 +88,7 @@ class Graph:
     _depth = 0
 
     def __post_init__(self) -> None:
-        n = integer("vertex count", self.n)
-        if n < 1:
-            raise ValueError(f"vertex count must be positive, got {n}")
+        n = integer("vertex count", self.n, 1)
         ends, w = np.array((self.eu, self.ev)), np.array(self.w, dtype=float)
         if ends.ndim != 2 or w.shape != ends.shape[1:]:
             raise ValueError("eu, ev and w must be vectors of equal length")
@@ -288,11 +286,7 @@ def gen_lattice(p: int, periodic: bool = False) -> Graph:
     torus (product of two cycles), and the result records those factors.
     Periodic requires p >= 3 so that wrap-around does not duplicate an edge.
     """
-    p = integer("p", p)
-    minimum = 3 if periodic else 2
-    if p < minimum:
-        kind = "periodic" if periodic else "non-periodic"
-        raise ValueError(f"{kind} lattice requires p >= {minimum}, got {p}")
+    p = integer("p", p, 3 if periodic else 2)
     # vertex by vertex: the edge to the right, then the one below (wrapping on a torus)
     u = np.arange(p * p)
     r, col = np.divmod(u, p)

@@ -51,9 +51,7 @@ class SignalSpec:
     cluster: Cluster | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", integer("n", self.n))
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        object.__setattr__(self, "n", integer("n", self.n, 1))
         real("mu", self.mu)
         real("delta", self.delta)
         if self.cluster is None:
@@ -92,14 +90,10 @@ def snr(spec: SignalSpec, sigma: float) -> float:
 
 
 def _bbt_cluster(g: Graph, params: dict) -> Cluster:
-    depth = integer("depth", params["depth"])
-    if depth < 2:
-        raise ValueError("bbt cluster requires depth >= 2")
+    depth = integer("depth", params["depth"], 2)
     if g.n != 2 ** (depth + 1) - 1:
         raise ValueError(f"graph has n={g.n}, not a depth-{depth} balanced binary tree")
-    root = integer("node", params.get("node", 3))
-    if not 3 <= root <= 6:
-        raise ValueError(f"depth-2 node id must be in 3..6, got {root}")
+    root = integer("node", params.get("node", 3), 3, 6)  # a depth-2 node
     # the root's descendants d levels down are the 2**d ids from (root + 1) * 2**d - 1
     levels = (range((root + 1) * 2**d - 1, (root + 2) * 2**d - 1) for d in range(depth - 1))
     return Cluster(frozenset(v for level in levels for v in level))
@@ -212,8 +206,8 @@ class ExperimentConfig:
         types = {**keys, **_FIELD_TYPES}
         for key, value in {**self.params, **{name: getattr(self, name) for name in _SCALAR_FIELDS}}.items():
             require(repr(key), value, types[key])
-        if self.reps_null < 1 or self.reps_alt < 1:
-            raise ValueError("replicate counts must be >= 1")
+        for name in ("reps_null", "reps_alt"):
+            integer(name, getattr(self, name), 1)
         for name in ("mu", "delta", "rho"):
             real(name, getattr(self, name))
         real("sigma", self.sigma, "positive")

@@ -70,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._check import real
+from ._check import observation, real
 
 __all__ = [
     "Spectrum",
@@ -472,14 +472,10 @@ def _row_means(y: np.ndarray) -> np.ndarray:
 def center(y: np.ndarray) -> np.ndarray:
     """Subtract the mean: y~ = (I - 11'/n) y, exactly 0 for a constant ``y``, however large.
 
-    Rejects NaN and infinite entries, and an observation whose mean or
-    centred entries overflow.
+    Refuses anything but a nonempty vector of finite numbers
+    (:func:`graphscan._check.observation`), and one whose centred entries overflow.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 1:
-        raise ValueError("expected a nonempty vector")
-    if not np.isfinite(y).all():
-        raise ValueError("observation contains NaN or infinite values")
+    y = observation(y)
     with np.errstate(over="ignore", invalid="ignore"):
         centred = y - _row_means(y[None])[0]
     if not np.isfinite(centred).all():
@@ -591,8 +587,9 @@ def _grouped_kkt(sums: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.
     quad = inv.sum(axis=1)  # c' diag(lambdas)^-1 c / total
     ball = (p[:, None] @ lambdas)[:, 0] <= rho  # a BLAS dot product per row, as p @ lambdas is for one row
     # case "b" where z = c/lambda, scaled onto the ellipsoid, has ||z||**2 <= 1
-    case = np.where(ball, "a", np.where(rho * (inv / lambdas).sum(axis=1) <= quad, "b", "c"))
-    value, nu_star = np.where(ball, total, rho * quad * total), np.where(ball, 0.0, quad * total)
+    with np.errstate(over="ignore"):  # a product with rho overflows only in case "a", which does not use it
+        case = np.where(ball, "a", np.where(rho * (inv / lambdas).sum(axis=1) <= quad, "b", "c"))
+        value, nu_star = np.where(ball, total, rho * quad * total), np.where(ball, 0.0, quad * total)
     t, steps = np.zeros(len(sums)), np.zeros(len(sums), dtype=int)
     for i in np.flatnonzero(case == "c"):
         value[i], nu_star[i], t[i], steps[i] = _kkt_root(p[i], lambdas, rho, total[i])
@@ -715,21 +712,16 @@ def _path_bounds(spectrum: Spectrum, sums: np.ndarray, rho: float, steps: int) -
 def _scaled_sums(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients of each centred row of ``y`` scaled by 2**-e, e, and their sums over each group of equal eigenvalues.
 
-    Raises unless ``y`` is a finite (R, n) block whose coefficients are
-    finite, and the graph connected. e brings the row's largest |c_i| into [0.5, 1), so the squares neither
-    overflow nor underflow; a power of two scales exactly, so a value in
-    range keeps every bit once :func:`_unscale` multiplies it by 2**(2e).
+    ``y`` is a chunk (:func:`_row_chunks`) of a checked block (:func:`graphscan._check.observation`),
+    so this checks only that the graph is connected, and refuses a coefficient that overflows.
+    e brings the row's largest |c_i| into [0.5, 1), so the squares neither overflow nor underflow;
+    a power of two scales exactly, so a value in range keeps every bit once :func:`_unscale`
+    multiplies it by 2**(2e).
     The block is centred, projected, ordered, scaled and squared in the
     thread's workspace buffers "a" and "b", so the coefficients, and the sums
-    unless groups were summed, are views of them, valid until the next call;
-    ``y`` is one chunk of :func:`_row_chunks`.
+    unless groups were summed, are views of them, valid until the next call.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[1] != spectrum.n:
-        raise ValueError(f"observations have shape {y.shape}, expected rows of length {spectrum.n}")
     lambdas = _connected_lambdas(spectrum)
-    if not np.isfinite(y).all():
-        raise ValueError("observation contains NaN or infinite values")
     r, n = y.shape
     centred, spare = (_WORKSPACE.array(role, (r, n, 1)) for role in ("a", "b"))
     with np.errstate(over="ignore", invalid="ignore"):  # a row too large to project is refused below
@@ -742,7 +734,7 @@ def _scaled_sums(spectrum: Spectrum, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     np.take(raw.reshape(r, n), spectrum.order[1:], axis=1, out=coeffs, mode="clip")  # "raise" would buffer
     largest = np.maximum(coeffs.max(axis=1), -coeffs.min(axis=1))
     if not np.isfinite(largest).all():
-        raise ValueError(_OVERFLOWS.format("scan"))
+        raise ValueError(_OVERFLOWS.format("sss"))
     exps = np.frexp(largest)[1]
     np.ldexp(coeffs, -exps[:, None], out=coeffs)
     starts = spectrum.groups[0]
@@ -757,9 +749,9 @@ def _unscale(scaled, exps):
     with np.errstate(over="ignore", under="ignore"):
         values = np.ldexp(scaled, 2 * exps)
     if not np.isfinite(values).all():
-        raise ValueError(_OVERFLOWS.format("scan"))
+        raise ValueError(_OVERFLOWS.format("sss"))
     if ((np.abs(values) < np.finfo(float).tiny) & (scaled != 0.0)).any():
-        raise ValueError(_UNDERFLOWS.format("scan"))
+        raise ValueError(_UNDERFLOWS.format("sss"))
     return values
 
 
@@ -894,8 +886,7 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     rho = real("rho", rho, "positive")
     # a one-row chunk, so that _sss_values on the same row gives the same bits;
     # c and s are views of the workspace, used before anything else scores
-    y = np.asarray(y, dtype=float)[None]
-    (c,), e, s = _scaled_sums(spectrum, y)
+    (c,), e, s = _scaled_sums(spectrum, observation(y, spectrum.n)[None])
     (value,), (case,), (nu_star,), (t,), (iterations,) = _grouped_kkt(s, spectrum.groups[1], rho)
     lambdas = spectrum.eigenvalues[1:]
     # c is scaled to a largest entry in [0.5, 1), and z does not depend on its scale

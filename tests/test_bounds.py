@@ -123,7 +123,7 @@ class TestNullThreshold:
 
     @pytest.mark.parametrize("conf", [0.0, 1.0, 2.0])
     def test_rejects_bad_confidence(self, conf):
-        with pytest.raises(ValueError, match="confidence"):
+        with pytest.raises(ValueError, match=rf"^conf must be in \(0, 1\), got {conf}$"):
             null_threshold(p2_spectrum(), 1.0, 1.0, conf)
 
 
@@ -223,7 +223,7 @@ class TestOutOfRangeParameters:
         [
             (lambda: naive_bounds(1, 1), "n must be >= 2"),
             (lambda: bbt_lambda2_bound(0), "depth must be >= 1"),
-            (lambda: noncentrality(1.0, 1.0, 0, 10), "cluster size"),
+            (lambda: noncentrality(1.0, 1.0, 0, 10), r"^cluster_size must be in 1\.\.9, got 0$"),
         ],
         ids=["naive_n1", "bbt_depth0", "noncentrality_size0"],
     )

@@ -288,7 +288,7 @@ class TestGenLattice:
         assert all(len(neighbors(g, v)) == 4 for v in range(9))
 
     def test_periodic_two_rejected(self):
-        with pytest.raises(ValueError, match="p >= 3"):
+        with pytest.raises(ValueError, match="^p must be >= 3, got 2$"):
             gen_lattice(2, periodic=True)
 
     def test_row_major_numbering(self):
@@ -407,7 +407,7 @@ class TestEdgeListFile:
     def test_rejects_bad_vertex_count_naming_the_header(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("\nn=0\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: vertex count must be positive"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: vertex count must be >= 1, got 0$"):
             read_edge_list(path)
 
     @pytest.mark.parametrize("header", ["n=x", "n=2.5", "n="])

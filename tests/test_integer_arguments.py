@@ -1,9 +1,12 @@
 """Counts, sizes, ids and seeds must be integers, and real-valued arguments numbers: a bool, a string (or, for
 an integer, a float) is refused naming the argument, not converted. A real-valued argument must also be finite
-and, where its sign matters, positive or nonnegative, and some counts have a minimum; a value outside the range is
-refused with one message, naming the argument and giving the value."""
+and, where its range matters, positive, nonnegative or in (0, 1), and some counts have a minimum or lie in an
+interval; a value outside the range is refused with one message, naming the argument and giving the value, an
+integer too large for a double counting as infinite. An observation is a vector of finite numbers, refused with
+one message wherever it enters, and valid extreme arguments score without a numpy warning."""
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,17 +18,22 @@ from graphscan import (
     Graph,
     SignalSpec,
     bbt_lambda2_bound,
+    bounds_report,
     calibrate_threshold,
     canonical_cluster,
+    center,
     chi_max,
+    energy_stat,
     gen_bbt,
     gen_kron_multiscale,
     gen_lattice,
+    glr_unconstrained,
     graph_spectrum,
     naive_bounds,
     noncentrality,
     null_threshold,
     replicate_rng,
+    run_roc,
     sample_observation,
     scale_weights,
     snr,
@@ -128,10 +136,17 @@ RANGES = {
                    "rho", "finite"),
     "config_sigma": (lambda v: ExperimentConfig(family="bbt", params={"depth": 2}, sigma=v), "sigma",
                      "positive and finite"),
+    "calibrate_alpha": (REALS["calibrate_alpha"][0], "alpha", "in (0, 1)"),
+    "null_threshold_conf": (REALS["null_threshold_conf"][0], "conf", "in (0, 1)"),
 }
 
 # The values outside each range besides NaN and the infinities
-_OUTSIDE = {"finite": (), "nonnegative and finite": (-1.0, -1e-300), "positive and finite": (0.0, -0.0, -1.0)}
+_OUTSIDE = {
+    "finite": (),
+    "nonnegative and finite": (-1.0, -1e-300),
+    "positive and finite": (0.0, -0.0, -1.0),
+    "in (0, 1)": (0.0, -0.0, 1.0, -1.0, 2.0),
+}
 
 
 @pytest.mark.parametrize("call, name, rule", RANGES.values(), ids=RANGES)
@@ -142,6 +157,13 @@ def test_reals_out_of_range(call, name, rule):
                 call(value)
 
 
+@pytest.mark.parametrize("call, name, rule", RANGES.values(), ids=RANGES)
+def test_integers_beyond_the_doubles_count_as_infinite(call, name, rule):
+    for bad, shown in ((10**400, math.inf), (-(10**400), -math.inf)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {shown}')}$"):
+            call(bad)
+
+
 # (call with the value under test, the name a refusal gives, the least value taken)
 MINIMA = {
     "gen_bbt": (CALLS["gen_bbt"][0], "depth", 1),
@@ -149,6 +171,13 @@ MINIMA = {
     "calibrate_reps": (CALLS["calibrate_reps"][0], "reps", 100),
     "naive_n": (lambda v: naive_bounds(v, 1), "n", 2),
     "bbt_lambda2_bound": (CALLS["bbt_lambda2_bound"][0], "depth", 1),
+    "graph_n": (lambda v: Graph(v, (), (), ()).n, "vertex count", 1),
+    "signal_n": (lambda v: SignalSpec(n=v, mu=0.0, delta=0.0).n, "n", 1),
+    "config_reps_null": (lambda v: ExperimentConfig(family="bbt", params={"depth": 2}, reps_null=v), "reps_null", 1),
+    "config_reps_alt": (lambda v: ExperimentConfig(family="bbt", params={"depth": 2}, reps_alt=v), "reps_alt", 1),
+    "gen_lattice": (lambda v: gen_lattice(v), "p", 2),
+    "gen_lattice_periodic": (lambda v: gen_lattice(v, periodic=True), "p", 3),
+    "bbt_cluster_depth": (lambda v: canonical_cluster(gen_bbt(2), "bbt", depth=v), "depth", 2),
 }
 
 
@@ -158,3 +187,104 @@ def test_integers_below_their_minimum(call, name, minimum):
     for bad in (minimum - 1, -(2**70)):
         with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be >= {minimum}, got {bad}')}$"):
             call(bad)
+
+
+# (call with the value under test, the name a refusal gives, the least and the largest value taken)
+INTERVALS = {
+    "bbt_node": (CALLS["bbt_node"][0], "node", 3, 6),
+    "naive_max_cluster": (CALLS["naive_max_cluster"][0], "max_cluster", 1, 5),
+    "noncentrality_size": (lambda v: noncentrality(1.0, 1.0, v, 10), "cluster_size", 1, 9),
+}
+
+
+@pytest.mark.parametrize("call, name, least, largest", INTERVALS.values(), ids=INTERVALS)
+def test_integers_outside_their_interval(call, name, least, largest):
+    call(np.int64(least))
+    call(largest)
+    for bad in (least - 1, largest + 1, -(2**70), 2**70):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be in {least}..{largest}, got {bad}')}$"):
+            call(bad)
+
+
+# (call with the observation under test, the length it must have, None for any positive length)
+OBSERVATIONS = {
+    "detector_statistic": (lambda y: Detector("edge").statistic(gen_lattice(3), y), 9),
+    "sss": (lambda y: sss(GRID, y, 0.5).value, 9),
+    "sss_stat": (lambda y: sss_stat(gen_lattice(3), y, 0.5), 9),
+    "energy_stat": (energy_stat, None),
+    "glr_unconstrained": (glr_unconstrained, None),
+    "center": (lambda y: center(y).tolist(), None),
+}
+
+
+@pytest.mark.parametrize("call, n", OBSERVATIONS.values(), ids=OBSERVATIONS)
+def test_observations_refused_as_passed(call, n):
+    call(np.arange(9.0))
+    for bad in (np.ones((2, 9)), np.ones((1, 9)), np.float64(1.0), 1.0):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'expected an observation vector, got shape {np.shape(bad)}')}$"):
+            call(bad)
+    expected = "at least 1" if n is None else n
+    with pytest.raises(ValueError, match=f"^observation has length 0, expected {expected}$"):
+        call(np.array([]))
+    with pytest.raises(ValueError, match="^observation contains NaN or infinite values$"):
+        call(np.r_[np.arange(8.0), math.nan])
+
+
+def test_subnormal_confidence_is_finite():
+    sigma, rho = 1.5, 0.5
+    for conf in (1e-300, 1e-320, 5e-324):
+        expected = (math.sqrt(2.0 * sigma**2) * spectral_snr_bound(GRID, rho)
+                    + math.sqrt(2.0 * sigma**2 * (math.log(2.0) - math.log(conf)))) ** 2
+        assert null_threshold(GRID, rho, sigma, conf) == pytest.approx(expected, rel=1e-15)
+    assert null_threshold(GRID, rho, sigma, 5e-324) > null_threshold(GRID, rho, sigma, 1e-300)
+
+
+def test_largest_rho_scores_without_warnings():
+    # eigenvalues from 0.01 up, so that rho / lambda overflows
+    g = scale_weights(gen_lattice(3), 0.01)
+    spectrum, y = graph_spectrum(g), np.arange(9.0)
+    largest = float(spectrum.eigenvalues[-1])  # the ball alone binds from here on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sss(spectrum, y, 1e308)
+        assert (result.value, result.case) == (sss(spectrum, y, largest).value, "a")
+        assert sss_stat(g, y, 1e308) == result.value
+        assert spectral_snr_bound(spectrum, 1e308) == spectral_snr_bound(spectrum, largest) == math.sqrt(8.0)
+        assert null_threshold(spectrum, 1e308, 1.0, 0.05) == null_threshold(spectrum, largest, 1.0, 0.05)
+        report = bounds_report(spectrum, 1e308, 1.0, 0.05)
+        assert report.truncated_bound is None and report.spectral_sum_bound == math.sqrt(8.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sigma: calibrate_threshold(Detector("sss", rho=0.5), gen_lattice(3), sigma, 0.05, 100, 1),
+        lambda sigma: calibrate_threshold(Detector("energy"), gen_lattice(3), sigma, 0.05, 100, 1),
+        lambda sigma: run_roc(ExperimentConfig(family="lattice", params={"p": 3}, sigma=sigma, reps_null=5, reps_alt=5)),
+    ],
+    ids=["calibrate_sss", "calibrate_energy", "run_roc"],
+)
+def test_noise_that_overflows_names_sigma(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^sigma must be small enough for finite noise, got 1e\+308$"):
+            call(1e308)
+    call(1e100)  # large, but every draw and statistic stays finite
+
+
+@pytest.mark.parametrize(
+    "y, refusal",
+    [(1e200 * np.arange(9.0), "overflows"), (1e-200 * np.arange(9.0), "underflows"),
+     (np.r_[1.7e308, -1.7e308, np.zeros(7)], "overflows")],
+    ids=["value_overflows", "value_underflows", "coefficients_overflow"],
+)
+def test_sss_refuses_under_its_kind_name(y, refusal):
+    for call in (lambda: sss(GRID, y, 0.5), lambda: sss_stat(gen_lattice(3), y, 0.5)):
+        with pytest.raises(ValueError, match=f"^the sss statistic {refusal}: the observation is too "):
+            call()
+
+
+def test_runtime_warnings_fail_the_suite():
+    # pyproject.toml turns a leaked numpy RuntimeWarning into an error
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        np.array([1e308]) * 10.0

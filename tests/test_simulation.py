@@ -52,7 +52,7 @@ class TestSignalSpec:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_needs_a_vertex(self, n):
-        with pytest.raises(ValueError, match="n must be positive"):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             SignalSpec(n=n, mu=0.0, delta=0.0)
 
     def test_cluster_must_be_proper(self):
@@ -146,7 +146,8 @@ class TestFamilyParameters:
 
     @pytest.mark.parametrize("reps", [{"reps_null": 0}, {"reps_alt": 0}, {"reps_null": -1}])
     def test_config_needs_replicates(self, reps):
-        with pytest.raises(ValueError, match="replicate counts"):
+        ((name, value),) = reps.items()
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
             ExperimentConfig(family="bbt", params={"depth": 2}, **reps)
 
     def test_every_family_builds_from_its_keys(self):
@@ -196,7 +197,7 @@ class TestCanonicalCluster:
             (gen_bbt(3), "bbt", {}, "requires 'depth'"),
             (gen_lattice(4), "lattice", {"periodic": False}, "requires 'p'"),
             (gen_kron_multiscale(two_triangles(), 2), "kron", {"base_n": 6}, "requires 'levels'"),
-            (gen_bbt(1), "bbt", {"depth": 1}, "depth >= 2"),
+            (gen_bbt(1), "bbt", {"depth": 1}, "^depth must be >= 2, got 1$"),
             (gen_lattice(4), "kron", {"levels": 2}, "not a 2-level product of a 6-vertex base"),
             (gen_bbt(3), "bbt", {"depth": 3, "node": 7}, "3..6, got 7"),
             (gen_bbt(3), "bbt", {"depth": 3, "node": 2}, "3..6, got 2"),
