@@ -76,12 +76,17 @@ def null_threshold(spectrum: Spectrum, rho: float, sigma: float, conf: float) ->
 
     (sqrt(2 sigma^2 sum min(1, rho/lambda_i)) + sqrt(2 sigma^2 log(2/conf)))^2;
     the scan statistic exceeds this under the null with probability <= conf.
+    Sigma multiplies each root rather than being squared, so that a sigma
+    whose threshold exceeds the doubles is refused by name.
     """
     conf = real("conf", conf, "(0, 1)")
     sigma = real("sigma", sigma, "positive")
-    expectation = math.sqrt(2.0 * sigma**2) * spectral_snr_bound(spectrum, rho)
-    deviation = math.sqrt(2.0 * sigma**2 * (math.log(2.0) - math.log(conf)))
-    return (expectation + deviation) ** 2
+    expectation = math.sqrt(2.0) * sigma * spectral_snr_bound(spectrum, rho)
+    deviation = math.sqrt(2.0 * (math.log(2.0) - math.log(conf))) * sigma
+    threshold = (expectation + deviation) * (expectation + deviation)
+    if not math.isfinite(threshold):
+        raise ValueError(f"sigma must be small enough for a finite threshold, got {sigma}")
+    return threshold
 
 
 def naive_bounds(n: int, max_cluster: int) -> tuple[float, float]:

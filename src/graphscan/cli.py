@@ -81,7 +81,15 @@ def _cmd_gen_graph(args) -> int:
     for key in family.required:
         if getattr(args, flags[key]) is None:
             raise ValueError(f"--family {args.family} requires --{flags[key]}")
-    write_edge_list(family.build(**{key: getattr(args, flag) for key, flag in flags.items()}), args.out)
+    try:
+        g = family.build(**{key: getattr(args, flag) for key, flag in flags.items()})
+    except ValueError as exc:
+        # a generator's refusal names its keyword ("p must be >= 3, got 2"); name the flag typed instead
+        key, _, rule = str(exc).partition(" ")
+        if key not in flags:
+            raise
+        raise ValueError(f"--{flags[key]} {rule}") from exc
+    write_edge_list(g, args.out)
     return 0
 
 

@@ -71,7 +71,7 @@ class Graph:
     included), non-integer or out-of-range ids, self-loops, a pair given
     twice in either orientation and weights that are not finite and
     positive, naming the first offending edge, and stores read-only copies
-    of the arrays.
+    of the arrays. It costs linear passes over the edges and one stable sort.
     Graphs with equal n and arrays, edge order included, and equal factor
     and tree records are equal; the hash of that content is computed once.
     """
@@ -94,17 +94,23 @@ class Graph:
             raise ValueError("eu, ev and w must be vectors of equal length")
         if w.size:  # an edgeless graph, as the graph-free statistics use, has nothing to check
             lo, hi = np.minimum(*ends), np.maximum(*ends)
-            order = np.lexsort((hi, lo))  # stable, so a repeated pair marks its later edges
-            duplicate = np.zeros(w.size, dtype=bool)
-            duplicate[order[1:][(np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)]] = True
-            failed = np.array((
-                ~(np.isfinite(ends) & (ends == np.round(ends))).all(axis=0),
-                (lo < 0) | (hi >= n),
-                lo == hi,
-                duplicate,
-                ~(np.isfinite(w) & (w > 0.0)),
-            ))
-            if failed.any():
+            valid = (lo >= 0) & (hi < n) & (lo != hi)
+            if not np.issubdtype(ends.dtype, np.integer):  # integer-typed ids need no finiteness or rounding pass
+                valid &= (np.isfinite(ends) & (ends == np.round(ends))).all(axis=0)
+            # edges before the first invalid id pair have in-range integer ids, so only they need a
+            # duplicate check: any refusal names one of them or that first invalid pair
+            stop = w.size if valid.all() else int(valid.argmin())
+            repeats = _repeats(lo[:stop], hi[:stop], n)
+            if stop < w.size or repeats.size or not (w.min() > 0.0 and w.max() < math.inf):
+                duplicate = np.zeros(w.size, dtype=bool)
+                duplicate[repeats] = True
+                failed = np.array((
+                    ~(np.isfinite(ends) & (ends == np.round(ends))).all(axis=0),
+                    (lo < 0) | (hi >= n),
+                    lo == hi,
+                    duplicate,
+                    ~(np.isfinite(w) & (w > 0.0)),
+                ))
                 i = failed.any(axis=0).argmax()
                 u, v = (int(x) if float(x).is_integer() else float(x) for x in ends[:, i])
                 message = _EDGE_PROBLEMS[failed[:, i].argmax()]
@@ -156,6 +162,22 @@ class Graph:
 
     def num_edges(self) -> int:
         return self.w.size
+
+
+def _repeats(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """The indices i at which the pair (lo[i], hi[i]) of ids in 0..n-1 occurs at an earlier index too.
+
+    A stable sort of the int64 key lo * n + hi keeps each pair's first edge first; when n * n
+    reaches 2**63, where the key could wrap, a lexsort of the two ids does the same.
+    """
+    if n * n < 2**63:
+        key = lo.astype(np.int64, copy=False) * n + hi.astype(np.int64, copy=False)
+        order = np.argsort(key, kind="stable")
+        same = np.diff(key[order]) == 0
+    else:
+        order = np.lexsort((hi, lo))
+        same = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+    return order[1:][same]
 
 
 def _with_factors(g: Graph, factors) -> Graph:
@@ -288,11 +310,17 @@ def gen_lattice(p: int, periodic: bool = False) -> Graph:
     """
     p = integer("p", p, 3 if periodic else 2)
     # vertex by vertex: the edge to the right, then the one below (wrapping on a torus)
-    u = np.arange(p * p)
-    r, col = np.divmod(u, p)
-    ahead = np.column_stack((np.where(col + 1 < p, u + 1, r * p), np.where(r + 1 < p, u + p, col)))
-    keep = np.column_stack((col + 1 < p, r + 1 < p)) | periodic
-    g = Graph(p * p, np.broadcast_to(u[:, None], keep.shape)[keep], ahead[keep], np.ones(keep.sum()))
+    grid = np.arange(p * p).reshape(p, p)
+    # each vertex's right neighbour and neighbour below: the grid rolled left one column and up one row
+    ahead = np.empty((p, p, 2), dtype=grid.dtype)
+    ahead[:, :-1, 0], ahead[:, -1, 0] = grid[:, 1:], grid[:, 0]
+    ahead[:-1, :, 1], ahead[-1, :, 1] = grid[1:], grid[0]
+    u, v = np.repeat(grid.ravel(), 2), ahead.ravel()
+    if not periodic:
+        keep = np.ones(ahead.shape, dtype=bool)
+        keep[:, -1, 0] = keep[-1, :, 1] = False  # no edge leaves the last column rightward or the last row downward
+        u, v = u[keep.ravel()], v[keep.ravel()]
+    g = Graph(p * p, u, v, np.ones(u.size))
     side = _lattice_side(p, periodic)
     return _with_factors(g, (side, side))
 

@@ -41,8 +41,8 @@ class SignalSpec:
 
     ``n`` must be a positive integer (not a float or a bool).
     ``cluster=None`` means the null (constant) signal, whose gap must be 0;
-    under the alternative the gap must be nonzero and the cluster a nonempty
-    proper subset.
+    under the alternative the gap must be nonzero, mu + delta finite and the
+    cluster a nonempty proper subset.
     """
 
     n: int
@@ -52,14 +52,15 @@ class SignalSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", integer("n", self.n, 1))
-        real("mu", self.mu)
-        real("delta", self.delta)
+        mu, delta = real("mu", self.mu), real("delta", self.delta)
         if self.cluster is None:
             if self.delta != 0.0:
                 raise ValueError(f"the null signal (no cluster) requires delta == 0, got {self.delta}")
         else:
             if self.delta == 0.0:
                 raise ValueError("alternative signal requires delta != 0")
+            if not math.isfinite(mu + delta):
+                raise ValueError(f"mu + delta must be finite, got mu={mu} and delta={delta}")
             if max(self.cluster.members) >= self.n or self.cluster.size >= self.n:
                 raise ValueError("cluster must be a nonempty proper subset of 0..n-1")
 
@@ -267,6 +268,9 @@ class RocCurve:
 
 def build_experiment_graph(config: ExperimentConfig) -> Graph:
     """Instantiate the graph a config describes."""
+    # Uncached, like the generators it calls: building a graph costs linear passes and one sort,
+    # and a cache here would keep every experiment's graph alive and hide that cost from a
+    # benchmark that times graph set-up cold.
     return _FAMILIES[config.family].build(**config.params)
 
 

@@ -142,6 +142,45 @@ def sss_certificate(g: Graph, y: np.ndarray, rho: float, result: SssResult) -> t
     return feasible, primal, dual
 
 
+# the refusals of Graph's edge checks, in the order an offending edge reports them
+EDGE_REFUSALS = (
+    "edge ({u},{v}) has a non-integer vertex id",
+    "edge ({u},{v}) out of range for n={n}",
+    "self-loop at vertex {u}",
+    "duplicate edge ({u},{v})",
+    "edge ({u},{v}) has non-positive weight {w}",
+)
+
+
+def edge_refusal_lexsort(n: int, eu, ev, w) -> tuple[str, int] | None:
+    """The refusal ``Graph(n, eu, ev, w)`` must raise, by every check on every edge and a lexsort.
+
+    Each edge gets all five checks; a pair is a duplicate when a stable
+    lexsort of (min, max) ids puts an earlier edge with the same ids just
+    before it. Returns the message and index of the first edge failing any
+    check, naming its first failure, or None when every edge passes.
+    """
+    ends, w = np.array((eu, ev)), np.array(w, dtype=float)
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    order = np.lexsort((hi, lo))
+    with np.errstate(invalid="ignore"):  # inf - inf between two infinite ids
+        same = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+    duplicate = np.zeros(w.size, dtype=bool)
+    duplicate[order[1:][same]] = True
+    failed = np.array((
+        ~(np.isfinite(ends) & (ends == np.round(ends))).all(axis=0),
+        (lo < 0) | (hi >= n),
+        lo == hi,
+        duplicate,
+        ~(np.isfinite(w) & (w > 0.0)),
+    ))
+    if not failed.any():
+        return None
+    i = int(failed.any(axis=0).argmax())
+    u, v = (int(x) if float(x).is_integer() else float(x) for x in ends[:, i])
+    return EDGE_REFUSALS[int(failed[:, i].argmax())].format(u=u, v=v, n=n, w=float(w[i])), i
+
+
 # Reference loops: the generators and the eigenvector sign rule written edge by
 # edge and column by column. The array forms must match them bit for bit.
 

@@ -121,6 +121,13 @@ class TestNullThreshold:
             9.0 * null_threshold(spec, 1.0, 1.0, 0.1)
         )
 
+    def test_sigma_beyond_a_finite_threshold_is_refused(self):
+        # sigma**2 alone overflowed as a Python float power for sigma above about 1.3e154
+        spec = graph_spectrum(gen_lattice(3, periodic=True))
+        assert math.isfinite(null_threshold(spec, 1.0, 1e150, 0.1))
+        with pytest.raises(ValueError, match=r"^sigma must be small enough for a finite threshold, got 1e\+200$"):
+            null_threshold(spec, 1.0, 1e200, 0.1)
+
     @pytest.mark.parametrize("conf", [0.0, 1.0, 2.0])
     def test_rejects_bad_confidence(self, conf):
         with pytest.raises(ValueError, match=rf"^conf must be in \(0, 1\), got {conf}$"):

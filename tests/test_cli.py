@@ -63,6 +63,22 @@ class TestGenGraph:
         assert f"error: --family {argv[1]} does not read {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--family", "lattice", "--side", "2", "--periodic"), "--side must be >= 3, got 2"),
+            (("--family", "lattice", "--side", "1"), "--side must be >= 2, got 1"),
+            (("--family", "bbt", "--depth", "0"), "--depth must be >= 1, got 0"),
+            (("--family", "kron", "--levels", "0"), "--levels must be >= 1, got 0"),
+        ],
+        ids=["torus-side", "grid-side", "bbt-depth", "kron-levels"],
+    )
+    def test_out_of_range_value_names_its_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "g.tsv"
+        assert run_cli("gen-graph", *argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not out.exists()
+
     def test_echoes_config_to_stderr(self, tmp_path, capsys):
         run_cli("gen-graph", "--family", "lattice", "--side", "3", "--out", str(tmp_path / "l.tsv"))
         err = capsys.readouterr().err
@@ -308,6 +324,15 @@ class TestBounds:
         entries = dict(line.split(" = ") for line in out.strip().splitlines())
         assert float(entries["null_threshold"]) == pytest.approx(14.9147, abs=5e-4)
         assert entries["n"] == "2"
+
+    def test_sigma_beyond_a_finite_threshold_is_domain_error(self, tmp_path, capsys):
+        graph_file = tmp_path / "torus.tsv"
+        assert run_cli("gen-graph", "--family", "lattice", "--side", "3", "--periodic", "--out", str(graph_file)) == 0
+        capsys.readouterr()
+        code = run_cli("bounds", "--graph", str(graph_file), "--rho", "1", "--sigma", "1e200", "--conf", "0.1")
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: sigma must be small enough for a finite threshold, got 1e+200"
 
     @pytest.mark.parametrize("flag", ["--rho", "--sigma"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -1,10 +1,13 @@
 """Graph construction, Laplacians, cut sparsity, generators, and edge-list files."""
 import hashlib
+import math
 import pickle
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphscan import (
     Cluster,
@@ -24,7 +27,9 @@ from graphscan import (
     two_triangles,
     write_edge_list,
 )
+from graphscan.graphs import _EdgeError
 from helpers import (
+    edge_refusal_lexsort,
     gen_bbt_loop,
     gen_kron_multiscale_loop,
     gen_lattice_loop,
@@ -115,6 +120,63 @@ class TestBuildGraph:
         assert "_connected" not in vars(g)
         assert is_connected(g)
         assert vars(g)["_connected"] is True
+
+
+# vertex counts around the int64 pair key: the largest n with n * n < 2**63, and 2**40 beyond it
+_VERTEX_COUNTS = (1, 3, 6, 12, 3037000499, 2**40)
+_TORUS = gen_lattice(5, periodic=True)
+
+
+@st.composite
+def planted_edges(draw):
+    """(n, eu, ev, w) with integer or float ids, about one in twenty ids and weights a planted fault,
+    and self-loops and pairs repeated in either orientation (a repeated pair may be invalid)."""
+    n = draw(st.sampled_from(_VERTEX_COUNTS))
+    dtype = draw(st.sampled_from((np.int64, np.float64) + ((np.int32,) if n < 2**31 else ())))
+    bad_ids = [-1, n, n + 3] + ([math.nan, math.inf, -math.inf, 0.5, n - 0.5] if dtype is np.float64 else [])
+
+    def vertex():
+        return draw(st.sampled_from(bad_ids)) if draw(st.integers(0, 19)) == 0 else draw(st.integers(0, n - 1))
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.integers(0, 7))
+        if kind == 0 and pairs:
+            u, v = draw(st.sampled_from(pairs))
+            pairs.append((v, u) if draw(st.booleans()) else (u, v))
+        elif kind == 1:
+            pairs.append((vertex(),) * 2)
+        else:
+            pairs.append((vertex(), vertex()))
+    weights = [
+        draw(st.sampled_from((0.0, -1.0, math.nan, math.inf, -math.inf)))
+        if draw(st.integers(0, 19)) == 0 else draw(st.sampled_from((1.0, 0.25, 3.5)))
+        for _ in pairs
+    ]
+    eu, ev = np.array(pairs, dtype=dtype).T
+    return n, eu, ev, np.array(weights)
+
+
+class TestEdgeRefusals:
+    @settings(max_examples=400)
+    @given(planted_edges())
+    @example((3, np.array([math.inf, math.inf]), np.array([0.0, 0.0]), np.ones(2)))  # a repeated invalid pair
+    @example((2**40, np.array([2**40 - 1, 5]), np.array([5, 2**40 - 1]), np.ones(2)))
+    # distinct pairs whose keys lo * n + hi agree modulo 2**64
+    @example((2**40, np.array([5, 5 + 2**24]), np.array([2**30, 2**30]), np.ones(2)))
+    # more edges than an insertion sort takes, so that only a stable sort marks each later copy
+    @example((25, np.r_[_TORUS.eu, _TORUS.ev[[3, 20, 7]]], np.r_[_TORUS.ev, _TORUS.eu[[3, 20, 7]]], np.ones(53)))
+    def test_matches_the_lexsort_reference(self, case):
+        n, eu, ev, w = case
+        expected = edge_refusal_lexsort(n, eu, ev, w)
+        if expected is None:
+            g = Graph(n, eu, ev, w)
+            for got, want in ((g.eu, eu.astype(np.int64)), (g.ev, ev.astype(np.int64)), (g.w, w)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(_EdgeError) as info:
+                Graph(n, eu, ev, w)
+            assert (str(info.value), info.value.index) == expected
 
 
 class TestEdgeArrays:

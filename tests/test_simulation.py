@@ -1,6 +1,7 @@
 """Signal sampling, canonical clusters, ROC curves, and experiment plumbing."""
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -67,6 +68,19 @@ class TestSignalSpec:
             SignalSpec(n=3, cluster=Cluster(frozenset({0})), **values)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ExperimentConfig(family="bbt", params={"depth": 2}, **values)
+
+    @pytest.mark.parametrize(
+        "mu, delta", [(1e308, 1e308), (-1e308, -1e308), (10**308, 10**308)], ids=["float", "negative", "int"]
+    )
+    def test_refuses_a_cluster_mean_beyond_the_doubles(self, mu, delta):
+        # each is finite alone; their sum, the mean on the cluster, is not
+        message = f"^{re.escape(f'mu + delta must be finite, got mu={float(mu)} and delta={float(delta)}')}$"
+        with pytest.raises(ValueError, match=message):
+            SignalSpec(n=3, mu=mu, delta=delta, cluster=Cluster(frozenset({0})))
+        config = ExperimentConfig(family="lattice", params={"p": 3}, mu=mu, delta=delta, reps_null=2, reps_alt=2)
+        with pytest.raises(ValueError, match=message):
+            run_roc(config)
+        assert SignalSpec(n=3, mu=-1e308, delta=1e308, cluster=Cluster(frozenset({0}))).beta()[0] == 0.0
 
 
 class TestSampleObservation:
