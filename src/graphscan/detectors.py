@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._check import integer, observation, real, require
-from .graphs import Graph, is_connected, laplacian
+from .graphs import Graph, _cut_weights, _sparsity, is_connected, laplacian
 from .rng import _replicate_streams
 from .spectral import (
     _BLOCK_ENTRIES,
@@ -141,8 +141,7 @@ def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
         masks = np.arange(start, min(start + chunk, 2**n - 1), dtype=np.int64)
         bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)  # (chunk, n)
         sizes = bits.sum(axis=1)
-        cut = (bits[:, g.eu] != bits[:, g.ev]) @ g.w
-        ok = n * cut / (sizes * (n - sizes)) <= det.rho
+        ok = _sparsity(n, _cut_weights(g, bits), sizes) <= det.rho
         if det.require_connected:
             ok[ok] = _connected_masks(bits[ok], adjacency)
         if ok.any():
@@ -253,9 +252,13 @@ def glr_exact(g: Graph, y: np.ndarray, rho: float, require_connected: bool = Fal
     """Exact generalized likelihood ratio by enumerating every feasible cluster.
 
     Maximizes (n / (|C| |C~|)) * (sum of centered y over C)^2 over nonempty
-    proper subsets with cut sparsity at most rho; with ``require_connected``
-    only subsets inducing a connected subgraph count. Exponential in n, so
-    guarded at n <= 22.
+    proper subsets with cut sparsity at most rho, each computed as
+    :func:`cut_sparsity` computes it, so the class is exactly the subsets C
+    with ``cut_sparsity(g, C) <= rho``. With ``require_connected`` only
+    subsets inducing a connected subgraph count; a subset and its complement
+    score the same, so a bipartition counts when either side is connected
+    (the paper's alternative asks for both). Exponential in n, so guarded at
+    n <= 22.
     """
     return Detector("glr_exact", rho=rho, require_connected=require_connected).statistic(g, y)
 

@@ -17,6 +17,7 @@ never equal to a generated one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from pathlib import Path
@@ -71,7 +72,9 @@ class Graph:
     included), non-integer or out-of-range ids, self-loops, a pair given
     twice in either orientation and weights that are not finite and
     positive, naming the first offending edge, and stores read-only copies
-    of the arrays. It costs linear passes over the edges and one stable sort.
+    of the arrays. An id is an integer, or a whole float, that is not a
+    bool; one that int64 cannot hold is out of range whatever n is. It costs
+    linear passes over the edges and one stable sort.
     Graphs with equal n and arrays, edge order included, and equal factor
     and tree records are equal; the hash of that content is computed once.
     """
@@ -90,13 +93,17 @@ class Graph:
     def __post_init__(self) -> None:
         n = integer("vertex count", self.n, 1)
         ends, w = np.array((self.eu, self.ev)), np.array(self.w, dtype=float)
+        if ends.dtype.kind not in "iuf":  # bool, text or objects: each id is read as it was given
+            ends = np.array((self.eu, self.ev), dtype=object)
         if ends.ndim != 2 or w.shape != ends.shape[1:]:
             raise ValueError("eu, ev and w must be vectors of equal length")
+        ids, whole = _ids(ends)
         if w.size:  # an edgeless graph, as the graph-free statistics use, has nothing to check
-            lo, hi = np.minimum(*ends), np.maximum(*ends)
-            valid = (lo >= 0) & (hi < n) & (lo != hi)
-            if not np.issubdtype(ends.dtype, np.integer):  # integer-typed ids need no finiteness or rounding pass
-                valid &= (np.isfinite(ends) & (ends == np.round(ends))).all(axis=0)
+            bound = min(n, 2**63)  # no id beyond int64
+            lo, hi = np.minimum(*ids), np.maximum(*ids)
+            valid = (lo >= 0) & (hi < bound) & (lo != hi)
+            if whole is not None:
+                valid &= whole
             # edges before the first invalid id pair have in-range integer ids, so only they need a
             # duplicate check: any refusal names one of them or that first invalid pair
             stop = w.size if valid.all() else int(valid.argmin())
@@ -105,17 +112,17 @@ class Graph:
                 duplicate = np.zeros(w.size, dtype=bool)
                 duplicate[repeats] = True
                 failed = np.array((
-                    ~(np.isfinite(ends) & (ends == np.round(ends))).all(axis=0),
-                    (lo < 0) | (hi >= n),
+                    np.zeros(w.size, dtype=bool) if whole is None else ~whole,
+                    (lo < 0) | (hi >= bound),
                     lo == hi,
                     duplicate,
                     ~(np.isfinite(w) & (w > 0.0)),
                 ))
                 i = failed.any(axis=0).argmax()
-                u, v = (int(x) if float(x).is_integer() else float(x) for x in ends[:, i])
+                u, v = map(_id_value, ends[:, i].tolist())
                 message = _EDGE_PROBLEMS[failed[:, i].argmax()]
                 raise _EdgeError(message.format(u=u, v=v, n=n, w=float(w[i])), int(i))
-        ids = ends.astype(np.int64, copy=False)
+        ids = ids.astype(np.int64, copy=False)
         ids.flags.writeable = w.flags.writeable = False
         for name, value in (("n", n), ("eu", ids[0]), ("ev", ids[1]), ("w", w)):
             object.__setattr__(self, name, value)
@@ -162,6 +169,32 @@ class Graph:
 
     def num_edges(self) -> int:
         return self.w.size
+
+
+def _id_value(x):
+    """An id as a number: a whole number that is not a bool as an int, any other real number as a
+    float, and anything else (a bool, text, None) as it is."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        return x
+    return int(x) if isinstance(x, numbers.Integral) or float(x).is_integer() else float(x)
+
+
+def _ids(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (2, m) id pairs ``ends`` as numbers to range-check, and whether both ids of each pair are integers.
+
+    Ids of an integer dtype need no check, and give None. Float ids are integers when finite and
+    whole. Ids of any other dtype (bool, object) are read one by one by :func:`_id_value`:
+    an integer keeps its exact value when int64 holds it and reads -1 when it does not, and an id
+    that is not an integer reads -1 too, so that the range check refuses both.
+    """
+    if np.issubdtype(ends.dtype, np.integer):
+        return ends, None
+    if np.issubdtype(ends.dtype, np.floating):
+        return ends, (np.isfinite(ends) & (ends == np.round(ends))).all(axis=0)
+    values = [_id_value(x) for x in ends.ravel().tolist()]
+    ids = [x if type(x) is int and 0 <= x < 2**63 else -1 for x in values]
+    whole = np.array([type(x) is int for x in values], dtype=bool).reshape(ends.shape)
+    return np.array(ids, dtype=np.int64).reshape(ends.shape), whole.all(axis=0)
 
 
 def _repeats(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
@@ -213,8 +246,8 @@ class Cluster:
     """A candidate activation cluster: a set of vertex ids.
 
     Must be nonempty, and every id an integer (not a bool) that is not
-    negative; properness (|C| < n) is checked against a graph by the
-    operations that need it.
+    negative; the operations that need a proper subset of 0..n-1 check it
+    against their vertex count by one rule, ``_check_cluster``.
     """
 
     members: frozenset[int]
@@ -233,11 +266,14 @@ class Cluster:
 
 
 def build_graph(n: int, edges) -> Graph:
-    """The validated :class:`Graph` of (u, v, w) triples, keeping their order."""
-    table = np.array(list(edges), dtype=float)
+    """The validated :class:`Graph` of (u, v, w) triples, keeping their order.
+
+    The triples' entries reach :class:`Graph` as they are, so an integer id keeps its exact value.
+    """
+    table = np.array(list(edges), dtype=object)
     if table.size and (table.ndim != 2 or table.shape[1] != 3):
         raise ValueError("edges must be (u, v, w) triples")
-    return Graph(n, *table.reshape(-1, 3).T)
+    return Graph(n, *(column.tolist() for column in table.reshape(-1, 3).T))
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -250,30 +286,46 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def _check_cluster(g: Graph, c: Cluster) -> None:
-    if max(c.members) >= g.n:
+def _check_cluster(n: int, c: Cluster) -> None:
+    """Refuses a cluster that is not a proper subset of the vertices 0..n-1."""
+    if max(c.members) >= n:
         raise ValueError("cluster contains vertex id outside the graph")
-    if c.size >= g.n:
+    if c.size >= n:
         raise ValueError("cluster must be a proper subset of the vertices")
+
+
+def _cut_weights(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """The weight of the edges each 0/1 row of the (k, n) block ``rows`` cuts.
+
+    Each row sums its crossing weights, with zeros for the other edges, along its own contiguous
+    row of edges, so a row's cut keeps its bits alone and in any block; ``rows[:, g.eu]`` would
+    lay the block out by columns, which the sum adds in another order.
+    """
+    return np.where(rows.take(g.eu, axis=1) != rows.take(g.ev, axis=1), g.w, 0.0).sum(axis=1)
+
+
+def _sparsity(n: int, cut, size):
+    """The cut sparsity n * cut / (size * (n - size)) of clusters of the given cut weights and sizes."""
+    return n * cut / (size * (n - size))
 
 
 def boundary_weight(g: Graph, c: Cluster) -> float:
     """Total weight of edges with exactly one endpoint in the cluster."""
-    _check_cluster(g, c)
-    inside = np.zeros(g.n, dtype=bool)
-    inside[list(c.members)] = True
-    return float(g.w[inside[g.eu] != inside[g.ev]].sum())
+    _check_cluster(g.n, c)
+    inside = np.zeros((1, g.n), dtype=bool)
+    inside[0, list(c.members)] = True
+    return float(_cut_weights(g, inside)[0])
 
 
 def cut_sparsity(g: Graph, c: Cluster) -> float:
     """Normalized cut weight n * w(boundary) / (|C| * |complement|).
 
     Equals the quadratic-form ratio (1_C' L 1_C) / (1_C' K 1_C) where K is the
-    centering projection; zero is impossible on a connected graph.
+    centering projection; zero is impossible on a connected graph. ``glr_exact``
+    computes each cluster's cut sparsity by the same functions, so its class at
+    rho is exactly the clusters whose value here is at most rho.
     """
-    _check_cluster(g, c)
-    k = c.size
-    return g.n * boundary_weight(g, c) / (k * (g.n - k))
+    return _sparsity(g.n, boundary_weight(g, c), c.size)
 
 
 def is_connected(g: Graph) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._check import integer, real, require
 from .detectors import RHO_KINDS, Detector, _replicate_statistics
-from .graphs import Cluster, Graph, gen_bbt, gen_lattice, gen_kron_multiscale, two_triangles
+from .graphs import Cluster, Graph, _check_cluster, gen_bbt, gen_lattice, gen_kron_multiscale, two_triangles
 
 __all__ = [
     "SignalSpec",
@@ -42,7 +42,7 @@ class SignalSpec:
     ``n`` must be a positive integer (not a float or a bool).
     ``cluster=None`` means the null (constant) signal, whose gap must be 0;
     under the alternative the gap must be nonzero, mu + delta finite and the
-    cluster a nonempty proper subset.
+    cluster a proper subset of 0..n-1, checked as a graph's operations check it.
     """
 
     n: int
@@ -61,8 +61,7 @@ class SignalSpec:
                 raise ValueError("alternative signal requires delta != 0")
             if not math.isfinite(mu + delta):
                 raise ValueError(f"mu + delta must be finite, got mu={mu} and delta={delta}")
-            if max(self.cluster.members) >= self.n or self.cluster.size >= self.n:
-                raise ValueError("cluster must be a nonempty proper subset of 0..n-1")
+            _check_cluster(self.n, self.cluster)
 
     @property
     def is_null(self) -> bool:
@@ -286,13 +285,13 @@ def run_roc(config: ExperimentConfig) -> dict[str, RocCurve]:
         Detector(kind, rho=config.rho if kind in RHO_KINDS else None) for kind in config.detectors
     ]
     null_spec = SignalSpec(n=g.n, mu=config.mu, delta=0.0, cluster=None)
-    if config.delta == 0.0:
-        alt_spec = null_spec
-    elif config.cluster is None:
-        cluster = canonical_cluster(g, config.family, **config.params)
-        alt_spec = SignalSpec(n=g.n, mu=config.mu, delta=config.delta, cluster=cluster)
-    else:
-        alt_spec = SignalSpec(n=g.n, mu=config.mu, delta=config.delta, cluster=Cluster(config.cluster))
+    # with no gap the alternative is the null, which reads no cluster (and the config holds none)
+    cluster = (
+        None if config.delta == 0.0
+        else canonical_cluster(g, config.family, **config.params) if config.cluster is None
+        else Cluster(config.cluster)
+    )
+    alt_spec = SignalSpec(n=g.n, mu=config.mu, delta=config.delta, cluster=cluster)
 
     runs = ((null_spec.beta(), config.reps_null), (alt_spec.beta(), config.reps_alt))
     stats = _replicate_statistics(detectors, g, runs, config.sigma, config.seed)

@@ -8,10 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphscan import (
+    Cluster,
     Detector,
     EmptyClassError,
+    Graph,
+    boundary_weight,
     build_graph,
     calibrate_threshold,
+    cut_sparsity,
     edge_stat,
     energy_stat,
     gen_bbt,
@@ -28,6 +32,7 @@ from graphscan import (
 )
 from graphscan import detectors
 from graphscan.detectors import DETECTOR_KINDS, RHO_KINDS
+from graphscan.graphs import _cut_weights
 from graphscan.rng import _replicate_streams
 from helpers import draw_rho, glr_brute_force, random_connected_graph
 
@@ -143,6 +148,32 @@ class TestGlrExact:
                     glr_exact(g, y, rho)
                 continue
             assert glr_exact(g, y, rho) == pytest.approx(expected, rel=1e-12)
+
+    def test_every_cluster_is_in_its_own_rho_class(self):
+        # y = 100 on C scores C's own GLR, which no other cluster but its complement reaches,
+        # so glr_exact at rho = cut_sparsity(g, C) reads it exactly when C is in the class
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            g = random_connected_graph(rng, max_n=10, min_n=5)
+            g = Graph(g.n, g.eu, g.ev, rng.uniform(0.1, 3.0, g.num_edges()))
+            k = int(rng.integers(1, g.n))
+            members = rng.choice(g.n, size=k, replace=False)
+            y = np.zeros(g.n)
+            y[members] = 100.0
+            rho = cut_sparsity(g, Cluster(frozenset(members.tolist())))
+            assert glr_exact(g, y, rho) == pytest.approx(1e4 * k * (g.n - k) / g.n, rel=1e-9)
+
+    def test_block_cut_weights_match_boundary_weight(self):
+        # graphs of up to about 170 edges, past the 128 terms where numpy's pairwise sum splits
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            g = random_connected_graph(rng, max_n=30, min_n=3)
+            g = Graph(g.n, g.eu, g.ev, rng.uniform(0.1, 3.0, g.num_edges()))
+            rows = (rng.random((int(rng.integers(1, 51)), g.n)) < rng.random()).astype(float)
+            rows[:, 0], rows[:, 1] = 1.0, 0.0  # nonempty and proper
+            for row, cut in zip(rows, _cut_weights(g, rows)):
+                lone = boundary_weight(g, Cluster(frozenset(np.flatnonzero(row).tolist())))
+                assert cut.tobytes() == np.float64(lone).tobytes()
 
     def test_connected_flag_never_increases(self):
         rng = np.random.default_rng(19)

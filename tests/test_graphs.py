@@ -80,6 +80,38 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="out of range"):
             build_graph(2, [(0, 2, 1.0)])
 
+    def test_rejects_an_id_beyond_int64_that_numpy_stores_as_an_object(self):
+        # numpy stores 2**70 with object dtype, which has no finiteness or rounding ufuncs
+        with pytest.raises(_EdgeError, match=r"^edge \(0,1180591620717411303424\) out of range for n=3$") as info:
+            Graph(3, [0], [2**70], [1.0])
+        assert info.value.index == 0
+
+    def test_rejects_an_unsigned_id_beyond_int64(self):
+        # int64 cannot hold 2**63 + 5, whatever the vertex count, and would store it negative
+        ids = np.array([2**63 + 5], dtype=np.uint64)
+        with pytest.raises(_EdgeError, match=rf"^edge \({2**63 + 5},0\) out of range for n={2**64}$"):
+            Graph(2**64, ids, np.zeros(1, dtype=np.uint64), [1.0])
+
+    def test_rejects_bool_ids(self):
+        with pytest.raises(_EdgeError, match=r"^edge \(False,True\) has a non-integer vertex id$"):
+            Graph(3, [False], [True], [1.0])
+
+    @pytest.mark.parametrize("bad", ["1", None])
+    def test_rejects_non_numeric_ids(self, bad):
+        with pytest.raises(_EdgeError, match=rf"^edge \(1,{bad}\) has a non-integer vertex id$") as info:
+            Graph(3, [0, 1], [1, bad], [1.0, 1.0])
+        assert info.value.index == 1
+
+    def test_object_ids_within_int64_are_kept(self):
+        ids = np.array([0, 2**53 + 1], dtype=object), np.array([2**53, 1], dtype=object)
+        g = Graph(2**54, *ids, [1.0, 2.0])
+        assert g.eu.dtype == np.int64 and g.edges == ((0, 2**53, 1.0), (2**53 + 1, 1, 2.0))
+
+    def test_keeps_ids_beyond_the_doubles(self):
+        # a float64 table rounded 2**53 + 1 to 2**53, which made the edge a self-loop
+        g = build_graph(2**54, [(2**53 + 1, 2**53, 1.0)])
+        assert g.edges == ((2**53 + 1, 2**53, 1.0),)
+
     def test_rejects_non_integer_vertex_id(self):
         with pytest.raises(ValueError, match=r"^edge \(0,1\.5\) has a non-integer vertex id$"):
             build_graph(3, [(0, 1.5, 1.0), (1, 2, 1.0)])
@@ -439,6 +471,12 @@ class TestEdgeListFile:
         assert back.n == g.n and back.edges == g.edges
         write_edge_list(back, tmp_path / "g2.tsv")
         assert (tmp_path / "g2.tsv").read_bytes() == path.read_bytes()
+
+    def test_round_trip_keeps_ids_beyond_the_doubles(self, tmp_path):
+        g = Graph(2**54, [2**53 + 1], [0], [1.0])
+        write_edge_list(g, tmp_path / "g.tsv")
+        back = read_edge_list(tmp_path / "g.tsv")
+        assert back == g and back.eu.tolist() == [2**53 + 1]
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "g.tsv"
