@@ -214,12 +214,15 @@ class Detector:
 
     def _checked(self, g: Graph, y, rows: bool = True) -> np.ndarray:
         """``y`` as a float block (vector, if not ``rows``) fit for the statistic on ``g``; raises otherwise."""
-        y = observation(y, g.n, rows)
+        self._check_graph(g)
+        return observation(y, g.n, rows)
+
+    def _check_graph(self, g: Graph) -> None:
+        """Refuses a graph of fewer than two vertices, and for the kinds that use the edges one not connected."""
         if g.n < 2:
             raise ValueError("need at least two vertices")
         if _KINDS[self.kind][2] and not is_connected(g):
             raise ValueError("graph must be connected")
-        return y
 
     def _scored(self, g: Graph, y: np.ndarray) -> np.ndarray:
         """The statistic of each row of the checked (R, g.n) block ``y``; refuses a value out of range."""
@@ -285,7 +288,9 @@ def _replicate_blocks(g: Graph, runs, sigma: float, seed: int):
     ``sigma * eps``, with eps drawn from the stream keyed by (seed, r),
     whatever the grouping of replicates into blocks. A block is scaled at
     once (not at all when sigma is 1), and each run's rows in it get the
-    run's mean added at once (not at all when it is zero). The thread's
+    run's mean added at once (not at all when it is zero). Each block is
+    checked once, as it is drawn, by :func:`graphscan._check.observation`,
+    which refuses a mean plus noise that overflows. The thread's
     workspace buffer "noise" holds every block, so each must be used before
     the next, and before the thread draws another run's blocks.
     """
@@ -304,19 +309,25 @@ def _replicate_blocks(g: Graph, runs, sigma: float, seed: int):
             except FloatingPointError:
                 raise ValueError(f"sigma must be small enough for finite noise, got {sigma}") from None
         first = -start  # the run's first replicate, counted from the block's
-        for mean, count in runs:
-            if np.any(mean):
-                y[max(first, 0) : max(first + count, 0)] += mean
-            first += count
-        yield start, y
+        with np.errstate(over="ignore"):  # an overflow is refused by the block's check
+            for mean, count in runs:
+                if np.any(mean):
+                    y[max(first, 0) : max(first + count, 0)] += mean
+                first += count
+        yield start, observation(y, g.n, rows=True)
 
 
 def _replicate_statistics(detectors, g: Graph, runs, sigma: float, seed: int) -> np.ndarray:
-    """Statistics of the replicates of ``runs`` (see :func:`_replicate_blocks`), one column per detector."""
+    """Statistics of the replicates of ``runs`` (see :func:`_replicate_blocks`), one column per detector.
+
+    Each detector checks the graph once, before any block is drawn.
+    """
+    for detector in detectors:
+        detector._check_graph(g)
     stats = np.empty((sum(count for _, count in runs), len(detectors)))
     for start, y in _replicate_blocks(g, runs, sigma, seed):
         for j, detector in enumerate(detectors):
-            stats[start : start + len(y), j] = detector.statistics(g, y)
+            stats[start : start + len(y), j] = detector._scored(g, y)
     return stats
 
 
@@ -342,8 +353,8 @@ def calibrate_threshold(
     sigma = real("sigma", sigma, "nonnegative")
     index = math.ceil((1.0 - alpha) * reps)
     if detector.kind == "sss":
-        detector._checked(g, np.empty((0, g.n)))  # the graph, before its spectrum is computed
-        blocks = (detector._checked(g, y) for _, y in _replicate_blocks(g, ((0.0, reps),), sigma, seed))
+        detector._check_graph(g)  # before its spectrum is computed
+        blocks = (y for _, y in _replicate_blocks(g, ((0.0, reps),), sigma, seed))
         return _sss_order_statistic(graph_spectrum(g), blocks, detector.rho, index, reps)
     stats = _replicate_statistics((detector,), g, ((0.0, reps),), sigma, seed)
     return float(np.sort(stats[:, 0])[index - 1])

@@ -92,18 +92,13 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = integer("vertex count", self.n, 1)
-        ends, w = np.array((self.eu, self.ev)), np.array(self.w, dtype=float)
-        if ends.dtype.kind not in "iuf":  # bool, text or objects: each id is read as it was given
-            ends = np.array((self.eu, self.ev), dtype=object)
-        if ends.ndim != 2 or w.shape != ends.shape[1:]:
+        (given_u, eu), (given_v, ev), w = _ids(self.eu), _ids(self.ev), np.array(self.w, dtype=float)
+        if eu.ndim != 1 or not eu.shape == ev.shape == w.shape:
             raise ValueError("eu, ev and w must be vectors of equal length")
-        ids, whole = _ids(ends)
         if w.size:  # an edgeless graph, as the graph-free statistics use, has nothing to check
             bound = min(n, 2**63)  # no id beyond int64
-            lo, hi = np.minimum(*ids), np.maximum(*ids)
+            lo, hi = np.minimum(eu, ev), np.maximum(eu, ev)
             valid = (lo >= 0) & (hi < bound) & (lo != hi)
-            if whole is not None:
-                valid &= whole
             # edges before the first invalid id pair have in-range integer ids, so only they need a
             # duplicate check: any refusal names one of them or that first invalid pair
             stop = w.size if valid.all() else int(valid.argmin())
@@ -112,19 +107,17 @@ class Graph:
                 duplicate = np.zeros(w.size, dtype=bool)
                 duplicate[repeats] = True
                 failed = np.array((
-                    np.zeros(w.size, dtype=bool) if whole is None else ~whole,
-                    (lo < 0) | (hi >= bound),
+                    (lo < 0) | (hi >= bound),  # and every id that is not an integer, as it reads -1
                     lo == hi,
                     duplicate,
                     ~(np.isfinite(w) & (w > 0.0)),
                 ))
                 i = failed.any(axis=0).argmax()
-                u, v = map(_id_value, ends[:, i].tolist())
-                message = _EDGE_PROBLEMS[failed[:, i].argmax()]
+                u, v = _id_value(given_u[i]), _id_value(given_v[i])
+                message = _EDGE_PROBLEMS[1 + failed[:, i].argmax() if type(u) is type(v) is int else 0]
                 raise _EdgeError(message.format(u=u, v=v, n=n, w=float(w[i])), int(i))
-        ids = ids.astype(np.int64, copy=False)
-        ids.flags.writeable = w.flags.writeable = False
-        for name, value in (("n", n), ("eu", ids[0]), ("ev", ids[1]), ("w", w)):
+        eu.flags.writeable = ev.flags.writeable = w.flags.writeable = False
+        for name, value in (("n", n), ("eu", eu), ("ev", ev), ("w", w)):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -179,22 +172,27 @@ def _id_value(x):
     return int(x) if isinstance(x, numbers.Integral) or float(x).is_integer() else float(x)
 
 
-def _ids(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (2, m) id pairs ``ends`` as numbers to range-check, and whether both ids of each pair are integers.
+def _ids(column) -> tuple[np.ndarray, np.ndarray]:
+    """One id column as given, and as a new int64 array of the ids to range-check.
 
-    Ids of an integer dtype need no check, and give None. Float ids are integers when finite and
-    whole. Ids of any other dtype (bool, object) are read one by one by :func:`_id_value`:
-    an integer keeps its exact value when int64 holds it and reads -1 when it does not, and an id
-    that is not an integer reads -1 too, so that the range check refuses both.
+    A column of an integer dtype is read at once, an unsigned id that int64 cannot hold reading
+    negative; a float one at once too, a finite whole id below 2**63 in magnitude keeping its value.
+    Any other column (bool, text, objects), and a list or tuple holding a bool, which numpy would
+    store as a number, is read one id at a time by :func:`_id_value`: an integer keeps its exact
+    value when int64 holds it. Every other id reads -1, so that the range check refuses it.
     """
-    if np.issubdtype(ends.dtype, np.integer):
-        return ends, None
-    if np.issubdtype(ends.dtype, np.floating):
-        return ends, (np.isfinite(ends) & (ends == np.round(ends))).all(axis=0)
-    values = [_id_value(x) for x in ends.ravel().tolist()]
-    ids = [x if type(x) is int and 0 <= x < 2**63 else -1 for x in values]
-    whole = np.array([type(x) is int for x in values], dtype=bool).reshape(ends.shape)
-    return np.array(ids, dtype=np.int64).reshape(ends.shape), whole.all(axis=0)
+    given = np.asarray(column)
+    if given.dtype.kind not in "iuf" or (
+        isinstance(column, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, column))
+    ):
+        given = np.array(column, dtype=object)
+    if given.dtype.kind in "iu":
+        return given, given.astype(np.int64)
+    if given.dtype.kind == "f":
+        integral = np.isfinite(given) & (given == np.round(given)) & (np.abs(given) < 2.0**63)
+        return given, np.where(integral, given, -1.0).astype(np.int64)
+    ids = [x if type(x) is int and 0 <= x < 2**63 else -1 for x in map(_id_value, given.ravel().tolist())]
+    return given, np.array(ids, dtype=np.int64).reshape(given.shape)
 
 
 def _repeats(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:

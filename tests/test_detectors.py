@@ -11,6 +11,7 @@ from graphscan import (
     Cluster,
     Detector,
     EmptyClassError,
+    ExperimentConfig,
     Graph,
     boundary_weight,
     build_graph,
@@ -26,6 +27,7 @@ from graphscan import (
     graph_spectrum,
     laplacian,
     replicate_rng,
+    run_roc,
     scale_weights,
     sss,
     sss_stat,
@@ -547,6 +549,62 @@ class TestReplicateBlocks:
         for seed in (0, 2**64 + 3, -5):
             drawn = [stream.standard_normal(3).tobytes() for stream in _replicate_streams(seed, indices)]
             assert drawn == [replicate_rng(seed, r).standard_normal(3).tobytes() for r in indices]
+
+
+class TestEachInputCheckedOnce:
+    """A run checks the graph once and each drawn block once, with the refusals a check per statistic gave."""
+
+    @staticmethod
+    def counted_observations(monkeypatch):
+        """Replace ``detectors.observation`` by a wrapper that records each call in the list returned."""
+        calls, check = [], detectors.observation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(detectors, "observation", counted)
+        return calls
+
+    @staticmethod
+    def blocks(g, reps):
+        return math.ceil(reps / max(1, detectors._BLOCK_ENTRIES // g.n))
+
+    def test_run_roc_checks_each_drawn_block_once(self, monkeypatch):
+        config = ExperimentConfig(family="lattice", params={"p": 16}, rho=0.25, reps_null=300, reps_alt=300)
+        assert len(config.detectors) == 4
+        calls = self.counted_observations(monkeypatch)
+        run_roc(config)
+        assert len(calls) == self.blocks(gen_lattice(16), 600) == 3
+
+    @pytest.mark.parametrize("det", [Detector("sss", rho=0.25), Detector("energy")], ids=["sss", "energy"])
+    def test_calibration_checks_each_drawn_block_once(self, monkeypatch, det):
+        g = gen_lattice(16)
+        calls = self.counted_observations(monkeypatch)
+        calibrate_threshold(det, g, 1.0, 0.05, 600, 1)
+        assert len(calls) == self.blocks(g, 600) == 3
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_calibration_refuses_a_one_vertex_graph(self, kind):
+        with pytest.raises(ValueError, match="^need at least two vertices$"):
+            calibrate_threshold(detector(kind), build_graph(1, []), 1.0, 0.05, 100, 0)
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_calibration_refuses_a_disconnected_graph_for_the_kinds_that_use_edges(self, kind):
+        g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        if kind in ("energy", "glr_unconstrained"):
+            assert calibrate_threshold(detector(kind), g, 1.0, 0.05, 100, 0) > 0.0
+        else:
+            with pytest.raises(ValueError, match="^graph must be connected$"):
+                calibrate_threshold(detector(kind), g, 1.0, 0.05, 100, 0)
+
+    def test_run_roc_refuses_a_mean_plus_noise_that_overflows(self):
+        # each of mu and sigma is finite, and so is the mean, but some draws overflow
+        config = ExperimentConfig(
+            family="lattice", params={"p": 3}, mu=1.79e308, delta=0.0, sigma=1e307, reps_null=5, reps_alt=5
+        )
+        with pytest.raises(ValueError, match="^observation contains NaN or infinite values$"):
+            run_roc(config)
 
 
 class TestCalibrateThreshold:

@@ -102,6 +102,29 @@ class TestBuildGraph:
             Graph(3, [0, 1], [1, bad], [1.0, 1.0])
         assert info.value.index == 1
 
+    @pytest.mark.parametrize("bool_id", [True, np.True_])
+    def test_rejects_a_bool_among_integer_ids(self, bool_id):
+        # numpy stores [True, 2] as the integers [1, 2]
+        with pytest.raises(_EdgeError, match=r"^edge \(True,2\) has a non-integer vertex id$") as info:
+            Graph(3, [bool_id, 2], [2, 0], [1.0, 1.0])
+        assert info.value.index == 0
+        with pytest.raises(_EdgeError, match=r"^edge \(0,True\) has a non-integer vertex id$"):
+            Graph(3, (0,), (bool_id,), (1.0,))
+
+    def test_unsigned_ids_next_to_signed_ones_stay_exact(self):
+        # a stacked table of the two columns took float64 and rounded 2**53 + 1 to 2**53
+        g = Graph(2**54, np.array([2**53 + 1], dtype=np.uint64), np.array([0]), [1.0])
+        assert g.eu[0] == 2**53 + 1 and g.eu.dtype == g.ev.dtype == np.int64
+
+    def test_integer_ids_next_to_whole_floats_stay_exact(self):
+        g = Graph(2**54, np.array([2**53 + 1, 3]), np.array([0.0, 2.0]), [1.0, 1.0])
+        assert g.edges == ((2**53 + 1, 0, 1.0), (3, 2, 1.0))
+
+    def test_rejects_a_text_id_next_to_integer_ids(self):
+        with pytest.raises(_EdgeError, match=r"^edge \(a,2\) has a non-integer vertex id$") as info:
+            Graph(3, np.array([0, "a"], dtype=object), np.array([1, 2]), [1.0, 1.0])
+        assert info.value.index == 1
+
     def test_object_ids_within_int64_are_kept(self):
         ids = np.array([0, 2**53 + 1], dtype=object), np.array([2**53, 1], dtype=object)
         g = Graph(2**54, *ids, [1.0, 2.0])
@@ -612,13 +635,14 @@ class TestRefusedArguments:
         "call, match",
         [
             (lambda: Graph(3, [0, 1], [1, 2], [1.0]), "equal length"),
+            (lambda: Graph(3, [0], [1, 2], [1.0]), "equal length"),
             (lambda: Cluster(frozenset({-1, 2})), "negative vertex id"),
             (lambda: boundary_weight(gen_bbt(1), Cluster(frozenset({3}))), "outside the graph"),
             (lambda: scale_weights(gen_bbt(2), 0.0), "scale factor must be positive"),
             (lambda: scale_weights(gen_bbt(2), float("nan")), "scale factor must be positive"),
             (lambda: gen_kron_multiscale(two_triangles(), 0), "levels must be >= 1"),
         ],
-        ids=["ragged_arrays", "negative_member", "member_outside", "zero_scale", "nan_scale", "zero_levels"],
+        ids=["ragged_arrays", "ragged_ids", "negative_member", "member_outside", "zero_scale", "nan_scale", "zero_levels"],
     )
     def test_refused(self, call, match):
         with pytest.raises(ValueError, match=match):
