@@ -15,6 +15,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import simulate
+from ._check import numbers
 from .detectors import DETECTOR_KINDS, RHO_KINDS, Detector, calibrate_threshold, graph_spectrum
 from .graphs import read_edge_list, two_triangles, write_edge_list
 from .spectral import write_spectrum_csv
@@ -57,10 +58,7 @@ def _read_signal(path, n: int) -> np.ndarray:
         raise ValueError(f"--signal {path}: non-numeric entry") from exc
     if len(values) != n:
         raise ValueError(f"--signal {path}: has {len(values)} values, graph has {n} vertices")
-    y = np.array(values)
-    if not np.isfinite(y).all():
-        raise ValueError(f"--signal {path}: NaN or infinite entry")
-    return y
+    return numbers(values, float, f"--signal {path}")
 
 
 def _load_graph(path):

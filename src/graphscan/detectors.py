@@ -240,10 +240,17 @@ class Detector:
         return values
 
 
+def _graph_free_statistic(kind: str, y) -> float:
+    """The statistic of a kind that uses no edges on one observation, read once, scored on the edgeless graph."""
+    y = observation(y)
+    detector, g = Detector(kind), _edgeless(y.size)
+    detector._check_graph(g)
+    return float(detector._scored(g, y[None])[0])
+
+
 def energy_stat(y: np.ndarray) -> float:
     """Squared norm of the centered observation."""
-    y = observation(y)
-    return Detector("energy").statistic(_edgeless(y.size), y)
+    return _graph_free_statistic("energy", y)
 
 
 def edge_stat(g: Graph, y: np.ndarray) -> float:
@@ -268,8 +275,7 @@ def glr_exact(g: Graph, y: np.ndarray, rho: float, require_connected: bool = Fal
 
 def glr_unconstrained(y: np.ndarray) -> float:
     """GLR over all nonempty proper subsets, in O(n log n) by a sorted prefix-sum sweep."""
-    y = observation(y)
-    return Detector("glr_unconstrained").statistic(_edgeless(y.size), y)
+    return _graph_free_statistic("glr_unconstrained", y)
 
 
 def sss_stat(g: Graph, y: np.ndarray, rho: float) -> float:

@@ -17,14 +17,13 @@ never equal to a generated one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
 
-from ._check import integer, real
+from ._check import integer, number, numbers, real
 
 __all__ = [
     "Graph",
@@ -60,6 +59,7 @@ _EDGE_PROBLEMS = (
     "self-loop at vertex {u}",
     "duplicate edge ({u},{v})",
     "edge ({u},{v}) has non-positive weight {w}",
+    "edge ({u},{v}) has non-numeric weight {given!r}",
 )
 
 
@@ -70,10 +70,12 @@ class Graph:
     Edge i joins ``eu[i]`` and ``ev[i]`` with weight ``w[i]``. Construction
     refuses a vertex count that is not a positive integer (a float or a bool
     included), non-integer or out-of-range ids, self-loops, a pair given
-    twice in either orientation and weights that are not finite and
-    positive, naming the first offending edge, and stores read-only copies
-    of the arrays. An id is an integer, or a whole float, that is not a
-    bool; one that int64 cannot hold is out of range whatever n is. It costs
+    twice in either orientation and weights that are not numbers, or not
+    finite and positive, naming the first offending edge, and stores
+    read-only copies of the arrays, each read by ``graphscan._check.numbers``.
+    An id is an integer, or a whole float, that is not a bool; one that int64
+    cannot hold is out of range whatever n is. A weight is a real number
+    that is not a bool. It costs
     linear passes over the edges and one stable sort.
     Graphs with equal n and arrays, edge order included, and equal factor
     and tree records are equal; the hash of that content is computed once.
@@ -92,7 +94,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = integer("vertex count", self.n, 1)
-        (given_u, eu), (given_v, ev), w = _ids(self.eu), _ids(self.ev), np.array(self.w, dtype=float)
+        # each read may be the caller's array itself, so the graph keeps copies
+        eu, ev, w = (numbers(x, kind).copy() for x, kind in ((self.eu, int), (self.ev, int), (self.w, float)))
         if eu.ndim != 1 or not eu.shape == ev.shape == w.shape:
             raise ValueError("eu, ev and w must be vectors of equal length")
         if w.size:  # an edgeless graph, as the graph-free statistics use, has nothing to check
@@ -113,9 +116,12 @@ class Graph:
                     ~(np.isfinite(w) & (w > 0.0)),
                 ))
                 i = failed.any(axis=0).argmax()
-                u, v = _id_value(given_u[i]), _id_value(given_v[i])
-                message = _EDGE_PROBLEMS[1 + failed[:, i].argmax() if type(u) is type(v) is int else 0]
-                raise _EdgeError(message.format(u=u, v=v, n=n, w=float(w[i])), int(i))
+                # the offending edge's entries as given
+                u, v = (given[i] if (x := number(given[i], int)) is None else x for given in (self.eu, self.ev))
+                problem = 1 + failed[:, i].argmax() if type(u) is type(v) is int else 0
+                if problem == 4 and number(self.w[i], float) is None:  # a weight that is not a number reads NaN
+                    problem = 5
+                raise _EdgeError(_EDGE_PROBLEMS[problem].format(u=u, v=v, n=n, w=float(w[i]), given=self.w[i]), int(i))
         eu.flags.writeable = ev.flags.writeable = w.flags.writeable = False
         for name, value in (("n", n), ("eu", eu), ("ev", ev), ("w", w)):
             object.__setattr__(self, name, value)
@@ -162,37 +168,6 @@ class Graph:
 
     def num_edges(self) -> int:
         return self.w.size
-
-
-def _id_value(x):
-    """An id as a number: a whole number that is not a bool as an int, any other real number as a
-    float, and anything else (a bool, text, None) as it is."""
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
-        return x
-    return int(x) if isinstance(x, numbers.Integral) or float(x).is_integer() else float(x)
-
-
-def _ids(column) -> tuple[np.ndarray, np.ndarray]:
-    """One id column as given, and as a new int64 array of the ids to range-check.
-
-    A column of an integer dtype is read at once, an unsigned id that int64 cannot hold reading
-    negative; a float one at once too, a finite whole id below 2**63 in magnitude keeping its value.
-    Any other column (bool, text, objects), and a list or tuple holding a bool, which numpy would
-    store as a number, is read one id at a time by :func:`_id_value`: an integer keeps its exact
-    value when int64 holds it. Every other id reads -1, so that the range check refuses it.
-    """
-    given = np.asarray(column)
-    if given.dtype.kind not in "iuf" or (
-        isinstance(column, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, column))
-    ):
-        given = np.array(column, dtype=object)
-    if given.dtype.kind in "iu":
-        return given, given.astype(np.int64)
-    if given.dtype.kind == "f":
-        integral = np.isfinite(given) & (given == np.round(given)) & (np.abs(given) < 2.0**63)
-        return given, np.where(integral, given, -1.0).astype(np.int64)
-    ids = [x if type(x) is int and 0 <= x < 2**63 else -1 for x in map(_id_value, given.ravel().tolist())]
-    return given, np.array(ids, dtype=np.int64).reshape(given.shape)
 
 
 def _repeats(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:

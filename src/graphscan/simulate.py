@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from ._check import integer, real, require
+from ._check import integer, numbers, real, require
 from .detectors import RHO_KINDS, Detector, _replicate_statistics
 from .graphs import Cluster, Graph, _check_cluster, gen_bbt, gen_lattice, gen_kron_multiscale, two_triangles
 
@@ -235,18 +235,19 @@ _SCALAR_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind in (b
 class RocCurve:
     """Ordered (threshold, size, power) triples; rates fall as the threshold rises.
 
-    ``points`` is stored as a read-only float array of shape (k, 3), one row
-    per triple, which holds a curve in a fraction of the memory of Python
-    float tuples.
+    ``points`` must hold finite real numbers (read by ``graphscan._check.numbers``),
+    and is stored as a read-only float array of shape (k, 3), one row per
+    triple, which holds a curve in a fraction of the memory of Python float
+    tuples.
     """
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        points = np.array(self.points, dtype=float).reshape(-1, 3).copy()
+        points = numbers(self.points, float, "points").reshape(-1, 3).copy()
         thresholds, rates = points[:, 0], points[:, 1:]
-        if not np.isfinite(thresholds).all() or np.any(np.diff(thresholds) < 0.0):
-            raise ValueError("thresholds must be finite and ascending")
+        if np.any(np.diff(thresholds) < 0.0):
+            raise ValueError("thresholds must be ascending")
         outside = ~((rates >= 0.0) & (rates <= 1.0)).all(axis=1)
         if outside.any():
             raise ValueError(f"rates outside [0,1] at threshold {thresholds[outside.argmax()]}")

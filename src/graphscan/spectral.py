@@ -70,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._check import observation, real
+from ._check import numbers, observation, real
 
 __all__ = [
     "Spectrum",
@@ -92,8 +92,12 @@ __all__ = [
 # marks a disconnected graph.
 _TIE_RTOL = 1e-10
 
-# Case "c" bisects its root t until the bracket is this narrow relative to t.
+# Case "c" brackets its root t by doubling from 1 and bisects it until the
+# bracket is this narrow relative to t, each in at most this many steps:
+# doubling overflows after 1024, and from a t_hi below 2**1024 to the
+# smallest subnormal double takes 2098 halvings, and _ROOT_RTOL about 47 more.
 _ROOT_RTOL = 1e-14
+_ROOT_STEPS = 2200
 # An order statistic refines the bounds of the rows its closed-form bounds
 # leave in contention this many at a time, largest upper bound first, setting
 # rows aside between batches; each row takes this many points of the case-"c"
@@ -437,13 +441,12 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 def eig_sym(m: np.ndarray) -> DenseSpectrum:
     """Full eigendecomposition of a symmetric matrix, deterministic per input.
 
-    Raises if the input is not finite or not symmetric to within 1e-12 relative.
+    Raises if the input is not a nonempty square matrix of finite real numbers (read by
+    :func:`graphscan._check.numbers`), or not symmetric to within 1e-12 relative.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or infinite values")
+    m = numbers(m, float, "matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - m.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
@@ -486,8 +489,9 @@ def center(y: np.ndarray) -> np.ndarray:
 def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
     """Largest eigenvalue of c c' - nu * diag(lambdas) via the secular equation.
 
-    ``c`` must be finite, ``lambdas`` finite, strictly positive and
-    ascending, and ``nu`` finite and nonnegative. Components with
+    ``c`` must hold finite real numbers, ``lambdas`` finite, strictly
+    positive and ascending ones (each read by :func:`graphscan._check.numbers`),
+    and ``nu`` must be finite and nonnegative. Components with
     |c_i| <= 1e-14 * ||c|| are deflated: they contribute plain diagonal
     eigenvalues -nu * lambda_i. On the remaining active part, the largest
     eigenvalue is the unique root above -nu * min(active lambdas) of
@@ -497,16 +501,11 @@ def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
     solved by bisection-safeguarded Newton. Matches a dense eigendecomposition
     of the same matrix to ~1e-9 relative at a cost of O(len(c)) per call.
     """
-    c = np.asarray(c, dtype=float)
-    lambdas = np.asarray(lambdas, dtype=float)
+    c, lambdas = numbers(c, float, "c"), numbers(lambdas, float, "lambdas")
     if c.shape != lambdas.shape or c.ndim != 1:
         raise ValueError("c and lambdas must be vectors of equal length")
     if lambdas.size == 0:
         raise ValueError("need at least one eigenvalue")
-    if not np.isfinite(c).all():
-        raise ValueError("c contains NaN or infinite values")
-    if not np.isfinite(lambdas).all():
-        raise ValueError("lambdas contain NaN or infinite values")
     if np.any(lambdas <= 0.0):
         raise ValueError("lambdas must be strictly positive")
     if np.any(np.diff(lambdas) < 0.0):
@@ -602,20 +601,25 @@ def _kkt_root(p: np.ndarray, lambdas: np.ndarray, rho: float, total: float) -> t
     z(t)_i ~ c_i / (1 + t*lambda_i) normalized, with t > 0 the root of
     z(t)' diag(lambdas) z(t) = rho (monotone in t); nu* = t * theta, theta =
     sum_i c_i**2 / (1 + t*lambda_i) the top eigenvalue of c c' - nu* diag(lambdas).
-    t_hi starts at the first of 1, 2, 4, ... (200 at most) where z(t) is inside
-    the ellipsoid, t_lo at 0, and bisection narrows them to t_hi - t_lo <=
-    _ROOT_RTOL * t_hi (200 steps at most); the results are taken at t_hi.
+    t_hi starts at the first of 1, 2, 4, ... where z(t) is inside the
+    ellipsoid, t_lo at 0, and bisection narrows them to t_hi - t_lo <=
+    _ROOT_RTOL * t_hi; the results are taken at t_hi. t scales as the inverse
+    of the weights, so each loop may take up to _ROOT_STEPS steps, more than
+    finite doubles allow; a row with no bracket by then is refused, after
+    numpy's overflow and invalid-value warnings, as z(t) becomes zeros.
     """
     def gap(t: float) -> float:
         q = p / (1.0 + t * lambdas) ** 2  # z(t)_i**2 before normalizing
-        return float(lambdas @ q) / float(q.sum()) - rho
+        return float(lambdas @ q / q.sum()) - rho
 
     t_lo, t_hi = 0.0, 1.0
-    for steps in range(1, 201):
+    for steps in range(1, _ROOT_STEPS + 1):
         if gap(t_hi) < 0.0:
             break
         t_hi *= 2.0
-    for _ in range(200):
+    else:
+        raise ValueError("the sss root has no bracket: the weights or rho are too extreme in scale")
+    for _ in range(_ROOT_STEPS):
         if t_hi - t_lo <= _ROOT_RTOL * t_hi:
             break
         steps += 1

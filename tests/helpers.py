@@ -329,13 +329,17 @@ def grouped_kkt_loop(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[fl
         q = p / (1.0 + t * lambdas) ** 2  # z(t)_i**2 before normalizing
         return float(lambdas @ q) / float(q.sum()) - rho
 
+    # each loop runs until it brackets the root, or narrows the bracket to
+    # 1e-14 relative, in at most 2200 steps, more than finite doubles allow
     t_lo, t_hi, steps = 0.0, 1.0, 0
-    for _ in range(200):
+    for _ in range(2200):
         steps += 1
         if gap(t_hi) < 0.0:
             break
         t_hi *= 2.0
-    for _ in range(200):
+    else:
+        raise ValueError("no bracket")
+    for _ in range(2200):
         if t_hi - t_lo <= 1e-14 * t_hi:
             break
         steps += 1

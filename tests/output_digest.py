@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of graphscan's outputs, so that two trees can be compared byte for byte.
+
+    python3 tests/output_digest.py > digests.txt
+
+Run it in each tree and diff the two files. It covers:
+
+- the CSVs and the SVG that ``graphscan experiment --preset NAME`` writes for every preset;
+- every benchmark workload's call (``perfbench/workloads.py``) at seeds 1-5 and 7, and
+  ``calibrate_threshold`` of each ROC workload graph's detectors at those seeds (100 replicates,
+  alpha 0.05, the workload's sigma and rho);
+- every generated graph (grids p 2-39, tori 3-39, balanced binary trees of depth 1-11, Kronecker
+  products of two triangles at levels 1-4): n, each array's dtype, shape, flags and bytes, the
+  factor and tree records, and the hash.
+
+The hash of a graph hashes bytes, which Python salts per process unless PYTHONHASHSEED is set, so
+the script runs itself again with PYTHONHASHSEED=0. It imports the tree it lives in; pytest does
+not collect it.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import graphscan as gs  # noqa: E402
+from graphscan.cli import main as cli_main  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SEEDS = (1, 2, 3, 4, 5, 7)
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def graph_digest(g: gs.Graph) -> str:
+    arrays = [
+        (a.dtype.str, a.shape, a.flags.writeable, a.flags.c_contiguous, a.flags.owndata, a.tobytes())
+        for a in (g.eu, g.ev, g.w)
+    ]
+    return digest(g.n, arrays, [graph_digest(f) for f in g._factors], g._depth, hash(g))
+
+
+def presets():
+    for name in gs.simulate.PRESET_NAMES:
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli_main(["experiment", "--preset", name, "--out-dir", out])
+            files = sorted(Path(out).iterdir())
+            yield from ((f"preset {name} {f.name}", digest(f.read_bytes())) for f in files)
+
+
+def workloads():
+    for workload in WORKLOADS.values():
+        g = workload.setup()
+        outputs = [workload.summary(workload.call(g, seed)) for seed in SEEDS]
+        yield f"workload {workload.name} calls", digest(outputs)
+        config = getattr(workload, "config", None)
+        if config is None:  # a calibration workload, whose calls are the calibration
+            continue
+        for kind in config.detectors:
+            detector = gs.Detector(kind, rho=config.rho if kind in gs.detectors.RHO_KINDS else None)
+            thresholds = [gs.calibrate_threshold(detector, g, config.sigma, 0.05, 100, seed) for seed in SEEDS]
+            yield f"workload {workload.name} calibrate {kind}", digest(thresholds)
+
+
+def graphs():
+    families = {
+        "grid": (lambda p: gs.gen_lattice(p), range(2, 40)),
+        "torus": (lambda p: gs.gen_lattice(p, periodic=True), range(3, 40)),
+        "bbt": (gs.gen_bbt, range(1, 12)),
+        "kron": (lambda levels: gs.gen_kron_multiscale(gs.two_triangles(), levels), range(1, 5)),
+    }
+    for name, (make, sizes) in families.items():
+        yield f"graphs {name}", digest([graph_digest(make(size)) for size in sizes])
+
+
+def main() -> int:
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
+    lines = [f"{label} {value}" for part in (presets, workloads, graphs) for label, value in part()]
+    lines.append(f"all {digest(lines)}")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

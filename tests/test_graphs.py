@@ -71,7 +71,7 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="duplicate"):
             build_graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
 
-    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), "2.5", True, 1 + 0j])
     def test_rejects_bad_weight(self, weight):
         with pytest.raises(ValueError, match="weight"):
             build_graph(2, [(0, 1, weight)])
@@ -110,6 +110,19 @@ class TestBuildGraph:
         assert info.value.index == 0
         with pytest.raises(_EdgeError, match=r"^edge \(0,True\) has a non-integer vertex id$"):
             Graph(3, (0,), (bool_id,), (1.0,))
+
+    @pytest.mark.parametrize("w, shown", [([True], "True"), (["1.5"], "'1.5'"), ([1 + 0j], r"\(1\+0j\)")])
+    def test_rejects_weights_that_are_not_numbers(self, w, shown):
+        # numpy read a bool as 1.0 and text as the number it spells, and refused a complex weight by TypeError
+        with pytest.raises(_EdgeError, match=rf"^edge \(0,1\) has non-numeric weight {shown}$"):
+            Graph(2, [0], [1], w)
+
+    def test_a_weight_that_is_not_a_number_is_named_in_edge_order(self):
+        with pytest.raises(_EdgeError, match=r"^self-loop at vertex 1$"):
+            Graph(3, [0, 1, 0], [1, 1, 2], [1.0, 1.0, "x"])
+        with pytest.raises(_EdgeError, match=r"^edge \(0,2\) has non-numeric weight 'x'$") as info:
+            Graph(3, [0, 1, 0, 2], [1, 2, 2, 2], [1.0, 1.0, "x", 1.0])
+        assert info.value.index == 2
 
     def test_unsigned_ids_next_to_signed_ones_stay_exact(self):
         # a stacked table of the two columns took float64 and rounded 2**53 + 1 to 2**53

@@ -3,7 +3,8 @@ an integer, a float) is refused naming the argument, not converted. A real-value
 and, where its range matters, positive, nonnegative or in (0, 1), and some counts have a minimum or lie in an
 interval; a value outside the range is refused with one message, naming the argument and giving the value, an
 integer too large for a double counting as infinite. An observation is a vector of finite numbers, refused with
-one message wherever it enters, and valid extreme arguments score without a numpy warning."""
+one message wherever it enters, and every array a caller passes holds numbers by the same rule: a bool or text
+entry is refused, and a numeric dtype reads as its values. Valid extreme arguments score without a numpy warning."""
 import math
 import re
 import warnings
@@ -16,6 +17,7 @@ from graphscan import (
     Detector,
     ExperimentConfig,
     Graph,
+    RocCurve,
     SignalSpec,
     bbt_lambda2_bound,
     bounds_report,
@@ -23,6 +25,7 @@ from graphscan import (
     canonical_cluster,
     center,
     chi_max,
+    eig_sym,
     energy_stat,
     gen_bbt,
     gen_kron_multiscale,
@@ -228,6 +231,31 @@ def test_observations_refused_as_passed(call, n):
         call(np.array([]))
     with pytest.raises(ValueError, match="^observation contains NaN or infinite values$"):
         call(np.r_[np.arange(8.0), math.nan])
+    # numpy read a bool as 0 or 1 and text as the number it spells
+    for bad, shown in ((np.ones(9, dtype=bool), "True"), ([0.0] * 8 + [True], "True"), (list("123456789"), "'1'")):
+        with pytest.raises(ValueError, match=f"^observation must hold only numbers, got {shown}$"):
+            call(bad)
+
+
+# each reader of an array a caller passes, on whole numbers that every numeric dtype holds
+ARRAYS = {
+    "energy_stat": (energy_stat, [3, 1, 4, 1, 5, 9, 2, 6, 5]),
+    "sss_stat": (lambda y: sss_stat(gen_lattice(3), y, 0.5), [3, 1, 4, 1, 5, 9, 2, 6, 5]),
+    "center": (lambda y: center(y).tolist(), [3, 1, 4, 1, 5]),
+    "graph_ids": (lambda ids: Graph(3, ids, [1, 2], [1.0, 1.0]), [0, 1]),
+    "graph_weights": (lambda w: Graph(3, [0, 1], [1, 2], w), [2, 7]),
+    "eig_sym": (lambda m: eig_sym(m).eigenvalues.tolist(), [[2, 1], [1, 3]]),
+    "chi_max": (lambda c: chi_max(c, [1, 2], 0.5), [1, 2]),
+    "chi_max_lambdas": (lambda lambdas: chi_max([1.0, 2.0], lambdas, 0.5), [1, 2]),
+    "roc_curve": (lambda points: RocCurve(points), [[0, 1, 1], [1, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("call, values", ARRAYS.values(), ids=ARRAYS)
+@pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float32, list])
+def test_numeric_arrays_read_as_their_values(call, values, dtype):
+    expected = call(np.array(values, dtype=float))
+    assert call(values if dtype is list else np.array(values, dtype=dtype)) == expected
 
 
 def test_subnormal_confidence_is_finite():

@@ -287,6 +287,11 @@ class TestRocCurve:
         with pytest.raises(ValueError, match="finite"):
             RocCurve(points=points)
 
+    @pytest.mark.parametrize("points", [[("1", "0.5", "0.5")], [(0.0, True, 1.0)], [(0.0, 0.5, 0.5j)]])
+    def test_rejects_points_that_are_not_numbers(self, points):
+        with pytest.raises(ValueError, match="^points must hold only numbers, got "):
+            RocCurve(points=points)
+
     def test_points_are_a_read_only_array(self):
         triples = ((0.0, 1.0, 1.0), (0.5, 0.0, 1.0))
         curve = RocCurve(points=triples)

@@ -102,9 +102,14 @@ class TestEigSym:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
-    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3)], ids=["wide", "vector"])
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3), np.zeros((0, 0))], ids=["wide", "vector", "empty"])
     def test_rejects_non_square(self, m):
         with pytest.raises(ValueError, match="square matrix"):
+            eig_sym(m)
+
+    @pytest.mark.parametrize("m", [np.eye(2, dtype=bool), [[1.0, True], [True, 1.0]], [["1", "0"], ["0", "1"]]])
+    def test_rejects_entries_that_are_not_numbers(self, m):
+        with pytest.raises(ValueError, match="^matrix must hold only numbers, got "):
             eig_sym(m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -188,6 +193,19 @@ class TestChiMax:
     def test_rejects_bad_shapes(self, c, lambdas, match):
         with pytest.raises(ValueError, match=match):
             chi_max(np.array(c), np.array(lambdas), 1.0)
+
+    @pytest.mark.parametrize(
+        "c, lambdas, name",
+        [
+            (["1.0"], ["2"], "c"),
+            ([1.0], [True], "lambdas"),
+            (np.array([True]), [2.0], "c"),
+            ([1.0], [2.0 + 0j], "lambdas"),
+        ],
+    )
+    def test_rejects_entries_that_are_not_numbers(self, c, lambdas, name):
+        with pytest.raises(ValueError, match=f"^{name} must hold only numbers, got "):
+            chi_max(c, lambdas, 0.5)
 
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(11)
@@ -523,6 +541,31 @@ class TestGroupedKernel:
                 result = sss(graph_spectrum(h), y, 0.5 * weight)
                 assert result.case == "c"
                 assert result.value == pytest.approx(base.value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "make, rho",
+        [(lambda: gen_lattice(4), 1.1), (lambda: gen_lattice(6, periodic=True), 3.0), (lambda: gen_bbt(5), 0.5)],
+        ids=["grid", "torus", "bbt"],
+    )
+    def test_joint_scaling_of_weights_and_rho_keeps_the_value(self, make, rho):
+        # the root t scales as the inverse of the weights; 200 doublings and
+        # 200 halvings from t = 1 missed it beyond a scale of about 1e47
+        # either way, and the value came out wrong without a refusal
+        g = make()
+        y = np.random.default_rng(0).standard_normal(g.n)
+        base = sss(graph_spectrum(g), y, rho)
+        assert base.case == "c"
+        for k in range(-100, 101):
+            scaled, level = scale_weights(g, 10.0**k), rho * 10.0**k
+            result = sss(graph_spectrum(scaled), y, level)
+            assert result.value == pytest.approx(base.value, rel=1e-12, abs=0.0)
+            assert sss_certificate(scaled, y, level, result)[0]
+
+    def test_a_row_with_no_bracket_is_refused(self):
+        # z(t) stays outside the ellipsoid for every t, so doubling finds no bracket before t overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^the sss root has no bracket"):
+                spectral._kkt_root(np.array([1.0]), np.array([2.0]), 1.0, 1.0)
 
     @pytest.mark.parametrize("scale", [1e153, 1e-153])
     def test_value_and_certificate_at_extreme_scales(self, scale):

@@ -154,6 +154,15 @@ class TestBitForBit:
         # refining every row, as a first pass without closed-form bounds would, takes 200
         assert sum(len(sums) for _, sums, _, steps in refined if steps > 0) <= 80
 
+    def test_joint_scaling_of_weights_and_rho_keeps_the_threshold(self):
+        # at a weight scale of 1e60 the threshold read 40.84, and 31.84 at 1e100
+        g, rho = gen_lattice(6, periodic=True), 3.0
+        expected = calibrate_threshold(Detector("sss", rho=rho), g, 1.0, 0.05, 200, 3)
+        for k in range(-100, 101):
+            det = Detector("sss", rho=rho * 10.0**k)
+            scaled = calibrate_threshold(det, scale_weights(g, 10.0**k), 1.0, 0.05, 200, 3)
+            assert scaled == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("sigma, match", [(1e160, "overflows"), (1e-160, "underflows")])
     def test_refuses_extreme_scales_as_a_full_solve_does(self, sigma, match):
         g = gen_lattice(6, periodic=True)
