@@ -15,29 +15,34 @@ The scan statistic over a connected graph with Laplacian L is
 
 for the centered observation y~. In the eigenbasis of L restricted to the
 complement of the constant vector, with coefficients c and eigenvalues
-lambda_2..lambda_n, it is solved once through its KKT conditions: exactly one
-of three cases (ball active, ellipsoid active, both active) holds, the last
-needing a one-dimensional monotone root-find. The conditions depend on c only
-through the c_i**2, so the solve runs on one term per distinct eigenvalue, the
-sum of the c_i**2 over its eigenvectors; trees, lattices and their products
-repeat eigenvalues heavily (33 distinct values among the 254 of the depth-7
-tree). The same case gives the dual multiplier nu*, and the dual objective
-at nu*, max(0, theta) + nu* * rho with theta the largest eigenvalue of
-c c' - nu* diag(lambda_2..lambda_n), certifies the value from above: the
-reported gap is the difference between the two. It is a closed form: with
-u = 1/t, nu* = sum c_i**2/(u + lambda_i) makes theta = u*nu* (the root of
-theta's secular equation), so the dual is (1 + rho*t) * sum c_i**2/(1 +
-t*lambda_i): ||c||**2 in case "a" (t = 0), rho * sum c_i**2/lambda_i in case
-"b" (t -> infinity), and summed over the ungrouped terms, so that it also
+lambda_2..lambda_n, the ellipsoid is z' diag(mu) z <= 1 with mu = lambda/rho,
+so L and rho enter only as mu, computed once per call: everything below runs
+on this unit ellipsoid, in units of rho, and takes no rho, so scaling the
+weights and rho together changes only the rounding of mu.
+It is solved once through its KKT conditions: exactly one of three cases (ball
+active, ellipsoid active, both active) holds, the last needing a
+one-dimensional monotone root-find. The conditions depend on c only through
+the c_i**2, so the solve runs on one term per distinct eigenvalue, the sum of
+the c_i**2 over its eigenvectors; trees, lattices and their products repeat
+eigenvalues heavily (33 distinct values among the 254 of the depth-7 tree).
+The same case gives the dual multiplier nu~ of the unit ellipsoid (nu* =
+nu~/rho for x'Lx <= rho), and the dual objective at nu~, max(0, theta) + nu~
+with theta the largest eigenvalue of c c' - nu~ diag(mu), certifies the value
+from above: the reported gap is the difference between the two. It is a
+closed form: with u = 1/s, nu~ = sum c_i**2/(u + mu_i) makes theta = u*nu~
+(the root of theta's secular equation), so the dual is (1 + s) * sum
+c_i**2/(1 + s*mu_i): ||c||**2 in case "a" (s = 0), sum c_i**2/mu_i in case
+"b" (s -> infinity), and summed over the ungrouped terms, so that it also
 checks the grouping. Each observation's coefficients are scaled by a power
 of two before squaring, so neither the solve nor the certificate overflows
 or underflows at extreme scales of y; a value outside the range of normal
-doubles is refused.
+doubles is refused, and so is a rho so small that lambda_max/rho overflows,
+as the unit ellipsoid cannot be held in doubles there, whatever the value.
 
-The root-find of the third case bisects a bracket of the root until it is
-narrow relative to the root (1e-14), one row at a time; a chunk of
-observations is settled in the first two cases all at once, each row in the
-same bits as alone. Every point of the third case's multiplier path also
+The root-find of the third case doubles s from 1 to a bracket of the root and
+bisects it until it is narrow relative to the root (1e-14), one row at a time;
+a chunk of observations is settled in the first two cases all at once, each
+row in the same bits as alone. Every point of the third case's multiplier path also
 bounds the value, with no root-find: the maximizer's direction there, scaled
 into the feasible set, from below, and the dual objective at the matching
 multiplier from above. Both are the value at the root, and at the path's two
@@ -92,9 +97,9 @@ __all__ = [
 # marks a disconnected graph.
 _TIE_RTOL = 1e-10
 
-# Case "c" brackets its root t by doubling from 1 and bisects it until the
-# bracket is this narrow relative to t, each in at most this many steps:
-# doubling overflows after 1024, and from a t_hi below 2**1024 to the
+# Case "c" brackets its root s by doubling from 1 and bisects it until the
+# bracket is this narrow relative to s, each in at most this many steps:
+# doubling overflows after 1024, and from an s_hi below 2**1024 to the
 # smallest subnormal double takes 2098 halvings, and _ROOT_RTOL about 47 more.
 _ROOT_RTOL = 1e-14
 _ROOT_STEPS = 2200
@@ -215,28 +220,22 @@ class Spectrum:
         means = np.add.reduceat(lambdas, starts) / np.diff(starts, append=lambdas.size)
         return _frozen(starts, means)
 
-    @cached_property
-    def _moments(self) -> np.ndarray:
-        """The (groups, 5) matrix of 1, lambda, 1/lambda, lambda**-2 and lambda**-3 at each group's mean.
-
-        :func:`_path_bounds` takes the moments of rows of group sums as one
-        product with it.
-        """
-        means = self.groups[1]
-        return _frozen(np.stack((np.ones_like(means), means, 1.0 / means, means**-2.0, means**-3.0), axis=1))[0]
-
     def project(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients of each row of ``y`` on eigenvectors 2..n, in eigenvalue order.
+        """Coefficients of each vector along the last axis of ``y`` on eigenvectors 2..n, in eigenvalue order.
 
         Drops the coefficient on the first (constant, for a connected graph)
-        eigenvector.
+        eigenvector. ``y`` must hold finite real numbers (read by
+        :func:`graphscan._check.numbers`) and n entries along its last axis.
         """
-        y = np.asarray(y, dtype=float)
+        y = _last_axis(y, self.n, "y")
         coeffs = self._along(y.reshape(-1, self.n, 1), inverse=False).reshape(-1, self.n)
         return coeffs[:, self.order[1:]].reshape(*y.shape[:-1], self.n - 1)
 
     def expand(self, z: np.ndarray) -> np.ndarray:
-        """The vector with coefficients ``z`` on eigenvectors 2..n; inverts :meth:`project`."""
+        """The vector with coefficients ``z`` (n-1 finite reals) on eigenvectors 2..n; inverts :meth:`project`."""
+        z = _last_axis(z, self.n - 1, "z")
+        if z.ndim != 1:
+            raise ValueError(f"z must be one vector of coefficients, got shape {z.shape}")
         coeffs = np.zeros(self.n)
         coeffs[self.order[1:]] = z
         return self._along(coeffs.reshape(1, self.n, 1), inverse=True).reshape(self.n)
@@ -391,6 +390,14 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+def _last_axis(values, length: int, name: str) -> np.ndarray:
+    """``values`` read as finite reals by :func:`graphscan._check.numbers`, once its last axis holds ``length`` entries."""
+    values = numbers(values, float, name)
+    if values.shape[-1:] != (length,):
+        raise ValueError(f"{name} must have {length} entries along its last axis, got shape {values.shape}")
+    return values
 
 
 def _raw_eigenvalues(spectrum: Spectrum) -> np.ndarray:
@@ -564,139 +571,155 @@ def _connected_lambdas(spectrum: Spectrum) -> np.ndarray:
     return lambdas
 
 
-def _grouped_kkt(sums: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.ndarray, ...]:
-    """Maximize (c'z)^2 over the unit ball intersected with z' diag(lambdas) z <= rho, for each row of ``sums``.
+def _unit_means(spectrum: Spectrum, rho: float) -> np.ndarray:
+    """mu, the group means over rho (``rho`` taken as checked): the ellipsoid x'Lx <= rho is z' diag(mu) z <= 1.
 
+    Refuses a rho so small that lambda_max/rho overflows: mu cannot hold it,
+    and the ellipsoid's squared semi-axes 1/mu underflow. That is a range
+    limit of this form, not always an underflow of the value: as lambda_2 >
+    1e-10 * lambda_max, the value is below 6e-299 * ||y~||**2, which a large
+    y~ or a small lambda_2/lambda_max can still bring into the normal doubles.
+    """
+    if math.isinf(float(spectrum.eigenvalues[-1]) / rho):
+        raise ValueError("the sss statistic underflows on the unit ellipsoid: lambda_max/rho overflows")
+    return spectrum.groups[1] / rho
+
+
+def _grouped_kkt(sums: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Maximize (c'z)^2 over the unit ball intersected with z' diag(mu) z <= 1, for each row of ``sums``.
+
+    ``mu`` holds the distinct eigenvalues in units of rho (:func:`_unit_means`).
     The problem depends on c only through its row s of ``sums``, the sums of
-    c_i**2 over the eigenvectors of each distinct eigenvalue in ``lambdas``.
-    Returns arrays of the value, the KKT case, the dual multiplier nu*, the
-    root t (0 outside case "c") and the root-finding steps. With weights
-    p = s / sum(s), which keep every intermediate near 1 whatever c's scale:
-      (a) z = c/||c|| when it already satisfies the ellipsoid, p'lambdas <= rho;
-          the value is sum(s) and nu* = 0;
-      (b) z proportional to lambdas^-1 * c scaled onto the ellipsoid, when that
-          point stays inside the unit ball; nu* = c' diag(lambdas)^-1 c and
-          the value is rho * nu*;
+    c_i**2 over the eigenvectors of each distinct eigenvalue. Returns arrays
+    of the value, the KKT case, the dual multiplier nu~ of the unit
+    ellipsoid (nu*, that of x'Lx <= rho, is nu~/rho), the root s (0 outside
+    case "c") and the root-finding steps. With weights p = sums / sum(sums),
+    which keep every intermediate near 1 whatever c's scale:
+      (a) z = c/||c|| when it already satisfies the ellipsoid, p'mu <= 1;
+          the value is sum(sums) and nu~ = 0;
+      (b) z proportional to c/mu scaled onto the ellipsoid, when that point
+          stays inside the unit ball, sum(p/mu**2) <= sum(p/mu); the value
+          is nu~ = c' diag(mu)^-1 c;
       (c) otherwise both constraints are active (:func:`_kkt_root`, row by row).
     A row's sums and dot products round as for the row alone, in any chunk.
     """
     total = sums.sum(axis=1)
     p = sums / np.where(total > 0.0, total, 1.0)[:, None]  # a row of zeros stays zero, in case "a"
-    inv = p / lambdas
-    quad = inv.sum(axis=1)  # c' diag(lambdas)^-1 c / total
-    ball = (p[:, None] @ lambdas)[:, 0] <= rho  # a BLAS dot product per row, as p @ lambdas is for one row
-    # case "b" where z = c/lambda, scaled onto the ellipsoid, has ||z||**2 <= 1
-    with np.errstate(over="ignore"):  # a product with rho overflows only in case "a", which does not use it
-        case = np.where(ball, "a", np.where(rho * (inv / lambdas).sum(axis=1) <= quad, "b", "c"))
-        value, nu_star = np.where(ball, total, rho * quad * total), np.where(ball, 0.0, quad * total)
-    t, steps = np.zeros(len(sums)), np.zeros(len(sums), dtype=int)
+    ball = (p[:, None] @ mu)[:, 0] <= 1.0  # a BLAS dot product per row, as p @ mu is for one row
+    # mu underflows (to a subnormal or zero) only where rho >> lambda, in case "a", which uses none of this
+    with np.errstate(all="ignore"):
+        inv = p / mu
+        quad = inv.sum(axis=1)  # c' diag(mu)^-1 c / total
+        case = np.where(ball, "a", np.where((inv / mu).sum(axis=1) <= quad, "b", "c"))
+        value, nu_star = np.where(ball, total, quad * total), np.where(ball, 0.0, quad * total)
+    s, steps = np.zeros(len(sums)), np.zeros(len(sums), dtype=int)
     for i in np.flatnonzero(case == "c"):
-        value[i], nu_star[i], t[i], steps[i] = _kkt_root(p[i], lambdas, rho, total[i])
-    return value, case, nu_star, t, steps
+        value[i], nu_star[i], s[i], steps[i] = _kkt_root(p[i], mu, total[i])
+    return value, case, nu_star, s, steps
 
 
-def _kkt_root(p: np.ndarray, lambdas: np.ndarray, rho: float, total: float) -> tuple[float, float, float, int]:
-    """Case "c" of :func:`_grouped_kkt` for one row of weights p and sum ``total``: the value, nu*, t and steps.
+def _kkt_root(p: np.ndarray, mu: np.ndarray, total: float) -> tuple[float, float, float, int]:
+    """Case "c" of :func:`_grouped_kkt` for one row of weights p and sum ``total``: the value, nu~, s and steps.
 
-    z(t)_i ~ c_i / (1 + t*lambda_i) normalized, with t > 0 the root of
-    z(t)' diag(lambdas) z(t) = rho (monotone in t); nu* = t * theta, theta =
-    sum_i c_i**2 / (1 + t*lambda_i) the top eigenvalue of c c' - nu* diag(lambdas).
-    t_hi starts at the first of 1, 2, 4, ... where z(t) is inside the
-    ellipsoid, t_lo at 0, and bisection narrows them to t_hi - t_lo <=
-    _ROOT_RTOL * t_hi; the results are taken at t_hi. t scales as the inverse
-    of the weights, so each loop may take up to _ROOT_STEPS steps, more than
-    finite doubles allow; a row with no bracket by then is refused, after
-    numpy's overflow and invalid-value warnings, as z(t) becomes zeros.
+    z(s)_i ~ c_i / (1 + s*mu_i) normalized, with s > 0 the root of
+    z(s)' diag(mu) z(s) = 1 (monotone in s); nu~ = s * theta, theta =
+    sum_i c_i**2 / (1 + s*mu_i) the top eigenvalue of c c' - nu~ diag(mu).
+    s is rho * t for the root t of the same path in x'Lx <= rho, so it is
+    near 1 whatever the scale of the weights and rho. s_hi starts at the
+    first of 1, 2, 4, ... where z(s) is inside the ellipsoid, s_lo at 0, and
+    bisection narrows them to s_hi - s_lo <= _ROOT_RTOL * s_hi; the results
+    are taken at s_hi. Each loop may take up to _ROOT_STEPS steps, more than
+    finite doubles allow; a row with no bracket by then (z(s) has become
+    zeros, and the gap NaN) is refused, with no numpy warning first.
     """
-    def gap(t: float) -> float:
-        q = p / (1.0 + t * lambdas) ** 2  # z(t)_i**2 before normalizing
-        return float(lambdas @ q / q.sum()) - rho
+    def gap(s: float) -> float:
+        q = p / (1.0 + s * mu) ** 2  # z(s)_i**2 before normalizing
+        return float(mu @ q / q.sum()) - 1.0
 
-    t_lo, t_hi = 0.0, 1.0
-    for steps in range(1, _ROOT_STEPS + 1):
-        if gap(t_hi) < 0.0:
-            break
-        t_hi *= 2.0
-    else:
-        raise ValueError("the sss root has no bracket: the weights or rho are too extreme in scale")
-    for _ in range(_ROOT_STEPS):
-        if t_hi - t_lo <= _ROOT_RTOL * t_hi:
-            break
-        steps += 1
-        mid = 0.5 * (t_lo + t_hi)
-        if gap(mid) > 0.0:
-            t_lo = mid
+    s_lo, s_hi = 0.0, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for steps in range(1, _ROOT_STEPS + 1):
+            if gap(s_hi) < 0.0:
+                break
+            s_hi *= 2.0
         else:
-            t_hi = mid
-    # the value (c'z(t))**2 and the multiplier t * theta(t)
-    w = p / (1.0 + t_hi * lambdas)
+            raise ValueError("the sss root has no bracket: the weights or rho are too extreme in scale")
+        for _ in range(_ROOT_STEPS):
+            if s_hi - s_lo <= _ROOT_RTOL * s_hi:
+                break
+            steps += 1
+            mid = 0.5 * (s_lo + s_hi)
+            if gap(mid) > 0.0:
+                s_lo = mid
+            else:
+                s_hi = mid
+    # the value (c'z(s))**2 and the multiplier s * theta(s)
+    w = p / (1.0 + s_hi * mu)
     theta = float(w.sum())
-    value = theta**2 / float((w / (1.0 + t_hi * lambdas)).sum()) * total
-    return value, t_hi * theta * total, t_hi, steps
+    value = theta**2 / float((w / (1.0 + s_hi * mu)).sum()) * total
+    return value, s_hi * theta * total, s_hi, steps
 
 
-def _path_weights(means: np.ndarray, rho: float) -> np.ndarray:
-    """The (groups, 4) matrix of 1, lambda, max(lambda - rho, 0) and max(rho - lambda, 0) at each group's mean."""
-    return np.stack((np.ones_like(means), means, np.maximum(means - rho, 0.0), np.maximum(rho - means, 0.0)), axis=1)
+def _path_weights(mu: np.ndarray) -> np.ndarray:
+    """The (groups, 4) matrix of 1, mu, max(mu - 1, 0) and max(1 - mu, 0) at each group."""
+    return np.stack((np.ones_like(mu), mu, np.maximum(mu - 1.0, 0.0), np.maximum(1.0 - mu, 0.0)), axis=1)
 
 
-def _path_point(sums: np.ndarray, means: np.ndarray, weights: np.ndarray, rho: float, u: np.ndarray):
+def _path_point(sums: np.ndarray, mu: np.ndarray, weights: np.ndarray, u: np.ndarray):
     """L(u), U(u), P(u), N(u), P3(u) and N3(u) (see :func:`_path_bounds`) for each row of group sums at its own u.
 
-    ``weights`` is :func:`_path_weights` of ``means`` and ``rho``;
-    P3 = sum_{lambda > rho} (lambda-rho)*s/(u+lambda)**3 and N3 likewise.
+    ``weights`` is :func:`_path_weights` of ``mu``;
+    P3 = sum_{mu > 1} (mu-1)*s/(u+mu)**3 and N3 likewise.
     """
-    w = 1.0 / (u[:, None] + means)
-    term = sums * w  # s/(u+lambda)**k for k = 1, 2, 3 in turn
+    w = 1.0 / (u[:, None] + mu)
+    term = sums * w  # s/(u+mu)**k for k = 1, 2, 3 in turn
     a = (term @ weights)[:, 0]
     b, e, p, n = (np.multiply(term, w, out=term) @ weights).T
     p3, n3 = (np.multiply(term, w, out=term) @ weights)[:, 2:].T
-    return a * a / b * np.minimum(1.0, rho * b / e), (u + rho) * a, p, n, p3, n3
+    return a * a / b * np.minimum(1.0, b / e), (u + 1.0) * a, p, n, p3, n3
 
 
-def _path_bounds(spectrum: Spectrum, sums: np.ndarray, rho: float, steps: int) -> np.ndarray:
+def _path_bounds(sums: np.ndarray, mu: np.ndarray, steps: int) -> np.ndarray:
     """Bounds (low, high) on the value of :func:`_grouped_kkt` for rows of group sums, at ``steps`` path points.
 
-    For a row of sums s at group means lambda and any u > 0 (u = 1/t in
-    :func:`_grouped_kkt`), let A = sum s/(u+lambda), B = sum s/(u+lambda)**2
-    and E = sum lambda*s/(u+lambda)**2. The point z ~ c/(u+lambda), scaled
-    into both constraints, is feasible with value
-    L(u) = A**2/B * min(1, rho*B/E), and U(u) = (u+rho)*A is the dual
-    objective max(0, chi_max(nu)) + nu*rho at nu = A, as chi_max(A) = u*A
-    exactly; so L(u) <= value <= U(u) for every u, in any case, and both
-    equal the value at the case-"c" root, where E = rho*B. With
-    q_k = sum s/lambda**k (one product with the cached ``_moments``), the
-    path's ends give closed forms, returned when ``steps`` is 0: the value
-    is at most q_0 (the ball alone) and rho*q_1 (the ellipsoid alone), and
-    at least the values of c and of c/lambda scaled into both constraints,
-    q_0 * min(1, rho*q_0/q_-1) and rho*q_1 * min(1, q_1/(rho*q_2)); in cases
-    "a" and "b" they are the value up to rounding, and a row of zeros, or
-    sums whose moments overflow, gives NaN or infinite bounds. Otherwise
-    each row takes ``steps`` points in lockstep, and the best bounds seen
-    are kept, NaN and infinite ones dropped. The first point is the root of
-    the expansion of E - rho*B about u = 0, (q_1 - rho*q_2) / (2*(q_2 -
-    rho*q_3)) (rho where that is not positive and finite); each later one is
-    Newton's step on phi(u) = N**-1/2 - P**-1/2, with E - rho*B = P - N
-    split into the terms above and below rho (P = sum_{lambda > rho}
-    (lambda-rho)*s/(u+lambda)**2), or the geometric midpoint of the bracket
-    the signs of P - N have left when the step falls outside it. phi is
-    nearly linear in u (exactly so with one term on each side), as the
+    Everything is in units of rho, as in :func:`_grouped_kkt`. For a row of
+    sums s at the groups' mu and any u > 0 (u = 1/s_root in
+    :func:`_grouped_kkt`), let A = sum s/(u+mu), B = sum s/(u+mu)**2 and
+    E = sum mu*s/(u+mu)**2. The point z ~ c/(u+mu), scaled into both
+    constraints, is feasible with value L(u) = A**2/B * min(1, B/E), and
+    U(u) = (u+1)*A is the dual objective max(0, chi_max(nu)) + nu at nu = A,
+    as chi_max(A) = u*A exactly; so L(u) <= value <= U(u) for every u, in
+    any case, and both equal the value at the case-"c" root, where E = B.
+    With q_k = sum s/mu**k (one product with the (groups, 5) matrix of
+    1, mu, 1/mu, mu**-2 and mu**-3, made in the call), the path's ends give
+    closed forms, returned when ``steps`` is 0: the value is at most q_0 (the
+    ball alone) and q_1 (the ellipsoid alone), and at least the values of c
+    and of c/mu scaled into both constraints, q_0 * min(1, q_0/q_-1) and
+    q_1 * min(1, q_1/q_2); in cases "a" and "b" they are the value up to
+    rounding, and a row of zeros, or sums whose moments overflow, gives NaN
+    or infinite bounds. Otherwise each row takes ``steps`` points in
+    lockstep, and the best bounds seen are kept, NaN and infinite ones
+    dropped. The first point is the root of the expansion of E - B about
+    u = 0, (q_1 - q_2) / (2*(q_2 - q_3)) (1 where that is not positive and
+    finite); each later one is Newton's step on phi(u) = N**-1/2 - P**-1/2,
+    with E - B = P - N split into the terms above and below 1
+    (P = sum_{mu > 1} (mu-1)*s/(u+mu)**2), or the geometric midpoint of the
+    bracket the signs of P - N have left when the step falls outside it. phi
+    is nearly linear in u (exactly so with one term on each side), as the
     reciprocal norm is in Moré and Sorensen's trust-region root.
     """
-    total, first, inverse, inverse2, inverse3 = (sums @ spectrum._moments).T
     with np.errstate(all="ignore"):
-        ball, ellipsoid = total * np.minimum(1.0, rho * total / first), rho * inverse
-        low = np.maximum(ball, ellipsoid * np.minimum(1.0, inverse / (rho * inverse2)))
-        high = np.minimum(total, ellipsoid)
+        total, first, inverse, inverse2, inverse3 = (sums @ np.power.outer(mu, (0.0, 1.0, -1.0, -2.0, -3.0))).T
+        low = np.maximum(total * np.minimum(1.0, total / first), inverse * np.minimum(1.0, inverse / inverse2))
+        high = np.minimum(total, inverse)
         if steps == 0:
             return np.stack((low, high), axis=1)
-        means = spectrum.groups[1]
-        weights = _path_weights(means, rho)
+        weights = _path_weights(mu)
         below, above = np.zeros(len(sums)), np.full(len(sums), math.inf)  # where P < N, and P > N
-        u = (inverse - rho * inverse2) / (2.0 * (inverse2 - rho * inverse3))
-        u[~((u > 0.0) & (u < math.inf))] = rho
+        u = (inverse - inverse2) / (2.0 * (inverse2 - inverse3))
+        u[~((u > 0.0) & (u < math.inf))] = 1.0
         for step in range(steps):
-            lower, upper, p, n, p3, n3 = _path_point(sums, means, weights, rho, u)
+            lower, upper, p, n, p3, n3 = _path_point(sums, mu, weights, u)
             np.fmax(low, np.where(lower < math.inf, lower, 0.0), out=low)
             np.fmin(high, upper, out=high)
             if step == steps - 1:
@@ -759,15 +782,15 @@ def _unscale(scaled, exps):
     return values
 
 
-def _solved(spectrum: Spectrum, sums: np.ndarray, exps: np.ndarray, rho: float) -> np.ndarray:
+def _solved(sums: np.ndarray, exps: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Values of the statistic for rows of group sums scaled by 2**-exps (:func:`_scaled_sums`), each solved in full."""
-    return _unscale(_grouped_kkt(sums, spectrum.groups[1], rho)[0], exps)
+    return _unscale(_grouped_kkt(sums, mu)[0], exps)
 
 
 def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
     """Values of the statistic for the rows of one chunk (:func:`_row_chunks`); ``rho`` is taken as checked."""
     _, exps, sums = _scaled_sums(spectrum, y)
-    return _solved(spectrum, sums, exps, rho)
+    return _solved(sums, exps, _unit_means(spectrum, rho))
 
 
 def _set_aside(low: np.ndarray, high: np.ndarray, largest: int, smallest: int) -> tuple[np.ndarray, np.ndarray]:
@@ -792,7 +815,8 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
     before the next is drawn. The result is entry ``rank - 1`` of the sorted
     :func:`_sss_values` of the same chunks, bit for bit, as every value
     that can be returned comes from :func:`_solved`; a chunk is refused as
-    :func:`_sss_values` refuses it, and ``rho`` is taken as checked. Each row
+    :func:`_sss_values` refuses it, and ``rho`` is taken as checked (and
+    refused before any chunk, where :func:`_unit_means` refuses it). Each row
     is solved only as far as it might hold the result, in three stages,
     every bound widened by ``_BOUND_RTOL`` and unscaled:
 
@@ -816,16 +840,16 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
     2. the open rows left are solved in full, and the result is the value
        whose rank, after the rows set aside below, is ``rank``.
     """
-    groups = spectrum.groups[1].size
+    mu = _unit_means(spectrum, rho)
     largest = count - rank + 1  # the rank-th smallest value is the largest-th largest
     below = above = 0  # rows set aside because their value lies below (above) the result
     # the rows in contention: value bounds (equal once exact) and exponents,
     # and the group sums of the open rows, in order
-    low, high, exps, held = np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty((0, groups))
+    low, high, exps, held = np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty((0, mu.size))
 
     def widened(sums, e, steps):
         with np.errstate(over="ignore", under="ignore"):
-            bounds = _path_bounds(spectrum, sums, rho, steps) * (1.0 - _BOUND_RTOL, 1.0 + _BOUND_RTOL)
+            bounds = _path_bounds(sums, mu, steps) * (1.0 - _BOUND_RTOL, 1.0 + _BOUND_RTOL)
             return np.ldexp(bounds, 2 * e[:, None])
 
     def set_aside():
@@ -841,15 +865,15 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
         bounds = widened(sums, e, 0)
         leaving = ~(bounds[:, 0] >= np.finfo(float).tiny) | ~np.isfinite(bounds[:, 1])
         if leaving.any():
-            bounds[leaving] = _solved(spectrum, sums[leaving], e[leaving], rho)[:, None]
+            bounds[leaving] = _solved(sums[leaving], e[leaving], mu)[:, None]
         low, high, exps = (np.concatenate(pair) for pair in zip((low, high, exps), (*bounds.T, e)))
         held = np.concatenate((held, sums[bounds[:, 0] < bounds[:, 1]]))
         del sums  # summed groups are new memory, freed before the next chunk's are summed
         set_aside()
-        past = len(held) - max(1, _OPEN_ENTRIES // groups)
+        past = len(held) - max(1, _OPEN_ENTRIES // mu.size)
         if past > 0:
             i = np.flatnonzero(low < high)[:past]
-            low[i] = high[i] = _solved(spectrum, held[:past], exps[i], rho)
+            low[i] = high[i] = _solved(held[:past], exps[i], mu)
             held = held[past:]
 
     opened = np.flatnonzero(low < high)  # stage 1
@@ -864,21 +888,22 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
     held = held[low[opened] < high[opened]]
     set_aside()
     i = np.flatnonzero(low < high)  # stage 2
-    low[i] = _solved(spectrum, held, exps[i], rho)
+    low[i] = _solved(held, exps[i], mu)
     return float(np.sort(low)[rank - 1 - below])
 
 
 def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     """Spectral scan statistic by one KKT solve, certified by the dual.
 
-    :func:`_grouped_kkt`, on the observation as a one-row chunk, gives the
-    value, the case, the dual multiplier nu*, and in case "c" the root t and
-    its step count. The primal maximizer z in the nonconstant eigenbasis is
-    rebuilt from the ungrouped coefficients c: c/||c|| (case "a"), c/lambda
-    scaled onto the ellipsoid ("b") or c/(1 + t*lambda) normalized ("c").
-    The vector before scaling gives the dual objective at nu* in closed form
-    (see the module docstring): rho * c'(c/lambda) in case "b", and
-    (1 + rho*t) * c'(c/(1 + t*lambda)) otherwise. It is summed over the
+    :func:`_grouped_kkt`, on the observation as a one-row chunk and the
+    groups' mu = lambda/rho, gives the value, the case, the dual multiplier
+    nu~ of the unit ellipsoid (reported as nu* = nu~/rho), and in case "c"
+    the root s and its step count. The primal maximizer z in the
+    nonconstant eigenbasis is rebuilt from the ungrouped coefficients c and
+    mu: c/||c|| (case "a"), c/mu scaled onto the ellipsoid ("b") or
+    c/(1 + s*mu) normalized ("c"). The vector before scaling gives the dual
+    objective at nu~ in closed form (see the module docstring): c'(c/mu) in
+    case "b", and (1 + s) * c'(c/(1 + s*mu)) otherwise. It is summed over the
     ungrouped terms; by weak duality it bounds the statistic from above, and
     ``gap`` reports the difference, so it also checks the grouping. All of
     this runs on c scaled exactly by a power of two to a largest entry in
@@ -889,21 +914,21 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     """
     rho = real("rho", rho, "positive")
     # a one-row chunk, so that _sss_values on the same row gives the same bits;
-    # c and s are views of the workspace, used before anything else scores
-    (c,), e, s = _scaled_sums(spectrum, observation(y, spectrum.n)[None])
-    (value,), (case,), (nu_star,), (t,), (iterations,) = _grouped_kkt(s, spectrum.groups[1], rho)
-    lambdas = spectrum.eigenvalues[1:]
+    # c and sums are views of the workspace, used before anything else scores
+    (c,), e, sums = _scaled_sums(spectrum, observation(y, spectrum.n)[None])
+    (value,), (case,), (nu,), (s,), (iterations,) = _grouped_kkt(sums, _unit_means(spectrum, rho))
+    mu = spectrum.eigenvalues[1:] / rho
     # c is scaled to a largest entry in [0.5, 1), and z does not depend on its scale
-    if case == "b":
-        z = c / lambdas
-        dual = rho * float(c @ z)
-        z *= math.sqrt(rho / float(z @ (lambdas * z)))
-    else:  # in case "a", t = 0: z = c/||c|| and the dual is ||c||**2
-        z = c / (1.0 + t * lambdas)
-        dual = (1.0 + rho * t) * float(c @ z)
+    if case == "b":  # z'diag(mu)z = c'(c/mu) before scaling
+        z = c / mu
+        dual = float(c @ z)
+        z /= math.sqrt(dual)
+    else:  # in case "a", s = 0: z = c/||c|| and the dual is ||c||**2
+        z = c / (1.0 + s * mu)
+        dual = (1.0 + s) * float(c @ z)
         if c.any():
             z /= np.linalg.norm(z)
-    value, nu_star, dual = (float(x) for x in _unscale(np.array([value, nu_star, dual]), e))
+    value, nu_star, dual = (float(x) for x in _unscale(np.array([value, float(nu) / rho, dual]), e))
 
     witness = spectrum.expand(z)
     nz = np.nonzero(np.abs(witness) > 1e-14 * max(1.0, float(np.abs(witness).max())))[0]

@@ -308,47 +308,51 @@ def kkt_solve_loop(c: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.n
     return w / np.linalg.norm(w), "c", t_hi * theta, iterations
 
 
-def grouped_kkt_loop(s: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[float, str, float, float, int]:
-    """The KKT solve on one row ``s`` of group sums, written row by row: value, case, nu*, root t and steps.
+def grouped_kkt_loop(s: np.ndarray, mu: np.ndarray) -> tuple[float, str, float, float, int]:
+    """The KKT solve on one row ``s`` of group sums, written row by row: value, case, nu~, root and steps.
 
-    ``spectral._grouped_kkt`` must give each row of a chunk these bits.
+    ``mu`` holds the distinct eigenvalues over rho, so the ellipsoid is
+    z' diag(mu) z <= 1. ``spectral._grouped_kkt`` must give each row of a
+    chunk these bits.
     """
     total = float(s.sum())
     if total == 0.0:
         return 0.0, "a", 0.0, 0.0, 0
     p = s / total
-    if float(p @ lambdas) <= rho:
+    if float(p @ mu) <= 1.0:
         return total, "a", 0.0, 0.0, 0
 
-    inv = p / lambdas
-    quad = float(inv.sum())  # c' diag(lambdas)^-1 c / total
-    if rho * float((inv / lambdas).sum()) <= quad:  # ||z||**2 <= 1
-        return rho * quad * total, "b", quad * total, 0.0, 0
+    inv = p / mu
+    quad = float(inv.sum())  # c' diag(mu)^-1 c / total
+    if float((inv / mu).sum()) <= quad:  # ||z||**2 <= 1
+        return quad * total, "b", quad * total, 0.0, 0
 
-    def gap(t: float) -> float:
-        q = p / (1.0 + t * lambdas) ** 2  # z(t)_i**2 before normalizing
-        return float(lambdas @ q) / float(q.sum()) - rho
+    def gap(root: float) -> float:
+        q = p / (1.0 + root * mu) ** 2  # z_i**2 before normalizing
+        return float(mu @ q) / float(q.sum()) - 1.0
 
     # each loop runs until it brackets the root, or narrows the bracket to
-    # 1e-14 relative, in at most 2200 steps, more than finite doubles allow
-    t_lo, t_hi, steps = 0.0, 1.0, 0
-    for _ in range(2200):
-        steps += 1
-        if gap(t_hi) < 0.0:
-            break
-        t_hi *= 2.0
-    else:
-        raise ValueError("no bracket")
-    for _ in range(2200):
-        if t_hi - t_lo <= 1e-14 * t_hi:
-            break
-        steps += 1
-        mid = 0.5 * (t_lo + t_hi)
-        if gap(mid) > 0.0:
-            t_lo = mid
+    # 1e-14 relative, in at most 2200 steps, more than finite doubles allow;
+    # a gap whose terms overflow is evaluated all the same, as in the kernel
+    lo, hi, steps = 0.0, 1.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2200):
+            steps += 1
+            if gap(hi) < 0.0:
+                break
+            hi *= 2.0
         else:
-            t_hi = mid
-    w = p / (1.0 + t_hi * lambdas)
+            raise ValueError("no bracket")
+        for _ in range(2200):
+            if hi - lo <= 1e-14 * hi:
+                break
+            steps += 1
+            mid = 0.5 * (lo + hi)
+            if gap(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+    w = p / (1.0 + hi * mu)
     theta = float(w.sum())
-    value = theta**2 / float((w / (1.0 + t_hi * lambdas)).sum()) * total
-    return value, "c", t_hi * theta * total, t_hi, steps
+    value = theta**2 / float((w / (1.0 + hi * mu)).sum()) * total
+    return value, "c", hi * theta * total, hi, steps

@@ -283,6 +283,32 @@ def test_largest_rho_scores_without_warnings():
         assert report.truncated_bound is None and report.spectral_sum_bound == math.sqrt(8.0)
 
 
+@pytest.mark.parametrize("rho", [1e-310, 5e-324])
+def test_subnormal_rho_is_refused_as_an_underflow(rho):
+    # lambda/rho overflows: the value lies below the normal doubles, and is
+    # refused with no numpy warning rather than read as 0
+    g = gen_lattice(4)
+    y = np.random.default_rng(0).standard_normal(g.n)
+    calls = (lambda: sss(graph_spectrum(g), y, rho), lambda: sss_stat(g, y, rho),
+             lambda: calibrate_threshold(Detector("sss", rho=rho), g, 1.0, 0.05, 200, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="^the sss statistic underflows"):
+                call()
+
+
+def test_rho_past_the_unit_ellipsoid_is_refused_whatever_the_value():
+    # a normal rho, lambda_max/rho = inf on the 4x4 grid (lambda_max 6.83):
+    # the value, about 4.3e-307 for this y and 4.3e-107 for y * 1e100, is in
+    # range, but mu = lambda/rho is not, so the unit form refuses it
+    g = gen_lattice(4)
+    y = np.random.default_rng(0).standard_normal(g.n)
+    for scale in (1.0, 1e100):
+        with pytest.raises(ValueError, match="^the sss statistic underflows on the unit ellipsoid: lambda_max/rho"):
+            sss(graph_spectrum(g), y * scale, 3e-308)
+
+
 @pytest.mark.parametrize(
     "call",
     [

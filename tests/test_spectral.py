@@ -220,6 +220,31 @@ class TestChiMax:
             assert chi_max(c, lam, nu) == pytest.approx(dense, rel=1e-9, abs=1e-9)
 
 
+class TestProjectExpand:
+    @pytest.mark.parametrize(
+        "values, refusal",
+        [
+            (lambda n: [True] * 4 + [False] * (n - 4), "must hold only numbers, got True"),
+            (lambda n: ["1"] * n, "must hold only numbers, got '1'"),
+            (lambda n: np.r_[np.nan, np.ones(n - 1)], "contains NaN or infinite values"),
+            (lambda n: np.ones(n + 1), "must have {n} entries along its last axis, got shape \\({m},\\)"),
+            (lambda n: 1.0, "must have {n} entries along its last axis, got shape \\(\\)"),
+        ],
+        ids=["bool", "text", "nan", "length", "scalar"],
+    )
+    @pytest.mark.parametrize("method, name, drop", [("project", "y", 0), ("expand", "z", 1)])
+    def test_refuses_what_is_not_a_vector_of_numbers_by_name(self, values, refusal, method, name, drop):
+        spec = graph_spectrum(gen_lattice(3))
+        n = spec.n - drop
+        with pytest.raises(ValueError, match=f"^{name} " + refusal.format(n=n, m=n + 1)):
+            getattr(spec, method)(values(n))
+
+    def test_expand_refuses_a_block(self):
+        spec = graph_spectrum(gen_lattice(3))
+        with pytest.raises(ValueError, match=r"^z must be one vector of coefficients, got shape \(2, 8\)"):
+            spec.expand(np.ones((2, spec.n - 1)))
+
+
 class TestSss:
     def test_p2_ball_active(self):
         # 1-D reduced space: max t^2 * 2 over t^2 <= 1, 2 t^2 <= rho, rho = 2 = lambda_n
@@ -419,13 +444,17 @@ class TestClosedFormCertificate:
 
 
 def reference_values(spec, y, rho):
-    """Values, cases and step counts of the ungrouped reference loop on the rows of ``y``."""
+    """Values, cases and step counts of the ungrouped reference loop on the rows of ``y``.
+
+    The steps come from the loop on the unit ellipsoid (lambdas/rho, rho 1),
+    where it roots s = rho*t from s = 1 as the kernel does.
+    """
     # the coefficients are scaled by powers of two, which the cases and steps do not see
     coeffs, exps, _ = _scaled_sums(spec, y)
     lambdas = spec.eigenvalues[1:]
     solved = [kkt_solve_loop(c, lambdas, rho) for c in coeffs]
     values = np.ldexp([float(c @ z) ** 2 for c, (z, *_) in zip(coeffs, solved)], 2 * exps)
-    return values, [case for _, case, _, _ in solved], [steps for *_, steps in solved]
+    return values, [case for _, case, _, _ in solved], [kkt_solve_loop(c, lambdas / rho, 1.0)[3] for c in coeffs]
 
 
 class TestGroupedKernel:
@@ -548,24 +577,23 @@ class TestGroupedKernel:
         ids=["grid", "torus", "bbt"],
     )
     def test_joint_scaling_of_weights_and_rho_keeps_the_value(self, make, rho):
-        # the root t scales as the inverse of the weights; 200 doublings and
-        # 200 halvings from t = 1 missed it beyond a scale of about 1e47
-        # either way, and the value came out wrong without a refusal
+        # the solve sees the weights and rho only as mu = lambda/rho, so its
+        # root and case tests do not move with their joint scale
         g = make()
         y = np.random.default_rng(0).standard_normal(g.n)
         base = sss(graph_spectrum(g), y, rho)
         assert base.case == "c"
-        for k in range(-100, 101):
+        for k in range(-300, 301):
             scaled, level = scale_weights(g, 10.0**k), rho * 10.0**k
             result = sss(graph_spectrum(scaled), y, level)
             assert result.value == pytest.approx(base.value, rel=1e-12, abs=0.0)
             assert sss_certificate(scaled, y, level, result)[0]
 
     def test_a_row_with_no_bracket_is_refused(self):
-        # z(t) stays outside the ellipsoid for every t, so doubling finds no bracket before t overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="^the sss root has no bracket"):
-                spectral._kkt_root(np.array([1.0]), np.array([2.0]), 1.0, 1.0)
+        # z(s) stays outside the ellipsoid for every s, so doubling finds no
+        # bracket before s overflows; the refusal is the only signal
+        with pytest.raises(ValueError, match="^the sss root has no bracket"):
+            spectral._kkt_root(np.array([1.0]), np.array([2.0]), 1.0)
 
     @pytest.mark.parametrize("scale", [1e153, 1e-153])
     def test_value_and_certificate_at_extreme_scales(self, scale):

@@ -152,16 +152,17 @@ class TestBitForBit:
         refined = counted_calls(monkeypatch, "_path_bounds")
         assert calibrate_threshold(det, g, 1.0, 0.05, 200, 2) == expected
         # refining every row, as a first pass without closed-form bounds would, takes 200
-        assert sum(len(sums) for _, sums, _, steps in refined if steps > 0) <= 80
+        assert sum(len(sums) for sums, _, steps in refined if steps > 0) <= 80
 
     def test_joint_scaling_of_weights_and_rho_keeps_the_threshold(self):
-        # at a weight scale of 1e60 the threshold read 40.84, and 31.84 at 1e100
-        g, rho = gen_lattice(6, periodic=True), 3.0
-        expected = calibrate_threshold(Detector("sss", rho=rho), g, 1.0, 0.05, 200, 3)
-        for k in range(-100, 101):
-            det = Detector("sss", rho=rho * 10.0**k)
-            scaled = calibrate_threshold(det, scale_weights(g, 10.0**k), 1.0, 0.05, 200, 3)
-            assert scaled == pytest.approx(expected, rel=1e-12, abs=0.0)
+        # the 6x6 torus read 40.84 at a weight scale of 1e60 and 31.84 at
+        # 1e100; the 4x4 grid read 18.0636 for 16.3001 at 1e-200
+        for g, rho in ((gen_lattice(6, periodic=True), 3.0), (gen_lattice(4), 1.1)):
+            expected = calibrate_threshold(Detector("sss", rho=rho), g, 1.0, 0.05, 200, 3)
+            for k in range(-300, 301):
+                det = Detector("sss", rho=rho * 10.0**k)
+                scaled = calibrate_threshold(det, scale_weights(g, 10.0**k), 1.0, 0.05, 200, 3)
+                assert scaled == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sigma, match", [(1e160, "overflows"), (1e-160, "underflows")])
     def test_refuses_extreme_scales_as_a_full_solve_does(self, sigma, match):
@@ -202,9 +203,9 @@ class TestBounds:
         g = random_connected_graph(rng, min_n=3)
         spec = graph_spectrum(g)
         rho = rho_in(spec.eigenvalues, regime, u)
-        sums = _scaled_sums(spec, rng.standard_normal((8, g.n)))[2]
-        values, cases = _grouped_kkt(sums, spec.groups[1], rho)[:2]
-        for (low, high), value, case in zip(_path_bounds(spec, sums, rho, 0), values, cases):
+        sums, mu = _scaled_sums(spec, rng.standard_normal((8, g.n)))[2], spec.groups[1] / rho
+        values, cases = _grouped_kkt(sums, mu)[:2]
+        for (low, high), value, case in zip(_path_bounds(sums, mu, 0), values, cases):
             assert low * (1.0 - _BOUND_RTOL) <= value <= high * (1.0 + _BOUND_RTOL)
             if case != "c":
                 assert low == pytest.approx(value, rel=1e-12, abs=0.0)
@@ -222,32 +223,31 @@ class TestBounds:
         rng = np.random.default_rng(seed)
         g = scale_weights(FAMILIES[family](rng), 10.0**log_weight)
         spec = graph_spectrum(g)
-        means = spec.groups[1]
         y = rng.standard_normal((6, g.n))
         rho = case_c_rho(spec, y[0], u) if regime == "case-c" else rho_in(spec.eigenvalues, regime, u)
-        sums = _scaled_sums(spec, y)[2]
-        values, cases, _, roots, _ = _grouped_kkt(sums, means, rho)
-        weights = _path_weights(means, rho)
+        sums, mu = _scaled_sums(spec, y)[2], spec.groups[1] / rho
+        values, cases, _, roots, _ = _grouped_kkt(sums, mu)
+        weights = _path_weights(mu)
 
         def bounds_at(u):
-            return np.stack(_path_point(sums, means, weights, rho, u)[:2], axis=1)
+            return np.stack(_path_point(sums, mu, weights, u)[:2], axis=1)
 
         # 0+, points across the spectrum and beyond, and infinity, where
-        # u + lambda rounds to lambda and to u
-        zero, infinity = bounds_at(np.full(6, means[0] * 1e-17)), bounds_at(np.full(6, means[-1] * 1e17))
-        spread = np.exp(rng.uniform(math.log(means[0] * 1e-3), math.log(means[-1] * 1e3), (4, 6)))
-        refined = _path_bounds(spec, sums, rho, _PATH_STEPS)
+        # u + mu rounds to mu and to u
+        zero, infinity = bounds_at(np.full(6, mu[0] * 1e-17)), bounds_at(np.full(6, mu[-1] * 1e17))
+        spread = np.exp(rng.uniform(math.log(mu[0] * 1e-3), math.log(mu[-1] * 1e3), (4, 6)))
+        refined = _path_bounds(sums, mu, _PATH_STEPS)
         for bounds in [zero, infinity, *map(bounds_at, spread), refined]:
             assert (bounds[:, 0] * (1.0 - _BOUND_RTOL) <= values).all()
             assert (values <= bounds[:, 1] * (1.0 + _BOUND_RTOL)).all()
-        closed = _path_bounds(spec, sums, rho, 0)
+        closed = _path_bounds(sums, mu, 0)
         np.testing.assert_allclose(np.maximum(zero[:, 0], infinity[:, 0]), closed[:, 0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(np.minimum(zero[:, 1], infinity[:, 1]), closed[:, 1], rtol=1e-12, atol=0.0)
         # the bounds at a case-"c" row's root, and the refined bounds of the
         # others, which start at the closed forms, are the value
-        for row, bounds, value, case, t in zip(sums, refined, values, cases, roots):
+        for row, bounds, value, case, root in zip(sums, refined, values, cases, roots):
             if case == "c":
-                bounds = np.concatenate(_path_point(row[None], means, weights, rho, np.array([1.0 / t]))[:2])
+                bounds = np.concatenate(_path_point(row[None], mu, weights, np.array([1.0 / root]))[:2])
             assert bounds == pytest.approx([value, value], rel=1e-12, abs=0.0)
 
     @settings(max_examples=60)
@@ -278,13 +278,12 @@ class TestBlockSolve:
         rng = np.random.default_rng(seed)
         g = scale_weights(FAMILIES[family](rng), 10.0**log_weight)
         spec = graph_spectrum(g)
-        means = spec.groups[1]
         y = rng.standard_normal((6, g.n))
         rho = case_c_rho(spec, y[0], u) if regime == "case-c" else rho_in(spec.eigenvalues, regime, u)
-        sums = _scaled_sums(spec, y)[2]
-        solved = _grouped_kkt(sums, means, rho)
+        sums, mu = _scaled_sums(spec, y)[2], spec.groups[1] / rho
+        solved = _grouped_kkt(sums, mu)
         for i, row in enumerate(sums):
-            expected = grouped_kkt_loop(row, means, rho)
+            expected = grouped_kkt_loop(row, mu)
             assert tuple(field[i] for field in solved) == expected
             assert solved[0][i].tobytes() == np.float64(expected[0]).tobytes()
 
@@ -297,9 +296,9 @@ class TestBlockSolve:
         # the lowest mode alone is in case "a", the highest alone in case "b",
         # noise in case "c", and a constant row is all zeros
         y = np.vstack([low, high, np.zeros(g.n), *np.random.default_rng(3).standard_normal((5, g.n))])
-        sums = _scaled_sums(spec, y)[2].copy()
-        solved = _grouped_kkt(sums, spec.groups[1], rho)
+        sums, mu = _scaled_sums(spec, y)[2].copy(), spec.groups[1] / rho
+        solved = _grouped_kkt(sums, mu)
         assert set(solved[1]) == {"a", "b", "c"}
         for i in range(len(sums)):
-            alone = _grouped_kkt(sums[i : i + 1].copy(), spec.groups[1], rho)
+            alone = _grouped_kkt(sums[i : i + 1].copy(), mu)
             assert [field[i : i + 1].tobytes() for field in solved] == [field.tobytes() for field in alone]
