@@ -101,10 +101,18 @@ def naive_bounds(n: int, max_cluster: int) -> tuple[float, float]:
 
 
 def noncentrality(delta: float, sigma: float, cluster_size: int, n: int) -> float:
-    """Noncentrality (delta/sigma)^2 |C| (n - |C|) / n of the oracle likelihood ratio."""
+    """Noncentrality (delta/sigma)^2 |C| (n - |C|) / n of the oracle likelihood ratio.
+
+    A noncentrality beyond the doubles is refused, naming delta and sigma.
+    """
     sigma, delta, n = real("sigma", sigma, "positive"), real("delta", delta), integer("n", n)
     cluster_size = integer("cluster_size", cluster_size, 1, n - 1)
-    return (delta / sigma) ** 2 * cluster_size * (n - cluster_size) / n
+    # neither product overflows unless the result does
+    ratio = delta / sigma
+    value = ratio * (ratio * (cluster_size * (n - cluster_size) / n))
+    if not math.isfinite(value):
+        raise ValueError(f"delta/sigma must be small enough for a finite noncentrality, got {delta}/{sigma}")
+    return value
 
 
 def bbt_lambda2_bound(depth: int) -> float:

@@ -278,8 +278,12 @@ def _cut_weights(g: Graph, rows: np.ndarray) -> np.ndarray:
 
 
 def _sparsity(n: int, cut, size):
-    """The cut sparsity n * cut / (size * (n - size)) of clusters of the given cut weights and sizes."""
-    return n * cut / (size * (n - size))
+    """The cut sparsity n * cut / (size * (n - size)) of clusters of the given cut weights and sizes.
+
+    The cut is multiplied last, by n / (size * (n - size)), which lies in (0, 2], so nothing
+    overflows before a result that fits in a double.
+    """
+    return cut * (n / (size * (n - size)))
 
 
 def boundary_weight(g: Graph, c: Cluster) -> float:

@@ -81,12 +81,18 @@ def sample_observation(spec: SignalSpec, sigma: float, rng: np.random.Generator)
 
 
 def snr(spec: SignalSpec, sigma: float) -> float:
-    """Separation-to-noise ratio sqrt(|C| |C~| / n) * |delta| / sigma."""
+    """Separation-to-noise ratio sqrt(|C| |C~| / n) * |delta| / sigma.
+
+    An SNR beyond the doubles is refused, naming delta and sigma.
+    """
     if spec.is_null:
         raise ValueError("SNR is undefined for a null signal")
     sigma = real("sigma", sigma, "positive")
     k = spec.cluster.size
-    return math.sqrt(k * (spec.n - k) / spec.n) * abs(spec.delta) / sigma
+    value = math.sqrt(k * (spec.n - k) / spec.n) * abs(spec.delta) / sigma
+    if math.isinf(value):
+        raise ValueError(f"delta/sigma must be small enough for a finite SNR, got {spec.delta}/{sigma}")
+    return value
 
 
 def _bbt_cluster(g: Graph, params: dict) -> Cluster:

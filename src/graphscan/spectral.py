@@ -39,10 +39,13 @@ or underflows at extreme scales of y; a value outside the range of normal
 doubles is refused, and so is a rho so small that lambda_max/rho overflows,
 as the unit ellipsoid cannot be held in doubles there, whatever the value.
 
-The root-find of the third case doubles s from 1 to a bracket of the root and
-bisects it until it is narrow relative to the root (1e-14), one row at a time;
-a chunk of observations is settled in the first two cases all at once, each
-row in the same bits as alone. Every point of the third case's multiplier path also
+The root-find of the third case is the one bisection of this module
+(:func:`_bisect`, which :func:`chi_max` runs too): s doubles from 1 until
+the gap is not positive, and [0, s] is bisected until it is narrow relative
+to the root (1e-14), every point where the gap is not positive becoming the
+upper end, one row at a time; a chunk of observations is settled in the
+first two cases all at once, each row in the same bits as alone.
+Every point of the third case's multiplier path also
 bounds the value, with no root-find: the maximizer's direction there, scaled
 into the feasible set, from below, and the dual objective at the matching
 multiplier from above. Both are the value at the root, and at the path's two
@@ -97,10 +100,10 @@ __all__ = [
 # marks a disconnected graph.
 _TIE_RTOL = 1e-10
 
-# Case "c" brackets its root s by doubling from 1 and bisects it until the
-# bracket is this narrow relative to s, each in at most this many steps:
-# doubling overflows after 1024, and from an s_hi below 2**1024 to the
-# smallest subnormal double takes 2098 halvings, and _ROOT_RTOL about 47 more.
+# _bisect brackets a root by doubling and bisects it until the bracket is
+# this narrow relative to the root, each in at most this many steps: doubling
+# overflows after 1024, and from an upper end below 2**1024 to the smallest
+# subnormal double takes 2098 halvings, and _ROOT_RTOL about 47 more.
 _ROOT_RTOL = 1e-14
 _ROOT_STEPS = 2200
 # An order statistic refines the bounds of the rows its closed-form bounds
@@ -422,7 +425,8 @@ class SssResult:
     """Scan-statistic value with its dual multiplier, a feasible witness and a certificate.
 
     ``witness`` lies in the feasible set (unit ball, Laplacian ellipsoid, mean
-    zero) and attains ``value``; its first nonzero coordinate is positive.
+    zero) and attains ``value``; its first entry above 1e-12 of its largest
+    magnitude is positive, as for :func:`eig_sym`'s columns (:func:`_fix_signs`).
     ``case`` names the active KKT case ("a": ball, "b": ellipsoid, "c": both),
     ``iterations`` counts the root-finding steps (nonzero only in case "c"),
     and ``gap`` is the dual objective at ``nu_star`` minus ``value``, which
@@ -499,14 +503,18 @@ def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
     ``c`` must hold finite real numbers, ``lambdas`` finite, strictly
     positive and ascending ones (each read by :func:`graphscan._check.numbers`),
     and ``nu`` must be finite and nonnegative. Components with
-    |c_i| <= 1e-14 * ||c|| are deflated: they contribute plain diagonal
-    eigenvalues -nu * lambda_i. On the remaining active part, the largest
-    eigenvalue is the unique root above -nu * min(active lambdas) of
+    c_i**2 <= 1e-28 * ||c||**2 (those whose squares underflow among them) are
+    deflated: they contribute plain diagonal eigenvalues -nu * lambda_i. On the
+    remaining active part, the largest eigenvalue is -nu * min(active lambdas)
+    + t for the unique root t > 0 of
 
-        sum_i c_i**2 / (theta + nu * lambda_i) = 1,
+        f(t) = sum_i c_i**2 / (t + nu * (lambda_i - min(active lambdas))) - 1,
 
-    solved by bisection-safeguarded Newton. Matches a dense eigendecomposition
-    of the same matrix to ~1e-9 relative at a cost of O(len(c)) per call.
+    which is decreasing, with f(||c||**2) <= 0; :func:`_bisect` narrows
+    [0, ||c||**2] to 1e-14 relative to t, about 50 evaluations of O(len(c))
+    each. That matches a dense eigendecomposition of the same matrix to about
+    1e-13 * max(1, |theta|). A ||c||**2 or a result beyond the doubles is
+    refused as an overflow, with no numpy warning first.
     """
     c, lambdas = numbers(c, float, "c"), numbers(lambdas, float, "lambdas")
     if c.shape != lambdas.shape or c.ndim != 1:
@@ -519,43 +527,56 @@ def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
         raise ValueError("lambdas must be ascending")
     nu = real("nu", nu, "nonnegative")
 
-    norm_c = float(np.linalg.norm(c))
-    active = np.abs(c) > 1e-14 * norm_c
+    with np.errstate(over="ignore"):
+        csq = c * c
+        total = float(csq.sum())
+    if math.isinf(total):
+        raise ValueError("chi_max overflows: ||c||**2 is beyond the doubles")
+    active = csq > 1e-28 * total
     if nu == 0.0 or not active.any():
         # pure rank-one (||c||^2) or pure diagonal (-nu * smallest lambda)
-        return norm_c**2 if active.any() else (-nu * float(lambdas[0]) if nu > 0.0 else 0.0)
+        top = total if active.any() else (-nu * float(lambdas[0]) if nu > 0.0 else 0.0)
+    else:
+        # shift so the pole of interest sits at zero: theta = -nu*lam_min + t, t > 0
+        csq, lam = csq[active], lambdas[active]
+        with np.errstate(over="ignore"):  # a pole beyond the doubles leaves its term 0
+            delta = nu * (lam - lam[0])
+        t = _bisect(lambda t: float((csq / (t + delta)).sum()) - 1.0, total)[0]
+        deflated_top = -nu * float(lambdas[~active][0]) if (~active).any() else -math.inf
+        top = max(-nu * float(lam[0]) + t, deflated_top)
+    if math.isinf(top):
+        raise ValueError("chi_max overflows: nu * lambdas is beyond the doubles")
+    return top
 
-    csq = c[active] ** 2
-    lam = lambdas[active]
-    deflated_top = -nu * float(lambdas[~active][0]) if (~active).any() else -math.inf
 
-    # Shift so the pole of interest sits at zero: theta = -nu*lam_min + t, t > 0.
-    d_max = -nu * float(lam[0])
-    delta = nu * (lam - lam[0])
-    total = float(csq.sum())
+def _bisect(f, hi: float) -> tuple[float, int]:
+    """The root of a decreasing ``f`` on s > 0, from a first guess ``hi`` > 0, and the evaluations it took.
 
-    def secular(t: float) -> tuple[float, float]:
-        terms = csq / (t + delta)
-        return float(terms.sum()), float((terms / (t + delta)).sum())
-
-    lo, hi = 0.0, total  # f(0+) = +inf, f(total) <= 1
-    t = total
-    for _ in range(200):
-        val, slope = secular(t)
-        if val > 1.0:
-            lo = t
-        else:
-            hi = t
-        step = (val - 1.0) / slope  # Newton on decreasing convex f
-        t_new = t + step
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 1e-15 * max(t, 1e-300):
-            t = t_new
+    ``hi`` doubles until f(hi) <= 0, and [0, hi] is then bisected until
+    hi - lo <= _ROOT_RTOL * hi, or until no double lies between them (a root
+    among the subnormals, where _ROOT_RTOL * hi rounds below their spacing);
+    in both phases a point with f <= 0 becomes the upper end, and the root
+    returned is that end. Each phase takes at most _ROOT_STEPS steps, more
+    than finite doubles allow; an ``f`` that is positive or NaN at every
+    doubling (it has no root below the doubles) is refused.
+    """
+    lo = 0.0
+    for steps in range(1, _ROOT_STEPS + 1):
+        if f(hi) <= 0.0:
             break
-        t = t_new
-    theta = d_max + t
-    return max(theta, deflated_top)
+        hi *= 2.0
+    else:
+        raise ValueError("the sss root has no bracket: the weights or rho are too extreme in scale")
+    for _ in range(_ROOT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= _ROOT_RTOL * hi or not lo < mid < hi:
+            break
+        steps += 1
+        if f(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi, steps
 
 
 def _connected_lambdas(spectrum: Spectrum) -> np.ndarray:
@@ -621,43 +642,28 @@ def _grouped_kkt(sums: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, ...]:
 def _kkt_root(p: np.ndarray, mu: np.ndarray, total: float) -> tuple[float, float, float, int]:
     """Case "c" of :func:`_grouped_kkt` for one row of weights p and sum ``total``: the value, nu~, s and steps.
 
-    z(s)_i ~ c_i / (1 + s*mu_i) normalized, with s > 0 the root of
-    z(s)' diag(mu) z(s) = 1 (monotone in s); nu~ = s * theta, theta =
+    z(s)_i ~ c_i / (1 + s*mu_i) normalized, with s > 0 the root of the gap
+    z(s)' diag(mu) z(s) - 1 (decreasing in s); nu~ = s * theta, theta =
     sum_i c_i**2 / (1 + s*mu_i) the top eigenvalue of c c' - nu~ diag(mu).
     s is rho * t for the root t of the same path in x'Lx <= rho, so it is
-    near 1 whatever the scale of the weights and rho. s_hi starts at the
-    first of 1, 2, 4, ... where z(s) is inside the ellipsoid, s_lo at 0, and
-    bisection narrows them to s_hi - s_lo <= _ROOT_RTOL * s_hi; the results
-    are taken at s_hi. Each loop may take up to _ROOT_STEPS steps, more than
-    finite doubles allow; a row with no bracket by then (z(s) has become
+    near 1 whatever the scale of the weights and rho. :func:`_bisect` finds
+    it from s = 1, and the results are taken at the upper end it returns,
+    where z(s) is inside the ellipsoid. At the case-"b" limit the gap rounds
+    to 0 from some large s on, which ends the doubling there, with the
+    case-"b" value to rounding. A row with no bracket (z(s) has become
     zeros, and the gap NaN) is refused, with no numpy warning first.
     """
     def gap(s: float) -> float:
         q = p / (1.0 + s * mu) ** 2  # z(s)_i**2 before normalizing
         return float(mu @ q / q.sum()) - 1.0
 
-    s_lo, s_hi = 0.0, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for steps in range(1, _ROOT_STEPS + 1):
-            if gap(s_hi) < 0.0:
-                break
-            s_hi *= 2.0
-        else:
-            raise ValueError("the sss root has no bracket: the weights or rho are too extreme in scale")
-        for _ in range(_ROOT_STEPS):
-            if s_hi - s_lo <= _ROOT_RTOL * s_hi:
-                break
-            steps += 1
-            mid = 0.5 * (s_lo + s_hi)
-            if gap(mid) > 0.0:
-                s_lo = mid
-            else:
-                s_hi = mid
+        s, steps = _bisect(gap, 1.0)
     # the value (c'z(s))**2 and the multiplier s * theta(s)
-    w = p / (1.0 + s_hi * mu)
+    w = p / (1.0 + s * mu)
     theta = float(w.sum())
-    value = theta**2 / float((w / (1.0 + s_hi * mu)).sum()) * total
-    return value, s_hi * theta * total, s_hi, steps
+    value = theta**2 / float((w / (1.0 + s * mu)).sum()) * total
+    return value, s * theta * total, s, steps
 
 
 def _path_weights(mu: np.ndarray) -> np.ndarray:
@@ -930,10 +936,7 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
             z /= np.linalg.norm(z)
     value, nu_star, dual = (float(x) for x in _unscale(np.array([value, float(nu) / rho, dual]), e))
 
-    witness = spectrum.expand(z)
-    nz = np.nonzero(np.abs(witness) > 1e-14 * max(1.0, float(np.abs(witness).max())))[0]
-    if nz.size and witness[nz[0]] < 0:
-        witness = -witness
+    witness = _fix_signs(spectrum.expand(z)[:, None])[:, 0]
     return SssResult(
         value=value, nu_star=nu_star, witness=witness, case=str(case), iterations=int(iterations), gap=dual - value
     )

@@ -142,6 +142,20 @@ def sss_certificate(g: Graph, y: np.ndarray, rho: float, result: SssResult) -> t
     return feasible, primal, dual
 
 
+def secular_inputs(rng: np.random.Generator, count: int, zero_every: int):
+    """``count`` random (c, lambdas, nu) for ``chi_max``, with one entry of every ``zero_every``-th c set to 0.
+
+    lambdas are 1 to 13 ascending values in [0.01, 5], c standard normal and nu in [0, 10].
+    """
+    for i in range(count):
+        m = int(rng.integers(1, 14))
+        lam = np.sort(rng.uniform(0.01, 5.0, m))
+        c = rng.standard_normal(m)
+        if i % zero_every == 0:
+            c[rng.integers(0, m)] = 0.0  # exercise deflation
+        yield c, lam, float(rng.uniform(0.0, 10.0))
+
+
 # the refusals of Graph's edge checks, in the order an offending edge reports them
 EDGE_REFUSALS = (
     "edge ({u},{v}) has a non-integer vertex id",
@@ -286,11 +300,12 @@ def kkt_solve_loop(c: np.ndarray, lambdas: np.ndarray, rho: float) -> tuple[np.n
         zt /= np.linalg.norm(zt)
         return float(zt @ (lambdas * zt)) - rho
 
+    # a point where the gap is not positive is the upper end, in both loops
     iterations = 0
     t_hi = 1.0
     for _ in range(200):
         iterations += 1
-        if ellipsoid_gap(t_hi) < 0.0:
+        if ellipsoid_gap(t_hi) <= 0.0:
             break
         t_hi *= 2.0
     t_lo = 0.0
@@ -333,12 +348,13 @@ def grouped_kkt_loop(s: np.ndarray, mu: np.ndarray) -> tuple[float, str, float, 
 
     # each loop runs until it brackets the root, or narrows the bracket to
     # 1e-14 relative, in at most 2200 steps, more than finite doubles allow;
+    # a point where the gap is not positive is the upper end, in both loops;
     # a gap whose terms overflow is evaluated all the same, as in the kernel
     lo, hi, steps = 0.0, 1.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2200):
             steps += 1
-            if gap(hi) < 0.0:
+            if gap(hi) <= 0.0:
                 break
             hi *= 2.0
         else:

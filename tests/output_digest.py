@@ -9,6 +9,9 @@ Run it in each tree and diff the two files. It covers:
 - every benchmark workload's call (``perfbench/workloads.py``) at seeds 1-5 and 7, and
   ``calibrate_threshold`` of each ROC workload graph's detectors at those seeds (100 replicates,
   alpha 0.05, the workload's sigma and rho);
+- ``sss`` on each preset's graph and rho, for a standard normal observation at seeds 1-5 and 7:
+  the value, nu*, case, iterations, gap and the witness's bytes;
+- ``chi_max`` on the 200 secular inputs of acceptance criterion 4;
 - every generated graph (grids p 2-39, tori 3-39, balanced binary trees of depth 1-11, Kronecker
   products of two triangles at levels 1-4): n, each array's dtype, shape, flags and bytes, the
   factor and tree records, and the hash.
@@ -30,8 +33,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
 import graphscan as gs  # noqa: E402
 from graphscan.cli import main as cli_main  # noqa: E402
+from helpers import random_connected_graph, secular_inputs  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2, 3, 4, 5, 7)
@@ -75,6 +81,21 @@ def workloads():
             yield f"workload {workload.name} calibrate {kind}", digest(thresholds)
 
 
+def solves():
+    for name in gs.simulate.PRESET_NAMES:
+        config = gs.simulate.preset_config(name)
+        spectrum = gs.graph_spectrum(gs.simulate.build_experiment_graph(config))
+        results = [gs.sss(spectrum, np.random.default_rng(seed).standard_normal(spectrum.n), config.rho)
+                   for seed in SEEDS]
+        yield f"sss {name}", digest([(r.value, r.nu_star, r.case, r.iterations, r.gap, r.witness.tobytes())
+                                     for r in results])
+    # criterion 4 draws its secular inputs after 200 graphs and observations from the same generator
+    rng = np.random.default_rng(404)
+    for _ in range(200):
+        rng.standard_normal(random_connected_graph(rng).n)
+    yield "chi_max criterion-4", digest([gs.chi_max(c, lambdas, nu) for c, lambdas, nu in secular_inputs(rng, 200, 4)])
+
+
 def graphs():
     families = {
         "grid": (lambda p: gs.gen_lattice(p), range(2, 40)),
@@ -89,7 +110,7 @@ def graphs():
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
-    lines = [f"{label} {value}" for part in (presets, workloads, graphs) for label, value in part()]
+    lines = [f"{label} {value}" for part in (presets, workloads, solves, graphs) for label, value in part()]
     lines.append(f"all {digest(lines)}")
     print("\n".join(lines))
     return 0

@@ -42,7 +42,7 @@ from graphscan import (
 )
 from graphscan.simulate import auc, preset_config, run_roc
 from graphscan.spectral import chi_max
-from helpers import draw_rho, glr_brute_force, random_connected_graph, sss_certificate
+from helpers import draw_rho, glr_brute_force, random_connected_graph, secular_inputs, sss_certificate
 
 
 def report(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -150,13 +150,7 @@ class TestCriterion4OracleEquivalence:
             g = random_connected_graph(rng)
             y = rng.standard_normal(g.n)
             ok &= glr_unconstrained(y) == glr_brute_force(g, y)
-        for i in range(200):
-            m = int(rng.integers(1, 14))
-            lam = np.sort(rng.uniform(0.01, 5.0, m))
-            c = rng.standard_normal(m)
-            if i % 4 == 0:
-                c[rng.integers(0, m)] = 0.0
-            nu = float(rng.uniform(0.0, 10.0))
+        for c, lam, nu in secular_inputs(rng, 200, 4):
             dense = float(np.linalg.eigvalsh(np.outer(c, c) - nu * np.diag(lam))[-1])
             fast = chi_max(c, lam, nu)
             ok &= abs(fast - dense) <= 1e-9 * max(1.0, abs(dense))

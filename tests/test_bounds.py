@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from graphscan import (
+    Cluster,
+    SignalSpec,
     bbt_lambda2_bound,
     bounds_report,
     build_graph,
@@ -16,6 +18,7 @@ from graphscan import (
     naive_bounds,
     noncentrality,
     null_threshold,
+    snr,
     spectral_snr_bound,
     truncated_bound,
     two_triangles,
@@ -162,9 +165,11 @@ class TestNoncentrality:
     def test_zero_gap(self):
         assert noncentrality(0.0, 1.0, 5, 20) == 0.0
 
-    def test_equals_squared_snr(self):
-        from graphscan import Cluster, SignalSpec, snr
+    def test_a_value_near_the_largest_double_is_returned(self):
+        # (delta/sigma)**2 * |C| (n - |C|) = 2e308 overflowed before the division by n
+        assert noncentrality(1.0, 1e-154, 1, 3) == pytest.approx(2.0 / 3.0 * 1e308, rel=1e-15)
 
+    def test_equals_squared_snr(self):
         spec = SignalSpec(n=256, mu=0.0, delta=0.8, cluster=Cluster(frozenset(range(64))))
         assert noncentrality(0.8, 1.0, 64, 256) == pytest.approx(snr(spec, 1.0) ** 2)
 
@@ -231,12 +236,30 @@ class TestOutOfRangeParameters:
             (lambda: naive_bounds(1, 1), "n must be >= 2"),
             (lambda: bbt_lambda2_bound(0), "depth must be >= 1"),
             (lambda: noncentrality(1.0, 1.0, 0, 10), r"^cluster_size must be in 1\.\.9, got 0$"),
+            (
+                lambda: noncentrality(1.0, 1e-200, 3, 10),
+                r"^delta/sigma must be small enough for a finite noncentrality, got 1\.0/1e-200$",
+            ),
+            (
+                lambda: snr(SignalSpec(n=10, mu=0.0, delta=1.0, cluster=Cluster(frozenset({0}))), 1e-320),
+                r"^delta/sigma must be small enough for a finite SNR, got 1\.0/1e-320$",
+            ),
+            (lambda: chi_max(np.array([1e200, 1.0]), np.array([1.0, 2.0]), 1.0), r"^chi_max overflows: "),
+            (lambda: chi_max(np.array([1.0]), np.array([1e300]), 1e10), r"^chi_max overflows: "),
         ],
-        ids=["naive_n1", "bbt_depth0", "noncentrality_size0"],
+        ids=[
+            "naive_n1", "bbt_depth0", "noncentrality_size0", "noncentrality_overflows", "snr_overflows",
+            "chi_max_c_overflows", "chi_max_nu_lambda_overflows",
+        ],
     )
     def test_refused(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
+
+    def test_chi_max_deflates_squares_below_the_doubles(self):
+        # c c' rounds to zeros, so the dense value is -nu * lambda_1; a RuntimeWarning fails the suite
+        assert chi_max(np.array([1e-200, 1e-200]), np.array([1.0, 2.0]), 1.0) == -1.0
+        assert chi_max(np.array([1.0, 1e-200]), np.array([1.0, 2.0]), 1.0) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

@@ -165,6 +165,16 @@ class TestGlrExact:
             rho = cut_sparsity(g, Cluster(frozenset(members.tolist())))
             assert glr_exact(g, y, rho) == pytest.approx(1e4 * k * (g.n - k) / g.n, rel=1e-9)
 
+    def test_joint_scaling_of_weights_and_rho_keeps_the_class(self):
+        # n * cut overflowed first: at weights 1e307 every cut sparsity read inf and the class was
+        # empty. rho 2.1 lies between the 3x3 grid's cut sparsities 2.0 and 2.25, away from all
+        g, y, rho = gen_lattice(3), np.random.default_rng(0).standard_normal(9), 2.1
+        expected, corner = glr_exact(g, y, rho), Cluster(frozenset({0}))
+        for k in range(-300, 308):
+            scaled = scale_weights(g, 10.0**k)
+            assert glr_exact(scaled, y, rho * 10.0**k) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert cut_sparsity(scaled, corner) / 10.0**k == pytest.approx(2.25, rel=1e-12, abs=0.0)
+
     def test_block_cut_weights_match_boundary_weight(self):
         # graphs of up to about 170 edges, past the 128 terms where numpy's pairwise sum splits
         rng = np.random.default_rng(6)

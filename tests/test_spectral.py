@@ -30,6 +30,7 @@ from helpers import (
     fix_signs_loop,
     kkt_solve_loop,
     random_connected_graph,
+    secular_inputs,
     sss_certificate,
 )
 
@@ -173,6 +174,17 @@ class TestChiMax:
     def test_scalar_case(self):
         assert chi_max(np.array([1.5]), np.array([2.0]), 0.25) == pytest.approx(1.5**2 - 0.25 * 2.0)
 
+    def test_a_pole_beyond_the_doubles_leaves_its_term_zero(self):
+        # nu * lambda_2 overflows: the top eigenvalue is that of the first component alone
+        assert chi_max(np.array([1.0, 2.0]), np.array([1.0, 1e308]), 1e10) == 1.0 - 1e10
+
+    def test_a_root_among_the_subnormals_ends_when_no_double_is_left_between(self):
+        # 1e-14 * 2e-310 is below the spacing of subnormals: bisection used to run all 2200 steps
+        root, steps = spectral._bisect(lambda t: 1e-310 / t - 1.0, 2e-310)
+        assert root == pytest.approx(1e-310, rel=1e-12, abs=0.0)
+        assert steps <= 60
+        assert chi_max(np.array([1e-155, 1e-155]), np.array([1.0, 2.0]), 1.0) == -1.0
+
     def test_rejects_nonpositive_lambdas(self):
         with pytest.raises(ValueError, match="positive"):
             chi_max(np.array([1.0]), np.array([0.0]), 1.0)
@@ -209,15 +221,9 @@ class TestChiMax:
 
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(11)
-        for i in range(200):
-            m = int(rng.integers(1, 14))
-            lam = np.sort(rng.uniform(0.01, 5.0, m))
-            c = rng.standard_normal(m)
-            if i % 5 == 0:
-                c[rng.integers(0, m)] = 0.0  # exercise deflation
-            nu = float(rng.uniform(0.0, 10.0))
-            dense = np.linalg.eigvalsh(np.outer(c, c) - nu * np.diag(lam))[-1]
-            assert chi_max(c, lam, nu) == pytest.approx(dense, rel=1e-9, abs=1e-9)
+        for c, lam, nu in secular_inputs(rng, 200, 5):
+            dense = float(np.linalg.eigvalsh(np.outer(c, c) - nu * np.diag(lam))[-1])
+            assert abs(chi_max(c, lam, nu) - dense) <= 1e-12 * max(1.0, abs(dense))
 
 
 class TestProjectExpand:

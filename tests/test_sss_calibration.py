@@ -287,6 +287,23 @@ class TestBlockSolve:
             assert tuple(field[i] for field in solved) == expected
             assert solved[0][i].tobytes() == np.float64(expected[0]).tobytes()
 
+    def test_a_row_at_its_case_b_limit_roots_in_few_steps(self):
+        # the seed-4048545 torus example of the test above, at u = 0: rho is the first row's own
+        # case-"b" limit, and its gap rounds to exactly 0 from s of about 2**50 and turns negative
+        # only near 2**510, so doubling until the gap is negative took 1017 steps
+        rng = np.random.default_rng(4048545)
+        g = FAMILIES["torus"](rng)
+        spec = graph_spectrum(g)
+        y = rng.standard_normal((6, g.n))
+        c = spec.project(y[0] - y[0].mean())
+        p, lambdas = c * c / float(c @ c), spec.eigenvalues[1:]
+        rho = float((p / lambdas).sum() / (p / lambdas**2).sum())  # case_c_rho at u = 0, without assume
+        sums, mu = _scaled_sums(spec, y)[2], spec.groups[1] / rho
+        value, case, _, _, steps = (field[0] for field in _grouped_kkt(sums, mu))
+        assert (case, grouped_kkt_loop(sums[0], mu)[-1]) == ("c", steps)
+        assert steps <= 120
+        assert value == pytest.approx(float((sums[0] / mu).sum()), rel=1e-14, abs=0.0)
+
     def test_each_row_of_a_mixed_chunk_gets_its_own_bits(self):
         g = gen_lattice(8, periodic=True)
         spec = graph_spectrum(g)
