@@ -234,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=DETECTOR_KINDS)
     p.add_argument("--rho", type=float)
     p.add_argument("--require-connected", action="store_true",
-                   help="glr_exact: restrict to connected clusters")
+                   help="glr_exact: count only bipartitions into two connected induced subgraphs")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("calibrate", help="Monte Carlo null threshold for a statistic")

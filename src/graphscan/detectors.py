@@ -126,8 +126,9 @@ def _connected_masks(bits: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
 
 
 def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
-    # every cluster is a bit mask, enumerated once per chunk and scored for
-    # all rows with one product, holding at most _BLOCK_ENTRIES cluster sums
+    # every bipartition is the bit mask of its side without vertex n - 1 (the other side
+    # scores the same), enumerated once per chunk and scored for all rows with one
+    # product, holding at most _BLOCK_ENTRIES cluster sums
     n = g.n
     if n > _GLR_EXACT_MAX_N:
         raise ValueError(f"exact enumeration limited to n <= {_GLR_EXACT_MAX_N}, got n={n}")
@@ -137,13 +138,14 @@ def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
     ytilde = y - _row_means(y)[:, None]
     best = np.full(len(y), -math.inf)  # stays -inf while no cluster is feasible
     chunk = max(1, _BLOCK_ENTRIES // len(y))
-    for start in range(1, 2**n - 1, chunk):
-        masks = np.arange(start, min(start + chunk, 2**n - 1), dtype=np.int64)
+    for start in range(1, 2 ** (n - 1), chunk):
+        masks = np.arange(start, min(start + chunk, 2 ** (n - 1)), dtype=np.int64)
         bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)  # (chunk, n)
         sizes = bits.sum(axis=1)
         ok = _sparsity(n, _cut_weights(g, bits), sizes) <= det.rho
         if det.require_connected:
-            ok[ok] = _connected_masks(bits[ok], adjacency)
+            sides = bits[ok]
+            ok[ok] = _connected_masks(sides, adjacency) & _connected_masks(1.0 - sides, adjacency)
         if ok.any():
             sums = bits[ok] @ ytilde.T  # (clusters, rows)
             scores = n * sums**2 / (sizes[ok] * (n - sizes[ok]))[:, None]
@@ -173,7 +175,8 @@ class Detector:
 
     ``rho`` (a positive and finite number, not a bool) is required for the
     kinds in :data:`RHO_KINDS` and refused for the others;
-    ``require_connected`` may be true only for glr_exact.
+    ``require_connected`` may be true only for glr_exact, whose class it
+    restricts to the bipartitions into two connected induced subgraphs.
     """
 
     kind: str
@@ -264,11 +267,11 @@ def glr_exact(g: Graph, y: np.ndarray, rho: float, require_connected: bool = Fal
     Maximizes (n / (|C| |C~|)) * (sum of centered y over C)^2 over nonempty
     proper subsets with cut sparsity at most rho, each computed as
     :func:`cut_sparsity` computes it, so the class is exactly the subsets C
-    with ``cut_sparsity(g, C) <= rho``. With ``require_connected`` only
-    subsets inducing a connected subgraph count; a subset and its complement
-    score the same, so a bipartition counts when either side is connected
-    (the paper's alternative asks for both). Exponential in n, so guarded at
-    n <= 22.
+    with ``cut_sparsity(g, C) <= rho``. A subset and its complement score the
+    same, so each bipartition is scored once, through its side without vertex
+    n - 1. With ``require_connected`` a bipartition counts only when both
+    sides induce connected subgraphs, the paper's alternative. Exponential in
+    n, so guarded at n <= 22.
     """
     return Detector("glr_exact", rho=rho, require_connected=require_connected).statistic(g, y)
 

@@ -99,9 +99,9 @@ def _bbt_cluster(g: Graph, params: dict) -> Cluster:
     depth = integer("depth", params["depth"], 2)
     if g.n != 2 ** (depth + 1) - 1:
         raise ValueError(f"graph has n={g.n}, not a depth-{depth} balanced binary tree")
-    root = integer("node", params.get("node", 3), 3, 6)  # a depth-2 node
-    # the root's descendants d levels down are the 2**d ids from (root + 1) * 2**d - 1
-    levels = (range((root + 1) * 2**d - 1, (root + 2) * 2**d - 1) for d in range(depth - 1))
+    # the subtree of vertex 3, the leftmost depth-2 node: its descendants d levels down are
+    # the 2**d ids from 4 * 2**d - 1
+    levels = (range(4 * 2**d - 1, 5 * 2**d - 1) for d in range(depth - 1))
     return Cluster(frozenset(v for level in levels for v in level))
 
 
@@ -114,15 +114,11 @@ def _lattice_cluster(g: Graph, params: dict) -> Cluster:
 
 
 def _kron_cluster(g: Graph, params: dict) -> Cluster:
-    base_n = integer("base_n", params.get("base_n", two_triangles().n))
     levels = integer("levels", params["levels"])
-    if g.n != base_n**levels:
-        raise ValueError(f"graph has n={g.n}, not a {levels}-level product of a {base_n}-vertex base")
-    base_half = frozenset(integer("base_half vertex", v) for v in params.get("base_half", range(base_n // 2)))
-    if not base_half or any(not 0 <= v < base_n for v in base_half):
-        raise ValueError("base_half must be a nonempty subset of the base vertices")
-    block = base_n ** (levels - 1)
-    return Cluster(frozenset(v for v in range(g.n) if v // block in base_half))
+    if g.n != 6**levels:
+        raise ValueError(f"graph has n={g.n}, not a {levels}-level product of a 6-vertex base")
+    # the ids below n/2 are those whose coarsest-scale coordinate is in the base's first triangle
+    return Cluster(frozenset(range(g.n // 2)))
 
 
 class _Family(NamedTuple):
@@ -130,17 +126,16 @@ class _Family(NamedTuple):
     cluster: Callable[[Graph, dict], Cluster]  # the canonical cluster
     keys: dict  # config key -> its type, for every key the family reads
     required: tuple[str, ...]
-    options: tuple[str, ...] = ()  # the keywords the canonical cluster reads besides the config keys
 
 
 # The graph families of the experiments, one row each. A builder calls its generator
 # by name, so a wrapper bound to that name (perfbench's tracer) sees each call.
 _FAMILIES = {
-    "bbt": _Family(lambda depth: gen_bbt(depth), _bbt_cluster, {"depth": int}, ("depth",), ("node",)),
+    "bbt": _Family(lambda depth: gen_bbt(depth), _bbt_cluster, {"depth": int}, ("depth",)),
     "lattice": _Family(lambda p, periodic=False: gen_lattice(p, periodic), _lattice_cluster,
                        {"p": int, "periodic": bool}, ("p",)),
     "kron": _Family(lambda levels: gen_kron_multiscale(two_triangles(), levels), _kron_cluster,
-                    {"levels": int}, ("levels",), ("base_n", "base_half")),
+                    {"levels": int}, ("levels",)),
 }
 
 
@@ -158,20 +153,19 @@ def _family(name: str, params) -> _Family:
 def canonical_cluster(g: Graph, family: str, **params) -> Cluster:
     """The activated cluster used by the reference experiments for each family.
 
-    bbt:     subtree rooted at a depth-2 node (``node``, default the leftmost,
-             id 3); requires ``depth``.
+    bbt:     the subtree rooted at vertex 3, the leftmost depth-2 node; requires
+             ``depth``.
     lattice: the (p//2) x (p//2) square in the top-left corner; requires ``p``.
-    kron:    all vertices whose coarsest-scale coordinate falls in a half of
-             the base graph (``base_half``, default the first base_n//2
-             vertices); requires ``levels`` (``base_n`` defaults to 6).
+    kron:    the vertices whose coarsest-scale coordinate lies in the first
+             triangle of the two-triangle base, the ids below n/2; requires
+             ``levels``.
 
-    Any family config key (lattice ``periodic`` too) is accepted. Raises on a
-    missing required parameter, a keyword neither the family nor its cluster
-    reads, a parameter or ``base_half`` vertex that is not an integer, or a
-    graph of another size.
+    Takes exactly the family's config keys (lattice ``periodic`` too). Raises
+    on a missing required parameter, any other keyword, a parameter that is
+    not an integer, or a graph of another size.
     """
     row = _family(family, params)
-    unknown = sorted(set(params) - set(row.keys) - set(row.options))
+    unknown = sorted(set(params) - set(row.keys))
     if unknown:
         raise ValueError(f"unknown keys {unknown} for family {family!r}")
     return row.cluster(g, params)

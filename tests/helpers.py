@@ -75,8 +75,8 @@ def glr_brute_force(
 ) -> float:
     """GLR by explicit subset enumeration; raises on an empty feasible class.
 
-    With ``require_connected`` only subsets that induce a connected subgraph
-    count; a bipartition is then evaluated through each side that qualifies.
+    With ``require_connected`` only bipartitions whose two sides each induce a
+    connected subgraph count, and each is evaluated through both sides.
     Otherwise the statistic of a bipartition is the same number for either
     side, so each bipartition is evaluated once through its positive-sum side
     (centered sums over complements agree only up to rounding). Sums accumulate
@@ -93,7 +93,9 @@ def glr_brute_force(
             cut = sum(w for u, v, w in g.edges if (mask >> u & 1) != (mask >> v & 1))
             if n * cut / (k * (n - k)) > rho:
                 continue
-        if require_connected and not induced_connected(g, members):
+        if require_connected and not (
+            induced_connected(g, members) and induced_connected(g, set(range(n)) - set(members))
+        ):
             continue
         total = 0.0
         for value in sorted((ytilde[v] for v in members), reverse=True):
@@ -106,6 +108,35 @@ def glr_brute_force(
     if best is None:
         raise ValueError("empty feasible class")
     return best
+
+
+# every family's canonical cluster over a sweep of sizes: (family, config keys)
+CLUSTER_SWEEP = (
+    [("bbt", {"depth": depth}) for depth in range(2, 12)]
+    + [("lattice", {"p": p}) for p in range(2, 40)]
+    + [("lattice", {"p": p, "periodic": True}) for p in range(3, 40)]
+    + [("kron", {"levels": levels}) for levels in range(1, 5)]
+)
+
+
+def canonical_cluster_reference(family: str, params: dict) -> frozenset:
+    """The default canonical cluster of a family's config keys, as first defined.
+
+    bbt: vertex 3 and every vertex whose parent (v - 1) // 2 is in the cluster; lattice (grid or
+    torus): the top-left (p//2) x (p//2) square; kron: the vertices whose coarsest-scale coordinate
+    v // 6**(levels - 1) in the two-triangle base is 0, 1 or 2.
+    """
+    if family == "bbt":
+        members = {3}
+        for v in range(4, 2 ** (params["depth"] + 1) - 1):
+            if (v - 1) // 2 in members:
+                members.add(v)
+        return frozenset(members)
+    if family == "lattice":
+        half = params["p"] // 2
+        return frozenset(r * params["p"] + c for r in range(half) for c in range(half))
+    block = 6 ** (params["levels"] - 1)
+    return frozenset(v for v in range(6 * block) if v // block in (0, 1, 2))
 
 
 def dense_basis(spectrum: Spectrum) -> np.ndarray:

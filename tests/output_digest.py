@@ -14,7 +14,11 @@ Run it in each tree and diff the two files. It covers:
 - ``chi_max`` on the 200 secular inputs of acceptance criterion 4;
 - every generated graph (grids p 2-39, tori 3-39, balanced binary trees of depth 1-11, Kronecker
   products of two triangles at levels 1-4): n, each array's dtype, shape, flags and bytes, the
-  factor and tree records, and the hash.
+  factor and tree records, and the hash;
+- the canonical cluster of every graph in ``helpers.CLUSTER_SWEEP`` (bbt depths 2-11, grids p
+  2-39, tori 3-39, kron levels 1-4), one line each: its sorted ids;
+- ``glr_exact`` with and without ``require_connected`` on 40 seeded ``random_connected_graph``
+  draws (n <= 12), an empty class read as None.
 
 The hash of a graph hashes bytes, which Python salts per process unless PYTHONHASHSEED is set, so
 the script runs itself again with PYTHONHASHSEED=0. It imports the tree it lives in; pytest does
@@ -37,7 +41,7 @@ import numpy as np  # noqa: E402
 
 import graphscan as gs  # noqa: E402
 from graphscan.cli import main as cli_main  # noqa: E402
-from helpers import random_connected_graph, secular_inputs  # noqa: E402
+from helpers import CLUSTER_SWEEP, random_connected_graph, secular_inputs  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2, 3, 4, 5, 7)
@@ -107,10 +111,34 @@ def graphs():
         yield f"graphs {name}", digest([graph_digest(make(size)) for size in sizes])
 
 
+def clusters():
+    for family, params in CLUSTER_SWEEP:
+        g = gs.simulate.build_experiment_graph(gs.ExperimentConfig(family=family, params=params))
+        keys = " ".join(f"{key}={value}" for key, value in params.items())
+        yield f"cluster {family} {keys}", digest(sorted(gs.canonical_cluster(g, family, **params).members))
+
+
+def exact_glr():
+    rng = np.random.default_rng(31)
+    draws = []
+    for _ in range(40):
+        g = random_connected_graph(rng)
+        draws.append((g, rng.standard_normal(g.n), float(rng.uniform(0.5, 6.0))))
+    for connected in (False, True):
+        values = []
+        for g, y, rho in draws:
+            try:
+                values.append(gs.glr_exact(g, y, rho, require_connected=connected))
+            except gs.EmptyClassError:
+                values.append(None)
+        yield f"glr_exact require_connected={connected}", digest(values)
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
-    lines = [f"{label} {value}" for part in (presets, workloads, solves, graphs) for label, value in part()]
+    parts = (presets, workloads, solves, graphs, clusters, exact_glr)
+    lines = [f"{label} {value}" for part in parts for label, value in part()]
     lines.append(f"all {digest(lines)}")
     print("\n".join(lines))
     return 0

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphscan import (
@@ -132,6 +132,13 @@ class TestGlrExact:
         with pytest.raises(EmptyClassError):
             glr_exact(p2(), np.array([1.0, -1.0]), 1.0)
 
+    def test_connected_class_needs_both_sides_connected(self):
+        # on the path 0-1-2-3, {0, 3} scores 4 but is not connected; of the bipartitions into
+        # two connected paths, {0} | {1, 2, 3} and {0, 1, 2} | {3} score 4/3 and {0, 1} | {2, 3} 0
+        g, y = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]), np.array([1.0, -1.0, -1.0, 1.0])
+        assert glr_exact(g, y, 10.0) == pytest.approx(4.0, rel=1e-15)
+        assert glr_exact(g, y, 10.0, require_connected=True) == pytest.approx(4.0 / 3.0, rel=1e-15)
+
     def test_size_guard(self):
         g = build_graph(23, [(i, i + 1, 1.0) for i in range(22)])
         with pytest.raises(ValueError, match="n <= 22"):
@@ -203,9 +210,9 @@ class TestGlrExact:
             checked += 1
 
     def test_adjacency_is_built_once_per_call(self, monkeypatch):
-        # three rows of gen_bbt(3) enumerate its 32766 masks in two batches
+        # five rows of gen_bbt(3) enumerate its 16383 bipartitions in two batches
         g = gen_bbt(3)
-        y = np.random.default_rng(4).standard_normal((3, g.n))
+        y = np.random.default_rng(4).standard_normal((5, g.n))
         det = Detector("glr_exact", rho=1.0, require_connected=True)
         expected = det.statistics(g, y)
         built = []
@@ -336,6 +343,19 @@ class TestProperties:
             (glr_unconstrained(y), glr_unconstrained(moved)),
         ]:
             assert b == pytest.approx(a, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_glr_exact_matches_brute_force(self, seed):
+        _, g, y, rho = self.draw(seed)
+        for connected in (False, True):
+            try:
+                expected = glr_brute_force(g, y, rho, require_connected=connected)
+            except ValueError:
+                with pytest.raises(EmptyClassError):
+                    glr_exact(g, y, rho, require_connected=connected)
+                continue
+            assert glr_exact(g, y, rho, require_connected=connected) == pytest.approx(expected, rel=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-100, 100))
     def test_sss_scales_with_the_square(self, seed, k):

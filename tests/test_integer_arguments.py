@@ -60,11 +60,8 @@ CALLS = {
     "rng_seed": (lambda v: replicate_rng(v, 0).standard_normal(2).tolist(), 1, "seed"),
     "rng_index": (lambda v: replicate_rng(0, v).standard_normal(2).tolist(), 2, "replicate index"),
     "bbt_depth": (lambda v: canonical_cluster(gen_bbt(3), "bbt", depth=v), 3, "depth"),
-    "bbt_node": (lambda v: canonical_cluster(gen_bbt(3), "bbt", depth=3, node=v), 4, "node"),
     "lattice_p": (lambda v: canonical_cluster(gen_lattice(4), "lattice", p=v), 4, "p"),
     "kron_levels": (lambda v: canonical_cluster(KRON2, "kron", levels=v), 2, "levels"),
-    "kron_base_n": (lambda v: canonical_cluster(KRON2, "kron", levels=2, base_n=v), 6, "base_n"),
-    "kron_base_half": (lambda v: canonical_cluster(KRON2, "kron", levels=2, base_half=(v,)), 1, "base_half vertex"),
     "naive_n": (lambda v: naive_bounds(v, 2), 10, "n"),
     "naive_max_cluster": (lambda v: naive_bounds(10, v), 2, "max_cluster"),
     "noncentrality_size": (lambda v: noncentrality(1.0, 1.0, v, 10), 2, "cluster_size"),
@@ -194,7 +191,6 @@ def test_integers_below_their_minimum(call, name, minimum):
 
 # (call with the value under test, the name a refusal gives, the least and the largest value taken)
 INTERVALS = {
-    "bbt_node": (CALLS["bbt_node"][0], "node", 3, 6),
     "naive_max_cluster": (CALLS["naive_max_cluster"][0], "max_cluster", 1, 5),
     "noncentrality_size": (lambda v: noncentrality(1.0, 1.0, v, 10), "cluster_size", 1, 9),
 }

@@ -33,7 +33,7 @@ from graphscan import (
 )
 from graphscan import detectors
 from graphscan.simulate import PRESET_NAMES, build_experiment_graph
-from helpers import induced_connected
+from helpers import CLUSTER_SWEEP, canonical_cluster_reference, induced_connected
 
 
 class TestSignalSpec:
@@ -187,7 +187,7 @@ class TestCanonicalCluster:
 
     def test_kron_half_base(self):
         g = gen_kron_multiscale(two_triangles(), 2)
-        c = canonical_cluster(g, "kron", base_n=6, levels=2)
+        c = canonical_cluster(g, "kron", levels=2)
         assert c.size == g.n // 2
         assert all(v // 6 in {0, 1, 2} for v in c.members)
 
@@ -201,9 +201,11 @@ class TestCanonicalCluster:
         with pytest.raises(ValueError, match="family"):
             canonical_cluster(gen_bbt(2), "ring")
 
-    def test_kron_base_defaults_to_two_triangles(self):
-        g = gen_kron_multiscale(two_triangles(), 2)
-        assert canonical_cluster(g, "kron", levels=2) == canonical_cluster(g, "kron", base_n=6, levels=2)
+    def test_default_clusters_as_first_defined(self):
+        for family, params in CLUSTER_SWEEP:
+            g = build_experiment_graph(ExperimentConfig(family=family, params=params))
+            expected = canonical_cluster_reference(family, params)
+            assert canonical_cluster(g, family, **params).members == expected, (family, params)
 
     @pytest.mark.parametrize(
         "g, family, params, match",
@@ -213,30 +215,24 @@ class TestCanonicalCluster:
             (gen_kron_multiscale(two_triangles(), 2), "kron", {"base_n": 6}, "requires 'levels'"),
             (gen_bbt(1), "bbt", {"depth": 1}, "^depth must be >= 2, got 1$"),
             (gen_lattice(4), "kron", {"levels": 2}, "not a 2-level product of a 6-vertex base"),
-            (gen_bbt(3), "bbt", {"depth": 3, "node": 7}, "3..6, got 7"),
-            (gen_bbt(3), "bbt", {"depth": 3, "node": 2}, "3..6, got 2"),
-            (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "base_half": ()}, "base_half"),
-            (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "base_half": (6,)}, "base_half"),
+            (gen_bbt(3), "bbt", {"depth": 3, "node": 3}, r"^unknown keys \['node'\] for family 'bbt'$"),
+            (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "base_n": 6},
+             r"^unknown keys \['base_n'\] for family 'kron'$"),
+            (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "base_half": (0, 1, 2)},
+             r"^unknown keys \['base_half'\] for family 'kron'$"),
             (gen_lattice(4), "lattice", {"p": 4, "bogus": 1}, r"unknown keys \['bogus'\] for family 'lattice'"),
             (gen_bbt(3), "bbt", {"depth": 3, "base_half": (0,)}, r"unknown keys \['base_half'\] for family 'bbt'"),
             (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "node": 3, "p": 4},
              r"unknown keys \['node', 'p'\] for family 'kron'"),
         ],
         ids=[
-            "no_depth", "no_p", "no_levels", "depth1", "kron_size", "node7", "node2", "empty_half", "half_outside",
+            "no_depth", "no_p", "no_levels", "depth1", "kron_size", "node", "base_n", "base_half",
             "unread_key", "other_cluster_option", "other_family_keys",
         ],
     )
     def test_bad_parameters_rejected(self, g, family, params, match):
         with pytest.raises(ValueError, match=match):
             canonical_cluster(g, family, **params)
-
-    @pytest.mark.parametrize("node", [3, 4, 5, 6])
-    def test_bbt_subtree_of_each_depth_two_node(self, node):
-        g = gen_bbt(5)
-        members = canonical_cluster(g, "bbt", depth=5, node=node).members
-        assert len(members) == 15 and induced_connected(g, members)
-        assert all(v == node or (v - 1) // 2 in members for v in members)
 
 
 class TestSnr:
