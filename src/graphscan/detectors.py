@@ -350,10 +350,11 @@ def calibrate_threshold(
     with 1-based index ceil((1 - alpha) * reps). Replicate r draws from the
     stream keyed by (seed, r). For the SSS, each replicate is solved only as
     far as it takes to tell whether its value can be that order statistic
-    (``spectral._sss_order_statistic`` bounds the replicates along the KKT
-    multiplier path, and solves the few left in contention by the solver
-    :func:`sss` uses), so the threshold is the one that solving every
-    replicate in full and sorting would give, bit for bit. ``reps`` and
+    (``spectral._sss_order_statistic`` bounds every replicate at the ends of
+    the KKT multiplier path, refines the bounds of those in contention once,
+    a chunk at a time, at a few points along it, and solves the few left by
+    the solver :func:`sss` uses), so the threshold is the one that solving
+    every replicate in full and sorting would give, bit for bit. ``reps`` and
     ``seed`` must be integers, and ``sigma`` and ``alpha`` numbers; none may
     be a bool.
     """

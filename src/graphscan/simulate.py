@@ -235,16 +235,18 @@ _SCALAR_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind in (b
 class RocCurve:
     """Ordered (threshold, size, power) triples; rates fall as the threshold rises.
 
-    ``points`` must hold finite real numbers (read by ``graphscan._check.numbers``),
-    and is stored as a read-only float array of shape (k, 3), one row per
-    triple, which holds a curve in a fraction of the memory of Python float
-    tuples.
+    ``points`` must be a nonempty (k, 3) block of triples, one row each, of
+    finite real numbers (read by ``graphscan._check.numbers``), and is stored
+    as a read-only float array, which holds a curve in a fraction of the
+    memory of Python float tuples.
     """
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        points = numbers(self.points, float, "points").reshape(-1, 3).copy()
+        points = numbers(self.points, float, "points").copy()
+        if points.ndim != 2 or points.shape[1] != 3 or not len(points):
+            raise ValueError(f"points must be a nonempty (k, 3) block of triples, got shape {points.shape}")
         thresholds, rates = points[:, 0], points[:, 1:]
         if np.any(np.diff(thresholds) < 0.0):
             raise ValueError("thresholds must be ascending")
@@ -326,7 +328,7 @@ def auc(curve: RocCurve) -> float:
 def _closed_roc(curve: RocCurve) -> list[tuple[float, float]]:
     """The sorted (size, power) pairs between (0, power at the top threshold) and (1, 1)."""
     pts = sorted((size, power) for _, size, power in curve.points)
-    return [(0.0, pts[0][1] if pts else 1.0)] + pts + [(1.0, 1.0)]
+    return [(0.0, pts[0][1])] + pts + [(1.0, 1.0)]
 
 
 # The named presets reproducing the reference ROC comparisons: family, family

@@ -51,10 +51,10 @@ into the feasible set, from below, and the dual objective at the matching
 multiplier from above. Both are the value at the root, and at the path's two
 ends they are closed forms in the group sums, which are the value in the first
 two cases. The Monte Carlo threshold, an order statistic of many observations'
-values, bounds every observation at the path's ends, refines a batch at a time
-the bounds of those that may hold the selected rank by a few lockstep Newton
-steps along the path, and solves those still in contention in full, so it is
-the same bits as sorting the full solves.
+values, bounds every observation at the path's ends, refines the bounds of
+those that may hold the selected rank once, a chunk at a time, by a few
+lockstep Newton steps along the path, and solves those still in contention in
+full, so it is the same bits as sorting the full solves.
 
 A block of observations is scored in a workspace of flat float buffers that
 each thread keeps (``threading.local``) and reuses for every block and call,
@@ -107,12 +107,9 @@ _TIE_RTOL = 1e-10
 _ROOT_RTOL = 1e-14
 _ROOT_STEPS = 2200
 # An order statistic refines the bounds of the rows its closed-form bounds
-# leave in contention this many at a time, largest upper bound first, setting
-# rows aside between batches; each row takes this many points of the case-"c"
-# multiplier path (a start and Newton steps from it), which bound every
-# case-"c" row of null samples on tori, trees and Kronecker products within
-# 3e-7 relative.
-_PATH_BATCH = 16
+# leave in contention at this many points of the case-"c" multiplier path (a
+# start and Newton steps from it), which bound every case-"c" row of null
+# samples on tori, trees and Kronecker products within 3e-7 relative.
 _PATH_STEPS = 4
 # A value bound is widened by this fraction to cover the rounding of the sums
 # behind it (one term per distinct eigenvalue, a relative error far below
@@ -799,21 +796,6 @@ def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
     return _solved(sums, exps, _unit_means(spectrum, rho))
 
 
-def _set_aside(low: np.ndarray, high: np.ndarray, largest: int, smallest: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the rows whose value bounds ``low`` and ``high`` place them below, and above, the result.
-
-    The result is the ``largest``-th largest and the ``smallest``-th smallest
-    value among these rows and those still to come. If ``largest`` rows have
-    lower bounds of at least f, the result is at least f, so a row whose upper
-    bound is below f lies below it; likewise a row whose lower bound is above
-    the ``smallest``-th smallest upper bound lies above it.
-    """
-    m = low.size
-    floor = np.partition(low, m - largest)[m - largest] if m >= largest else -math.inf
-    ceiling = np.partition(high, smallest - 1)[smallest - 1] if m >= smallest else math.inf
-    return high < floor, low > ceiling
-
-
 def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, count: int) -> float:
     """The rank-th smallest (1-based) value of the statistic over the ``count`` rows of ``chunks``.
 
@@ -833,16 +815,15 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
        it. A row is then set aside once ``count - rank + 1`` rows have lower
        bounds above its upper bound, or ``rank`` rows upper bounds below its
        lower bound, for then its value lies below (above) the result
-       (:func:`_set_aside`). A row in contention keeps its bounds and
-       exponent, and while it is open (its bounds differ) its group sums; at
-       most ``_OPEN_ENTRIES`` group sums are held, the oldest open rows past
-       that being solved in full;
+       (counting the rows still to come). A row in contention keeps its
+       bounds and exponent, and while it is open (its bounds differ) its
+       group sums; at most ``_OPEN_ENTRIES`` group sums are held, the oldest
+       open rows past that being solved in full;
     1. once every chunk is in, the rows still in contention are bounded at
-       ``_PATH_STEPS`` points of the path, ``_PATH_BATCH`` at a time, the
-       largest upper bound first so that the lower bounds that set rows
-       aside rise fastest, skipping the rows each batch sets aside. Widened,
-       a row's bounds never meet, even where they are its value up to
-       rounding (cases "a" and "b"), so it stays open;
+       ``_PATH_STEPS`` points of the path, once each, a chunk
+       (:func:`_row_chunks`) of their group sums at a time, and rows are set
+       aside again. Widened, a row's bounds never meet, even where they are
+       its value up to rounding (cases "a" and "b"), so it stays open;
     2. the open rows left are solved in full, and the result is the value
        whose rank, after the rows set aside below, is ``rank``.
     """
@@ -853,14 +834,18 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
     # and the group sums of the open rows, in order
     low, high, exps, held = np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty((0, mu.size))
 
-    def widened(sums, e, steps):
+    def widened(bounds, e):
         with np.errstate(over="ignore", under="ignore"):
-            bounds = _path_bounds(sums, mu, steps) * (1.0 - _BOUND_RTOL, 1.0 + _BOUND_RTOL)
-            return np.ldexp(bounds, 2 * e[:, None])
+            return np.ldexp(bounds * (1.0 - _BOUND_RTOL, 1.0 + _BOUND_RTOL), 2 * e[:, None])
 
     def set_aside():
+        # the result is the top-th largest and the bottom-th smallest value
+        # among these rows and those still to come
         nonlocal low, high, exps, held, below, above
-        under, over = _set_aside(low, high, largest - above, rank - below)
+        m, top, bottom = low.size, largest - above, rank - below
+        floor = np.partition(low, m - top)[m - top] if m >= top else -math.inf
+        ceiling = np.partition(high, bottom - 1)[bottom - 1] if m >= bottom else math.inf
+        under, over = high < floor, low > ceiling
         below, above = below + int(np.count_nonzero(under)), above + int(np.count_nonzero(over))
         keep = ~(under | over)
         held = held[keep[low < high]]
@@ -868,7 +853,7 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
 
     for y in chunks:  # stage 0
         e, sums = _scaled_sums(spectrum, y)[1:]
-        bounds = widened(sums, e, 0)
+        bounds = widened(_path_bounds(sums, mu, 0), e)
         leaving = ~(bounds[:, 0] >= np.finfo(float).tiny) | ~np.isfinite(bounds[:, 1])
         if leaving.any():
             bounds[leaving] = _solved(sums[leaving], e[leaving], mu)[:, None]
@@ -882,16 +867,10 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
             low[i] = high[i] = _solved(held[:past], exps[i], mu)
             held = held[past:]
 
-    opened = np.flatnonzero(low < high)  # stage 1
-    pending = np.argsort(-high[opened], kind="stable")
-    while pending.size:
-        batch, pending = pending[:_PATH_BATCH], pending[_PATH_BATCH:]
-        i = opened[batch]
-        bounds = widened(held[batch], exps[i], _PATH_STEPS)
-        low[i], high[i] = np.fmax(low[i], bounds[:, 0]), np.fmin(high[i], bounds[:, 1])
-        under, over = _set_aside(low, high, largest - above, rank - below)
-        pending = pending[~(under | over)[opened[pending]]]
-    held = held[low[opened] < high[opened]]
+    i = np.flatnonzero(low < high)  # stage 1
+    refined = [_path_bounds(part, mu, _PATH_STEPS) for part in _row_chunks(held, mu.size)]
+    bounds = widened(np.concatenate(refined), exps[i])
+    low[i], high[i] = np.fmax(low[i], bounds[:, 0]), np.fmin(high[i], bounds[:, 1])
     set_aside()
     i = np.flatnonzero(low < high)  # stage 2
     low[i] = _solved(held, exps[i], mu)

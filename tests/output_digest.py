@@ -12,6 +12,9 @@ Run it in each tree and diff the two files. It covers:
 - ``sss`` on each preset's graph and rho, for a standard normal observation at seeds 1-5 and 7:
   the value, nu*, case, iterations, gap and the witness's bytes;
 - ``chi_max`` on the 200 secular inputs of acceptance criterion 4;
+- the SSS ``calibrate_threshold`` at those seeds where many replicates are refined: the depth-7
+  tree at rho 4/255 with 1000 replicates (alpha 0.05), the 12x12 torus at rho 2 with 200 (alpha
+  0.05 and 0.5) and the 48x48 torus at rho 4/48 with 1000 (alpha 0.05);
 - every generated graph (grids p 2-39, tori 3-39, balanced binary trees of depth 1-11, Kronecker
   products of two triangles at levels 1-4): n, each array's dtype, shape, flags and bytes, the
   factor and tree records, and the hash;
@@ -100,6 +103,19 @@ def solves():
     yield "chi_max criterion-4", digest([gs.chi_max(c, lambdas, nu) for c, lambdas, nu in secular_inputs(rng, 200, 4)])
 
 
+def calibrations():
+    shapes = [
+        ("bbt-7", gs.gen_bbt(7), 4.0 / 255, 1000, (0.05,)),
+        ("torus-12", gs.gen_lattice(12, periodic=True), 2.0, 200, (0.05, 0.5)),
+        ("torus-48", gs.gen_lattice(48, periodic=True), 4.0 / 48, 1000, (0.05,)),
+    ]
+    for name, g, rho, reps, alphas in shapes:
+        detector = gs.Detector("sss", rho=rho)
+        for alpha in alphas:
+            thresholds = [gs.calibrate_threshold(detector, g, 1.0, alpha, reps, seed) for seed in SEEDS]
+            yield f"calibrate sss {name} rho={rho!r} reps={reps} alpha={alpha}", digest(thresholds)
+
+
 def graphs():
     families = {
         "grid": (lambda p: gs.gen_lattice(p), range(2, 40)),
@@ -137,7 +153,7 @@ def exact_glr():
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
-    parts = (presets, workloads, solves, graphs, clusters, exact_glr)
+    parts = (presets, workloads, solves, calibrations, graphs, clusters, exact_glr)
     lines = [f"{label} {value}" for part in parts for label, value in part()]
     lines.append(f"all {digest(lines)}")
     print("\n".join(lines))

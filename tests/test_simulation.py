@@ -288,6 +288,22 @@ class TestRocCurve:
         with pytest.raises(ValueError, match="^points must hold only numbers, got "):
             RocCurve(points=points)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.zeros((3, 4)),  # four columns, which read as four triples
+            np.zeros((2, 2, 3)),  # a stack of blocks, which read as four triples
+            [0.0, 1.0, 1.0, 0.5, 0.0, 1.0],  # a flat list, which read as two triples
+            [1.0, 2.0],  # which numpy could not reshape
+            [],  # which read as a curve, with an AUC of 1
+            np.zeros((0, 3)),
+        ],
+        ids=["3x4", "2x2x3", "flat-6", "flat-2", "empty", "no-rows"],
+    )
+    def test_rejects_anything_but_a_nonempty_block_of_triples(self, points):
+        with pytest.raises(ValueError, match=r"^points must be a nonempty \(k, 3\) block of triples, got shape "):
+            RocCurve(points=points)
+
     def test_points_are_a_read_only_array(self):
         triples = ((0.0, 1.0, 1.0), (0.5, 0.0, 1.0))
         curve = RocCurve(points=triples)

@@ -120,7 +120,7 @@ class TestBitForBit:
     def test_matches_sorting_full_solves_where_refined_bounds_meet(self, make, rho, reps, seeds, alphas):
         # graphs on which a refined row's bounds, unwidened, can round to one
         # double though the row is not solved; at rho 2 on the 12x12 torus
-        # about 77 rows are refined, in five batches
+        # 188-200 of the 200 rows are refined
         g = make()
         det = Detector("sss", rho=rho)
         for seed in seeds:
@@ -145,14 +145,25 @@ class TestBitForBit:
         # one per call holds the rank; solving every replicate would take 1000
         assert sum(solved) <= 15
 
-    def test_closed_form_bounds_leave_few_rows_to_narrow(self, monkeypatch):
-        g = gen_lattice(12, periodic=True)
-        det = Detector("sss", rho=2.0)  # mid-spectrum, where the closed-form bounds are loosest
-        expected = full_solve_threshold(det, g, 1.0, 0.05, 200, 2)
-        refined = counted_calls(monkeypatch, "_path_bounds")
-        assert calibrate_threshold(det, g, 1.0, 0.05, 200, 2) == expected
-        # refining every row, as a first pass without closed-form bounds would, takes 200
-        assert sum(len(sums) for sums, _, steps in refined if steps > 0) <= 80
+    @pytest.mark.parametrize(
+        "make, rho",
+        [(lambda: gen_lattice(48, periodic=True), 4.0 / 48), (lambda: gen_bbt(7), 4.0 / 255)],
+        ids=["torus-48", "bbt-7"],
+    )
+    def test_rows_in_contention_are_refined_once_a_chunk_at_a_time(self, monkeypatch, make, rho):
+        g = make()
+        det = Detector("sss", rho=rho)
+        expected = full_solve_threshold(det, g, 1.0, 0.05, 1000, 0)
+        # chunks of three rows of group sums, so the refinement spans many calls;
+        # the replicate blocks keep their size (detectors holds its own copy)
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 3 * graph_spectrum(g).groups[0].size)
+        calls = counted_calls(monkeypatch, "_path_bounds")
+        assert calibrate_threshold(det, g, 1.0, 0.05, 1000, 0) == expected
+        refined = [sums for sums, _, steps in calls if steps > 0]
+        assert len(refined) > 1
+        assert all(sums.size <= spectral._BLOCK_ENTRIES for sums in refined)
+        rows = [row.tobytes() for sums in refined for row in sums]
+        assert len(set(rows)) == len(rows)
 
     def test_joint_scaling_of_weights_and_rho_keeps_the_threshold(self):
         # the 6x6 torus read 40.84 at a weight scale of 1e60 and 31.84 at
