@@ -67,12 +67,6 @@ def graph_spectrum(g: Graph) -> Spectrum:
     return eig_sym(laplacian(g))
 
 
-@lru_cache(maxsize=16)
-def _edgeless(n: int) -> Graph:
-    """The graph on n vertices with no edges, which the graph-free statistics score on."""
-    return Graph(n, (), (), ())
-
-
 # Kernels: (detector, graph, checked (R, n) chunk of a float block) -> (R,) values.
 
 
@@ -156,7 +150,8 @@ def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
     return best
 
 
-# kind -> (kernel, takes rho, needs a connected graph)
+# kind -> (kernel, takes rho, needs a connected graph); the energy and
+# unconstrained-GLR kernels ignore the graph, so their one-off functions pass none
 _KINDS = {
     "sss": (_sss_kernel, True, True),
     "energy": (_energy_kernel, False, False),
@@ -227,11 +222,11 @@ class Detector:
         if _KINDS[self.kind][2] and not is_connected(g):
             raise ValueError("graph must be connected")
 
-    def _scored(self, g: Graph, y: np.ndarray) -> np.ndarray:
-        """The statistic of each row of the checked (R, g.n) block ``y``; refuses a value out of range."""
+    def _scored(self, g: Graph | None, y: np.ndarray) -> np.ndarray:
+        """The statistic of each row of the checked (R, n) block ``y`` on ``g``; refuses a value out of range."""
         kernel = _KINDS[self.kind][0]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            values = np.concatenate([kernel(self, g, chunk) for chunk in _row_chunks(y, g.n)])
+            values = np.concatenate([kernel(self, g, chunk) for chunk in _row_chunks(y, y.shape[1])])
         if not np.isfinite(values).all():
             raise ValueError(_OVERFLOWS.format(self.kind))
         small = values < np.finfo(float).tiny
@@ -244,11 +239,11 @@ class Detector:
 
 
 def _graph_free_statistic(kind: str, y) -> float:
-    """The statistic of a kind that uses no edges on one observation, read once, scored on the edgeless graph."""
+    """The statistic of a kind that uses no edges on one observation, read once and scored with no graph."""
     y = observation(y)
-    detector, g = Detector(kind), _edgeless(y.size)
-    detector._check_graph(g)
-    return float(detector._scored(g, y[None])[0])
+    if y.size < 2:
+        raise ValueError("need at least two vertices")
+    return float(Detector(kind)._scored(None, y[None])[0])
 
 
 def energy_stat(y: np.ndarray) -> float:

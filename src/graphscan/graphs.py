@@ -98,7 +98,7 @@ class Graph:
         eu, ev, w = (numbers(x, kind).copy() for x, kind in ((self.eu, int), (self.ev, int), (self.w, float)))
         if eu.ndim != 1 or not eu.shape == ev.shape == w.shape:
             raise ValueError("eu, ev and w must be vectors of equal length")
-        if w.size:  # an edgeless graph, as the graph-free statistics use, has nothing to check
+        if w.size:  # an edgeless graph has nothing to check
             bound = min(n, 2**63)  # no id beyond int64
             lo, hi = np.minimum(eu, ev), np.maximum(eu, ev)
             valid = (lo >= 0) & (hi < bound) & (lo != hi)
@@ -267,42 +267,64 @@ def _check_cluster(n: int, c: Cluster) -> None:
         raise ValueError("cluster must be a proper subset of the vertices")
 
 
-def _cut_weights(g: Graph, rows: np.ndarray) -> np.ndarray:
-    """The weight of the edges each 0/1 row of the (k, n) block ``rows`` cuts.
+def _cut_weights(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """The weight of the edges each 0/1 row of the (k, n) block ``rows`` cuts, scaled by 2**-shift, and shift.
 
     Each row sums its crossing weights, with zeros for the other edges, along its own contiguous
     row of edges, so a row's cut keeps its bits alone and in any block; ``rows[:, g.eu]`` would
-    lay the block out by columns, which the sum adds in another order.
+    lay the block out by columns, which the sum adds in another order. shift is 0 unless the total
+    weight, which bounds every cut, overflows; the weights are then scaled by 2**-shift, with shift
+    the bit length of the edge count, before the sum, so that no cut overflows.
     """
-    return np.where(rows.take(g.eu, axis=1) != rows.take(g.ev, axis=1), g.w, 0.0).sum(axis=1)
+    with np.errstate(over="ignore"):
+        shift = 0 if np.isfinite(g.w.sum()) else g.w.size.bit_length()
+    crossing = rows.take(g.eu, axis=1) != rows.take(g.ev, axis=1)
+    return np.where(crossing, np.ldexp(g.w, -shift), 0.0).sum(axis=1), shift
 
 
-def _sparsity(n: int, cut, size):
-    """The cut sparsity n * cut / (size * (n - size)) of clusters of the given cut weights and sizes.
+def _sparsity(n: int, cuts: tuple[np.ndarray, int], size) -> np.ndarray:
+    """The cut sparsity n * cut / (size * (n - size)) of clusters of the given ``_cut_weights`` and sizes.
 
-    The cut is multiplied last, by n / (size * (n - size)), which lies in (0, 2], so nothing
-    overflows before a result that fits in a double.
+    The scaled cut is multiplied by n / (size * (n - size)), which lies in (0, 2], and scaled back
+    last, so nothing overflows before a result beyond the doubles, which reads inf.
     """
-    return cut * (n / (size * (n - size)))
+    cut, shift = cuts
+    with np.errstate(over="ignore"):
+        return np.ldexp(cut * (n / (size * (n - size))), shift)
 
 
-def boundary_weight(g: Graph, c: Cluster) -> float:
-    """Total weight of edges with exactly one endpoint in the cluster."""
+def _cluster_cut(g: Graph, c: Cluster) -> tuple[np.ndarray, int]:
+    """``_cut_weights`` of the cluster's indicator row, once the cluster is a proper subset of g's vertices."""
     _check_cluster(g.n, c)
     inside = np.zeros((1, g.n), dtype=bool)
     inside[0, list(c.members)] = True
-    return float(_cut_weights(g, inside)[0])
+    return _cut_weights(g, inside)
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float; refuses it, naming ``what``, when it lies beyond the doubles."""
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"the {what} overflows: the edge weights are too large in scale")
+    return value
+
+
+def boundary_weight(g: Graph, c: Cluster) -> float:
+    """Total weight of edges with exactly one endpoint in the cluster; refused beyond the doubles."""
+    cut, shift = _cluster_cut(g, c)
+    with np.errstate(over="ignore"):
+        return _finite(np.ldexp(cut[0], shift), "boundary weight")
 
 
 def cut_sparsity(g: Graph, c: Cluster) -> float:
-    """Normalized cut weight n * w(boundary) / (|C| * |complement|).
+    """Normalized cut weight n * w(boundary) / (|C| * |complement|); refused beyond the doubles.
 
     Equals the quadratic-form ratio (1_C' L 1_C) / (1_C' K 1_C) where K is the
     centering projection; zero is impossible on a connected graph. ``glr_exact``
     computes each cluster's cut sparsity by the same functions, so its class at
-    rho is exactly the clusters whose value here is at most rho.
+    rho is exactly the clusters whose value here is at most rho. It stays exact
+    where the boundary weight alone would overflow.
     """
-    return _sparsity(g.n, boundary_weight(g, c), c.size)
+    return _finite(_sparsity(g.n, _cluster_cut(g, c), c.size)[0], "cut sparsity")
 
 
 def is_connected(g: Graph) -> bool:

@@ -36,8 +36,9 @@ c_i**2/(1 + s*mu_i): ||c||**2 in case "a" (s = 0), sum c_i**2/mu_i in case
 checks the grouping. Each observation's coefficients are scaled by a power
 of two before squaring, so neither the solve nor the certificate overflows
 or underflows at extreme scales of y; a value outside the range of normal
-doubles is refused, and so is a rho so small that lambda_max/rho overflows,
-as the unit ellipsoid cannot be held in doubles there, whatever the value.
+doubles is refused. A rho so small that lambda_max/rho overflows puts every
+row in case "b", linear in rho, so the rows are solved at rho scaled up by a
+power of four and their values scaled back (:func:`_unit_means`).
 
 The root-find of the third case is the one bisection of this module
 (:func:`_bisect`, which :func:`chi_max` runs too): s doubles from 1 until
@@ -589,24 +590,28 @@ def _connected_lambdas(spectrum: Spectrum) -> np.ndarray:
     return lambdas
 
 
-def _unit_means(spectrum: Spectrum, rho: float) -> np.ndarray:
-    """mu, the group means over rho (``rho`` taken as checked): the ellipsoid x'Lx <= rho is z' diag(mu) z <= 1.
+def _unit_means(spectrum: Spectrum, rho: float) -> tuple[np.ndarray, int]:
+    """mu, the group means over rho * 4**shift, and shift (``rho`` taken as checked).
 
-    Refuses a rho so small that lambda_max/rho overflows: mu cannot hold it,
-    and the ellipsoid's squared semi-axes 1/mu underflow. That is a range
-    limit of this form, not always an underflow of the value: as lambda_2 >
-    1e-10 * lambda_max, the value is below 6e-299 * ||y~||**2, which a large
-    y~ or a small lambda_2/lambda_max can still bring into the normal doubles.
+    Wherever lambda_max/rho is finite, shift is 0 and the ellipsoid x'Lx <= rho
+    is z' diag(mu) z <= 1. Where it overflows, so does every lambda/rho, as
+    lambda_2 > 1e-10 * lambda_max, so every row is in case "b",
+    whose value rho * sum c_i**2/lambda_i, like its multiplier nu~, is linear
+    in rho. Those rows are solved at rho * 4**shift, which brings
+    lambda_max/rho to about 2**64, and scaled back by 4**-shift: a value is
+    unscaled by 2**(2 * (e - shift)) for the exponent e of
+    :func:`_scaled_sums`. A value below the normal doubles is still refused.
     """
-    if math.isinf(float(spectrum.eigenvalues[-1]) / rho):
-        raise ValueError("the sss statistic underflows on the unit ellipsoid: lambda_max/rho overflows")
-    return spectrum.groups[1] / rho
+    lambda_max, shift = float(spectrum.eigenvalues[-1]), 0
+    if math.isinf(lambda_max / rho):
+        shift = (math.frexp(lambda_max)[1] - math.frexp(rho)[1] - 64) // 2
+    return spectrum.groups[1] / math.ldexp(rho, 2 * shift), shift
 
 
 def _grouped_kkt(sums: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, ...]:
     """Maximize (c'z)^2 over the unit ball intersected with z' diag(mu) z <= 1, for each row of ``sums``.
 
-    ``mu`` holds the distinct eigenvalues in units of rho (:func:`_unit_means`).
+    ``mu`` holds the distinct eigenvalues in units of rho, or of rho * 4**shift (:func:`_unit_means`).
     The problem depends on c only through its row s of ``sums``, the sums of
     c_i**2 over the eigenvectors of each distinct eigenvalue. Returns arrays
     of the value, the KKT case, the dual multiplier nu~ of the unit
@@ -793,7 +798,8 @@ def _solved(sums: np.ndarray, exps: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def _sss_values(spectrum: Spectrum, y: np.ndarray, rho: float) -> np.ndarray:
     """Values of the statistic for the rows of one chunk (:func:`_row_chunks`); ``rho`` is taken as checked."""
     _, exps, sums = _scaled_sums(spectrum, y)
-    return _solved(sums, exps, _unit_means(spectrum, rho))
+    mu, shift = _unit_means(spectrum, rho)
+    return _solved(sums, exps - shift, mu)
 
 
 def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, count: int) -> float:
@@ -803,8 +809,7 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
     before the next is drawn. The result is entry ``rank - 1`` of the sorted
     :func:`_sss_values` of the same chunks, bit for bit, as every value
     that can be returned comes from :func:`_solved`; a chunk is refused as
-    :func:`_sss_values` refuses it, and ``rho`` is taken as checked (and
-    refused before any chunk, where :func:`_unit_means` refuses it). Each row
+    :func:`_sss_values` refuses it, and ``rho`` is taken as checked. Each row
     is solved only as far as it might hold the result, in three stages,
     every bound widened by ``_BOUND_RTOL`` and unscaled:
 
@@ -827,7 +832,7 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
     2. the open rows left are solved in full, and the result is the value
        whose rank, after the rows set aside below, is ``rank``.
     """
-    mu = _unit_means(spectrum, rho)
+    mu, shift = _unit_means(spectrum, rho)
     largest = count - rank + 1  # the rank-th smallest value is the largest-th largest
     below = above = 0  # rows set aside because their value lies below (above) the result
     # the rows in contention: value bounds (equal once exact) and exponents,
@@ -853,6 +858,7 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
 
     for y in chunks:  # stage 0
         e, sums = _scaled_sums(spectrum, y)[1:]
+        e -= shift
         bounds = widened(_path_bounds(sums, mu, 0), e)
         leaving = ~(bounds[:, 0] >= np.finfo(float).tiny) | ~np.isfinite(bounds[:, 1])
         if leaving.any():
@@ -895,14 +901,19 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     [0.5, 1), so it holds for observations from about 1e-153 to 1e153 in
     scale; a value that overflows, or that underflows out of the normal
     range, is refused. A constant observation, however large, centres to
-    exact zeros and yields 0 in case "a" with a zero gap.
+    exact zeros and yields 0 in case "a" with a zero gap. Where
+    lambda_max/rho overflows, all of this runs at rho * 4**shift
+    (:func:`_unit_means`), and the value, the dual and the witness are
+    scaled back.
     """
     rho = real("rho", rho, "positive")
     # a one-row chunk, so that _sss_values on the same row gives the same bits;
     # c and sums are views of the workspace, used before anything else scores
     (c,), e, sums = _scaled_sums(spectrum, observation(y, spectrum.n)[None])
-    (value,), (case,), (nu,), (s,), (iterations,) = _grouped_kkt(sums, _unit_means(spectrum, rho))
-    mu = spectrum.eigenvalues[1:] / rho
+    mu, shift = _unit_means(spectrum, rho)
+    (value,), (case,), (nu,), (s,), (iterations,) = _grouped_kkt(sums, mu)
+    rho_solved = math.ldexp(rho, 2 * shift)
+    mu = spectrum.eigenvalues[1:] / rho_solved
     # c is scaled to a largest entry in [0.5, 1), and z does not depend on its scale
     if case == "b":  # z'diag(mu)z = c'(c/mu) before scaling
         z = c / mu
@@ -913,9 +924,11 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
         dual = (1.0 + s) * float(c @ z)
         if c.any():
             z /= np.linalg.norm(z)
-    value, nu_star, dual = (float(x) for x in _unscale(np.array([value, float(nu) / rho, dual]), e))
-
-    witness = _fix_signs(spectrum.expand(z)[:, None])[:, 0]
+    # nu* = nu~/rho_solved whatever the shift, as nu~ and rho scale alike in case "b"
+    unscaled = _unscale(np.array([value, float(nu) / rho_solved, dual]), e - np.array([shift, 0, shift]))
+    value, nu_star, dual = (float(x) for x in unscaled)
+    # z is on the ellipsoid of rho * 4**shift, and 2**-shift * z on that of rho
+    witness = _fix_signs(spectrum.expand(np.ldexp(z, -shift))[:, None])[:, 0]
     return SssResult(
         value=value, nu_star=nu_star, witness=witness, case=str(case), iterations=int(iterations), gap=dual - value
     )

@@ -22,6 +22,11 @@ Run it in each tree and diff the two files. It covers:
   2-39, tori 3-39, kron levels 1-4), one line each: its sorted ids;
 - ``glr_exact`` with and without ``require_connected`` on 40 seeded ``random_connected_graph``
   draws (n <= 12), an empty class read as None.
+- ``sss`` and ``sss_stat`` on the 4x4 grid at rho so small that lambda_max/rho overflows (3e-308,
+  and 1e-310 for an observation scaled by 1e100), ``cut_sparsity`` of five consecutive vertices of a
+  10-cycle whose weights (1e308) make their cut overflow, and ``energy_stat`` and
+  ``glr_unconstrained`` on standard normal observations of lengths 2, 9 and 255 at the seeds;
+  a refusal among these reads as its message, so a tree that refuses them still prints every line.
 
 The hash of a graph hashes bytes, which Python salts per process unless PYTHONHASHSEED is set, so
 the script runs itself again with PYTHONHASHSEED=0. It imports the tree it lives in; pytest does
@@ -150,10 +155,36 @@ def exact_glr():
         yield f"glr_exact require_connected={connected}", digest(values)
 
 
+def outcome(call):
+    """``call()``, or the message of the ValueError it raises, so that a refusal digests as a line too."""
+    try:
+        return call()
+    except ValueError as error:
+        return f"refused: {error}"
+
+
+def extremes():
+    g = gs.gen_lattice(4)
+    y = np.random.default_rng(0).standard_normal(g.n)
+
+    def solved(rho, y):
+        r = gs.sss(gs.graph_spectrum(g), y, rho)
+        return r.value, r.nu_star, r.case, r.iterations, r.gap, r.witness.tobytes(), gs.sss_stat(g, y, rho)
+
+    for rho, scale in ((3e-308, 1.0), (3e-308, 1e100), (1e-310, 1e100)):
+        yield f"sss grid-4 rho={rho!r} scale={scale!r}", digest(outcome(lambda: solved(rho, scale * y)))
+    cycle = gs.Graph(10, np.arange(10), (np.arange(10) + 1) % 10, np.full(10, 1e308))
+    half = gs.Cluster(frozenset(range(5)))
+    yield "cut_sparsity 10-cycle w=1e308", digest(outcome(lambda: gs.cut_sparsity(cycle, half)))
+    draws = [np.random.default_rng(seed).standard_normal(n) for seed in SEEDS for n in (2, 9, 255)]
+    for function in (gs.energy_stat, gs.glr_unconstrained):
+        yield function.__name__, digest([function(y) for y in draws])
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
-    parts = (presets, workloads, solves, calibrations, graphs, clusters, exact_glr)
+    parts = (presets, workloads, solves, calibrations, graphs, clusters, exact_glr, extremes)
     lines = [f"{label} {value}" for part in parts for label, value in part()]
     lines.append(f"all {digest(lines)}")
     print("\n".join(lines))

@@ -62,13 +62,17 @@ class TestEnergyStat:
     def test_already_centered_triple(self):
         assert energy_stat(np.array([2.0, 0.0, -2.0])) == pytest.approx(8.0)
 
-    def test_one_off_calls_share_one_edgeless_graph(self):
-        y = np.random.default_rng(2).standard_normal(9)
-        assert detectors._edgeless(9) is detectors._edgeless(9)
-        g = build_graph(9, [])
-        assert detectors._edgeless(9) == g
-        assert energy_stat(y) == Detector("energy").statistic(g, y)
-        assert glr_unconstrained(y) == Detector("glr_unconstrained").statistic(g, y)
+    @pytest.mark.parametrize("function, kind", [(energy_stat, "energy"), (glr_unconstrained, "glr_unconstrained")])
+    def test_one_off_calls_score_the_row_alone(self, function, kind):
+        # the graph-free functions use no graph, and equal any graph's one-row block bit for bit
+        rng = np.random.default_rng(2)
+        for g in (build_graph(9, []), gen_lattice(3), gen_bbt(2), k3()):
+            for scale in (1e-150, 1.0, 1e150):
+                y = scale * rng.standard_normal(g.n)
+                assert function(y) == Detector(kind).statistics(g, y[None])[0]
+        for y in ([4.0], np.ones(1)):
+            with pytest.raises(ValueError, match="^need at least two vertices$"):
+                function(y)
 
 
 class TestEdgeStat:
@@ -190,7 +194,9 @@ class TestGlrExact:
             g = Graph(g.n, g.eu, g.ev, rng.uniform(0.1, 3.0, g.num_edges()))
             rows = (rng.random((int(rng.integers(1, 51)), g.n)) < rng.random()).astype(float)
             rows[:, 0], rows[:, 1] = 1.0, 0.0  # nonempty and proper
-            for row, cut in zip(rows, _cut_weights(g, rows)):
+            cuts, shift = _cut_weights(g, rows)
+            assert shift == 0  # weights in range are summed as they are
+            for row, cut in zip(rows, cuts):
                 lone = boundary_weight(g, Cluster(frozenset(np.flatnonzero(row).tolist())))
                 assert cut.tobytes() == np.float64(lone).tobytes()
 
@@ -469,7 +475,8 @@ class TestBlockStatistics:
         det = Detector("energy")
         for n, rows, scale in itertools.product((3, 255, 4096, 10007), (1, 2, 6), (1e-150, 1.0, 1e150)):
             y = scale * rng.standard_normal((rows, n))
-            assert det.statistics(detectors._edgeless(n), y).tolist() == [energy_stat(row) for row in y]
+            path = Graph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+            assert det.statistics(path, y).tolist() == [energy_stat(row) for row in y]
 
     def test_glr_exact_block_matches_row_by_row(self):
         checked = 0

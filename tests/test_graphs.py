@@ -3,6 +3,7 @@ import hashlib
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from graphscan import (
     Cluster,
+    EmptyClassError,
     Graph,
     boundary_weight,
     build_graph,
@@ -18,6 +20,7 @@ from graphscan import (
     gen_bbt,
     gen_kron_multiscale,
     gen_lattice,
+    glr_exact,
     graph_spectrum,
     is_connected,
     kronecker_product,
@@ -378,6 +381,24 @@ class TestCutSparsity:
             g = random_connected_graph(rng)
             members = frozenset({int(rng.integers(0, g.n))})
             assert cut_sparsity(g, Cluster(members)) > 0.0
+
+    def test_weights_whose_cuts_overflow(self):
+        # a 10-cycle of weights 1e308: five consecutive vertices cut 2e308, beyond the doubles,
+        # and have cut sparsity 8e307 within them, the least of any cluster
+        g = Graph(10, np.arange(10), (np.arange(10) + 1) % 10, np.full(10, 1e308))
+        half, y = Cluster(frozenset(range(5))), np.r_[np.ones(5), np.zeros(5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sparsity = cut_sparsity(g, half)
+            assert sparsity == pytest.approx(8e307, rel=1e-15, abs=0.0)
+            for rho in (sparsity, 1e308):
+                assert glr_exact(g, y, rho) == glr_exact(g, y, rho, require_connected=True) == 2.5
+            with pytest.raises(EmptyClassError):
+                glr_exact(g, y, np.nextafter(sparsity, 0.0))
+            with pytest.raises(ValueError, match="^the boundary weight overflows: the edge weights are too large"):
+                boundary_weight(g, half)
+            with pytest.raises(ValueError, match="^the cut sparsity overflows: the edge weights are too large"):
+                cut_sparsity(g, Cluster(frozenset({0})))  # 2e308 * 10/9
 
 
 class TestGenBbt:

@@ -32,6 +32,7 @@ from graphscan import (
     gen_lattice,
     glr_unconstrained,
     graph_spectrum,
+    laplacian,
     naive_bounds,
     noncentrality,
     null_threshold,
@@ -46,6 +47,7 @@ from graphscan import (
     truncated_bound,
     two_triangles,
 )
+from graphscan.detectors import _replicate_statistics
 
 KRON2 = gen_kron_multiscale(two_triangles(), 2)
 
@@ -294,15 +296,32 @@ def test_subnormal_rho_is_refused_as_an_underflow(rho):
                 call()
 
 
-def test_rho_past_the_unit_ellipsoid_is_refused_whatever_the_value():
-    # a normal rho, lambda_max/rho = inf on the 4x4 grid (lambda_max 6.83):
-    # the value, about 4.3e-307 for this y and 4.3e-107 for y * 1e100, is in
-    # range, but mu = lambda/rho is not, so the unit form refuses it
+@pytest.mark.parametrize(
+    "rho, scale, value", [(3e-308, 1.0, 4.277e-307), (3e-308, 1e100, 4.277e-107), (1e-310, 1e100, 1.426e-109)]
+)
+def test_rho_past_the_unit_ellipsoid_is_solved_in_case_b(rho, scale, value):
+    # lambda_max/rho = inf on the 4x4 grid (lambda_max 6.83), yet the value
+    # rho * sum c_i**2/lambda_i is a normal double: solved at rho * 4**shift
+    # and scaled back, with no numpy warning
     g = gen_lattice(4)
-    y = np.random.default_rng(0).standard_normal(g.n)
-    for scale in (1.0, 1e100):
-        with pytest.raises(ValueError, match="^the sss statistic underflows on the unit ellipsoid: lambda_max/rho"):
-            sss(graph_spectrum(g), y * scale, 3e-308)
+    spectrum = graph_spectrum(g)
+    y = scale * np.random.default_rng(0).standard_normal(g.n)
+    inverse = float(np.sum(spectrum.project(center(y)) ** 2 / spectrum.eigenvalues[1:]))
+    expected = rho * inverse
+    assert expected == pytest.approx(value, rel=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sss(spectrum, y, rho)
+        values = [result.value, sss_stat(g, y, rho), *Detector("sss", rho=rho).statistics(g, np.stack((y, y)))]
+        assert values == pytest.approx([expected] * 4, rel=1e-12, abs=0.0)
+        assert result.case == "b" and result.nu_star == pytest.approx(inverse, rel=1e-12)
+        assert abs(result.gap) <= 1e-12 * result.value  # case b's dual is its value up to rounding
+        witness = np.ldexp(result.witness, 600)  # on the ellipsoid of rho * 4**600, out of the subnormals
+        assert witness @ laplacian(g) @ witness <= math.ldexp(rho, 1200) * (1.0 + 1e-12)
+        det, sigma = Detector("sss", rho=rho), scale
+        threshold = calibrate_threshold(det, g, sigma, 0.05, 200, 3)
+        stats = np.sort(_replicate_statistics((det,), g, ((0.0, 200),), sigma, 3)[:, 0])
+        assert threshold == stats[189] > 0.0
 
 
 @pytest.mark.parametrize(
