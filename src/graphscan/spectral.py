@@ -35,10 +35,12 @@ c_i**2/(1 + s*mu_i): ||c||**2 in case "a" (s = 0), sum c_i**2/mu_i in case
 "b" (s -> infinity), and summed over the ungrouped terms, so that it also
 checks the grouping. Each observation's coefficients are scaled by a power
 of two before squaring, so neither the solve nor the certificate overflows
-or underflows at extreme scales of y; a value outside the range of normal
-doubles is refused. A rho so small that lambda_max/rho overflows puts every
-row in case "b", linear in rho, so the rows are solved at rho scaled up by a
-power of four and their values scaled back (:func:`_unit_means`).
+or underflows at extreme scales of y. One rule refuses: a value outside the
+range of normal doubles; nu*, the dual and the gap are reported as they
+unscale, so nu* reads inf where it alone leaves the doubles. A rho so small
+that lambda_max/rho overflows puts every row in case "b", linear in rho, so
+the rows are solved at rho scaled up by a power of four and their values
+scaled back (:func:`_unit_means`).
 
 The root-find of the third case is the one bisection of this module
 (:func:`_bisect`, which :func:`chi_max` runs too): s doubles from 1 until
@@ -428,7 +430,10 @@ class SssResult:
     ``case`` names the active KKT case ("a": ball, "b": ellipsoid, "c": both),
     ``iterations`` counts the root-finding steps (nonzero only in case "c"),
     and ``gap`` is the dual objective at ``nu_star`` minus ``value``, which
-    weak duality makes nonnegative up to rounding.
+    weak duality makes nonnegative up to rounding. ``value`` is a normal
+    double; ``nu_star`` and ``gap`` are as they unscale, so ``nu_star`` is
+    inf where it leaves the doubles (subnormal or 0 below them), and ``gap``
+    is inf only for a value within rounding of the largest double.
     """
 
     value: float
@@ -899,9 +904,12 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     ``gap`` reports the difference, so it also checks the grouping. All of
     this runs on c scaled exactly by a power of two to a largest entry in
     [0.5, 1), so it holds for observations from about 1e-153 to 1e153 in
-    scale; a value that overflows, or that underflows out of the normal
-    range, is refused. A constant observation, however large, centres to
-    exact zeros and yields 0 in case "a" with a zero gap. Where
+    scale. The value is unscaled as :func:`_sss_values` unscales it, so it is
+    refused, if it overflows or underflows out of the normal range, exactly
+    where the block path refuses it; nu*, the dual and the gap are not
+    refused but reported as they unscale, nu* as inf past the doubles. A
+    constant observation, however large, centres to exact zeros and yields 0
+    in case "a" with a zero gap. Where
     lambda_max/rho overflows, all of this runs at rho * 4**shift
     (:func:`_unit_means`), and the value, the dual and the witness are
     scaled back.
@@ -924,9 +932,13 @@ def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
         dual = (1.0 + s) * float(c @ z)
         if c.any():
             z /= np.linalg.norm(z)
-    # nu* = nu~/rho_solved whatever the shift, as nu~ and rho scale alike in case "b"
-    unscaled = _unscale(np.array([value, float(nu) / rho_solved, dual]), e - np.array([shift, 0, shift]))
-    value, nu_star, dual = (float(x) for x in unscaled)
+    # the value is refused as _sss_values refuses it; nu* = nu~/rho_solved whatever
+    # the shift, as nu~ and rho scale alike in case "b", and it and the dual are
+    # reported as they unscale, inf past the doubles
+    value = float(_unscale(value, e - shift)[0])
+    with np.errstate(over="ignore", under="ignore"):
+        nu_star = float(np.ldexp(float(nu) / rho_solved, 2 * e[0]))
+        dual = float(np.ldexp(dual, 2 * (e[0] - shift)))
     # z is on the ellipsoid of rho * 4**shift, and 2**-shift * z on that of rho
     witness = _fix_signs(spectrum.expand(np.ldexp(z, -shift))[:, None])[:, 0]
     return SssResult(

@@ -23,7 +23,8 @@ Run it in each tree and diff the two files. It covers:
 - ``glr_exact`` with and without ``require_connected`` on 40 seeded ``random_connected_graph``
   draws (n <= 12), an empty class read as None.
 - ``sss`` and ``sss_stat`` on the 4x4 grid at rho so small that lambda_max/rho overflows (3e-308,
-  and 1e-310 for an observation scaled by 1e100), ``cut_sparsity`` of five consecutive vertices of a
+  and 1e-310 for an observation scaled by 1e100) and where nu* overflows but the value does not
+  (1e-250 for a scale of 1e170, 5e-324 for 1e200), ``cut_sparsity`` of five consecutive vertices of a
   10-cycle whose weights (1e308) make their cut overflow, and ``energy_stat`` and
   ``glr_unconstrained`` on standard normal observations of lengths 2, 9 and 255 at the seeds;
   a refusal among these reads as its message, so a tree that refuses them still prints every line.
@@ -171,7 +172,7 @@ def extremes():
         r = gs.sss(gs.graph_spectrum(g), y, rho)
         return r.value, r.nu_star, r.case, r.iterations, r.gap, r.witness.tobytes(), gs.sss_stat(g, y, rho)
 
-    for rho, scale in ((3e-308, 1.0), (3e-308, 1e100), (1e-310, 1e100)):
+    for rho, scale in ((3e-308, 1.0), (3e-308, 1e100), (1e-310, 1e100), (1e-250, 1e170), (5e-324, 1e200)):
         yield f"sss grid-4 rho={rho!r} scale={scale!r}", digest(outcome(lambda: solved(rho, scale * y)))
     cycle = gs.Graph(10, np.arange(10), (np.arange(10) + 1) % 10, np.full(10, 1e308))
     half = gs.Cluster(frozenset(range(5)))

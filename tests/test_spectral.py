@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphscan import (
+    Detector,
     build_graph,
     center,
     chi_max,
@@ -18,6 +19,7 @@ from graphscan import (
     laplacian,
     scale_weights,
     sss,
+    sss_stat,
     two_triangles,
     write_spectrum_csv,
 )
@@ -635,6 +637,38 @@ class TestGroupedKernel:
             sss(spec, y, 1.0)
         with pytest.raises(ValueError, match="overflows"):
             _sss_values(spec, y[None], 1.0)
+
+    @pytest.mark.parametrize(
+        "scale, rho, value", [(1e170, 1e-250, 1.4257653431623816e91), (1e200, 5e-324, 7.044216750875885e77)]
+    )
+    def test_nu_star_past_the_doubles_reads_inf(self, scale, rho, value):
+        # nu* = sum c_i**2/lambda_i overflows where the value rho * nu* does
+        # not: the value is returned as sss_stat returns it, and nu* as inf
+        g = gen_lattice(4)
+        y = scale * np.random.default_rng(0).standard_normal(g.n)
+        result = sss(graph_spectrum(g), y, rho)
+        assert result.value == sss_stat(g, y, rho) == value
+        assert (result.nu_star, result.case) == (np.inf, "b")
+        assert np.isfinite(result.gap) and result.gap >= -1e-12 * result.value
+
+    @pytest.mark.parametrize(
+        "make", [lambda: gen_lattice(4), lambda: gen_lattice(12, periodic=True)], ids=["grid", "torus"]
+    )
+    def test_one_refusal_rule_for_sss_and_the_detector(self, make):
+        # sss() refuses exactly the observations the block path refuses, with
+        # the same message, and otherwise returns its value bit for bit
+        g = make()
+        spectrum, base = graph_spectrum(g), np.random.default_rng(0).standard_normal(g.n)
+        for scale in (1e-160, 1e-154, 1.0, 1e154, 1e160, 1e170, 1e200):
+            for rho in (5e-324, 1e-310, 3e-308, 1e-250, 1.0, 1e250):
+                y = scale * base
+                try:
+                    expected = Detector("sss", rho=rho).statistic(g, y)
+                except ValueError as error:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                        sss(spectrum, y, rho)
+                else:
+                    assert sss(spectrum, y, rho).value == expected, (scale, rho)
 
 
 class TestPrimalOracle:
