@@ -17,11 +17,11 @@ from ._check import integer, observation, real, require
 from .graphs import Graph, _cut_weights, _sparsity, is_connected, laplacian
 from .rng import _replicate_streams
 from .spectral import (
-    _BLOCK_ENTRIES,
     _OVERFLOWS,
     _UNDERFLOWS,
     _WORKSPACE,
     Spectrum,
+    _chunk_rows,
     _row_chunks,
     _row_means,
     _sss_order_statistic,
@@ -77,7 +77,7 @@ def _sss_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
 def _energy_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
     # the stacked product takes one dot product per row, which keeps the
     # rounding of a single observation in any block
-    centred = np.subtract(y, _row_means(y)[:, None], out=_WORKSPACE.array("a", y.shape))
+    centred = y - _row_means(y)[:, None]
     return (centred[:, None, :] @ centred[:, :, None])[:, 0, 0]
 
 
@@ -90,10 +90,10 @@ def _glr_unconstrained_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndar
     # For a fixed size k the best cluster takes the k largest centred values
     # (complements score the same), so one sorted prefix-sum sweep is exact.
     # The negated values sort ascending into that order, and the sign cancels
-    # in the square; they are sorted and summed in place in the workspace.
+    # in the square; they are sorted and summed in place.
     n = y.shape[1]
     k = np.arange(1, n)
-    swept = np.subtract(_row_means(y)[:, None], y, out=_WORKSPACE.array("a", y.shape))
+    swept = _row_means(y)[:, None] - y
     swept.sort(axis=1)
     prefix = np.cumsum(swept, axis=1, out=swept)[:, :-1]
     np.square(prefix, out=prefix)
@@ -120,9 +120,9 @@ def _connected_masks(bits: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
 
 
 def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
-    # every bipartition is the bit mask of its side without vertex n - 1 (the other side
-    # scores the same), enumerated once per chunk and scored for all rows with one
-    # product, holding at most _BLOCK_ENTRIES cluster sums
+    # every bipartition is the bit mask of its side without vertex n - 1 (the other side scores
+    # the same); a batch of masks is scored for all rows with one product, and sized by its widest
+    # temporary (n bits, a cut term per edge or a sum per row), so none exceeds _BLOCK_ENTRIES
     n = g.n
     if n > _GLR_EXACT_MAX_N:
         raise ValueError(f"exact enumeration limited to n <= {_GLR_EXACT_MAX_N}, got n={n}")
@@ -131,10 +131,10 @@ def _glr_exact_kernel(det: Detector, g: Graph, y: np.ndarray) -> np.ndarray:
     adjacency = laplacian(g) < 0.0 if det.require_connected else None
     ytilde = y - _row_means(y)[:, None]
     best = np.full(len(y), -math.inf)  # stays -inf while no cluster is feasible
-    chunk = max(1, _BLOCK_ENTRIES // len(y))
-    for start in range(1, 2 ** (n - 1), chunk):
-        masks = np.arange(start, min(start + chunk, 2 ** (n - 1)), dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)  # (chunk, n)
+    batch = _chunk_rows(max(len(y), n, g.eu.size))
+    for start in range(1, 2 ** (n - 1), batch):
+        masks = np.arange(start, min(start + batch, 2 ** (n - 1)), dtype=np.int64)
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)  # (batch, n)
         sizes = bits.sum(axis=1)
         ok = _sparsity(n, _cut_weights(g, bits), sizes) <= det.rho
         if det.require_connected:
@@ -299,7 +299,7 @@ def _replicate_blocks(g: Graph, runs, sigma: float, seed: int):
     the next, and before the thread draws another run's blocks.
     """
     total = sum(count for _, count in runs)
-    rows = max(1, _BLOCK_ENTRIES // g.n)
+    rows = _chunk_rows(g.n)
     block = _WORKSPACE.array("noise", (min(rows, total), g.n))
     streams = _replicate_streams(seed, range(total))
     for start in range(0, total, rows):

@@ -58,7 +58,7 @@ _EDGE_PROBLEMS = (
     "edge ({u},{v}) out of range for n={n}",
     "self-loop at vertex {u}",
     "duplicate edge ({u},{v})",
-    "edge ({u},{v}) has non-positive weight {w}",
+    "edge ({u},{v}) has weight {w}, not finite and positive",
     "edge ({u},{v}) has non-numeric weight {given!r}",
 )
 

@@ -59,17 +59,17 @@ those that may hold the selected rank once, a chunk at a time, by a few
 lockstep Newton steps along the path, and solves those still in contention in
 full, so it is the same bits as sorting the full solves.
 
-A block of observations is scored in a workspace of flat float buffers that
-each thread keeps (``threading.local``) and reuses for every block and call,
-so no buffer is allocated, faulted in and freed per block: one buffer holds
-the replicate noise, and two hold in turn the centred block, the projection's
-axis-by-axis outputs, the coefficients in eigenvalue order and their squares;
-a tree's projection works its level sums in a fourth. The functions here score
-one chunk of a block, of at most 2**16 entries (or one row, if a row is
-longer; :func:`_row_chunks`), so each buffer keeps at most that many: four
-buffers per thread, 2 MB for n up to 2**16. The coefficients and group sums
-``_scaled_sums`` returns are views of the workspace, valid until its next call
-in the same thread.
+Every batch is sized by one rule, :func:`_chunk_rows`: as many rows as fit in
+2**16 entries at its widest temporary's width (one row, if wider). The replicate
+noise and the SSS are worked in a workspace of flat float buffers that each
+thread keeps (``threading.local``) and reuses for every block and call, so no
+buffer is allocated, faulted in and freed per block: one holds the noise, and
+two hold in turn the SSS's centred block, the projection's axis-by-axis
+outputs, the coefficients in eigenvalue order and their squares; a tree's
+projection works its level sums in a fourth. Each keeps at most one chunk
+(:func:`_row_chunks`): four buffers per thread, 2 MB for n up to 2**16. The
+coefficients and group sums ``_scaled_sums`` returns are views of the
+workspace, valid until its next call in the same thread.
 """
 from __future__ import annotations
 
@@ -121,8 +121,8 @@ _BOUND_RTOL = 1e-8
 # Group sums that an order statistic may hold for its open rows at once; past
 # it, the oldest open rows are solved in full and kept as their value.
 _OPEN_ENTRIES = 1 << 19
-# Observation entries in one block of replicates, and in the chunks a block is
-# scored in, so the most each workspace buffer holds unless one row is longer.
+# Entries in the widest temporary of any batch (:func:`_chunk_rows`), so the
+# most each workspace buffer holds unless one row is longer.
 _BLOCK_ENTRIES = 1 << 16
 # How a statistic refuses a value outside the normal doubles, given its name.
 _OVERFLOWS = "the {} statistic overflows: the observation is too large in scale"
@@ -130,10 +130,10 @@ _UNDERFLOWS = "the {} statistic underflows: the observation is too small in scal
 
 
 class _Workspace(threading.local):
-    """Flat float buffers, one per role, that a thread reuses for every block it scores.
+    """Flat float buffers, one per role, that a thread reuses for every block it draws or solves the SSS of.
 
-    The roles are "noise" (the replicate draws), "a" and "b" (what a block's
-    scoring passes between them) and "tree" (a tree projection's level sums).
+    The roles are "noise" (the replicate draws), "a" and "b" (what the SSS's
+    steps pass between them) and "tree" (a tree projection's level sums).
     A buffer grows to the largest array asked of it and is never shrunk, so a
     thread keeps at most four.
     """
@@ -153,12 +153,17 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
+def _chunk_rows(width: int) -> int:
+    """Rows of this many entries in one batch: as many as ``_BLOCK_ENTRIES`` holds, or one if a row is wider."""
+    return max(1, _BLOCK_ENTRIES // width)
+
+
 def _row_chunks(y: np.ndarray, n: int):
     """The (R, n) block ``y`` in chunks of whole rows, each of at most ``_BLOCK_ENTRIES`` entries or one row.
 
     An empty block is one empty chunk.
     """
-    rows = max(1, _BLOCK_ENTRIES // n)
+    rows = _chunk_rows(n)
     return (y[start : start + rows] for start in range(0, max(len(y), 1), rows))
 
 

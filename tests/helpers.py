@@ -193,7 +193,7 @@ EDGE_REFUSALS = (
     "edge ({u},{v}) out of range for n={n}",
     "self-loop at vertex {u}",
     "duplicate edge ({u},{v})",
-    "edge ({u},{v}) has non-positive weight {w}",
+    "edge ({u},{v}) has weight {w}, not finite and positive",
 )
 
 

@@ -21,7 +21,9 @@ Run it in each tree and diff the two files. It covers:
 - the canonical cluster of every graph in ``helpers.CLUSTER_SWEEP`` (bbt depths 2-11, grids p
   2-39, tori 3-39, kron levels 1-4), one line each: its sorted ids;
 - ``glr_exact`` with and without ``require_connected`` on 40 seeded ``random_connected_graph``
-  draws (n <= 12), an empty class read as None.
+  draws (n <= 12), an empty class read as None, and on three-row blocks that span many mask
+  batches: K16 with seeded weights in [0.5, 1.5] at rho 15 and 16, and the 4x4 grid's connected
+  class at rho 2.
 - ``sss`` and ``sss_stat`` on the 4x4 grid at rho so small that lambda_max/rho overflows (3e-308,
   and 1e-310 for an observation scaled by 1e100) and where nu* overflows but the value does not
   (1e-250 for a scale of 1e170, 5e-324 for 1e200), ``cut_sparsity`` of five consecutive vertices of a
@@ -38,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -154,6 +157,16 @@ def exact_glr():
             except gs.EmptyClassError:
                 values.append(None)
         yield f"glr_exact require_connected={connected}", digest(values)
+    # three-row blocks that take many mask batches: a weighted K16 at two levels, and the 4x4 grid's
+    # connected class
+    rng = np.random.default_rng(35)
+    pairs = list(itertools.combinations(range(16), 2))
+    k16 = gs.build_graph(16, [(u, v, w) for (u, v), w in zip(pairs, rng.uniform(0.5, 1.5, len(pairs)))])
+    for name, g, rho, connected in (("K16", k16, 15.0, False), ("K16", k16, 16.0, False),
+                                    ("grid-4", gs.gen_lattice(4), 2.0, True)):
+        detector = gs.Detector("glr_exact", rho=rho, require_connected=connected)
+        values = detector.statistics(g, rng.standard_normal((3, g.n)))
+        yield f"glr_exact {name} rho={rho} require_connected={connected} rows=3", digest(values.tobytes())
 
 
 def outcome(call):

@@ -1,6 +1,7 @@
 """Detector statistics, their shared invariances, and Monte Carlo calibration."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from graphscan import (
     sss,
     sss_stat,
 )
-from graphscan import detectors
+from graphscan import detectors, spectral
 from graphscan.detectors import DETECTOR_KINDS, RHO_KINDS
 from graphscan.graphs import _cut_weights
 from graphscan.rng import _replicate_streams
@@ -216,7 +217,7 @@ class TestGlrExact:
             checked += 1
 
     def test_adjacency_is_built_once_per_call(self, monkeypatch):
-        # five rows of gen_bbt(3) enumerate its 16383 bipartitions in two batches
+        # five rows of gen_bbt(3) enumerate its 16383 bipartitions in four batches
         g = gen_bbt(3)
         y = np.random.default_rng(4).standard_normal((5, g.n))
         det = Detector("glr_exact", rho=1.0, require_connected=True)
@@ -225,6 +226,57 @@ class TestGlrExact:
         monkeypatch.setattr(detectors, "laplacian", lambda h: built.append(h) or laplacian(h))
         assert det.statistics(g, y).tobytes() == expected.tobytes()
         assert len(built) == 1
+
+    @staticmethod
+    def complete(n):
+        return build_graph(n, [(u, v, 1.0) for u, v in itertools.combinations(range(n), 2)])
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("case", ["K16", "grid-4x4-connected"])
+    def test_mask_batches_hold_at_most_a_block(self, case, rows):
+        # batches sized by the rows alone held (32767, 120) cut temporaries for one
+        # row of K16: 68 MB traced
+        if case == "K16":
+            g, det = self.complete(16), Detector("glr_exact", rho=16.0)
+        else:
+            g, det = gen_lattice(4), Detector("glr_exact", rho=2.0, require_connected=True)
+        y = np.random.default_rng(8).standard_normal((rows, g.n))
+        expected = det.statistics(g, y)
+        tracemalloc.start()
+        try:
+            values = det.statistics(g, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.tobytes() == expected.tobytes()
+        assert peak < 2_000_000
+
+    def test_mask_batches_of_any_size_enumerate_every_cluster(self, monkeypatch):
+        # batches of one or two masks (3 * n entries at the widest temporary) against the default;
+        # BLAS rounds a batch's last few cluster sums by another kernel, so a value can move in
+        # its last bits (with OpenBLAS on x86-64, 7 of these 80 do, by at most 6.1e-16 relative)
+        rng = np.random.default_rng(41)
+        cases = [(self.complete(8), 8.0), (gen_lattice(3), 2.1)]
+        for _ in range(12):
+            g = random_connected_graph(rng, max_n=10, min_n=5)
+            weighted = Graph(g.n, g.eu, g.ev, rng.uniform(0.1, 3.0, g.num_edges()))
+            cases.append((weighted, float(rng.uniform(1.0, 6.0))))
+        checked = 0
+        for (g, rho), connected in itertools.product(cases, (False, True)):
+            det = Detector("glr_exact", rho=rho, require_connected=connected)
+            y = rng.standard_normal((3, g.n))
+            try:
+                expected = [det.statistics(g, y), det.statistics(g, y[:1])]
+            except EmptyClassError:
+                continue
+            with monkeypatch.context() as patched:
+                patched.setattr(spectral, "_BLOCK_ENTRIES", 3 * g.n)
+                for values, rows in zip(expected, (y, y[:1])):
+                    np.testing.assert_allclose(det.statistics(g, rows), values, rtol=1e-12, atol=0.0)
+            brute = [glr_brute_force(g, row, rho, require_connected=connected) for row in y]
+            np.testing.assert_allclose(expected[0], brute, rtol=1e-12, atol=0.0)
+            checked += 1
+        assert checked >= 20
 
     def test_connected_matches_brute_force(self):
         rng = np.random.default_rng(29)
@@ -553,7 +605,7 @@ class TestReplicateBlocks:
     def test_each_row_is_its_replicate_stream(self, monkeypatch, rows):
         g = gen_lattice(5)
         if rows is not None:
-            monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * g.n)
+            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", rows * g.n)
         rng = np.random.default_rng(6)
         shared, other = rng.standard_normal(g.n), rng.standard_normal(g.n)
         # one zero run for all; runs that straddle blocks of 7, a zero run and
@@ -605,7 +657,16 @@ class TestEachInputCheckedOnce:
 
     @staticmethod
     def blocks(g, reps):
-        return math.ceil(reps / max(1, detectors._BLOCK_ENTRIES // g.n))
+        return math.ceil(reps / spectral._chunk_rows(g.n))
+
+    def test_the_block_rule_alone_sets_the_replicate_block_size(self, monkeypatch):
+        # the replicate loop sizes its blocks by spectral._chunk_rows, so patching
+        # spectral's block entries alone gives blocks of 7 rows
+        g = gen_lattice(16)
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 7 * g.n)
+        calls = self.counted_observations(monkeypatch)
+        calibrate_threshold(Detector("energy"), g, 1.0, 0.05, 600, 1)
+        assert len(calls) == self.blocks(g, 600) == 86
 
     def test_run_roc_checks_each_drawn_block_once(self, monkeypatch):
         config = ExperimentConfig(family="lattice", params={"p": 16}, rho=0.25, reps_null=300, reps_alt=300)
@@ -668,7 +729,7 @@ class TestCalibrateThreshold:
         baselines = [Detector(kind) for kind in ("energy", "edge", "glr_unconstrained")]
         sss_det = Detector("sss", rho=1.0)
         default = [calibrate_threshold(det, g, **args) for det in baselines + [sss_det]]
-        monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * g.n)
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", rows * g.n)
         blocked = [calibrate_threshold(det, g, **args) for det in baselines + [sss_det]]
         assert blocked[:3] == default[:3]
         assert blocked[3] == pytest.approx(default[3], rel=1e-12)

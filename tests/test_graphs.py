@@ -164,11 +164,11 @@ class TestBuildGraph:
         "edges, message",
         [
             ([(0, 1, 1.0), (2, 1, 1.0), (1, 2, 0.0), (0, 3, 1.0)], "duplicate edge (1,2)"),
-            ([(0, 1, 1.0), (1, 2, -1.0), (0, 5, 1.0)], "edge (1,2) has non-positive weight -1.0"),
+            ([(0, 1, 1.0), (1, 2, -1.0), (0, 5, 1.0)], "edge (1,2) has weight -1.0, not finite and positive"),
             ([(0, 1, 1.0), (2, 2, 1.0), (0, 1, 1.0)], "self-loop at vertex 2"),
-            ([(0, 1, float("nan")), (0, 7, 1.0)], "edge (0,1) has non-positive weight nan"),
+            ([(0, 1, float("nan")), (0, 7, 1.0)], "edge (0,1) has weight nan, not finite and positive"),
             ([(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0)], "edge (-1,0) out of range for n=3"),
-            ([(0, 1, 1.0), (1, 2, float("inf"))], "edge (1,2) has non-positive weight inf"),
+            ([(0, 1, 1.0), (1, 2, float("inf"))], "edge (1,2) has weight inf, not finite and positive"),
         ],
     )
     def test_names_the_first_offending_edge(self, edges, message):

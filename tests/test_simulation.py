@@ -31,7 +31,7 @@ from graphscan import (
     two_triangles,
     write_roc_csv,
 )
-from graphscan import detectors
+from graphscan import detectors, spectral
 from graphscan.simulate import PRESET_NAMES, build_experiment_graph
 from helpers import CLUSTER_SWEEP, canonical_cluster_reference, induced_connected
 
@@ -378,7 +378,7 @@ class TestRunRoc:
         # with one matrix product, whose rounding depends on the block shape
         config = self.small_config(params={"p": 6}, reps_null=100, reps_alt=100)
         default = run_roc(config)
-        monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * build_experiment_graph(config).n)
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", rows * build_experiment_graph(config).n)
         blocked = run_roc(config)
         for kind in ("energy", "edge", "glr_unconstrained"):
             write_roc_csv(default[kind], tmp_path / "a.csv")

@@ -17,7 +17,7 @@ from graphscan import (
     sss,
     two_triangles,
 )
-from graphscan import detectors, spectral
+from graphscan import spectral
 from graphscan.detectors import _replicate_statistics
 from graphscan.spectral import (
     _BOUND_RTOL,
@@ -93,7 +93,7 @@ class TestBitForBit:
             runs += [(1, 100, 1.0), (7, 100, 1.0)]
         for rows, reps, sigma in runs:
             if rows is not None:
-                monkeypatch.setattr(detectors, "_BLOCK_ENTRIES", rows * g.n)
+                monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", rows * g.n)
             stats = np.sort(_replicate_statistics((det,), g, ((0.0, reps),), sigma, 11)[:, 0])
             for alpha in ALPHAS:
                 threshold = calibrate_threshold(det, g, sigma, alpha, reps, 11)
@@ -153,10 +153,10 @@ class TestBitForBit:
     def test_rows_in_contention_are_refined_once_a_chunk_at_a_time(self, monkeypatch, make, rho):
         g = make()
         det = Detector("sss", rho=rho)
-        expected = full_solve_threshold(det, g, 1.0, 0.05, 1000, 0)
         # chunks of three rows of group sums, so the refinement spans many calls;
-        # the replicate blocks keep their size (detectors holds its own copy)
+        # the replicate blocks shrink to one row too, so the full solves are sorted at that size
         monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 3 * graph_spectrum(g).groups[0].size)
+        expected = full_solve_threshold(det, g, 1.0, 0.05, 1000, 0)
         calls = counted_calls(monkeypatch, "_path_bounds")
         assert calibrate_threshold(det, g, 1.0, 0.05, 1000, 0) == expected
         refined = [sums for sums, _, steps in calls if steps > 0]

@@ -160,3 +160,22 @@ def test_tree_level_sums_stay_within_one_block():
     assert not thread.is_alive()
     assert set(sizes) == {"noise", "a", "b", "tree"}
     assert max(sizes.values()) <= _BLOCK_ENTRIES
+
+
+def test_only_the_replicate_noise_and_the_sss_take_buffers():
+    roles = set()
+
+    def work():
+        g = gen_lattice(4)
+        y = np.random.default_rng(5).standard_normal((9, g.n))
+        for det in (Detector("energy"), Detector("edge"), Detector("glr_unconstrained"),
+                    Detector("glr_exact", rho=2.0)):
+            det.statistics(g, y)
+            calibrate_threshold(det, g, 1.0, 0.1, 100, 4)
+        roles.update(_WORKSPACE.buffers)
+
+    thread = threading.Thread(target=work)  # a new thread starts with an empty workspace
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert roles == {"noise"}
