@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -342,7 +343,9 @@ def calibrate_threshold(
 
     Simulates ``reps`` draws of pure noise (the statistics are invariant to the
     background level, so it is fixed at zero), and returns the order statistic
-    with 1-based index ceil((1 - alpha) * reps). Replicate r draws from the
+    with 1-based index ceil((1 - alpha) * reps), computed exactly for the
+    decimal ``repr(alpha)`` prints (in floats, (1 - 0.99) * 100 rounds up
+    past 1). Replicate r draws from the
     stream keyed by (seed, r). For the SSS, each replicate is solved only as
     far as it takes to tell whether its value can be that order statistic
     (``spectral._sss_order_statistic`` bounds every replicate at the ends of
@@ -356,7 +359,7 @@ def calibrate_threshold(
     reps, seed = integer("reps", reps, 100), integer("seed", seed)
     alpha = real("alpha", alpha, "(0, 1)")
     sigma = real("sigma", sigma, "nonnegative")
-    index = math.ceil((1.0 - alpha) * reps)
+    index = math.ceil((1 - Fraction(repr(alpha))) * reps)
     if detector.kind == "sss":
         detector._check_graph(g)  # before its spectrum is computed
         blocks = (y for _, y in _replicate_blocks(g, ((0.0, reps),), sigma, seed))

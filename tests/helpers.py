@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,6 +51,12 @@ def draw_rho(rng: np.random.Generator, eigenvalues: np.ndarray) -> float:
     lo = math.log(eigenvalues[1] / 4.0)
     hi = math.log(4.0 * eigenvalues[-1])
     return float(np.exp(rng.uniform(lo, hi)))
+
+
+def order_index(alpha: float, reps: int) -> int:
+    """1-based index of the calibrated order statistic: ceil((1 - alpha) * reps), exact for the decimal
+    ``repr(alpha)`` prints, where the float product can round past an integer (0.99 and 100 give 1)."""
+    return math.ceil((1 - Fraction(repr(alpha))) * reps)
 
 
 def neighbors(g: Graph, v: int) -> tuple[tuple[int, float], ...]:

@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""Print SHA-256 digests of graphscan's outputs, so that two trees can be compared byte for byte.
+"""Print SHA-256 digests of graphscan's outputs; ``tests/output_digest.txt`` records them.
 
-    python3 tests/output_digest.py > digests.txt
+``tests/test_output_digest.py`` runs this script and compares its lines with the recorded file, so
+Tier-1 fails naming every line whose output moved. A change that moves output bits on purpose
+re-records the file, and its diff shows which lines moved:
 
-Run it in each tree and diff the two files. It covers:
+    python3 tests/output_digest.py > tests/output_digest.txt
+
+The first line names the build: the Python version, numpy's version and its OpenBLAS
+configuration. The test compares the other lines only under the build that recorded them. The
+lines cover:
 
 - the CSVs and the SVG that ``graphscan experiment --preset NAME`` writes for every preset;
-- every benchmark workload's call (``perfbench/workloads.py``) at seeds 1-5 and 7, and
-  ``calibrate_threshold`` of each ROC workload graph's detectors at those seeds (100 replicates,
-  alpha 0.05, the workload's sigma and rho);
+- at seeds 1-5 and 7, ``run_roc`` on bbt-fig1 with 25 null and 25 alternative replicates
+  (``workload roc-bbt``) and on the 64x64 torus with the three baselines, delta 0.1, sigma 1 and
+  50 + 50 replicates (``workload roc-torus-baselines``), ``calibrate_threshold`` of each of
+  these graphs' detectors (100 replicates, alpha 0.05, the config's sigma and rho), and the SSS
+  ``calibrate_threshold`` on the 48x48 torus at rho 4/48 (100 replicates, alpha 0.05, sigma 1;
+  ``workload calibrate-torus``);
 - ``sss`` on each preset's graph and rho, for a standard normal observation at seeds 1-5 and 7:
   the value, nu*, case, iterations, gap and the witness's bytes;
 - ``chi_max`` on the 200 secular inputs of acceptance criterion 4;
@@ -42,19 +51,20 @@ import hashlib
 import io
 import itertools
 import os
+import platform
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
 import graphscan as gs  # noqa: E402
 from graphscan.cli import main as cli_main  # noqa: E402
 from helpers import CLUSTER_SWEEP, random_connected_graph, secular_inputs  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2, 3, 4, 5, 7)
 
@@ -84,17 +94,21 @@ def presets():
 
 
 def workloads():
-    for workload in WORKLOADS.values():
-        g = workload.setup()
-        outputs = [workload.summary(workload.call(g, seed)) for seed in SEEDS]
-        yield f"workload {workload.name} calls", digest(outputs)
-        config = getattr(workload, "config", None)
-        if config is None:  # a calibration workload, whose calls are the calibration
-            continue
+    bbt = replace(gs.preset_config("bbt-fig1"), reps_null=25, reps_alt=25)
+    torus = gs.ExperimentConfig(family="lattice", params={"p": 64, "periodic": True}, delta=0.1, sigma=1.0,
+                                reps_null=50, reps_alt=50, detectors=("energy", "edge", "glr_unconstrained"))
+    for name, config in (("roc-bbt", bbt), ("roc-torus-baselines", torus)):
+        runs = [gs.run_roc(replace(config, seed=seed)).items() for seed in SEEDS]
+        yield f"workload {name} calls", digest([{kind: [list(p) for p in curve.points] for kind, curve in curves}
+                                                for curves in runs])
+        g = gs.simulate.build_experiment_graph(config)
         for kind in config.detectors:
             detector = gs.Detector(kind, rho=config.rho if kind in gs.detectors.RHO_KINDS else None)
             thresholds = [gs.calibrate_threshold(detector, g, config.sigma, 0.05, 100, seed) for seed in SEEDS]
-            yield f"workload {workload.name} calibrate {kind}", digest(thresholds)
+            yield f"workload {name} calibrate {kind}", digest(thresholds)
+    g, detector = gs.gen_lattice(48, periodic=True), gs.Detector("sss", rho=4.0 / 48)
+    yield "workload calibrate-torus calls", digest([gs.calibrate_threshold(detector, g, 1.0, 0.05, 100, seed)
+                                                    for seed in SEEDS])
 
 
 def solves():
@@ -195,13 +209,19 @@ def extremes():
         yield function.__name__, digest([function(y) for y in draws])
 
 
+def build() -> str:
+    """The header line: the versions whose arithmetic the digests depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"build python {platform.python_version()} numpy {np.__version__} blas {blas.get('openblas configuration')}"
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
     parts = (presets, workloads, solves, calibrations, graphs, clusters, exact_glr, extremes)
     lines = [f"{label} {value}" for part in parts for label, value in part()]
     lines.append(f"all {digest(lines)}")
-    print("\n".join(lines))
+    print("\n".join([build(), *lines]))
     return 0
 
 

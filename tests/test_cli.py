@@ -5,9 +5,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from graphscan import gen_bbt, read_edge_list
+from graphscan import energy_stat, gen_bbt, read_edge_list, replicate_rng
 from graphscan import simulate
 from graphscan.cli import main
+from helpers import order_index
 
 
 def run_cli(*argv):
@@ -198,6 +199,15 @@ class TestCalibrate:
         )
         assert code == 0
         assert float(capsys.readouterr().out.strip()) > 0.0
+
+    def test_prints_the_exact_order_statistic(self, p2_file, capsys):
+        # the 55th of 100: in floats, (1 - 0.45) * 100 rounds up to just above 55
+        run_cli(
+            "calibrate", "--graph", str(p2_file), "--stat", "energy",
+            "--sigma", "1.0", "--alpha", "0.45", "--reps", "100", "--seed", "11",
+        )
+        stats = np.sort([energy_stat(replicate_rng(11, r).standard_normal(2)) for r in range(100)])
+        assert capsys.readouterr().out == f"{stats[order_index(0.45, 100) - 1]:.17g}\n"
 
     def test_seed_reported(self, tmp_path, p2_file, capsys):
         run_cli(

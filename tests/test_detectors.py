@@ -37,7 +37,7 @@ from graphscan import detectors, spectral
 from graphscan.detectors import DETECTOR_KINDS, RHO_KINDS
 from graphscan.graphs import _cut_weights
 from graphscan.rng import _replicate_streams
-from helpers import draw_rho, glr_brute_force, random_connected_graph
+from helpers import draw_rho, glr_brute_force, order_index, random_connected_graph
 
 
 def p2():
@@ -733,6 +733,20 @@ class TestCalibrateThreshold:
         blocked = [calibrate_threshold(det, g, **args) for det in baselines + [sss_det]]
         assert blocked[:3] == default[:3]
         assert blocked[3] == pytest.approx(default[3], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["energy", "sss"])
+    @pytest.mark.parametrize(
+        "alpha, reps, index",
+        [(0.99, 100, 1), (0.45, 100, 55), (0.7, 100, 30), (0.18, 150, 123),
+         (0.05, 100, 95), (0.05, 1000, 950), (0.5, 200, 100)],
+    )
+    def test_selects_the_exact_order_statistic(self, kind, alpha, reps, index):
+        # in floats, (1 - alpha) * reps rounds up past an integer for the first four pairs
+        g = gen_lattice(4)
+        det = detector(kind)
+        stats = np.sort(detectors._replicate_statistics((det,), g, ((0.0, reps),), 1.0, 6)[:, 0])
+        assert order_index(alpha, reps) == index
+        assert calibrate_threshold(det, g, 1.0, alpha, reps, 6) == stats[index - 1]
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5])
     def test_rejects_bad_alpha(self, alpha):

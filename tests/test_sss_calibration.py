@@ -28,7 +28,7 @@ from graphscan.spectral import (
     _path_weights,
     _scaled_sums,
 )
-from helpers import FAMILIES, draw_rho, grouped_kkt_loop, random_connected_graph
+from helpers import FAMILIES, draw_rho, grouped_kkt_loop, order_index, random_connected_graph
 
 GRAPHS = {
     "bbt": lambda: gen_bbt(5),
@@ -43,7 +43,7 @@ ALPHAS = (0.01, 0.05, 0.5, 0.99)
 def full_solve_threshold(det, g, sigma, alpha, reps, seed):
     """The order statistic of every replicate solved in full, as the threshold is defined."""
     stats = _replicate_statistics((det,), g, ((0.0, reps),), sigma, seed)[:, 0]
-    return np.sort(stats)[math.ceil((1.0 - alpha) * reps) - 1]
+    return np.sort(stats)[order_index(alpha, reps) - 1]
 
 
 def counted_calls(monkeypatch, name):
@@ -97,7 +97,7 @@ class TestBitForBit:
             stats = np.sort(_replicate_statistics((det,), g, ((0.0, reps),), sigma, 11)[:, 0])
             for alpha in ALPHAS:
                 threshold = calibrate_threshold(det, g, sigma, alpha, reps, 11)
-                assert threshold == stats[math.ceil((1.0 - alpha) * reps) - 1]
+                assert threshold == stats[order_index(alpha, reps) - 1]
                 assert type(threshold) is float
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
