@@ -6,7 +6,9 @@ included. An integer may have a minimum and a maximum (``integer``); a real argu
 have to be positive, nonnegative or in (0, 1) (``real``). A refusal names the argument: "{name} must
 be {rule}, got {value}". Every array a caller passes is read by one rule (``numbers``): its entries
 are ids, or reals by the rule of kind ``float``, finite where the array is an argument that names
-itself in refusals. An observation is a vector, or a block of rows, of finite reals.
+itself in refusals. An observation is a vector, or a block of rows, of finite reals. Every public
+function reads its counts, sizes, ids, seeds, real arguments and arrays by these rules, so none
+truncates a float or reads a bool or a string as a number.
 """
 from __future__ import annotations
 

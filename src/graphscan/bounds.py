@@ -2,7 +2,7 @@
 
 Rate expressions carry no asymptotic constants: they are the quantities inside
 the growth conditions, useful for comparing topologies and sizes, not absolute
-detection guarantees.
+detection guarantees. Every rho and sigma here must be positive and finite.
 """
 from __future__ import annotations
 
@@ -92,8 +92,8 @@ def null_threshold(spectrum: Spectrum, rho: float, sigma: float, conf: float) ->
 def naive_bounds(n: int, max_cluster: int) -> tuple[float, float]:
     """Rate expressions for the energy and edge-threshold detectors.
 
-    Returns (sqrt(n - 1), sqrt(max_cluster * log n)) where ``max_cluster`` is
-    the largest cluster size (at most n/2) in the class under test.
+    Returns (sqrt(n - 1), sqrt(max_cluster * log n)) for n >= 2, where
+    ``max_cluster`` is the largest cluster size (1 to n//2) in the class under test.
     """
     n = integer("n", n, 2)
     max_cluster = integer("max_cluster", max_cluster, 1, n // 2)
@@ -103,7 +103,8 @@ def naive_bounds(n: int, max_cluster: int) -> tuple[float, float]:
 def noncentrality(delta: float, sigma: float, cluster_size: int, n: int) -> float:
     """Noncentrality (delta/sigma)^2 |C| (n - |C|) / n of the oracle likelihood ratio.
 
-    A noncentrality beyond the doubles is refused, naming delta and sigma.
+    ``cluster_size`` must be in 1..n-1. A noncentrality beyond the doubles is
+    refused, naming delta and sigma.
     """
     sigma, delta, n = real("sigma", sigma, "positive"), real("delta", delta), integer("n", n)
     cluster_size = integer("cluster_size", cluster_size, 1, n - 1)
@@ -116,7 +117,7 @@ def noncentrality(delta: float, sigma: float, cluster_size: int, n: int) -> floa
 
 
 def bbt_lambda2_bound(depth: int) -> float:
-    """Upper bound 2**depth + 105*[depth < 4] on 1/lambda_2 of the balanced binary tree."""
+    """Upper bound 2**depth + 105*[depth < 4] on 1/lambda_2 of the balanced binary tree, for depth >= 1."""
     depth = integer("depth", depth, 1)
     return float(2**depth + (105 if depth < 4 else 0))
 

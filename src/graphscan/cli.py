@@ -248,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("experiment", help="run a seeded ROC experiment")
+    p = sub.add_parser("experiment", help="run a seeded ROC experiment", epilog=_CONFIG_HELP,
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=simulate.PRESET_NAMES)
     group.add_argument("--config", help="key = value experiment file (see below)")

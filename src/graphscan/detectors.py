@@ -53,7 +53,7 @@ class EmptyClassError(ValueError):
 
 @lru_cache(maxsize=64)
 def graph_spectrum(g: Graph) -> Spectrum:
-    """Spectrum of the graph Laplacian, cached per (immutable) graph.
+    """Spectrum of the graph Laplacian, cached per graph content, so an equal graph rebuilt reuses it.
 
     A graph that records Cartesian factors (lattices, tori, Kronecker
     products) gets the product of its factors' spectra, and a recorded
@@ -171,8 +171,9 @@ class Detector:
 
     ``rho`` (a positive and finite number, not a bool) is required for the
     kinds in :data:`RHO_KINDS` and refused for the others;
-    ``require_connected`` may be true only for glr_exact, whose class it
-    restricts to the bipartitions into two connected induced subgraphs.
+    ``require_connected``, a bool, may be true only for glr_exact, whose
+    class it restricts to the bipartitions into two connected induced
+    subgraphs.
     """
 
     kind: str
@@ -197,17 +198,19 @@ class Detector:
         """The statistic of each row of an (R, n) block of observations, scored chunk by chunk.
 
         Rows must have length ``g.n`` >= 2 and finite entries; the kinds that
-        use the edges also need a connected graph. The SSS and glr_exact score
-        each chunk (up to 2**16 entries, ``spectral._row_chunks``) with one
-        matrix product, so their values can differ from one-row blocks in the
-        last digits; energy, edge and glr_unconstrained give every row the
-        same bits in any block. A constant row scores exactly 0, however
-        large. A value that overflows a double is refused, as is any row
-        whose sum overflows. A value below the normal doubles is refused when
-        its row is not constant but all its deviations from the mean square
-        below them, so that the value has lost its digits: every kind but
-        glr_exact is positive on a row that is not constant, and glr_exact
-        may be exactly 0 on a row of normal scale, which is returned.
+        use the edges also need a connected graph. Every kind scores the block
+        in chunks of at most 2**16 entries (one row, if longer;
+        ``spectral._chunk_rows``), the size ``run_roc`` and
+        ``calibrate_threshold`` draw replicates in. The SSS and glr_exact
+        score a chunk with matrix products, so their values can differ from
+        one-row blocks in the last digits; energy, edge and glr_unconstrained
+        give every row the same bits in any block. A constant row scores
+        exactly 0, however large. A value that overflows a double is refused,
+        as is any row whose sum overflows. A value below the normal doubles is
+        refused when its row is not constant but all its deviations from the
+        mean square below them, so that the value has lost its digits: every
+        kind but glr_exact is positive on a row that is not constant, and
+        glr_exact may be exactly 0 on a row of normal scale, which is returned.
         """
         return self._scored(g, self._checked(g, y))
 
@@ -345,16 +348,12 @@ def calibrate_threshold(
     background level, so it is fixed at zero), and returns the order statistic
     with 1-based index ceil((1 - alpha) * reps), computed exactly for the
     decimal ``repr(alpha)`` prints (in floats, (1 - 0.99) * 100 rounds up
-    past 1). Replicate r draws from the
-    stream keyed by (seed, r). For the SSS, each replicate is solved only as
-    far as it takes to tell whether its value can be that order statistic
-    (``spectral._sss_order_statistic`` bounds every replicate at the ends of
-    the KKT multiplier path, refines the bounds of those in contention once,
-    a chunk at a time, at a few points along it, and solves the few left by
-    the solver :func:`sss` uses), so the threshold is the one that solving
-    every replicate in full and sorting would give, bit for bit. ``reps`` and
-    ``seed`` must be integers, and ``sigma`` and ``alpha`` numbers; none may
-    be a bool.
+    past 1). Replicate r draws from the stream keyed by (seed, r). For the
+    SSS, ``spectral._sss_order_statistic`` solves each replicate only as far
+    as it takes to tell whether its value can be that order statistic, so the
+    threshold is the one that solving every replicate in full and sorting
+    would give, bit for bit. ``reps`` (at least 100) and ``seed`` must be
+    integers, ``sigma`` a nonnegative and ``alpha`` a (0, 1) number.
     """
     reps, seed = integer("reps", reps, 100), integer("seed", seed)
     alpha = real("alpha", alpha, "(0, 1)")

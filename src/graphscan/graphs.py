@@ -11,8 +11,8 @@ they build, whose Laplacian is L1 (x) I + I (x) L2, so that its spectrum can be
 computed factor by factor, and :func:`gen_bbt` records the depth and the
 edge weight of the balanced binary tree it builds, whose spectrum splits into
 small blocks; :func:`scale_weights` keeps either record, scaled. A record is
-part of a graph's content: a graph read from an edge-list file has none and is
-never equal to a generated one.
+part of a graph's content: a graph built from edges (:func:`build_graph`,
+:func:`read_edge_list`) has none and is never equal to a generated one.
 """
 from __future__ import annotations
 
@@ -69,16 +69,16 @@ class Graph:
 
     Edge i joins ``eu[i]`` and ``ev[i]`` with weight ``w[i]``. Construction
     refuses a vertex count that is not a positive integer (a float or a bool
-    included), non-integer or out-of-range ids, self-loops, a pair given
-    twice in either orientation and weights that are not numbers, or not
-    finite and positive, naming the first offending edge, and stores
-    read-only copies of the arrays, each read by ``graphscan._check.numbers``.
-    An id is an integer, or a whole float, that is not a bool; one that int64
-    cannot hold is out of range whatever n is. A weight is a real number
-    that is not a bool. It costs
-    linear passes over the edges and one stable sort.
-    Graphs with equal n and arrays, edge order included, and equal factor
-    and tree records are equal; the hash of that content is computed once.
+    included) and names the first offending edge by the first check it fails:
+    a non-integer id, an id out of range, a self-loop, a pair given twice in
+    either orientation, a weight that is not a number or not finite and
+    positive. It stores read-only copies of the arrays, each read by
+    ``graphscan._check.numbers``. An id is an integer, or a whole float, that
+    is not a bool; one that int64 cannot hold is out of range whatever n is.
+    A weight is a real number that is not a bool. It costs linear passes over
+    the edges and one stable sort. Graphs with equal n and arrays, edge order
+    included, and equal factor and tree records are equal; the hash of that
+    content is computed once.
     """
 
     n: int
@@ -319,10 +319,8 @@ def cut_sparsity(g: Graph, c: Cluster) -> float:
     """Normalized cut weight n * w(boundary) / (|C| * |complement|); refused beyond the doubles.
 
     Equals the quadratic-form ratio (1_C' L 1_C) / (1_C' K 1_C) where K is the
-    centering projection; zero is impossible on a connected graph. ``glr_exact``
-    computes each cluster's cut sparsity by the same functions, so its class at
-    rho is exactly the clusters whose value here is at most rho. It stays exact
-    where the boundary weight alone would overflow.
+    centering projection; zero is impossible on a connected graph. It stays
+    exact where the boundary weight alone would overflow.
     """
     return _finite(_sparsity(g.n, _cluster_cut(g, c), c.size)[0], "cut sparsity")
 
@@ -338,7 +336,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def gen_bbt(depth: int) -> Graph:
-    """Balanced binary tree of the given depth with unit weights.
+    """Balanced binary tree of the given depth (at least 1) with unit weights.
 
     Vertices are numbered in level order with the root at 0, so the children
     of v are 2v+1 and 2v+2; n = 2**(depth+1) - 1. The result records its
@@ -357,7 +355,8 @@ def gen_lattice(p: int, periodic: bool = False) -> Graph:
 
     Non-periodic gives the grid (product of two paths); periodic gives the
     torus (product of two cycles), and the result records those factors.
-    Periodic requires p >= 3 so that wrap-around does not duplicate an edge.
+    p must be at least 2, and at least 3 when periodic so that wrap-around
+    does not duplicate an edge.
     """
     p = integer("p", p, 3 if periodic else 2)
     # vertex by vertex: the edge to the right, then the one below (wrapping on a torus)
@@ -422,7 +421,7 @@ def scale_weights(g: Graph, factor: float) -> Graph:
 
 
 def gen_kron_multiscale(base: Graph, levels: int) -> Graph:
-    """Iterated product of down-weighted copies of a connected base graph.
+    """Iterated product of ``levels`` (at least 1) down-weighted copies of a connected base graph.
 
     With p = base.n, the result on p**levels vertices is the product of
     (1/p**(levels-1)) * base, (1/p**(levels-2)) * base, ..., base, taken left

@@ -75,7 +75,7 @@ class SignalSpec:
 
 
 def sample_observation(spec: SignalSpec, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """One draw y = beta + sigma * eps with iid standard normal eps."""
+    """One draw y = beta + sigma * eps with iid standard normal eps, for a nonnegative finite sigma."""
     sigma = real("sigma", sigma, "nonnegative")
     return spec.beta() + sigma * rng.standard_normal(spec.n)
 
@@ -83,7 +83,8 @@ def sample_observation(spec: SignalSpec, sigma: float, rng: np.random.Generator)
 def snr(spec: SignalSpec, sigma: float) -> float:
     """Separation-to-noise ratio sqrt(|C| |C~| / n) * |delta| / sigma.
 
-    An SNR beyond the doubles is refused, naming delta and sigma.
+    sigma must be positive and finite. An SNR beyond the doubles is refused,
+    naming delta and sigma.
     """
     if spec.is_null:
         raise ValueError("SNR is undefined for a null signal")
@@ -150,25 +151,33 @@ def _family(name: str, params) -> _Family:
     return family
 
 
+def _family_params(name: str, params: dict) -> _Family:
+    """The table row of a family, once ``params`` holds every key it requires, no other, each of its type."""
+    family = _family(name, params)
+    unknown = sorted(set(params) - set(family.keys))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} for family {name!r}")
+    for key, value in params.items():
+        require(repr(key), value, family.keys[key])
+    return family
+
+
 def canonical_cluster(g: Graph, family: str, **params) -> Cluster:
     """The activated cluster used by the reference experiments for each family.
 
     bbt:     the subtree rooted at vertex 3, the leftmost depth-2 node; requires
-             ``depth``.
+             ``depth`` (at least 2).
     lattice: the (p//2) x (p//2) square in the top-left corner; requires ``p``.
     kron:    the vertices whose coarsest-scale coordinate lies in the first
              triangle of the two-triangle base, the ids below n/2; requires
              ``levels``.
 
-    Takes exactly the family's config keys (lattice ``periodic`` too). Raises
-    on a missing required parameter, any other keyword, a parameter that is
-    not an integer, or a graph of another size.
+    Takes exactly the family's config keys (lattice ``periodic`` too), checked
+    as :class:`ExperimentConfig` checks them: raises on a missing required
+    parameter, any other keyword, a parameter not of its type, or a graph of
+    another size.
     """
-    row = _family(family, params)
-    unknown = sorted(set(params) - set(row.keys))
-    if unknown:
-        raise ValueError(f"unknown keys {unknown} for family {family!r}")
-    return row.cluster(g, params)
+    return _family_params(family, params).cluster(g, params)
 
 
 @dataclass(frozen=True)
@@ -178,12 +187,12 @@ class ExperimentConfig:
     ``params`` holds the family parameters (bbt: depth; lattice: p, periodic;
     kron: levels, with the two-triangle base). Each family parameter must be
     of its type in ``_FAMILIES`` and each scalar field of its annotated type
-    (see :mod:`graphscan._check`), the floats finite and sigma positive; a
-    missing or foreign parameter, ``detectors`` other than a nonempty tuple
-    of distinct kinds, and ``cluster`` other than None (the family's
-    canonical cluster) or a nonempty set of nonnegative integer ids are
-    refused, and so is a cluster with delta 0, whose alternative draws are
-    null draws that read no cluster.
+    (see :mod:`graphscan._check`), the floats finite, sigma positive and the
+    replicate counts at least 1; a missing or foreign parameter,
+    ``detectors`` other than a nonempty tuple of distinct kinds, and
+    ``cluster`` other than None (the family's canonical cluster) or a
+    nonempty set of nonnegative integer ids are refused, and so is a cluster
+    with delta 0, whose alternative draws are null draws that read no cluster.
     """
 
     family: str
@@ -199,13 +208,9 @@ class ExperimentConfig:
     cluster: frozenset | None = None
 
     def __post_init__(self) -> None:
-        keys = _family(self.family, self.params).keys
-        unknown = sorted(set(self.params) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown keys {unknown} for family {self.family!r}")
-        types = {**keys, **_FIELD_TYPES}
-        for key, value in {**self.params, **{name: getattr(self, name) for name in _SCALAR_FIELDS}}.items():
-            require(repr(key), value, types[key])
+        _family_params(self.family, self.params)
+        for name in _SCALAR_FIELDS:
+            require(repr(name), getattr(self, name), _FIELD_TYPES[name])
         for name in ("reps_null", "reps_alt"):
             integer(name, getattr(self, name), 1)
         for name in ("mu", "delta", "rho"):
@@ -269,10 +274,9 @@ class RocCurve:
 
 
 def build_experiment_graph(config: ExperimentConfig) -> Graph:
-    """Instantiate the graph a config describes."""
-    # Uncached, like the generators it calls: building a graph costs linear passes and one sort,
-    # and a cache here would keep every experiment's graph alive and hide that cost from a
-    # benchmark that times graph set-up cold.
+    """Instantiate the graph a config describes, anew on every call, as the generators do."""
+    # Building a graph costs linear passes and one sort, and a cache here would keep every
+    # experiment's graph alive and hide that cost from a benchmark that times graph set-up cold.
     return _FAMILIES[config.family].build(**config.params)
 
 
@@ -351,7 +355,7 @@ def preset_config(name: str, seed: int | None = None) -> ExperimentConfig:
     family, params, rho = _PRESETS[name]
     config = dict(_PRESET_SHARED, family=family, params=dict(params), rho=rho)
     if seed is not None:
-        config["seed"] = int(seed)
+        config["seed"] = integer("seed", seed)
     return ExperimentConfig(**config)
 
 
@@ -379,8 +383,7 @@ _SPELLINGS = {
 def parse_config_file(path) -> ExperimentConfig:
     """Read a flat ``key = value`` experiment description.
 
-    Recognized keys: family (bbt|lattice|kron), the family's parameters
-    (bbt: depth; lattice: p, periodic; kron: levels) and every other field of
+    Recognized keys: family, the family's parameters and every other field of
     :class:`ExperimentConfig`, each read by its one type in ``_FAMILIES`` or
     the annotations: detectors is a comma list, cluster ``canonical`` or a
     comma list of vertex ids, and a bool one of true/false, yes/no or 1/0 in

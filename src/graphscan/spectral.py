@@ -1,75 +1,27 @@
-"""Laplacian spectra in three forms, and the spectral scan statistic.
+"""Laplacian spectra in three forms, and the spectral scan statistic (SSS).
 
-A :class:`Spectrum` holds the Laplacian eigenvalues in ascending order and
-projects vectors onto the eigenvectors (and expands them back), in one of
-three forms: dense (the n x n basis from :func:`eig_sym`), product (one
-spectrum per factor of a Cartesian product, applied axis by axis) and tree
-(a balanced binary tree of depth d, whose Laplacian splits in the level basis
-into a radial tridiagonal block of size d+1 and, for each level l < d, 2**l
-copies of a tridiagonal block of size d-l; the basis is applied by level sums
-in O(n) per vector). Only the dense form holds an n x n matrix.
+A :class:`Spectrum` holds the ascending eigenvalues and projects vectors onto
+eigenvectors 2..n. Its three forms differ only in how they hold the basis:
+:class:`DenseSpectrum` (the n x n matrix of :func:`eig_sym`, which no other
+form holds), :class:`ProductSpectrum` (one spectrum per Cartesian factor) and
+:class:`TreeSpectrum` (the level blocks of a balanced binary tree).
 
-The scan statistic over a connected graph with Laplacian L is
+The SSS of a centred observation y~ is sup (x'y~)**2 over ||x|| <= 1,
+x'Lx <= rho and x'1 = 0. With c the coefficients of y~ on eigenvectors 2..n
+and mu = lambda/rho, it is sup (c'z)**2 over the unit ball and the unit
+ellipsoid z' diag(mu) z <= 1. L and rho enter only as mu, which the solver's
+kernels take in place of rho, so scaling the weights and rho together moves
+values and thresholds only by the rounding of mu (within 1e-12 relative for
+joint scales from 1e-300 to 1e300). Which function holds each rule:
 
-    sup (x' y~)**2   subject to   ||x|| <= 1,  x' L x <= rho,  x' 1 = 0,
-
-for the centered observation y~. In the eigenbasis of L restricted to the
-complement of the constant vector, with coefficients c and eigenvalues
-lambda_2..lambda_n, the ellipsoid is z' diag(mu) z <= 1 with mu = lambda/rho,
-so L and rho enter only as mu, computed once per call: everything below runs
-on this unit ellipsoid, in units of rho, and takes no rho, so scaling the
-weights and rho together changes only the rounding of mu.
-It is solved once through its KKT conditions: exactly one of three cases (ball
-active, ellipsoid active, both active) holds, the last needing a
-one-dimensional monotone root-find. The conditions depend on c only through
-the c_i**2, so the solve runs on one term per distinct eigenvalue, the sum of
-the c_i**2 over its eigenvectors; trees, lattices and their products repeat
-eigenvalues heavily (33 distinct values among the 254 of the depth-7 tree).
-The same case gives the dual multiplier nu~ of the unit ellipsoid (nu* =
-nu~/rho for x'Lx <= rho), and the dual objective at nu~, max(0, theta) + nu~
-with theta the largest eigenvalue of c c' - nu~ diag(mu), certifies the value
-from above: the reported gap is the difference between the two. It is a
-closed form: with u = 1/s, nu~ = sum c_i**2/(u + mu_i) makes theta = u*nu~
-(the root of theta's secular equation), so the dual is (1 + s) * sum
-c_i**2/(1 + s*mu_i): ||c||**2 in case "a" (s = 0), sum c_i**2/mu_i in case
-"b" (s -> infinity), and summed over the ungrouped terms, so that it also
-checks the grouping. Each observation's coefficients are scaled by a power
-of two before squaring, so neither the solve nor the certificate overflows
-or underflows at extreme scales of y. One rule refuses: a value outside the
-range of normal doubles; nu*, the dual and the gap are reported as they
-unscale, so nu* reads inf where it alone leaves the doubles. A rho so small
-that lambda_max/rho overflows puts every row in case "b", linear in rho, so
-the rows are solved at rho scaled up by a power of four and their values
-scaled back (:func:`_unit_means`).
-
-The root-find of the third case is the one bisection of this module
-(:func:`_bisect`, which :func:`chi_max` runs too): s doubles from 1 until
-the gap is not positive, and [0, s] is bisected until it is narrow relative
-to the root (1e-14), every point where the gap is not positive becoming the
-upper end, one row at a time; a chunk of observations is settled in the
-first two cases all at once, each row in the same bits as alone.
-Every point of the third case's multiplier path also
-bounds the value, with no root-find: the maximizer's direction there, scaled
-into the feasible set, from below, and the dual objective at the matching
-multiplier from above. Both are the value at the root, and at the path's two
-ends they are closed forms in the group sums, which are the value in the first
-two cases. The Monte Carlo threshold, an order statistic of many observations'
-values, bounds every observation at the path's ends, refines the bounds of
-those that may hold the selected rank once, a chunk at a time, by a few
-lockstep Newton steps along the path, and solves those still in contention in
-full, so it is the same bits as sorting the full solves.
-
-Every batch is sized by one rule, :func:`_chunk_rows`: as many rows as fit in
-2**16 entries at its widest temporary's width (one row, if wider). The replicate
-noise and the SSS are worked in a workspace of flat float buffers that each
-thread keeps (``threading.local``) and reuses for every block and call, so no
-buffer is allocated, faulted in and freed per block: one holds the noise, and
-two hold in turn the SSS's centred block, the projection's axis-by-axis
-outputs, the coefficients in eigenvalue order and their squares; a tree's
-projection works its level sums in a fourth. Each keeps at most one chunk
-(:func:`_row_chunks`): four buffers per thread, 2 MB for n up to 2**16. The
-coefficients and group sums ``_scaled_sums`` returns are views of the
-workspace, valid until its next call in the same thread.
+- :func:`sss`: the solve, its dual certificate and its refusals; :class:`SssResult` what it reports;
+- :func:`_grouped_kkt`: the three KKT cases, one term per group of equal eigenvalues
+  (:attr:`Spectrum.groups`); :func:`_kkt_root` and :func:`_bisect` the root of the third case;
+- :func:`_scaled_sums` and :func:`_unscale`: y at extreme scales; :func:`_unit_means`: extreme rho;
+- :func:`_sss_order_statistic` and :func:`_path_bounds`: the Monte Carlo threshold, bit for bit
+  without solving every replicate in full;
+- :func:`_chunk_rows`, :func:`_row_chunks` and :class:`_Workspace`: batch sizes and per-thread buffers;
+- :func:`chi_max`: the dual's inner maximum, a public oracle that :func:`sss` does not call.
 """
 from __future__ import annotations
 
@@ -135,7 +87,9 @@ class _Workspace(threading.local):
     The roles are "noise" (the replicate draws), "a" and "b" (what the SSS's
     steps pass between them) and "tree" (a tree projection's level sums).
     A buffer grows to the largest array asked of it and is never shrunk, so a
-    thread keeps at most four.
+    thread keeps at most four, of at most max(2**16, n) doubles each (one
+    chunk, :func:`_row_chunks`): about 2 MB for n <= 2**16. Threads never
+    share a buffer, and everything a public function returns is its own memory.
     """
 
     def __init__(self) -> None:
@@ -519,10 +473,11 @@ def chi_max(c: np.ndarray, lambdas: np.ndarray, nu: float) -> float:
         f(t) = sum_i c_i**2 / (t + nu * (lambda_i - min(active lambdas))) - 1,
 
     which is decreasing, with f(||c||**2) <= 0; :func:`_bisect` narrows
-    [0, ||c||**2] to 1e-14 relative to t, about 50 evaluations of O(len(c))
-    each. That matches a dense eigendecomposition of the same matrix to about
-    1e-13 * max(1, |theta|). A ||c||**2 or a result beyond the doubles is
-    refused as an overflow, with no numpy warning first.
+    [0, ||c||**2] to 1e-14 relative to t. On acceptance criterion 4's inputs
+    that takes 48 to 59 evaluations of O(len(c)) each and matches a dense
+    eigendecomposition within 4.8e-14 * max(1, |theta|). A ||c||**2 or a
+    result beyond the doubles is refused as an overflow, with no numpy
+    warning first.
     """
     c, lambdas = numbers(c, float, "c"), numbers(lambdas, float, "lambdas")
     if c.shape != lambdas.shape or c.ndim != 1:
@@ -588,12 +543,7 @@ def _bisect(f, hi: float) -> tuple[float, int]:
 
 
 def _connected_lambdas(spectrum: Spectrum) -> np.ndarray:
-    """lambda_2..lambda_n; raises unless lambda_2 is clear of zero, as for a connected graph.
-
-    lambda_2 must exceed 1e-10 * lambda_max, the tolerance within which two
-    eigenvalues count as equal, so the test does not depend on the scale of
-    the weights.
-    """
+    """lambda_2..lambda_n; raises unless lambda_2 exceeds ``_TIE_RTOL * lambda_max``, as for a connected graph."""
     lambdas = spectrum.eigenvalues[1:]
     if lambdas.size == 0 or lambdas[0] <= _TIE_RTOL * spectrum.eigenvalues[-1]:
         raise ValueError("spectrum does not come from a connected graph (lambda_2 <= 0)")
@@ -604,7 +554,8 @@ def _unit_means(spectrum: Spectrum, rho: float) -> tuple[np.ndarray, int]:
     """mu, the group means over rho * 4**shift, and shift (``rho`` taken as checked).
 
     Wherever lambda_max/rho is finite, shift is 0 and the ellipsoid x'Lx <= rho
-    is z' diag(mu) z <= 1. Where it overflows, so does every lambda/rho, as
+    is z' diag(mu) z <= 1. Where it overflows (rho below about
+    lambda_max * 5.6e-309), so does every lambda/rho, as
     lambda_2 > 1e-10 * lambda_max, so every row is in case "b",
     whose value rho * sum c_i**2/lambda_i, like its multiplier nu~, is linear
     in rho. Those rows are solved at rho * 4**shift, which brings
@@ -896,28 +847,29 @@ def _sss_order_statistic(spectrum: Spectrum, chunks, rho: float, rank: int, coun
 def sss(spectrum: Spectrum, y: np.ndarray, rho: float) -> SssResult:
     """Spectral scan statistic by one KKT solve, certified by the dual.
 
-    :func:`_grouped_kkt`, on the observation as a one-row chunk and the
-    groups' mu = lambda/rho, gives the value, the case, the dual multiplier
-    nu~ of the unit ellipsoid (reported as nu* = nu~/rho), and in case "c"
-    the root s and its step count. The primal maximizer z in the
-    nonconstant eigenbasis is rebuilt from the ungrouped coefficients c and
-    mu: c/||c|| (case "a"), c/mu scaled onto the ellipsoid ("b") or
-    c/(1 + s*mu) normalized ("c"). The vector before scaling gives the dual
-    objective at nu~ in closed form (see the module docstring): c'(c/mu) in
-    case "b", and (1 + s) * c'(c/(1 + s*mu)) otherwise. It is summed over the
-    ungrouped terms; by weak duality it bounds the statistic from above, and
-    ``gap`` reports the difference, so it also checks the grouping. All of
-    this runs on c scaled exactly by a power of two to a largest entry in
-    [0.5, 1), so it holds for observations from about 1e-153 to 1e153 in
-    scale. The value is unscaled as :func:`_sss_values` unscales it, so it is
-    refused, if it overflows or underflows out of the normal range, exactly
-    where the block path refuses it; nu*, the dual and the gap are not
-    refused but reported as they unscale, nu* as inf past the doubles. A
-    constant observation, however large, centres to exact zeros and yields 0
-    in case "a" with a zero gap. Where
-    lambda_max/rho overflows, all of this runs at rho * 4**shift
-    (:func:`_unit_means`), and the value, the dual and the witness are
-    scaled back.
+    Refuses a spectrum whose lambda_2 is not above 1e-10 * lambda_max (the
+    tolerance within which eigenvalues count as equal) as not from a connected
+    graph, at any scale of the weights. :func:`_grouped_kkt`, on the
+    observation as a one-row chunk, gives the value, the case, the multiplier
+    nu~ of the unit ellipsoid (reported as nu* = nu~/rho) and in case "c" the
+    root s and its steps. The maximizer z is rebuilt from the ungrouped
+    coefficients c: c/||c|| (case "a"), c/mu scaled onto the ellipsoid ("b")
+    or c/(1 + s*mu) normalized ("c"). The dual objective at nu~,
+    max(0, theta) + nu~ with theta the top eigenvalue of c c' - nu~ diag(mu),
+    is a closed form that solves no secular equation: nu~ = sum
+    c_i**2/(1/s + mu_i) makes theta = nu~/s, so the dual is (1 + s) * sum
+    c_i**2/(1 + s*mu_i), ||c||**2 in case "a" (s = 0) and sum c_i**2/mu_i in
+    case "b" (its limit). Summed over the ungrouped terms, it bounds the value
+    from above by weak duality and checks the grouping; ``gap`` is the
+    difference. All of this runs on c scaled exactly by a power of two to a
+    largest entry in [0.5, 1) (:func:`_scaled_sums`), so it holds for
+    observations from about 1e-153 to 1e153 in scale. The value is refused
+    outside the normal doubles exactly where the block path
+    (:func:`_sss_values`) refuses it; nu*, the dual and the gap are reported
+    as they unscale, nu* as inf past the doubles. A constant observation,
+    however large, scores 0 in case "a" with a zero gap. Where lambda_max/rho
+    overflows, all of this runs at rho * 4**shift (:func:`_unit_means`), and
+    the value, the dual and the witness are scaled back.
     """
     rho = real("rho", rho, "positive")
     # a one-row chunk, so that _sss_values on the same row gives the same bits;

@@ -316,9 +316,10 @@ class TestHelp:
         out = capsys.readouterr().out
         assert "key = value" in out and "detectors" in out
 
-    def test_help_names_every_config_key(self, capsys):
+    @pytest.mark.parametrize("argv", [("--help",), ("experiment", "--help")], ids=["graphscan", "experiment"])
+    def test_help_names_every_config_key(self, capsys, argv):
         with pytest.raises(SystemExit):
-            run_cli("--help")
+            run_cli(*argv)
         words = set(re.findall(r"\w+", capsys.readouterr().out.partition("experiment config files")[2]))
         family_keys = {key for family in simulate._FAMILIES.values() for key in family.keys}
         assert {"family", *family_keys, *simulate._FIELD_TYPES} <= words

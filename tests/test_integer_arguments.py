@@ -36,6 +36,7 @@ from graphscan import (
     naive_bounds,
     noncentrality,
     null_threshold,
+    preset_config,
     replicate_rng,
     run_roc,
     sample_observation,
@@ -61,9 +62,10 @@ CALLS = {
     "calibrate_seed": (lambda v: calibrate_threshold(Detector("energy"), gen_lattice(3), 1.0, 0.05, 100, v), 1, "seed"),
     "rng_seed": (lambda v: replicate_rng(v, 0).standard_normal(2).tolist(), 1, "seed"),
     "rng_index": (lambda v: replicate_rng(0, v).standard_normal(2).tolist(), 2, "replicate index"),
-    "bbt_depth": (lambda v: canonical_cluster(gen_bbt(3), "bbt", depth=v), 3, "depth"),
-    "lattice_p": (lambda v: canonical_cluster(gen_lattice(4), "lattice", p=v), 4, "p"),
-    "kron_levels": (lambda v: canonical_cluster(KRON2, "kron", levels=v), 2, "levels"),
+    "bbt_depth": (lambda v: canonical_cluster(gen_bbt(3), "bbt", depth=v), 3, "'depth'"),
+    "lattice_p": (lambda v: canonical_cluster(gen_lattice(4), "lattice", p=v), 4, "'p'"),
+    "kron_levels": (lambda v: canonical_cluster(KRON2, "kron", levels=v), 2, "'levels'"),
+    "preset_seed": (lambda v: preset_config("bbt-fig1", v).seed, 3, "seed"),
     "naive_n": (lambda v: naive_bounds(v, 2), 10, "n"),
     "naive_max_cluster": (lambda v: naive_bounds(10, v), 2, "max_cluster"),
     "noncentrality_size": (lambda v: noncentrality(1.0, 1.0, v, 10), 2, "cluster_size"),

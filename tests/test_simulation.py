@@ -224,10 +224,12 @@ class TestCanonicalCluster:
             (gen_bbt(3), "bbt", {"depth": 3, "base_half": (0,)}, r"unknown keys \['base_half'\] for family 'bbt'"),
             (gen_kron_multiscale(two_triangles(), 2), "kron", {"levels": 2, "node": 3, "p": 4},
              r"unknown keys \['node', 'p'\] for family 'kron'"),
+            (gen_lattice(16), "lattice", {"p": 16, "periodic": "x"}, "^'periodic' must be a bool, got 'x'$"),
+            (gen_lattice(16), "lattice", {"p": 16, "periodic": 2}, "^'periodic' must be a bool, got 2$"),
         ],
         ids=[
             "no_depth", "no_p", "no_levels", "depth1", "kron_size", "node", "base_n", "base_half",
-            "unread_key", "other_cluster_option", "other_family_keys",
+            "unread_key", "other_cluster_option", "other_family_keys", "periodic_text", "periodic_int",
         ],
     )
     def test_bad_parameters_rejected(self, g, family, params, match):
